@@ -51,7 +51,8 @@ pub struct FinalState {
 }
 
 impl FinalState {
-    fn of(device: &Device) -> FinalState {
+    /// Where `device` stands now.
+    pub fn of(device: &Device) -> FinalState {
         FinalState {
             steps: device.mcu.steps(),
             cycles: device.mcu.cycles(),

@@ -10,12 +10,12 @@
 use crate::live::{Live, LiveStats};
 use crate::procfs;
 use crate::script::{check_epoch, EpochCheck, Fault, FaultScript};
-use crate::trace::{Span, Tracer};
-use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
+use crate::trace::Tracer;
+use apex_pox::wire::Envelope;
 use asap::{programs, Device, PoxMode, VerifierSpec};
 use asap_fleet::{
-    announce_devices, DeviceId, DeviceState, FleetDirectory, FleetRuntime, FleetVerifier,
-    GatewayConn, LifecycleConfig, NoListener,
+    announce_devices, serve_frames, DeviceId, DeviceState, FleetDirectory, FleetRuntime,
+    FleetVerifier, GatewayConn, LifecycleConfig, NoListener,
 };
 use msp430_tools::link::Image;
 use pox_crypto::sha256;
@@ -135,28 +135,28 @@ pub fn fig4_spec() -> Arc<VerifierSpec> {
 
 /// The prover threads behind the runtime's connections.
 struct Provers {
-    handles: Vec<JoinHandle<Vec<Span>>>,
+    handles: Vec<JoinHandle<()>>,
     tids: Vec<u64>,
 }
 
 impl Provers {
     /// Splits `ids` over [`CONNECTIONS`] socketpairs adopted by
     /// `runtime`, one prover thread each, and waits until every thread
-    /// has built its devices and recorded its tid.
+    /// has built its devices and recorded its tid. Each thread answers
+    /// challenges with [`serve_frames`], the repository's prover loop,
+    /// applying the fault script to its devices' responses.
     fn spawn(
         runtime: &mut Runtime,
         counts: &Arc<SyscallCounts>,
         ids: &[DeviceId],
         seed: u64,
         script: Option<FaultScript>,
-        base: Instant,
-        trace: bool,
     ) -> Provers {
         let (ready_tx, ready_rx) = mpsc::channel();
         let handles: Vec<_> = ids
             .chunks(ids.len().div_ceil(CONNECTIONS))
             .map(|chunk| {
-                let (verifier_end, prover_end) = UnixStream::pair().expect("socketpair");
+                let (verifier_end, mut prover_end) = UnixStream::pair().expect("socketpair");
                 runtime
                     .adopt(CountedStream {
                         stream: verifier_end,
@@ -165,7 +165,30 @@ impl Provers {
                     .expect("runtime adopts");
                 let ids = chunk.to_vec();
                 let ready = ready_tx.clone();
-                std::thread::spawn(move || serve(prover_end, ids, seed, script, base, trace, ready))
+                std::thread::spawn(move || {
+                    let image = programs::fig4_authorized().expect("fig4 image links");
+                    // Device, responses served so far (the fault
+                    // script's index).
+                    let mut devices: HashMap<DeviceId, (Device, u64)> = ids
+                        .iter()
+                        .map(|&id| (id, (boot_fig4(&image, &device_key(seed, id)), 0)))
+                        .collect();
+                    ready
+                        .send(procfs::current_tid().unwrap_or(0))
+                        .expect("the main thread waits for readiness");
+                    if announce_devices(&mut prover_end, &ids).is_err() {
+                        return;
+                    }
+                    serve_frames(prover_end, |id, envelope| {
+                        let (device, served) = devices.get_mut(&id)?;
+                        let mut response = device.attest_bytes(&envelope.payload).ok()?;
+                        if let Some(script) = script {
+                            script.fault(id, *served).apply(&mut response);
+                        }
+                        *served += 1;
+                        Some(Envelope::wrap(id.0, response).to_bytes())
+                    });
+                })
             })
             .collect();
         let tids = (0..handles.len())
@@ -174,93 +197,11 @@ impl Provers {
         Provers { handles, tids }
     }
 
-    fn join(self) -> Vec<Span> {
-        self.handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("prover thread never panics"))
-            .collect()
-    }
-}
-
-/// One prover thread: announce the devices, then answer challenges
-/// until the verifier hangs up. Each read's frames are handled in
-/// phases — decode, attest, encode, write — so a traced run records
-/// four spans per read rather than four per frame.
-fn serve(
-    mut stream: UnixStream,
-    ids: Vec<DeviceId>,
-    seed: u64,
-    script: Option<FaultScript>,
-    base: Instant,
-    trace: bool,
-    ready: mpsc::Sender<u64>,
-) -> Vec<Span> {
-    let tid = procfs::current_tid().unwrap_or(0);
-    let image = programs::fig4_authorized().expect("fig4 image links");
-    // Device, responses served so far (the fault script's index).
-    let mut devices: HashMap<u64, (Device, u64)> = ids
-        .iter()
-        .map(|&id| (id.0, (boot_fig4(&image, &device_key(seed, id)), 0)))
-        .collect();
-    ready
-        .send(tid)
-        .expect("the main thread waits for readiness");
-    let mut tracer = Tracer::new(base, trace);
-    if announce_devices(&mut stream, &ids).is_err() {
-        return tracer.into_spans();
-    }
-    let mut deframer = StreamDeframer::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut frames = Vec::new();
-    let mut out = Vec::new();
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => n,
-        };
-        deframer.extend(&buf[..n]);
-        frames.clear();
-        while let Ok(Some(frame)) = deframer.next_frame() {
-            frames.push(frame);
-        }
-        if frames.is_empty() {
-            continue;
-        }
-        let k = frames.len() as u64;
-        let requests: Vec<Envelope> = tracer.span("wire.envelope_decode", None, k, || {
-            frames
-                .iter()
-                .filter_map(|f| Envelope::from_bytes(f).ok())
-                .collect()
-        });
-        let responses: Vec<(u64, u64, Vec<u8>)> = tracer.span("asap.attest_bytes", None, k, || {
-            requests
-                .into_iter()
-                .filter_map(|env| {
-                    let (device, served) = devices.get_mut(&env.device_id)?;
-                    let response = device.attest_bytes(&env.payload).ok()?;
-                    *served += 1;
-                    Some((env.device_id, *served - 1, response))
-                })
-                .collect()
-        });
-        out.clear();
-        tracer.span("wire.envelope_encode", None, k, || {
-            for (id, nth, mut response) in responses {
-                if let Some(script) = script {
-                    script.fault(DeviceId(id), nth).apply(&mut response);
-                }
-                out.extend_from_slice(&frame_stream(&Envelope::wrap(id, response).to_bytes()));
-            }
-        });
-        if tracer
-            .span("prover.write", None, k, || stream.write_all(&out))
-            .is_err()
-        {
-            break;
+    fn join(self) {
+        for handle in self.handles {
+            handle.join().expect("prover thread never panics");
         }
     }
-    tracer.into_spans()
 }
 
 /// Which fleet workload.
@@ -311,7 +252,7 @@ impl FleetSeries {
     /// Enrolls the fleet, starts the runtime and the prover threads,
     /// and warms up (first-contact hellos, route recording, initial
     /// allocations) so measurement starts in the steady state.
-    pub fn setup(kind: Kind, seed: u64, base: Instant, trace: bool) -> FleetSeries {
+    pub fn setup(kind: Kind, seed: u64) -> FleetSeries {
         let spec = fig4_spec();
         let n = match kind {
             Kind::Steady => STEADY_DEVICES,
@@ -358,7 +299,7 @@ impl FleetSeries {
         let mut runtime = FleetRuntime::detached(fleet, 1, depth);
         let script = churn.as_ref().map(|c| c.script);
         let syscalls = Arc::new(SyscallCounts::default());
-        let provers = Provers::spawn(&mut runtime, &syscalls, &ids, seed, script, base, trace);
+        let provers = Provers::spawn(&mut runtime, &syscalls, &ids, seed, script);
         let steady_expected = match kind {
             Kind::Steady => ids.iter().map(|&id| (id, Fault::Honest)).collect(),
             Kind::Churn => Vec::new(),
@@ -378,7 +319,7 @@ impl FleetSeries {
         // Warm-up: three whole-fleet rounds, or one full rotation of
         // the churn directory. Verdicts are checked all the same.
         let mut warm = Live::start(&[]);
-        let mut off = Tracer::new(base, false);
+        let mut off = Tracer::new(Instant::now(), false);
         match kind {
             Kind::Steady => {
                 for _ in 0..3 {
@@ -392,11 +333,6 @@ impl FleetSeries {
         }
         series.warm_up = warm.check;
         series
-    }
-
-    /// Whether this is the churn workload (pipelined epochs).
-    pub fn is_churn(&self) -> bool {
-        self.kind == Kind::Churn
     }
 
     /// The MAC-conclusion pool size of the runtime's registry.
@@ -430,14 +366,14 @@ impl FleetSeries {
         stats
     }
 
-    /// Shuts the runtime down (the provers see EOF) and returns the
-    /// prover threads' spans.
-    pub fn finish(self) -> Vec<Span> {
+    /// Shuts the runtime down (the provers see EOF) and waits for the
+    /// prover threads.
+    pub fn finish(self) {
         let FleetSeries {
             runtime, provers, ..
         } = self;
         drop(runtime);
-        provers.join()
+        provers.join();
     }
 
     fn steady_round(&mut self, live: &mut Live, tracer: &mut Tracer) {

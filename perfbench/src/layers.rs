@@ -46,9 +46,11 @@ fn repeat(budget: Duration, mut batch: impl FnMut()) {
 pub struct Probes {
     /// Per-layer figures.
     pub figures: Vec<Figure>,
+    /// Costs derived as differences of figures, in ns.
+    pub derived: Vec<(&'static str, f64)>,
     /// Probe verdicts that came out wrong.
     pub wrong: u64,
-    /// Every probe batch, one span each.
+    /// Every probe batch, one root span each.
     pub spans: Vec<Span>,
 }
 
@@ -63,7 +65,8 @@ pub fn probe_all(base: Instant, seed: u64, budget: Duration) -> Probes {
     wrong += asap_and_wire(tracer, slice);
     wrong += registry(tracer, seed, slice);
     lifecycle(tracer, seed, slice);
-    let sim = simulator(tracer, seed, slice);
+    let (sim, sim_wrong) = simulator(tracer, seed, slice);
+    wrong += sim_wrong;
 
     let spans = std::mem::replace(tracer, Tracer::new(base, false)).into_spans();
     let ns = |name: &str| per_unit_ns(&spans, name).unwrap_or(f64::NAN);
@@ -96,8 +99,8 @@ pub fn probe_all(base: Instant, seed: u64, budget: Duration) -> Probes {
             "ns",
         ),
         (
-            "fleet.engine_ns_per_session",
-            ns("fleet.loopback_round") - challenge - attest - conclude,
+            "fleet.loopback_ns_per_session",
+            ns("fleet.loopback_round"),
             "ns",
         ),
         ("fleet.register_ns", ns("fleet.register"), "ns"),
@@ -112,8 +115,8 @@ pub fn probe_all(base: Instant, seed: u64, budget: Duration) -> Probes {
         ("sim.mcu_ns_per_step", mcu, "ns"),
         ("sim.perstep_ns_per_step", ns("sim.perstep_run_steps"), "ns"),
         (
-            "sim.monitor_ns_per_step",
-            ns("sim.device_step_into") - mcu,
+            "sim.device_step_ns_per_step",
+            ns("sim.device_step_into"),
             "ns",
         ),
         (
@@ -123,8 +126,19 @@ pub fn probe_all(base: Instant, seed: u64, budget: Duration) -> Probes {
         ),
     ];
     figures.extend(sim);
+    // Differences of separately measured medians: printed beside the
+    // figures, never reported as metrics, since they can come out at
+    // or below zero.
+    let derived = vec![
+        (
+            "fleet.engine_ns_per_session",
+            ns("fleet.loopback_round") - challenge - attest - conclude,
+        ),
+        ("sim.monitor_ns_per_step", ns("sim.device_step_into") - mcu),
+    ];
     Probes {
         figures,
+        derived,
         wrong,
         spans,
     }
@@ -363,13 +377,15 @@ fn lifecycle(tracer: &mut Tracer, seed: u64, budget: Duration) {
 /// The simulator on the `device-irq` program at this seed's period:
 /// bare MCU steps, monitored per-step device steps, the per-step run
 /// loop and the default superblock run loop, each over one full proof
-/// run. Returns the cache and simulated-state figures.
-fn simulator(tracer: &mut Tracer, seed: u64, budget: Duration) -> Vec<Figure> {
+/// run. Both run loops must end in the per-step reference's state.
+/// Returns the cache and simulated-state figures and the number of runs
+/// that ended elsewhere.
+fn simulator(tracer: &mut Tracer, seed: u64, budget: Duration) -> (Vec<Figure>, u64) {
     let image = device::irq_image(device::period_for(seed));
     let reference = device::reference_run(&image);
     let steps = reference.steps;
     let mut signals = Signals::default();
-    let (mut lookups, mut hits, mut sb_steps) = (0u64, 0u64, 0u64);
+    let (mut lookups, mut hits, mut sb_steps, mut wrong) = (0u64, 0u64, 0u64, 0u64);
     repeat(budget, || {
         let mut d = device::boot(&image, false);
         tracer.span("sim.mcu_step_into", None, steps, || {
@@ -385,17 +401,19 @@ fn simulator(tracer: &mut Tracer, seed: u64, budget: Duration) -> Vec<Figure> {
         });
         let mut d = device::boot(&image, false);
         tracer.span("sim.perstep_run_steps", None, steps, || d.run_steps(steps));
+        wrong += u64::from(device::FinalState::of(&d) != reference);
         let mut d = device::boot(&image, true);
         let before = d.mcu.cache_stats();
         tracer.span("sim.superblock_run_steps", None, steps, || {
             d.run_steps(steps)
         });
         let after = d.mcu.cache_stats();
+        wrong += u64::from(device::FinalState::of(&d) != reference);
         hits += after.hits - before.hits;
         lookups += (after.hits + after.misses) - (before.hits + before.misses);
         sb_steps += steps;
     });
-    vec![
+    let figures = vec![
         (
             "sim.steps_per_lookup",
             sb_steps as f64 / lookups.max(1) as f64,
@@ -412,5 +430,6 @@ fn simulator(tracer: &mut Tracer, seed: u64, budget: Duration) -> Vec<Figure> {
             "cycles",
         ),
         ("sim.irqs_serviced", f64::from(reference.irqs()), "count"),
-    ]
+    ];
+    (figures, wrong)
 }

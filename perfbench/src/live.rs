@@ -1,104 +1,66 @@
-//! Bookkeeping of one measured run of a closed-loop series, and the
-//! choice of the windows its end-to-end figures come from.
+//! Bookkeeping of one measured run of a closed-loop series.
 //!
-//! The run is cut into windows of about equal length, each closed at a
-//! request completion, so a window holds whole requests. Each window
-//! records its sessions, request latencies, and the CPU its prover
-//! threads and every other task used in it.
-//!
-//! On a shared host the vCPU does not run at one speed: for seconds at
-//! a time every thread of the benchmark runs at about half speed, while
-//! the guest still sees itself on-CPU. Such a slowdown never makes code
-//! faster, so the figures come from the run's *quiet* windows — the
-//! quarter with the highest session rate — where the host interfered
-//! least. Every window's sessions are still checked and counted.
+//! Every figure covers the whole run: sessions over the time from the
+//! run's start to its last completion, every request's latency, and the
+//! CPU the prover threads and every other task used in between. No part
+//! of the run is dropped, so a stall that lands in some requests shows
+//! in the rate and, once it hits more than 1% of requests, in the p99.
 
 use crate::procfs::{self, TaskCounters};
 use crate::script::EpochCheck;
-use crate::stats;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// Length of one window. Host slowdowns last from a fraction of a
-/// second to several seconds, so a window is short enough that most
-/// runs have quiet ones, and long enough to hold tens of requests.
-const WINDOW: Duration = Duration::from_millis(250);
-
-/// One closed window.
-struct Window {
-    seconds: f64,
-    sessions: u64,
-    latencies_ms: Vec<f64>,
-    prover: TaskCounters,
-    rest: TaskCounters,
-    verifier_ns: u64,
-}
-
-impl Window {
-    fn rate(&self) -> f64 {
-        self.sessions as f64 / self.seconds
-    }
-}
 
 /// A run being measured.
 pub struct Live {
     provers: Vec<u64>,
-    opened: Instant,
     tasks: HashMap<u64, TaskCounters>,
+    started: Instant,
+    last: Instant,
     sessions: u64,
     latencies_ms: Vec<f64>,
     verifier_ns: u64,
-    windows: Vec<Window>,
-    started: Instant,
-    /// Every checked session's outcome, whole run.
+    /// Every checked session's outcome.
     pub check: EpochCheck,
 }
 
-/// A finished run's figures, from its quiet windows unless noted.
+/// A finished run's figures.
 pub struct LiveStats {
-    /// Sessions completed in the whole run.
+    /// Sessions completed.
     pub sessions: u64,
-    /// Length of the whole run, seconds.
+    /// From the run's start to its last completion, seconds.
     pub wall_s: f64,
-    /// Windows closed, and how many of them were quiet.
-    pub windows: (usize, usize),
-    /// Median session rate of the quiet windows.
+    /// `sessions / wall_s`.
     pub sessions_per_sec: f64,
-    /// Median session rate of all windows.
-    pub sessions_per_sec_all: f64,
     /// Request (round, epoch or session) latencies, ms.
     pub latencies_ms: Vec<f64>,
-    /// Sessions completed in the quiet windows.
-    pub quiet_sessions: u64,
-    /// Length of the quiet windows, seconds.
-    pub quiet_s: f64,
     /// CPU of the prover threads.
     pub prover: TaskCounters,
     /// CPU of every other task.
     pub rest: TaskCounters,
     /// Time inside the verifier's own calls, where a series times them.
     pub verifier_ns: u64,
-    /// `read` calls the verifier made on its sockets (whole run).
+    /// `read` calls the verifier made on its sockets.
     pub socket_reads: u64,
-    /// `write` calls the verifier made on its sockets (whole run).
+    /// `write` calls the verifier made on its sockets.
     pub socket_writes: u64,
-    /// Every checked session's outcome (whole run).
+    /// Every checked session's outcome.
     pub check: EpochCheck,
 }
 
 impl Live {
     /// Opens a run; `provers` are the prover threads' tids.
     pub fn start(provers: &[u64]) -> Live {
+        let tasks = procfs::sample_tasks();
         let now = Instant::now();
         Live {
             provers: provers.to_vec(),
-            tasks: procfs::sample_tasks(),
-            opened: now,
+            tasks,
+            started: now,
+            last: now,
             sessions: 0,
             latencies_ms: Vec::new(),
             verifier_ns: 0,
-            windows: Vec::new(),
-            started: now,
             check: EpochCheck::default(),
         }
     }
@@ -109,63 +71,27 @@ impl Live {
     }
 
     /// Notes one request issued at `issued` that completed `sessions`
-    /// sessions at `completed`; closes the window once it is long
-    /// enough.
+    /// sessions at `completed`.
     pub fn completed(&mut self, issued: Instant, completed: Instant, sessions: u64) {
         self.latencies_ms
             .push(completed.duration_since(issued).as_secs_f64() * 1e3);
         self.sessions += sessions;
-        if completed.duration_since(self.opened) >= WINDOW {
-            let tasks = procfs::sample_tasks();
-            let (prover, rest) = procfs::split_delta(&self.tasks, &tasks, &self.provers);
-            self.windows.push(Window {
-                seconds: completed.duration_since(self.opened).as_secs_f64(),
-                sessions: std::mem::take(&mut self.sessions),
-                latencies_ms: std::mem::take(&mut self.latencies_ms),
-                prover,
-                rest,
-                verifier_ns: std::mem::take(&mut self.verifier_ns),
-            });
-            self.tasks = tasks;
-            // The next window opens after the sample, so reading /proc
-            // is charged to no window.
-            self.opened = Instant::now();
-        }
+        self.last = self.last.max(completed);
     }
 
-    /// Closes the run. A trailing partial window is dropped.
+    /// Closes the run.
     pub fn finish(self) -> LiveStats {
-        let wall_s = self.started.elapsed().as_secs_f64();
-        let all: Vec<f64> = self.windows.iter().map(Window::rate).collect();
-        let quiet: Vec<&Window> = stats::best_quarter(&all, true)
-            .into_iter()
-            .map(|i| &self.windows[i])
-            .collect();
-        let rates: Vec<f64> = quiet.iter().map(|w| w.rate()).collect();
-        let total = |f: fn(&Window) -> TaskCounters| {
-            quiet.iter().fold(TaskCounters::default(), |acc, w| {
-                let c = f(w);
-                TaskCounters {
-                    run_ns: acc.run_ns + c.run_ns,
-                    wait_ns: acc.wait_ns + c.wait_ns,
-                }
-            })
-        };
+        let (prover, rest) =
+            procfs::split_delta(&self.tasks, &procfs::sample_tasks(), &self.provers);
+        let wall_s = self.last.duration_since(self.started).as_secs_f64();
         LiveStats {
-            sessions: self.windows.iter().map(|w| w.sessions).sum::<u64>() + self.sessions,
+            sessions: self.sessions,
             wall_s,
-            windows: (self.windows.len(), quiet.len()),
-            sessions_per_sec: stats::median(&rates).unwrap_or(f64::NAN),
-            sessions_per_sec_all: stats::median(&all).unwrap_or(f64::NAN),
-            latencies_ms: quiet
-                .iter()
-                .flat_map(|w| w.latencies_ms.iter().copied())
-                .collect(),
-            quiet_sessions: quiet.iter().map(|w| w.sessions).sum(),
-            quiet_s: quiet.iter().map(|w| w.seconds).sum(),
-            prover: total(|w| w.prover),
-            rest: total(|w| w.rest),
-            verifier_ns: quiet.iter().map(|w| w.verifier_ns).sum(),
+            sessions_per_sec: self.sessions as f64 / wall_s,
+            latencies_ms: self.latencies_ms,
+            prover,
+            rest,
+            verifier_ns: self.verifier_ns,
             socket_reads: 0,
             socket_writes: 0,
             check: self.check,

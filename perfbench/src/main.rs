@@ -45,11 +45,15 @@ const END_TO_END: [&str; 6] = [
 ];
 
 /// Wall time the set-up series spends setting its world up and
-/// tearing it down again, and the fewest set-ups it makes. `setup_s` is
-/// the median of the fastest quarter, the same rule as the quiet
-/// windows of a measured run.
-const SETUP_BUDGET: Duration = Duration::from_secs(2);
-const MIN_SETUPS: usize = 4;
+/// tearing it down again, and the shortest batch of set-ups it times as
+/// one sample. `setup_s` is the median of the batches' per-set-up
+/// times. A batch spans many set-ups (a `device-irq` set-up takes a few
+/// ms, a `fleet-churn` one ~0.1 s), so it averages over the host's
+/// speed phases, which last seconds, rather than sampling one of them.
+const SETUP_BUDGET: Duration = Duration::from_secs(5);
+const SETUP_BATCH: Duration = Duration::from_secs(1);
+/// The fewest batches a set-up series times.
+const MIN_SETUP_BATCHES: usize = 5;
 
 /// Shares of `--seconds` a traced run spends on its untraced series,
 /// its traced live series, and its per-layer probes.
@@ -221,24 +225,31 @@ fn collect(workload: &str, seed: u64, args: &Args) -> Result<RunResult, String> 
     }
     let untraced = run_child("run", workload, seed, args.seconds * TRACE_UNTRACED_SHARE)?;
     let traced = run_child("traced", workload, seed, args.seconds)?;
-    let base: f64 = untraced
+    let untraced_rate: f64 = untraced
         .metrics
         .iter()
         .find(|m| m.0 == "sessions_per_sec")
         .map(|m| m.1)
         .ok_or("the untraced series reported no sessions_per_sec")?;
-    let live: f64 = traced
+    let traced_rate: f64 = traced
         .info("sessions_per_sec")
         .and_then(|v| v.parse().ok())
         .ok_or("the traced series reported no sessions_per_sec")?;
     let mut metrics = traced.metrics;
     metrics.push((
-        "trace.overhead_pct".into(),
-        (base - live) / base * 100.0,
-        "%".into(),
+        "trace.rate_ratio".into(),
+        traced_rate / untraced_rate,
+        "ratio".into(),
     ));
     let mut info = traced.info;
-    info.push(("untraced_sessions_per_sec".into(), base.to_string()));
+    info.push((
+        "untraced_sessions_per_sec".into(),
+        untraced_rate.to_string(),
+    ));
+    info.push((
+        "trace.overhead_pct".into(),
+        ((1.0 - traced_rate / untraced_rate) * 100.0).to_string(),
+    ));
     Ok(RunResult {
         metrics,
         attempted: untraced.attempted + traced.attempted,
@@ -336,19 +347,15 @@ enum Series {
 }
 
 impl Series {
-    fn setup(workload: &str, seed: u64, base: Instant, trace: bool) -> Series {
+    fn setup(workload: &str, seed: u64) -> Series {
         match workload {
             "fleet-steady" => Series::Fleet(Box::new(fleet::FleetSeries::setup(
                 fleet::Kind::Steady,
                 seed,
-                base,
-                trace,
             ))),
             "fleet-churn" => Series::Fleet(Box::new(fleet::FleetSeries::setup(
                 fleet::Kind::Churn,
                 seed,
-                base,
-                trace,
             ))),
             "device-irq" => Series::Irq(device::IrqSeries::setup(seed)),
             other => unreachable!("workload {other} was validated"),
@@ -366,15 +373,6 @@ impl Series {
         match self {
             Series::Fleet(s) => s.prover_tids(),
             Series::Irq(s) => s.prover_tids(),
-        }
-    }
-
-    /// The span each of the series' requests is recorded under.
-    fn request_span(&self) -> &'static str {
-        match self {
-            Series::Fleet(s) if s.is_churn() => "fleet.epoch",
-            Series::Fleet(_) => "fleet.round",
-            Series::Irq(_) => "session",
         }
     }
 
@@ -407,9 +405,9 @@ impl Series {
         info
     }
 
-    /// Verifier-side CPU over a run's quiet windows: every task but the
-    /// prover threads for the fleet; for `device-irq`, whose one thread
-    /// plays both parts, the time inside the verifier's calls.
+    /// Verifier-side CPU over a run: every task but the prover threads
+    /// for the fleet; for `device-irq`, whose one thread plays both
+    /// parts, the time inside the verifier's calls.
     fn verifier_ns(&self, stats: &live::LiveStats) -> u64 {
         match self {
             Series::Fleet(_) => stats.rest.run_ns,
@@ -425,10 +423,9 @@ impl Series {
         }
     }
 
-    fn finish(self) -> Vec<trace::Span> {
-        match self {
-            Series::Fleet(s) => s.finish(),
-            Series::Irq(_) => Vec::new(),
+    fn finish(self) {
+        if let Series::Fleet(s) = self {
+            s.finish();
         }
     }
 }
@@ -459,49 +456,50 @@ fn counts(attempted: u64, failed: u64) {
     println!("count failed {failed}");
 }
 
-/// The set-up series: sets the workload's world up and tears it down
-/// again for [`SETUP_BUDGET`], and reports the median of the fastest
-/// quarter of set-ups. A process of its own, so the measured series'
+/// The set-up series: after one untimed set-up (first-touch page
+/// faults, allocator growth), sets the workload's world up and tears it
+/// down again for [`SETUP_BUDGET`], timing the set-ups in batches of at
+/// least [`SETUP_BATCH`]. A process of its own, so the measured series'
 /// peak RSS holds one world only.
 fn setup(args: &Args) {
-    let base = Instant::now();
-    let mut setup_s = Vec::new();
-    while setup_s.len() < MIN_SETUPS || base.elapsed() < SETUP_BUDGET {
-        let t = Instant::now();
-        let series = Series::setup(&args.workload, args.seed, base, false);
-        setup_s.push(t.elapsed().as_secs_f64());
-        series.finish();
+    Series::setup(&args.workload, args.seed).finish();
+    let start = Instant::now();
+    let mut batches = Vec::new();
+    let mut setups = 0;
+    while batches.len() < MIN_SETUP_BATCHES || start.elapsed() < SETUP_BUDGET {
+        let (mut spent, mut n) = (Duration::ZERO, 0u32);
+        while n == 0 || spent < SETUP_BATCH {
+            let t = Instant::now();
+            let series = Series::setup(&args.workload, args.seed);
+            spent += t.elapsed();
+            n += 1;
+            series.finish();
+        }
+        batches.push(spent.as_secs_f64() / f64::from(n));
+        setups += n;
     }
-    let fastest: Vec<f64> = stats::best_quarter(&setup_s, false)
-        .into_iter()
-        .map(|i| setup_s[i])
-        .collect();
-    info("setups", setup_s.len());
-    info(
-        "setup_s_all_median",
-        stats::median(&setup_s).expect("set-ups ran"),
-    );
+    info("setups", setups);
+    info("setup_batches", batches.len());
     metric(
         "setup_s",
-        stats::median(&fastest).expect("set-ups ran"),
+        stats::median(&batches).expect("set-ups ran"),
         "s",
     );
 }
 
 /// The untraced series: one set-up, then `--seconds` of measurement.
 fn measure(args: &Args) {
-    let base = Instant::now();
-    let mut series = Series::setup(&args.workload, args.seed, base, false);
+    let mut series = Series::setup(&args.workload, args.seed);
     for (key, value) in series.describe() {
         info(&key, value);
     }
-    let mut off = Tracer::new(base, false);
+    let mut off = Tracer::new(Instant::now(), false);
     let stats = series.run(args.seconds, &mut off);
     let steps = series.steps_per_session();
     let verifier_ns = series.verifier_ns(&stats);
     series.finish();
 
-    let sessions = stats.quiet_sessions.max(1) as f64;
+    let sessions = stats.sessions.max(1) as f64;
     info("sessions", stats.sessions);
     let v = stats.check;
     info(
@@ -512,11 +510,6 @@ fn measure(args: &Args) {
         ),
     );
     info("wall_s", stats.wall_s);
-    info(
-        "quiet_windows",
-        format!("{} of {}", stats.windows.1, stats.windows.0),
-    );
-    info("sessions_per_sec_all_windows", stats.sessions_per_sec_all);
     info("round_samples", stats.latencies_ms.len());
     if steps > 0 {
         info("steps_per_sec", stats.sessions_per_sec * steps as f64);
@@ -548,36 +541,37 @@ fn measure(args: &Args) {
 /// The traced series: a live segment with spans on, then the per-layer
 /// probes; writes every span out at the end.
 fn traced(args: &Args) {
-    let base = Instant::now();
-    let mut series = Series::setup(&args.workload, args.seed, base, true);
+    let mut series = Series::setup(&args.workload, args.seed);
     for (key, value) in series.describe() {
         info(&key, value);
     }
-    let provers = series.prover_tids();
-    let container = series.request_span();
+    let base = Instant::now();
     let mut tracer = Tracer::new(base, true);
     let stats = series.run(args.seconds * TRACE_LIVE_SHARE, &mut tracer);
+    let provers = series.prover_tids();
     let verifier_ns = series.verifier_ns(&stats);
-    let prover_spans = series.finish();
-    let mut spans = tracer.into_spans();
-    trace::merge_by_time(&mut spans, prover_spans, container);
+    series.finish();
 
     let probes = layers::probe_all(
         base,
         args.seed,
         Duration::from_secs_f64(args.seconds * TRACE_PROBE_SHARE),
     );
-    trace::merge_by_time(&mut spans, probes.spans, "");
+    tracer.append(probes.spans);
+    let spans = tracer.into_spans();
 
-    let sessions = stats.quiet_sessions.max(1) as f64;
+    let sessions = stats.sessions.max(1) as f64;
     info("sessions_per_sec", stats.sessions_per_sec);
     info("provers", format!("{provers:?}"));
+    for (name, value) in &probes.derived {
+        info(&format!("{name}_derived"), value);
+    }
     for (name, value, unit) in &probes.figures {
         metric(name, *value, unit);
     }
     metric(
         "runtime.verifier_busy_cores",
-        verifier_ns as f64 / 1e9 / stats.quiet_s,
+        verifier_ns as f64 / 1e9 / stats.wall_s,
         "cores",
     );
     metric(

@@ -7,6 +7,7 @@
 
 use asap::{AsapError, Attested};
 use asap_fleet::{DeviceId, FleetError, RoundReport};
+use std::collections::HashMap;
 
 /// Responses per thousand whose MAC byte is flipped.
 const FLIP_MAC_PER_MILLE: u64 = 50;
@@ -126,8 +127,16 @@ pub fn check_epoch(expected: &[(DeviceId, Fault)], report: &RoundReport) -> Epoc
         attempted: expected.len(),
         ..EpochCheck::default()
     };
+    // Each device's first outcome, as `RoundReport::of` finds it, in
+    // one pass: a lookup per device would make the check quadratic.
+    let mut outcomes = HashMap::with_capacity(report.outcomes.len());
+    for outcome in &report.outcomes {
+        if let Some(id) = outcome.device {
+            outcomes.entry(id).or_insert(&outcome.result);
+        }
+    }
     for &(id, fault) in expected {
-        match report.of(id) {
+        match outcomes.get(&id) {
             Some(result) if fault.expects(result) => match fault {
                 Fault::Honest => check.verified += 1,
                 Fault::FlipMac => check.bad_mac += 1,

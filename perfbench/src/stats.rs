@@ -58,24 +58,6 @@ pub fn spread(values: &[f64]) -> Option<f64> {
     (med != 0.0).then(|| (q3 - q1) / med.abs())
 }
 
-/// Indices of the best quarter of `values` (at least one when any
-/// exist), best first: the highest when `higher` is set, else the
-/// lowest. Host interference only ever makes the benchmark slower, so
-/// the best quarter of many short samples is the least disturbed one.
-pub fn best_quarter(values: &[f64], higher: bool) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| {
-        let by = values[a].total_cmp(&values[b]);
-        if higher {
-            by.reverse()
-        } else {
-            by
-        }
-    });
-    order.truncate(values.len().div_ceil(4));
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,17 +91,6 @@ mod tests {
         // statistics.quantiles([5, 1, 4, 2, 3], n=4) == [1.5, 3.0, 4.5]
         assert_eq!(quartiles(&[5.0, 1.0, 4.0, 2.0, 3.0]), Some((1.5, 4.5)));
         assert_eq!(quartiles(&[1.0]), None);
-    }
-
-    #[test]
-    fn best_quarter_picks_the_least_disturbed_samples() {
-        // Full-speed samples near 100, a half-speed stretch near 50.
-        let rates = [98.0, 51.0, 50.0, 101.0, 49.0, 52.0, 97.0, 50.0];
-        assert_eq!(best_quarter(&rates, true), vec![3, 0]);
-        let times = [2.0, 1.0, 4.0, 3.0, 1.5];
-        assert_eq!(best_quarter(&times, false), vec![1, 4]);
-        assert_eq!(best_quarter(&[7.0], true), vec![0]);
-        assert!(best_quarter(&[], true).is_empty());
     }
 
     #[test]

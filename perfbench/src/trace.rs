@@ -33,8 +33,7 @@ impl Span {
     }
 }
 
-/// A per-thread span recorder. Threads that share a `base` produce
-/// spans on one time line, so [`merge_by_time`] can nest them.
+/// A span recorder on one thread's time line.
 #[derive(Debug)]
 pub struct Tracer {
     base: Instant,
@@ -128,38 +127,19 @@ impl Tracer {
         out
     }
 
+    /// Appends spans another tracer on the same time line recorded
+    /// (the per-layer probes'), re-indexing their parents.
+    pub fn append(&mut self, spans: Vec<Span>) {
+        let offset = self.spans.len();
+        self.spans.extend(spans.into_iter().map(|mut span| {
+            span.parent = span.parent.map(|p| p + offset);
+            span
+        }));
+    }
+
     /// The recorded spans, in open order.
     pub fn into_spans(self) -> Vec<Span> {
         self.spans
-    }
-}
-
-/// Appends another thread's spans to `main`, re-indexing their parents.
-/// Each of their root spans is nested under the latest `container` span
-/// of `main` whose interval contains its start, and takes that span's
-/// round: that is how a prover thread's work is attributed to the round
-/// that challenged it. With pipelined epochs the oldest containing
-/// epoch wins.
-pub fn merge_by_time(main: &mut Vec<Span>, other: Vec<Span>, container: &str) {
-    let offset = main.len();
-    let containers: Vec<usize> = (0..main.len())
-        .filter(|&i| main[i].name == container)
-        .collect();
-    for mut span in other {
-        match span.parent {
-            Some(p) => span.parent = Some(p + offset),
-            None => {
-                let host = containers
-                    .iter()
-                    .copied()
-                    .find(|&c| main[c].start_ns <= span.start_ns && span.start_ns < main[c].end_ns);
-                if let Some(c) = host {
-                    span.parent = Some(c);
-                    span.round = span.round.or(main[c].round);
-                }
-            }
-        }
-        main.push(span);
     }
 }
 
@@ -219,27 +199,25 @@ mod tests {
     }
 
     #[test]
-    fn foreign_roots_attach_to_the_containing_round() {
-        let span = |name, start_ns, end_ns, round| Span {
-            name,
+    fn per_unit_cost_and_json_lines() {
+        let span = |start_ns, end_ns, count| Span {
+            name: "attest",
             start_ns,
             end_ns,
             parent: None,
-            round,
-            count: 1,
+            round: Some(2),
+            count,
         };
-        let mut main = vec![
-            span("round", 0, 100, Some(1)),
-            span("round", 100, 200, Some(2)),
-        ];
-        let mut inner = span("inner", 130, 140, None);
-        inner.parent = Some(0);
-        let other = vec![span("attest", 120, 150, None), inner];
-        merge_by_time(&mut main, other, "round");
-        assert_eq!(main[2].parent, Some(1));
-        assert_eq!(main[2].round, Some(2));
-        assert_eq!(main[3].parent, Some(2), "nested spans are re-indexed");
-        assert_eq!(per_unit_ns(&main, "attest"), Some(30.0));
-        assert!(to_jsonl(&main).lines().count() == 4);
+        let spans = vec![span(0, 300, 10), span(300, 340, 1), span(400, 480, 2)];
+        assert_eq!(per_unit_ns(&spans, "attest"), Some(40.0));
+        assert_eq!(per_unit_ns(&spans, "other"), None);
+        let lines = to_jsonl(&spans);
+        assert_eq!(lines.lines().count(), 3);
+        assert_eq!(
+            lines.lines().nth(1),
+            Some(
+                r#"{"id":1,"name":"attest","start_ns":300,"end_ns":340,"parent":null,"round":2,"count":1}"#
+            )
+        );
     }
 }
