@@ -8,12 +8,11 @@ Guarded series, compared at every point both files measured:
 * **loopback**, keyed by device count, at 20% tolerance. Loopback is
   the pure verifier-side cost — no socket scheduling noise — so a
   regression there means the round pipeline itself got slower.
-* **gateway/multigateway**, keyed by (devices, connections, reactors),
-  at 35% tolerance. Socket rounds ride the host scheduler, so the gate
-  is looser; it exists to catch the gateway loop getting structurally
-  slower (an extra copy per frame, a busy-wait), not single-digit
-  jitter. Rows without a `reactors` field (pre-shard baselines)
-  default to 1.
+* **runtime**, keyed by (devices, connections, reactors), at 35%
+  tolerance. Socket rounds ride the host scheduler, so the gate is
+  looser; it exists to catch the runtime's reactor loop getting
+  structurally slower (an extra copy per frame, a busy-wait), not
+  single-digit jitter.
 * **lifecycle**, keyed by (devices, cohort): epoch throughput at 35%
   tolerance, plus enrollment RSS at 1.5x — the memory-diet bound the
   100k–1M series exists to pin. Rows without `rss_bytes` (non-Linux
@@ -24,12 +23,6 @@ Guarded series, compared at every point both files measured:
   ceiling at 1.5x — a per-round leak in the persistent reactors shows
   up here multiplied by the round count. Rows without `rss_bytes`
   skip the memory check.
-* **multi_speedup** (sharded vs single-reactor gateway), at 35%
-  tolerance — but *skipped with an annotation* when either file was
-  measured on a host reporting `parallelism: 1` (missing field reads
-  as 1): a single-core box measures mailbox/merge overhead, not
-  speedup, and gating overhead noise as if it were a speedup
-  regression only produces flakes.
 
 The gate passes as long as at least one series had a common point; a
 lifecycle-only smoke file checked against a full baseline is fine.
@@ -39,7 +32,7 @@ import json
 import sys
 
 LOOPBACK_TOLERANCE = 0.8  # fresh must reach this fraction of baseline
-GATEWAY_TOLERANCE = 0.65
+RUNTIME_TOLERANCE = 0.65
 LIFECYCLE_TOLERANCE = 0.65
 RSS_TOLERANCE = 1.5  # fresh RSS must stay under this multiple of baseline
 
@@ -57,16 +50,11 @@ def loopback_rows(doc):
     }
 
 
-def gateway_rows(doc):
+def runtime_rows(doc):
     return {
-        (
-            row["transport"],
-            row["devices"],
-            row.get("connections", 1),
-            row.get("reactors", 1),
-        ): row["sessions_per_sec"]
+        (row["devices"], row["connections"], row["reactors"]): row["sessions_per_sec"]
         for row in doc["rounds"]
-        if row["transport"] in ("gateway", "multigateway")
+        if row["transport"] == "runtime"
     }
 
 
@@ -159,44 +147,15 @@ def check_sustained(baseline, fresh):
             f"baseline {b['sessions_per_sec']:.0f}/s, "
             f"fresh {f['sessions_per_sec']:.0f}/s ({ratio:.2f}x){note}"
         )
-        if ratio < GATEWAY_TOLERANCE:
+        if ratio < RUNTIME_TOLERANCE:
             failed.append((key, "sessions_per_sec"))
     if failed:
         sys.exit(
             f"sustained regressed at {failed} vs the checked-in "
             f"BENCH_fleet.json (throughput floor "
-            f"{GATEWAY_TOLERANCE}x, RSS ceiling {RSS_TOLERANCE}x)"
+            f"{RUNTIME_TOLERANCE}x, RSS ceiling {RSS_TOLERANCE}x)"
         )
     return bool(common)
-
-
-def check_multi_speedup(baseline_doc, fresh_doc):
-    base = baseline_doc.get("multi_speedup")
-    fresh = fresh_doc.get("multi_speedup")
-    if not (base and fresh):
-        return False
-    base_cores = baseline_doc.get("parallelism", 1)
-    fresh_cores = fresh_doc.get("parallelism", 1)
-    if base_cores == 1 or fresh_cores == 1:
-        print(
-            f"multi_speedup: SKIPPED (parallelism baseline={base_cores}, "
-            f"fresh={fresh_cores}): a single-core host measures "
-            "mailbox/merge overhead, not parallel speedup, so the ratio "
-            "is scheduler noise rather than a gateable signal"
-        )
-        return False
-    ratio = fresh["vs_single_reactor"] / base["vs_single_reactor"]
-    print(
-        f"multi_speedup: baseline {base['vs_single_reactor']:.3f}x, "
-        f"fresh {fresh['vs_single_reactor']:.3f}x ({ratio:.2f}x)"
-    )
-    if ratio < GATEWAY_TOLERANCE:
-        sys.exit(
-            f"multi_speedup regressed more than "
-            f"{round((1 - GATEWAY_TOLERANCE) * 100)}% vs the checked-in "
-            "BENCH_fleet.json"
-        )
-    return True
 
 
 def main():
@@ -214,15 +173,14 @@ def main():
     # different subsets), but when both files measured a point it is
     # guarded.
     compared |= check_series(
-        "gateway",
-        gateway_rows(baseline),
-        gateway_rows(fresh),
-        GATEWAY_TOLERANCE,
-        lambda key: f"{key[0]} {key[1]}d/{key[2]}c/{key[3]}r",
+        "runtime",
+        runtime_rows(baseline),
+        runtime_rows(fresh),
+        RUNTIME_TOLERANCE,
+        lambda key: f"{key[0]}d/{key[1]}c/{key[2]}r",
     )
     compared |= check_lifecycle(lifecycle_rows(baseline), lifecycle_rows(fresh))
     compared |= check_sustained(sustained_rows(baseline), sustained_rows(fresh))
-    compared |= check_multi_speedup(baseline, fresh)
     if not compared:
         sys.exit(
             "no series had a common point: "

@@ -4,53 +4,18 @@
 //! Every generated program is a complete literate `.s.md` text — the
 //! generator *dogfoods* the corpus pipeline rather than bypassing it —
 //! with its expected verdict computed from the construction, never
-//! observed from a run. Randomness is a self-contained xorshift64\*
-//! stream: no wall clock, no global state, byte-for-byte reproducible
-//! from `(seed, index)`.
+//! observed from a run. Randomness is the workspace's xorshift64\*
+//! stream ([`XorShift64`]): no wall clock, no global state,
+//! byte-for-byte reproducible from `(seed, index)`.
 
 use crate::manifest::Verdict;
 use asap::PoxMode;
+use asap_fleet::XorShift64;
 use std::fmt::Write;
 
-/// A tiny xorshift64\* PRNG: deterministic, dependency-free, and good
-/// enough to spread recipes across the corpus space.
-#[derive(Debug, Clone)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    /// Seeds the stream (a zero seed is nudged to a fixed constant —
-    /// xorshift has a zero fixpoint).
-    pub fn new(seed: u64) -> XorShift64 {
-        XorShift64 {
-            state: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// The next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform-ish value in `0..n`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-
-    /// True one time in `one_in`.
-    fn chance(&mut self, one_in: u64) -> bool {
-        self.below(one_in) == 0
-    }
+/// True one time in `one_in`.
+fn chance(rng: &mut XorShift64, one_in: u64) -> bool {
+    rng.below(one_in) == 0
 }
 
 /// The interrupt source a generated program may exercise.
@@ -90,7 +55,7 @@ pub fn generate(seed: u64, index: u64) -> GeneratedProgram {
         XorShift64::new(seed ^ (index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let name = format!("gen-{seed:016x}-{index:04}");
 
-    let mode = if rng.chance(4) {
+    let mode = if chance(&mut rng, 4) {
         PoxMode::Apex
     } else {
         PoxMode::Asap
@@ -100,7 +65,7 @@ pub fn generate(seed: u64, index: u64) -> GeneratedProgram {
         1 => Some(IsrKind::Button),
         _ => Some(IsrKind::Uart),
     };
-    let attack = if rng.chance(3) {
+    let attack = if chance(&mut rng, 3) {
         Some(match (mode, rng.below(3)) {
             // APEX has no [AP1] guard: an IVT poke would *pass* there,
             // so the apex stream only draws memory attacks.

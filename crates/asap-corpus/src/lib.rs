@@ -12,7 +12,7 @@
 //! * [`runner`] — every program through three backends: single-device
 //!   [`Device::attest`](asap::Device::attest), a loopback
 //!   [`FleetVerifier`](asap_fleet::FleetVerifier) round, and a
-//!   socket-backed [`FleetGateway`](asap_fleet::FleetGateway) round —
+//!   socket-backed [`FleetRuntime`](asap_fleet::FleetRuntime) round —
 //!   with per-program failure isolation;
 //! * [`generator`] — a seeded, deterministic generator of
 //!   valid-by-construction MSP430 programs whose verdicts are computed
@@ -29,7 +29,7 @@ pub mod runner;
 
 pub use asap::programs;
 pub use corpus::{default_programs_dir, discover, load_str, CorpusError, CorpusProgram};
-pub use generator::{batch_digest, generate, generate_batch, GeneratedProgram, XorShift64};
+pub use generator::{batch_digest, generate, generate_batch, GeneratedProgram};
 pub use manifest::{Manifest, Stimulus, StimulusKind, Verdict};
 pub use runner::{
     run_all, run_device, run_gateway, run_loopback, Backend, ProgramResult, RunReport,

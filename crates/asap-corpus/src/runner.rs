@@ -1,6 +1,6 @@
 //! The data-driven scenario runner: every corpus program through three
 //! backends — a single in-process device, a loopback fleet round, and
-//! a socket-backed gateway round — judged against its manifest.
+//! a socket-backed runtime round — judged against its manifest.
 //!
 //! Failures are isolated per program (the [`RoundReport`] idiom): one
 //! broken program produces one failing [`ProgramResult`], never a
@@ -11,10 +11,12 @@ use crate::manifest::{StimulusKind, Verdict};
 use apex_pox::wire::Envelope;
 use asap::{AsapVerifier, Device, VerifierSpec};
 use asap_fleet::{
-    announce_devices, serve_frames, DeviceId, FleetError, FleetGateway, FleetVerifier, Loopback,
+    announce_devices, serve_frames, DeviceId, FleetError, FleetRuntime, FleetVerifier, Loopback,
+    NoListener,
 };
 use std::fmt;
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which attestation path exercised the program.
@@ -24,7 +26,7 @@ pub enum Backend {
     Device,
     /// One `FleetVerifier` round over an in-process [`Loopback`].
     Loopback,
-    /// One `FleetVerifier` round through a [`FleetGateway`] over Unix
+    /// One round through a one-reactor [`FleetRuntime`] over Unix
     /// socketpairs, one prover thread per program.
     Gateway,
 }
@@ -248,12 +250,13 @@ pub fn run_loopback(programs: &[CorpusProgram]) -> RunReport {
 }
 
 /// Runs the whole corpus as one fleet round through a detached
-/// [`FleetGateway`]: one Unix socketpair and one prover thread per
-/// program, responses routed by hello frames — real bytes on real
-/// sockets, still one `RoundReport`.
+/// one-reactor [`FleetRuntime`]: one Unix socketpair and one prover
+/// thread per program, responses routed by hello frames — real bytes
+/// on real sockets, still one `RoundReport`.
 pub fn run_gateway(programs: &[CorpusProgram]) -> RunReport {
-    let fleet = FleetVerifier::new();
-    let mut gateway = FleetGateway::detached();
+    let fleet = Arc::new(FleetVerifier::new());
+    let mut runtime: FleetRuntime<NoListener<UnixStream>> =
+        FleetRuntime::detached(Arc::clone(&fleet), 1, 1);
     let mut results: Vec<ProgramResult> = Vec::with_capacity(programs.len());
     let mut attached: Vec<(usize, DeviceId)> = Vec::new();
     let mut provers = Vec::new();
@@ -264,9 +267,11 @@ pub fn run_gateway(programs: &[CorpusProgram]) -> RunReport {
             fleet
                 .register(id, program.manifest.verifier_key.as_bytes(), spec)
                 .map_err(|e| format!("register: {e}"))?;
-            let (gw_end, prover_end) =
+            let (runtime_end, prover_end) =
                 UnixStream::pair().map_err(|e| format!("socketpair: {e}"))?;
-            gateway.adopt(gw_end).map_err(|e| format!("adopt: {e}"))?;
+            runtime
+                .adopt(runtime_end)
+                .map_err(|e| format!("adopt: {e}"))?;
             Ok(prover_end)
         });
         let outcome = match prepared {
@@ -305,7 +310,7 @@ pub fn run_gateway(programs: &[CorpusProgram]) -> RunReport {
     }
 
     let ids: Vec<DeviceId> = attached.iter().map(|&(_, id)| id).collect();
-    match fleet.run_round_gateway(&ids, &mut gateway, Duration::from_secs(10)) {
+    match runtime.run_round(&ids, Duration::from_secs(10)) {
         Ok(report) => {
             for &(i, id) in &attached {
                 results[i].outcome = classify_fleet(report.of(id));
@@ -318,7 +323,7 @@ pub fn run_gateway(programs: &[CorpusProgram]) -> RunReport {
         }
     }
 
-    drop(gateway); // hang up: every prover sees EOF and exits
+    drop(runtime); // hang up: every prover sees EOF and exits
     for (i, handle) in provers {
         match handle.join() {
             Ok(Ok(())) => {}

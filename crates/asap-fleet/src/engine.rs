@@ -12,14 +12,12 @@
 //! purely because a `tick` crossed the device's deadline, never because
 //! a socket blocked or a timer fired.
 //!
-//! Any transport can drive the engine:
+//! Any driver can feed the engine:
 //!
 //! * lock-step in-memory delivery ([`FleetVerifier::run_round`] over
 //!   [`Loopback`](crate::Loopback));
-//! * a real socket with read timeouts
-//!   ([`drive_round`](crate::stream::drive_round) over
-//!   [`StreamTransport`](crate::StreamTransport)), where each timeout
-//!   becomes one `tick`;
+//! * the socket reactors of [`FleetRuntime`](crate::FleetRuntime),
+//!   which map elapsed wall-clock milliseconds onto ticks;
 //! * a scripted event schedule (the scenario harness in `asap-bench`),
 //!   where late and out-of-order deliveries are just events at chosen
 //!   ticks.
@@ -313,6 +311,16 @@ impl<'a> RoundEngine<'a> {
     /// Returns whether the device was actually awaited.
     pub fn charge_evicted(&mut self, id: DeviceId) -> bool {
         self.charge(id, FleetError::Evicted(id))
+    }
+
+    /// Records [`FleetError::Evicted`] for a device this engine never
+    /// challenged because it left the fleet before the round began —
+    /// so the epoch still carries one verdict per cohort device.
+    pub(crate) fn settle_evicted(&mut self, id: DeviceId) {
+        self.settle(RoundOutcome {
+            device: Some(id),
+            result: Err(FleetError::Evicted(id)),
+        });
     }
 
     fn charge(&mut self, id: DeviceId, verdict: FleetError) -> bool {

@@ -8,9 +8,9 @@
 //! * [`DeviceId`] — a 64-bit fleet-wide prover identity, carried on the
 //!   wire by the [`apex_pox::wire::Envelope`] frame;
 //! * [`FleetVerifier`] — one [`asap::AsapVerifier`] per device behind a
-//!   fixed array of independently locked shards, so sessions on
+//!   growable array of independently locked shards, so sessions on
 //!   different devices never contend; large frame batches verify their
-//!   MACs on a [`std::thread::scope`] worker pool
+//!   MACs on the runtime's worker pool
 //!   ([`FleetVerifier::conclude_batch`], [`registry`]);
 //! * [`RoundEngine`] — the whole round protocol as a **sans-IO state
 //!   machine** ([`engine`]): feed it events (`frame_received`, `tick`
@@ -24,52 +24,42 @@
 //!   with per-device isolation: one garbled or forged frame rejects
 //!   that device alone, never the round ([`round`]);
 //! * [`Transport`] — the non-blocking byte pump (`send` / `try_recv`)
-//!   any delivery fabric implements: the in-memory [`Loopback`] wired
-//!   to real simulated devices ([`transport`]), and the framed TCP/UDS
-//!   [`StreamTransport`] for provers in other processes or hosts
-//!   ([`stream`]).
+//!   behind the lock-step reference driver, implemented by the
+//!   in-memory [`Loopback`] wired to real simulated devices
+//!   ([`transport`]).
 //!
-//! # Three driving modes
+//! # One socket driver, one reference
 //!
-//! Everything real-time funnels into the same engine through one of
-//! three drivers:
+//! Everything real-time funnels into the engine through one driver:
+//! [`FleetRuntime`] ([`runtime`]) owns a listening socket plus every
+//! accepted prover connection — each with its own deframer and bounded
+//! write queue — spread over persistent reactor threads ([`reactor`])
+//! that never block on any one peer. Devices are routed by the hello
+//! frames they announce themselves with ([`announce_devices`]), not
+//! pinned to a connection; a hangup or poisoned connection charges its
+//! still-awaited devices [`FleetError::NoResponse`] immediately. Each
+//! reactor owns a disjoint partition of every round over the sharded
+//! registry ([`FleetVerifier::reactor_of`]), a shared pool verifies the
+//! MACs, and the per-reactor partials merge into one canonical
+//! [`RoundReport`] independent of thread interleaving.
+//! [`run_round`](FleetRuntime::run_round) drives one round;
+//! [`submit_round`](FleetRuntime::submit_round) /
+//! [`wait_round`](FleetRuntime::wait_round) pipeline epochs.
 //!
-//! 1. **Single-peer** — [`drive_round`] pumps one [`Transport`]
-//!    (usually a [`StreamTransport`]) against a wall-clock budget:
-//!    right when one prover host carries the whole fleet behind a
-//!    single stream, or in tests and benches. The whole round
-//!    serializes through that one connection.
-//! 2. **Multi-peer** — [`FleetGateway`] ([`gateway`]) owns a listening
-//!    socket plus every accepted prover connection, each with its own
-//!    deframer and bounded write queue, serviced by a poll-driven
-//!    readiness loop that never blocks on any one peer. Devices are
-//!    routed by the hello frames they announce themselves with
-//!    ([`announce_devices`]), not pinned to a transport; a hangup or
-//!    poisoned connection charges its still-awaited devices
-//!    [`FleetError::NoResponse`] immediately. Drive it with
-//!    [`FleetVerifier::run_round_gateway`], or sweep-by-sweep via
-//!    [`GatewayRound`] when the caller interleaves its own work.
-//! 3. **Multi-reactor** — [`MultiGateway`] ([`reactor`]) shards the
-//!    gateway round across N reactor threads: each owns a disjoint
-//!    slab of connections plus its own engine partition over the
-//!    sharded registry ([`FleetVerifier::reactor_of`]), the calling
-//!    thread supervises accepts and settlement, and the per-reactor
-//!    partial reports merge into one canonical [`RoundReport`]
-//!    independent of thread interleaving. This is the driver that
-//!    saturates a many-core verifier host.
+//! Budgets map elapsed wall-clock milliseconds onto engine ticks,
+//! rounded **up** and never below one tick ([`RoundConfig::realtime`]):
+//! a sub-millisecond budget means "one tick", not "expire everyone
+//! before the first read".
 //!
-//! All map elapsed wall-clock milliseconds onto engine ticks, so the
-//! verdict semantics — deadlines, late frames, per-device isolation —
-//! are identical; only the fan-in differs. Budgets round **up** to
-//! whole-millisecond ticks and never below one tick
-//! ([`RoundConfig::realtime`]): a sub-millisecond budget means "one
-//! tick", not "expire everyone before the first read".
+//! The lock-step [`FleetVerifier::run_round`] over [`Loopback`] stays
+//! beside it as the zero-latency reference: same engine, same verdicts,
+//! no sockets, no clocks.
 //!
 //! # Fleet quickstart
 //!
 //! One image, two provers, one batched round over the loopback
 //! transport (`run_round` drives the engine lock-step; see
-//! `examples/fleet_socket.rs` for the same round over a real socket):
+//! `examples/fleet_gateway.rs` for a round over real sockets):
 //!
 //! ```
 //! use asap::{programs, Device, PoxMode, VerifierSpec};
@@ -148,10 +138,10 @@
 
 pub mod engine;
 pub mod error;
-pub mod gateway;
 pub mod lifecycle;
 pub mod reactor;
 pub mod registry;
+mod rng;
 pub mod round;
 pub mod runtime;
 pub mod stream;
@@ -159,21 +149,15 @@ pub mod transport;
 
 pub use engine::{LogicalTime, RoundConfig, RoundEngine};
 pub use error::FleetError;
-pub use gateway::{
-    FleetGateway, GatewayConn, GatewayListener, GatewayPoll, GatewayRound, NoListener,
-    MAX_ROUTED_PER_CONN,
-};
 pub use lifecycle::{
     ChurnEvent, DeviceState, EpochPlan, FleetDirectory, LifecycleCensus, LifecycleConfig,
 };
-pub use reactor::{MultiGateway, ReactorStats};
+pub use reactor::{ReactorStats, MAX_ROUTED_PER_CONN};
 pub use registry::{FleetVerifier, Verdict, SHARD_COUNT};
+pub use rng::XorShift64;
 pub use round::{RoundOutcome, RoundReport};
-pub use runtime::FleetRuntime;
-pub use stream::{
-    announce_devices, drive_round, pump_read, serve_frames, ReadPump, StreamTransport, WritePump,
-    WriteQueue,
-};
+pub use runtime::{FleetRuntime, GatewayConn, GatewayListener, NoListener};
+pub use stream::{announce_devices, pump_read, serve_frames, ReadPump, WritePump, WriteQueue};
 pub use transport::{Loopback, Transport};
 
 use std::fmt;
@@ -526,7 +510,10 @@ mod tests {
     fn batch_duplicates_resolve_in_input_order() {
         const DEVICES: u64 = 40; // comfortably past the pool threshold
         let (fleet, mut fabric) = fleet_of(DEVICES);
+        let fleet = std::sync::Arc::new(fleet);
         fleet.set_parallelism(4); // force the pooled path even on 1 cpu
+        let _pool: FleetRuntime<NoListener<std::os::unix::net::UnixStream>> =
+            FleetRuntime::detached(std::sync::Arc::clone(&fleet), 1, 1);
         let ids: Vec<DeviceId> = (1..=DEVICES).map(DeviceId).collect();
 
         for _ in 0..3 {

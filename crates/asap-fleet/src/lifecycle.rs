@@ -50,23 +50,20 @@
 //!   takes effect at the next epoch boundary, so an in-flight round
 //!   concludes under the key its challenge was MACed with.
 //!
-//! The directory composes with every round driver: hand the
-//! [`EpochPlan`] cohort to [`FleetVerifier::run_round`],
-//! [`FleetGateway::drive_round`](crate::FleetGateway::drive_round) or
-//! [`MultiGateway::drive_round`](crate::MultiGateway::drive_round), or
-//! use the [`run_epoch`](FleetDirectory::run_epoch) /
-//! [`run_epoch_gateway`](FleetDirectory::run_epoch_gateway) /
-//! [`run_epoch_multi`](FleetDirectory::run_epoch_multi) conveniences.
-//! Gateway hello-routing needs no lifecycle awareness: a joining
-//! device's hello parks its route today, and the next epoch's challenge
-//! finds the route waiting.
+//! The directory composes with both round drivers: hand the
+//! [`EpochPlan`] cohort to [`FleetVerifier::run_round`] or
+//! [`FleetRuntime::run_round`], or use the
+//! [`run_epoch`](FleetDirectory::run_epoch) /
+//! [`run_epochs_runtime`](FleetDirectory::run_epochs_runtime)
+//! conveniences. The runtime's hello-routing needs no lifecycle
+//! awareness: a joining device's hello records its route today, and the
+//! next epoch's challenge finds the route waiting.
 
 use crate::error::FleetError;
-use crate::gateway::{FleetGateway, GatewayListener};
-use crate::reactor::MultiGateway;
 use crate::registry::{FleetVerifier, SHARD_COUNT};
+use crate::rng::XorShift64;
 use crate::round::RoundReport;
-use crate::runtime::FleetRuntime;
+use crate::runtime::{FleetRuntime, GatewayListener};
 use crate::transport::Transport;
 use crate::DeviceId;
 use asap::VerifierSpec;
@@ -274,7 +271,7 @@ struct DirectoryState {
     /// from the next draw. Always empty at the default window of 1.
     recent: VecDeque<Vec<DeviceId>>,
     epoch: u64,
-    rng: u64,
+    rng: XorShift64,
     reconnects: u64,
     /// Registered (non-evicted) devices — the cheap census that drives
     /// the auto-grow load check without walking the fleet.
@@ -286,7 +283,7 @@ struct DirectoryState {
 /// See the [module docs](self) for the state machine and scheduling
 /// contract. All methods take `&self`; the directory is meant to be
 /// shared across threads — churn calls land mid-round from ingestion
-/// threads while a round driver owns the gateway.
+/// threads while a round driver owns the runtime.
 pub struct FleetDirectory {
     fleet: Arc<FleetVerifier>,
     config: LifecycleConfig,
@@ -310,8 +307,7 @@ impl FleetDirectory {
                 queue: VecDeque::new(),
                 recent: VecDeque::new(),
                 epoch: 0,
-                // xorshift has a zero fixpoint; any non-zero seed works.
-                rng: config.seed.max(1),
+                rng: XorShift64::new(config.seed.max(1)),
                 reconnects: 0,
                 live: 0,
             }),
@@ -474,7 +470,7 @@ impl FleetDirectory {
     }
 
     /// Notes a device re-dialing in. Pure bookkeeping — routing is the
-    /// gateway's job (the device's next hello moves its route) — but
+    /// runtime's job (the device's next hello moves its route) — but
     /// the count is the operator's reconnect-storm signal. Returns
     /// whether the device is live.
     pub fn reconnect(&self, id: DeviceId) -> bool {
@@ -665,39 +661,6 @@ impl FleetDirectory {
         Ok((plan, report))
     }
 
-    /// One epoch over a [`FleetGateway`] under a wall-clock budget.
-    ///
-    /// # Errors
-    ///
-    /// Round-level errors from the driver; the epoch still advanced.
-    pub fn run_epoch_gateway<L: GatewayListener>(
-        &self,
-        gateway: &mut FleetGateway<L>,
-        budget: Duration,
-    ) -> Result<(EpochPlan, RoundReport), FleetError> {
-        let plan = self.begin_epoch();
-        let report = gateway.drive_round(&self.fleet, &plan.cohort, budget)?;
-        Ok((plan, report))
-    }
-
-    /// One epoch over a [`MultiGateway`] under a wall-clock budget.
-    ///
-    /// # Errors
-    ///
-    /// Round-level errors from the driver; the epoch still advanced.
-    pub fn run_epoch_multi<L: GatewayListener>(
-        &self,
-        gateway: &mut MultiGateway<L>,
-        budget: Duration,
-    ) -> Result<(EpochPlan, RoundReport), FleetError>
-    where
-        L::Conn: Send,
-    {
-        let plan = self.begin_epoch();
-        let report = gateway.drive_round(&self.fleet, &plan.cohort, budget)?;
-        Ok((plan, report))
-    }
-
     /// `epochs` consecutive epochs through a persistent
     /// [`FleetRuntime`], **pipelined**: up to
     /// `min(runtime.depth(), pipeline_window)` epochs are in flight at
@@ -747,22 +710,10 @@ impl FleetDirectory {
     }
 }
 
-/// xorshift64* — tiny, seedable, and plenty for schedule shuffling
-/// (same generator family as the bench harness's `DetRng`, so seeded
-/// schedules are cheap to reproduce anywhere).
-fn next_rand(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
 /// Seeded Fisher–Yates.
-fn shuffle(ids: &mut [DeviceId], rng: &mut u64) {
+fn shuffle(ids: &mut [DeviceId], rng: &mut XorShift64) {
     for i in (1..ids.len()).rev() {
-        let j = (next_rand(rng) % (i as u64 + 1)) as usize;
+        let j = rng.below(i as u64 + 1) as usize;
         ids.swap(i, j);
     }
 }

@@ -1,22 +1,42 @@
-//! The multi-reactor gateway: the [`FleetGateway`](crate::FleetGateway)
-//! round sharded across N reactor threads, one merged [`RoundReport`].
+//! The reactor threads of a [`FleetRuntime`](crate::FleetRuntime):
+//! each one owns a slab of prover connections and its partition of
+//! every in-flight epoch, and the per-reactor partial reports merge
+//! into one canonical [`RoundReport`].
 //!
-//! One reactor thread cannot saturate a many-core verifier host: the
-//! single-threaded gateway deframes, ticks and flushes every connection
-//! in one loop, and only MAC conclusion fans out. [`MultiGateway`]
-//! splits the round instead:
-//!
-//! * **Reactors.** Each of N reactor threads owns a disjoint slab of
+//! * **Reactors.** Each reactor thread owns a disjoint slab of
 //!   connections (accepted sockets are handed off round-robin) *and* a
-//!   disjoint partition of the challenged devices — its own
-//!   [`RoundEngine`] over the already-sharded
+//!   disjoint partition of each epoch's challenged devices — its own
+//!   [`RoundEngine`] per epoch over the already-sharded
 //!   [`FleetVerifier`] registry. Device→reactor affinity rides the
 //!   registry shard hash ([`FleetVerifier::reactor_of`]), so two
 //!   reactors never conclude into the same registry shard.
-//! * **Supervisor.** The calling thread accepts connections during the
-//!   round, hands them to reactors, and watches per-reactor settled
-//!   flags; when every partition has settled it stops the reactors and
-//!   folds their partial reports into one round report.
+//! * **Connections.** Every accepted prover connection gets its own
+//!   deframer and bounded [`WriteQueue`](crate::WriteQueue), and is
+//!   serviced strictly without blocking: a partial write leaves bytes
+//!   queued (`WouldBlock` is backpressure, never a wedged loop), and a
+//!   connection that hangs up, breaks, overflows its write queue,
+//!   floods the route map past [`MAX_ROUTED_PER_CONN`], or poisons its
+//!   deframer with an oversized frame is dropped.
+//!
+//! # Routing and hellos
+//!
+//! Devices are **not pinned to a connection**: every inbound
+//! [`Envelope`] names a device id, and the reactors remember "frames
+//! from device *d* arrived on connection *c*" (last arrival wins) in
+//! one shared route map. An envelope with an **empty payload** is a
+//! *hello*: routing information only, recorded and never judged —
+//! [`announce_devices`](crate::announce_devices) sends one per hosted
+//! device right after connecting. Challenges for devices with no known
+//! connection are parked until a hello (or any frame) reveals one; a
+//! device that never connects simply expires at its deadline.
+//!
+//! A dropped connection charges every device whose challenge was
+//! *delivered* on it and is still awaited
+//! [`FleetError::NoResponse`](crate::FleetError::NoResponse) on the
+//! spot, because its path to the verifier is gone. Charging keys on
+//! the delivery record rather than the (hello-controlled, last-wins)
+//! route map, so a connection cannot falsify the verdict of a device
+//! it never carried by announcing that device's id and hanging up.
 //!
 //! # Cross-reactor routing
 //!
@@ -54,23 +74,53 @@
 //!
 //! The wall-clock budget maps onto engine ticks via
 //! [`RoundConfig::realtime`] — rounded **up** to whole milliseconds,
-//! never below one tick — with all reactors sharing one round clock.
+//! never below one tick — with every reactor sharing the epoch's round
+//! clock.
 
 use crate::engine::{LogicalTime, RoundConfig, RoundEngine};
-use crate::error::FleetError;
-use crate::gateway::{GatewayConn, GatewayListener, NoListener, Peer, MAX_ROUTED_PER_CONN};
 use crate::registry::FleetVerifier;
 use crate::round::{RoundOutcome, RoundReport};
-use crate::stream::{pump_read, ReadPump, WritePump};
+use crate::runtime::GatewayConn;
+use crate::stream::{pump_read, ReadPump, WritePump, WriteQueue};
 use crate::DeviceId;
-use apex_pox::wire::{frame_stream, Envelope};
+use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
 use std::collections::{HashMap, HashSet};
-use std::io;
-use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// One accepted prover connection: its stream, receive framing state,
+/// and bounded transmit queue.
+pub(crate) struct Peer<C> {
+    pub(crate) stream: C,
+    pub(crate) deframer: StreamDeframer,
+    pub(crate) outbox: WriteQueue,
+    /// Devices currently routed to this connection, bounded by
+    /// [`MAX_ROUTED_PER_CONN`] so a hostile peer cannot grow the route
+    /// map without bound by announcing fabricated ids.
+    pub(crate) routed: usize,
+    /// Set when the connection must be reaped: EOF, I/O error, a
+    /// poisoned deframer, an overflowing write queue, or a route flood.
+    pub(crate) dead: bool,
+}
+
+impl<C: GatewayConn> Peer<C> {
+    pub(crate) fn new(stream: C) -> Peer<C> {
+        Peer {
+            stream,
+            deframer: StreamDeframer::new(),
+            outbox: WriteQueue::default(),
+            routed: 0,
+            dead: false,
+        }
+    }
+}
+
+/// How many devices one connection may claim to host. Real prover
+/// hosts carrying thousands of devices fit comfortably; a peer
+/// streaming fabricated hellos to bloat the route map is dropped when
+/// it crosses the bound.
+pub const MAX_ROUTED_PER_CONN: usize = 4096;
 
 /// Where a device was last heard from: which reactor services the
 /// connection, and the connection's slot in that reactor's slab.
@@ -81,9 +131,7 @@ pub(crate) struct Route {
 }
 
 /// Cross-reactor mail. Every variant is fire-and-forget: a message to a
-/// reactor that already stopped is simply dropped, which matches the
-/// single-reactor gateway truncating its sweep the moment the round
-/// settles.
+/// reactor that already stopped is simply dropped.
 pub(crate) enum ReactorMsg<C> {
     /// A freshly accepted connection, handed off by the supervisor.
     Conn(C),
@@ -107,17 +155,15 @@ pub(crate) enum ReactorMsg<C> {
     Routed(DeviceId),
     /// Connection reactor → owner: a dead connection carried this
     /// device's delivered challenge — charge it
-    /// [`FleetError::NoResponse`].
+    /// [`FleetError::NoResponse`](crate::FleetError::NoResponse).
     Charge(DeviceId),
     /// The route that pointed at this reactor's `slot` moved to another
     /// connection; drop one from the slot's flood counter.
     Unroute { slot: usize },
-    /// Runtime → persistent reactor: begin this epoch's round over the
-    /// reactor's partition. Scoped [`MultiGateway`] rounds never send
-    /// this — their engines are built before the round loop starts.
+    /// Runtime → reactor: begin this epoch's round over the reactor's
+    /// partition.
     Begin(RoundStart),
-    /// Runtime → persistent reactor: finish in-flight epochs' scratch
-    /// teardown and exit the thread.
+    /// Runtime → reactor: exit the thread.
     Shutdown,
 }
 
@@ -134,8 +180,7 @@ pub(crate) struct RoundStart {
 
 /// One in-flight epoch inside a reactor: its engine plus the clock the
 /// budget is measured against. A reactor multiplexes several of these
-/// when epochs are pipelined; the scoped gateway always runs exactly
-/// one.
+/// when epochs are pipelined.
 pub(crate) struct EpochRun<'run> {
     pub(crate) epoch: u64,
     pub(crate) engine: RoundEngine<'run>,
@@ -146,23 +191,21 @@ pub(crate) struct EpochRun<'run> {
     pub(crate) cohort: Vec<DeviceId>,
 }
 
-/// One reactor's persistent half: its connection slab and per-round
-/// routing residue. Lives in [`MultiGateway`] across rounds; borrowed
-/// mutably by the reactor thread for the duration of each round.
+/// One reactor's persistent half: its connection slab and per-epoch
+/// routing residue, owned by the reactor thread for life.
 pub(crate) struct ReactorState<C> {
     pub(crate) conns: Vec<Option<Peer<C>>>,
-    /// Framed challenges for owned devices with no usable route yet.
-    /// Cleared at round start on the scoped gateway; on the persistent
-    /// runtime, pruned when the epoch that parked them finishes.
+    /// Framed challenges for owned devices with no usable route yet,
+    /// at most one per device (a re-challenge supersedes the session),
+    /// pruned when the epoch that parked them finishes.
     pub(crate) parked: HashMap<DeviceId, Vec<u8>>,
-    /// Which local slot each device's challenge was actually sent on
-    /// this round — hangup charging keys on this, never on the
-    /// (hello-controlled, last-wins) route map. Cleared like `parked`.
+    /// Which local slot each device's challenge was actually sent on —
+    /// hangup charging keys on this, never on the (hello-controlled,
+    /// last-wins) route map. Pruned like `parked`.
     pub(crate) delivered: HashMap<DeviceId, usize>,
     pub(crate) dropped_total: u64,
     /// Hello frames this reactor read for devices the registry has
-    /// never enrolled (see
-    /// [`FleetGateway::unknown_device_hellos`](crate::FleetGateway::unknown_device_hellos)).
+    /// never enrolled ([`ReactorStats::unknown_device_hellos`]).
     pub(crate) unknown_hellos: u64,
     /// Outcomes this reactor's partial report contributed last round.
     pub(crate) last_outcomes: usize,
@@ -180,8 +223,7 @@ impl<C: GatewayConn> ReactorState<C> {
         }
     }
 
-    /// Slots a prepared connection into the slab (reusing holes, as the
-    /// single-reactor gateway does).
+    /// Slots a prepared connection into the slab, reusing holes.
     pub(crate) fn adopt(&mut self, conn: C) {
         let peer = Peer::new(conn);
         match self.conns.iter().position(Option::is_none) {
@@ -194,8 +236,8 @@ impl<C: GatewayConn> ReactorState<C> {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Point-in-time counters, snapshotted into every persistent-epoch
-    /// completion message so the runtime driver can serve
+    /// Point-in-time counters, snapshotted into every epoch completion
+    /// message so the runtime driver can serve
     /// [`ReactorStats`] without reaching into reactor threads.
     pub(crate) fn stats(&self) -> ReactorStats {
         ReactorStats {
@@ -208,7 +250,7 @@ impl<C: GatewayConn> ReactorState<C> {
 }
 
 /// A point-in-time view of one reactor, for operators and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Live connections in this reactor's slab.
     pub connections: usize,
@@ -221,339 +263,6 @@ pub struct ReactorStats {
     /// Outcomes this reactor's partial report contributed to the last
     /// round (its share of the merged report).
     pub last_round_outcomes: usize,
-}
-
-/// A [`FleetGateway`](crate::FleetGateway) whose round loop is sharded
-/// across reactor threads.
-///
-/// Long-lived like the single-reactor gateway: connections and device
-/// routes persist across rounds, and each
-/// [`drive_round`](MultiGateway::drive_round) spawns the reactors as
-/// scoped threads for just that round — no thread outlives the call.
-/// See the [module docs](self) for the architecture.
-pub struct MultiGateway<L: GatewayListener> {
-    listener: Option<L>,
-    reactors: Vec<ReactorState<L::Conn>>,
-    /// The single source of truth for device→connection routing,
-    /// shared by every reactor. Lock scope is kept to single map
-    /// operations — the heavy per-connection work all happens on
-    /// reactor-local state.
-    route: Mutex<HashMap<DeviceId, Route>>,
-    /// Round-robin cursor for connection handoff.
-    next_reactor: usize,
-    accepted_total: u64,
-    accept_errors: u64,
-}
-
-impl MultiGateway<TcpListener> {
-    /// Binds a TCP listener and shards its gateway over `reactors`
-    /// reactor threads.
-    ///
-    /// # Errors
-    ///
-    /// Any bind/configure error from the socket layer.
-    pub fn bind_tcp(
-        addr: impl std::net::ToSocketAddrs,
-        reactors: usize,
-    ) -> io::Result<MultiGateway<TcpListener>> {
-        MultiGateway::over(TcpListener::bind(addr)?, reactors)
-    }
-}
-
-#[cfg(unix)]
-impl MultiGateway<std::os::unix::net::UnixListener> {
-    /// Binds a Unix-domain listener and shards its gateway over
-    /// `reactors` reactor threads.
-    ///
-    /// # Errors
-    ///
-    /// Any bind/configure error from the socket layer.
-    pub fn bind_uds(
-        path: impl AsRef<std::path::Path>,
-        reactors: usize,
-    ) -> io::Result<MultiGateway<std::os::unix::net::UnixListener>> {
-        MultiGateway::over(std::os::unix::net::UnixListener::bind(path)?, reactors)
-    }
-}
-
-impl<C: GatewayConn> MultiGateway<NoListener<C>> {
-    /// A multi-reactor gateway with no listening socket: every
-    /// connection enters via [`adopt`](MultiGateway::adopt). The
-    /// vehicle for socketpair fabrics in tests and benches.
-    pub fn detached(reactors: usize) -> MultiGateway<NoListener<C>> {
-        MultiGateway {
-            listener: None,
-            reactors: (0..reactors.max(1)).map(|_| ReactorState::new()).collect(),
-            route: Mutex::new(HashMap::new()),
-            next_reactor: 0,
-            accepted_total: 0,
-            accept_errors: 0,
-        }
-    }
-}
-
-impl<L: GatewayListener> MultiGateway<L> {
-    /// Takes ownership of a listening socket (switched to non-blocking
-    /// mode) and serves its connections over `reactors` reactor
-    /// threads. A count of zero is clamped to one.
-    ///
-    /// # Errors
-    ///
-    /// Any configure error from the socket layer.
-    pub fn over(mut listener: L, reactors: usize) -> io::Result<MultiGateway<L>> {
-        listener.prepare()?;
-        Ok(MultiGateway {
-            listener: Some(listener),
-            reactors: (0..reactors.max(1)).map(|_| ReactorState::new()).collect(),
-            route: Mutex::new(HashMap::new()),
-            next_reactor: 0,
-            accepted_total: 0,
-            accept_errors: 0,
-        })
-    }
-
-    /// The owned listener, for callers that need its identity — say,
-    /// the ephemeral port a `bind_tcp("127.0.0.1:0", n)` gateway landed
-    /// on.
-    pub fn listener(&self) -> Option<&L> {
-        self.listener.as_ref()
-    }
-
-    /// Number of reactor threads a round runs on.
-    pub fn reactors(&self) -> usize {
-        self.reactors.len()
-    }
-
-    /// Hands the gateway an already-connected stream (switched to
-    /// non-blocking mode), assigned to the next reactor round-robin.
-    ///
-    /// # Errors
-    ///
-    /// Any configure error from the socket layer.
-    pub fn adopt(&mut self, mut conn: L::Conn) -> io::Result<()> {
-        conn.prepare()?;
-        self.accepted_total += 1;
-        self.reactors[self.next_reactor].adopt(conn);
-        self.next_reactor = (self.next_reactor + 1) % self.reactors.len();
-        Ok(())
-    }
-
-    /// Accepts every connection currently waiting on the listener,
-    /// spreading them round-robin across reactors. Returns how many
-    /// entered the gateway. Rounds accept continuously; calling this
-    /// directly is only needed to pre-accept before a round begins.
-    ///
-    /// # Errors
-    ///
-    /// Any accept/configure error from the socket layer (also counted
-    /// in [`accept_errors`](MultiGateway::accept_errors)).
-    pub fn accept_pending(&mut self) -> io::Result<usize> {
-        let mut accepted = 0;
-        while let Some(listener) = self.listener.as_mut() {
-            match listener.poll_accept() {
-                Ok(Some(conn)) => {
-                    if let Err(e) = self.adopt(conn) {
-                        self.accept_errors += 1;
-                        return Err(e);
-                    }
-                    accepted += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    self.accept_errors += 1;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(accepted)
-    }
-
-    /// Live connections across all reactors.
-    pub fn connections(&self) -> usize {
-        self.reactors.iter().map(ReactorState::connections).sum()
-    }
-
-    /// Number of devices with a known connection.
-    pub fn routed_devices(&self) -> usize {
-        self.route.lock().unwrap().len()
-    }
-
-    /// Connections accepted or adopted so far.
-    pub fn accepted_connections(&self) -> u64 {
-        self.accepted_total
-    }
-
-    /// Connections dropped so far, across all reactors.
-    pub fn dropped_connections(&self) -> u64 {
-        self.reactors.iter().map(|r| r.dropped_total).sum()
-    }
-
-    /// Accept attempts that failed with an error (fd exhaustion, a
-    /// broken listener, …). Rounds keep sweeping through these.
-    pub fn accept_errors(&self) -> u64 {
-        self.accept_errors
-    }
-
-    /// Per-reactor counters, indexed by reactor.
-    pub fn reactor_stats(&self) -> Vec<ReactorStats> {
-        self.reactors
-            .iter()
-            .map(|r| ReactorStats {
-                connections: r.connections(),
-                dropped_connections: r.dropped_total,
-                unknown_device_hellos: r.unknown_hellos,
-                last_round_outcomes: r.last_outcomes,
-            })
-            .collect()
-    }
-
-    /// Drives one full round to settlement across all reactors and
-    /// merges their partial reports canonically (see the
-    /// [module docs](self) on determinism). The wall-clock `budget`
-    /// maps onto engine ticks exactly as in
-    /// [`FleetGateway::drive_round`](crate::FleetGateway::drive_round).
-    ///
-    /// The calling thread becomes the supervisor: it accepts incoming
-    /// connections for the whole round and stops the reactors once
-    /// every partition has settled.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
-    /// challenge is issued in that case).
-    pub fn drive_round(
-        &mut self,
-        fleet: &FleetVerifier,
-        ids: &[DeviceId],
-        budget: Duration,
-    ) -> Result<RoundReport, FleetError>
-    where
-        L::Conn: Send,
-    {
-        // Validate and dedupe globally before any challenge is issued,
-        // so an unknown id fails the whole round exactly as in the
-        // single-reactor gateway.
-        let mut seen = HashSet::new();
-        let mut order = Vec::new();
-        for &id in ids {
-            if !fleet.is_registered(id) {
-                return Err(FleetError::UnknownDevice(id));
-            }
-            if seen.insert(id) {
-                order.push(id);
-            }
-        }
-
-        let n = self.reactors.len();
-        let mut partitions: Vec<Vec<DeviceId>> = vec![Vec::new(); n];
-        for &id in &order {
-            partitions[fleet.reactor_of(id, n)].push(id);
-        }
-        // Each reactor's MAC pool gets an equal share of the machine:
-        // the worker knob and the reactor count divide the same cores.
-        let workers = (fleet.parallelism() / n).max(1);
-
-        let MultiGateway {
-            listener,
-            reactors,
-            route,
-            next_reactor,
-            accepted_total,
-            accept_errors,
-        } = self;
-
-        let started = Instant::now();
-        let stop = AtomicBool::new(false);
-        let settled: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let (mates, inboxes): (Vec<Sender<ReactorMsg<L::Conn>>>, Vec<_>) =
-            (0..n).map(|_| std::sync::mpsc::channel()).unzip();
-        let route_ref: &Mutex<HashMap<DeviceId, Route>> = route;
-
-        let results: Vec<Result<RoundReport, FleetError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = reactors
-                .iter_mut()
-                .zip(inboxes)
-                .zip(&partitions)
-                .enumerate()
-                .map(|(me, ((state, inbox), partition))| {
-                    let mates = mates.clone();
-                    let settled = &settled[me];
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        run_reactor_round(ReactorArgs {
-                            me,
-                            reactors: n,
-                            state,
-                            fleet,
-                            partition,
-                            budget,
-                            started,
-                            route: route_ref,
-                            mates: &mates,
-                            inbox: &inbox,
-                            settled,
-                            stop,
-                            workers,
-                        })
-                    })
-                })
-                .collect();
-
-            // Supervisor: accept and hand off connections until every
-            // partition settles, then stop the reactors.
-            const IDLE_YIELDS: u32 = 64;
-            let mut idle_streak = 0u32;
-            loop {
-                if settled.iter().all(|s| s.load(Ordering::Acquire)) {
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
-                let mut progressed = false;
-                if let Some(listener) = listener.as_mut() {
-                    loop {
-                        match listener.poll_accept() {
-                            Ok(Some(mut conn)) => {
-                                if conn.prepare().is_ok() {
-                                    *accepted_total += 1;
-                                    let _ = mates[*next_reactor].send(ReactorMsg::Conn(conn));
-                                    *next_reactor = (*next_reactor + 1) % n;
-                                    progressed = true;
-                                } else {
-                                    *accept_errors += 1;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                *accept_errors += 1;
-                                break;
-                            }
-                        }
-                    }
-                }
-                if progressed {
-                    idle_streak = 0;
-                } else {
-                    idle_streak += 1;
-                    if idle_streak <= IDLE_YIELDS {
-                        std::thread::yield_now();
-                    } else {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reactor threads never panic"))
-                .collect()
-        });
-
-        let mut reports = Vec::with_capacity(n);
-        for result in results {
-            reports.push(result?);
-        }
-        Ok(merge_reports(&order, reports))
-    }
 }
 
 /// Folds per-reactor partial reports into one canonical report:
@@ -586,118 +295,9 @@ pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> Ro
     RoundReport { outcomes }
 }
 
-/// Everything one reactor thread needs for one round. Bundled so the
-/// spawn site stays readable.
-struct ReactorArgs<'run, C: GatewayConn> {
-    me: usize,
-    reactors: usize,
-    state: &'run mut ReactorState<C>,
-    fleet: &'run FleetVerifier,
-    partition: &'run [DeviceId],
-    budget: Duration,
-    started: Instant,
-    route: &'run Mutex<HashMap<DeviceId, Route>>,
-    mates: &'run [Sender<ReactorMsg<C>>],
-    inbox: &'run Receiver<ReactorMsg<C>>,
-    settled: &'run AtomicBool,
-    stop: &'run AtomicBool,
-    workers: usize,
-}
-
-/// One reactor's whole round: begin the partition, sweep until the
-/// supervisor calls stop, report.
-fn run_reactor_round<C: GatewayConn>(args: ReactorArgs<'_, C>) -> Result<RoundReport, FleetError> {
-    /// Idle sweeps that merely yield before the loop starts sleeping.
-    const IDLE_YIELDS: u32 = 64;
-
-    let ReactorArgs {
-        me,
-        reactors,
-        state,
-        fleet,
-        partition,
-        budget,
-        started,
-        route,
-        mates,
-        inbox,
-        settled,
-        stop,
-        workers,
-    } = args;
-
-    // Discard the previous round's residue, exactly as
-    // `GatewayRound::begin` does on the single-reactor gateway.
-    state.parked.clear();
-    state.delivered.clear();
-    for peer in state.conns.iter_mut().flatten() {
-        if !peer.outbox.is_empty() {
-            peer.dead = true; // wedged since last round
-        }
-    }
-
-    let engine = match RoundEngine::begin(fleet, partition, RoundConfig::realtime(budget)) {
-        Ok(engine) => engine,
-        Err(e) => {
-            // Never leave the supervisor waiting on a partition that
-            // will not settle.
-            settled.store(true, Ordering::Release);
-            return Err(e);
-        }
-    };
-    let mut run = ReactorRun::new(me, reactors, fleet, state, route, mates, workers);
-    run.engines.push(EpochRun {
-        epoch: 0,
-        engine,
-        started,
-        cohort: partition.to_vec(),
-    });
-
-    let mut idle_streak = 0u32;
-    loop {
-        run.progressed = false;
-        run.pump_transmits();
-        run.drain_inbox(inbox);
-        run.sweep_reads();
-        run.conclude_inbound();
-        run.apply_charges();
-        // Owned devices evicted from the registry mid-round settle as
-        // `Evicted` here, on the reactor that owns their round state —
-        // every reactor count resolves the same eviction the same way.
-        run.sync_membership_all();
-        run.sweep_writes_and_reap();
-        run.tick_all();
-        settled.store(run.single_settled(), Ordering::Release);
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
-        if run.progressed {
-            idle_streak = 0;
-        } else {
-            idle_streak += 1;
-            if idle_streak <= IDLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-
-    // Connections handed off but not yet adopted must survive the
-    // round; other in-flight mail dies with it, as unread bytes do on
-    // the single-reactor gateway when the round settles.
-    while let Ok(msg) = inbox.try_recv() {
-        if let ReactorMsg::Conn(conn) = msg {
-            run.state.adopt(conn);
-        }
-    }
-    Ok(run.take_single_report())
-}
-
 /// One reactor mid-flight: its persistent state plus every in-flight
-/// epoch's engine, the shared inbound batch and channel ends. The
-/// scoped gateway holds exactly one epoch in `engines`; the persistent
-/// runtime multiplexes up to its pipeline depth.
+/// epoch's engine (up to the runtime's pipeline depth), the shared
+/// inbound batch and channel ends.
 pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     pub(crate) me: usize,
     pub(crate) reactors: usize,
@@ -719,7 +319,7 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// evidence just because conclusion is batched.
     pub(crate) pending_charges: Vec<DeviceId>,
     /// Round descriptors mailed by the runtime, begun at the top of the
-    /// next sweep. Scoped rounds never populate this.
+    /// next sweep.
     pub(crate) pending_begins: Vec<RoundStart>,
     /// Set when the runtime mails [`ReactorMsg::Shutdown`].
     pub(crate) shutdown: bool,
@@ -775,27 +375,47 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     }
 
     /// Begins every runtime-mailed epoch, oldest submission first.
-    /// Failures (an id evicted between submission and begin) are
-    /// returned for the caller to report; the round never starts.
-    pub(crate) fn start_pending_epochs(&mut self) -> Vec<(u64, FleetError, Vec<DeviceId>)> {
-        let mut failures = Vec::new();
+    pub(crate) fn start_pending_epochs(&mut self) {
         for start in std::mem::take(&mut self.pending_begins) {
             self.progressed = true;
-            match RoundEngine::begin(
-                self.fleet,
-                &start.partition,
-                RoundConfig::realtime(start.budget),
-            ) {
-                Ok(engine) => self.engines.push(EpochRun {
-                    epoch: start.epoch,
-                    engine,
-                    started: start.started,
-                    cohort: start.partition,
-                }),
-                Err(e) => failures.push((start.epoch, e, start.partition)),
+            let config = RoundConfig::realtime(start.budget);
+            let engine = match RoundEngine::begin(self.fleet, &start.partition, config) {
+                Ok(engine) => engine,
+                // `begin` only fails on an unenrolled id: a cohort
+                // device left between submission and this begin.
+                Err(_) => self.begin_without_leavers(&start.partition, config),
+            };
+            self.engines.push(EpochRun {
+                epoch: start.epoch,
+                engine,
+                started: start.started,
+                cohort: start.partition,
+            });
+        }
+    }
+
+    /// Begins `partition` minus the devices no longer enrolled, and
+    /// settles each of those as
+    /// [`FleetError::Evicted`](crate::FleetError::Evicted) in this
+    /// epoch — the verdict a leave landing one sweep later would have
+    /// drawn from membership sync. Retries while leaves keep racing the
+    /// begin; each retry sees at least one more leaver, so it ends.
+    fn begin_without_leavers(
+        &self,
+        partition: &[DeviceId],
+        config: RoundConfig,
+    ) -> RoundEngine<'run> {
+        loop {
+            let (enrolled, left): (Vec<DeviceId>, Vec<DeviceId>) = partition
+                .iter()
+                .partition(|&&id| self.fleet.is_registered(id));
+            if let Ok(mut engine) = RoundEngine::begin(self.fleet, &enrolled, config) {
+                for id in left {
+                    engine.settle_evicted(id);
+                }
+                return engine;
             }
         }
-        failures
     }
 
     /// Ticks every in-flight epoch against its own round clock.
@@ -814,20 +434,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         for e in &mut self.engines {
             self.progressed |= e.engine.sync_membership() > 0;
         }
-    }
-
-    /// Scoped-gateway accessor: whether the single round has settled.
-    fn single_settled(&self) -> bool {
-        self.engines.iter().all(|e| e.engine.is_settled())
-    }
-
-    /// Scoped-gateway teardown: finishes the one round and records its
-    /// outcome count.
-    fn take_single_report(&mut self) -> RoundReport {
-        let e = self.engines.pop().expect("scoped rounds hold one epoch");
-        let report = e.engine.into_report();
-        self.state.last_outcomes = report.outcomes.len();
-        report
     }
 
     /// Pops every settled epoch (oldest first), finishing its report
@@ -857,7 +463,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     }
 
     /// Fire-and-forget mail: a send to a reactor that already returned
-    /// is dropped, matching the single-reactor stop-at-settle cutoff.
+    /// is dropped.
     fn send(&self, to: usize, msg: ReactorMsg<C>) {
         let _ = self.mates[to].send(msg);
     }
@@ -1106,13 +712,12 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
     }
 
-    /// Concludes the sweep's gathered evidence as one batch — on the
-    /// shared runtime pool when one is attached, else this reactor's
-    /// scoped share of the MAC pool — and feeds each verdict to the
-    /// epoch awaiting its device. Verdicts that belong to no awaited
-    /// device (unsolicited evidence, unattributable frames) land in the
-    /// oldest in-flight epoch, the only one on a scoped round. The
-    /// inbound buffer comes back cleared for the next sweep.
+    /// Concludes the sweep's gathered evidence as one batch (on the
+    /// runtime's MAC pool when it is big enough) and feeds each verdict
+    /// to the epoch awaiting its device. Verdicts that belong to no
+    /// awaited device (unsolicited evidence, unattributable frames)
+    /// land in the oldest in-flight epoch. The inbound buffer comes
+    /// back cleared for the next sweep.
     pub(crate) fn conclude_inbound(&mut self) {
         if self.inbound.is_empty() {
             return;
@@ -1186,5 +791,83 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::FleetError;
+    use asap::VerifierSpec;
+    use std::os::unix::net::UnixStream;
+    use std::sync::Arc;
+
+    /// Regression: a cohort device that left between `submit_round`
+    /// and its reactor's begin used to fail the whole epoch with
+    /// `UnknownDevice`. The rest of the cohort is now challenged, the
+    /// leaver settles as `Evicted` in that epoch, and the merged report
+    /// is the same at every reactor count.
+    #[test]
+    fn leave_before_begin_settles_evicted_not_a_failed_epoch() {
+        let image = asap::programs::fig4_authorized().unwrap();
+        let spec = Arc::new(VerifierSpec::from_image(&image).unwrap());
+        let order: Vec<DeviceId> = (1..=8).map(DeviceId).collect();
+        let gone = DeviceId(5);
+
+        let merged: Vec<RoundReport> = [1usize, 2, 4]
+            .into_iter()
+            .map(|reactors| {
+                let fleet = FleetVerifier::new();
+                for &id in &order {
+                    fleet.register_shared(id, b"k", Arc::clone(&spec)).unwrap();
+                }
+                // The cohort passed submission; then one device left.
+                assert!(fleet.remove(gone));
+
+                let route = Mutex::new(HashMap::new());
+                let (mates, _inboxes): (Vec<Sender<ReactorMsg<UnixStream>>>, Vec<_>) =
+                    (0..reactors).map(|_| std::sync::mpsc::channel()).unzip();
+                let partials = (0..reactors)
+                    .map(|me| {
+                        let mut state = ReactorState::new();
+                        let mut run =
+                            ReactorRun::new(me, reactors, &fleet, &mut state, &route, &mates, 1);
+                        run.pending_begins.push(RoundStart {
+                            epoch: 0,
+                            partition: order
+                                .iter()
+                                .copied()
+                                .filter(|&id| fleet.reactor_of(id, reactors) == me)
+                                .collect(),
+                            budget: Duration::from_secs(1),
+                            started: Instant::now(),
+                        });
+                        run.start_pending_epochs();
+                        assert_eq!(run.engines.len(), 1, "the epoch begins");
+                        // Nobody answers: the rest expire at the end.
+                        let epoch = run.engines.pop().unwrap();
+                        epoch.engine.into_report()
+                    })
+                    .collect();
+                let report = merge_reports(&order, partials);
+                assert_eq!(fleet.in_flight(), 0, "{reactors} reactors");
+                report
+            })
+            .collect();
+
+        let expected: Vec<RoundOutcome> = order
+            .iter()
+            .map(|&id| RoundOutcome {
+                device: Some(id),
+                result: Err(if id == gone {
+                    FleetError::Evicted(id)
+                } else {
+                    FleetError::NoResponse(id)
+                }),
+            })
+            .collect();
+        assert_eq!(merged[0].outcomes, expected);
+        assert_eq!(merged[0], merged[1], "1 vs 2 reactors");
+        assert_eq!(merged[0], merged[2], "1 vs 4 reactors");
     }
 }

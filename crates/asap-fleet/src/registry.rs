@@ -21,7 +21,6 @@
 
 use crate::engine::{RoundConfig, RoundEngine};
 use crate::error::FleetError;
-use crate::gateway::{FleetGateway, GatewayListener};
 use crate::round::RoundReport;
 use crate::transport::Transport;
 use crate::DeviceId;
@@ -63,7 +62,7 @@ struct Shard {
 ///
 /// Crate-internal: [`FleetRuntime`](crate::FleetRuntime) owns the
 /// worker threads that consume these; the registry only produces them
-/// (see [`FleetVerifier::conclude_batch_pooled`]).
+/// (see [`FleetVerifier::conclude_batch`]).
 pub(crate) struct ConcludeJob {
     pub(crate) fleet: Arc<FleetVerifier>,
     pub(crate) frames: Arc<Vec<Vec<u8>>>,
@@ -87,6 +86,14 @@ struct AttachedPool {
     workers: usize,
 }
 
+/// One batch's claim on the attached pool: where to send its jobs, an
+/// owning handle the jobs carry, and how many lanes it may fan over.
+struct Dispatch {
+    tx: Sender<ConcludeJob>,
+    me: Arc<FleetVerifier>,
+    lanes: usize,
+}
+
 /// A verifier for a whole fleet of provers, keyed by [`DeviceId`].
 ///
 /// All methods take `&self`: the registry is internally synchronized
@@ -107,8 +114,8 @@ pub struct FleetVerifier {
     /// Serializes [`grow_shards`](FleetVerifier::grow_shards) calls so
     /// at most one doubling is in flight.
     grow_lock: Mutex<()>,
-    /// Worker cap for [`conclude_batch`](FleetVerifier::conclude_batch);
-    /// `0` means "follow [`std::thread::available_parallelism`]".
+    /// Sizes a runtime's MAC pool; `0` means "follow
+    /// [`std::thread::available_parallelism`]".
     conclude_workers: AtomicUsize,
     /// Bumped on every [`remove`](FleetVerifier::remove):
     /// [`RoundEngine::sync_membership`] rescans its awaited devices only
@@ -117,7 +124,7 @@ pub struct FleetVerifier {
     churn_generation: AtomicU64,
     /// The shared MAC-conclusion pool a [`FleetRuntime`](crate::FleetRuntime)
     /// attaches for the lifetime of the runtime; `None` for standalone
-    /// registries, which fall back to the per-batch scoped pool.
+    /// registries, which conclude serially.
     pool: Mutex<Option<AttachedPool>>,
 }
 
@@ -135,7 +142,7 @@ impl FleetVerifier {
 
     /// An empty fleet over `shards` lock shards (clamped to at least
     /// one). More shards mean less lock contention for wide conclude
-    /// pools and many-reactor gateways; each shard is one mutex plus
+    /// pools and many-reactor runtimes; each shard is one mutex plus
     /// one hash map, so a million-device fleet can afford hundreds.
     pub fn with_shards(shards: usize) -> FleetVerifier {
         let shards = shards.max(1);
@@ -207,7 +214,7 @@ impl FleetVerifier {
     }
 
     /// Which of `reactors` reactor threads owns `id`'s round state in a
-    /// multi-reactor gateway ([`MultiGateway`](crate::MultiGateway)).
+    /// [`FleetRuntime`](crate::FleetRuntime).
     ///
     /// Affinity rides the shard hash: reactor `r` owns exactly the
     /// shards `s` with `s % reactors == r`, so the devices one reactor
@@ -220,7 +227,7 @@ impl FleetVerifier {
     ///
     /// When `reactors` is zero.
     pub fn reactor_of(&self, id: DeviceId, reactors: usize) -> usize {
-        assert!(reactors > 0, "a gateway needs at least one reactor");
+        assert!(reactors > 0, "a runtime needs at least one reactor");
         self.shard_of(id) % reactors
     }
 
@@ -303,19 +310,18 @@ impl FleetVerifier {
         base * 2
     }
 
-    /// Caps the [`conclude_batch`](FleetVerifier::conclude_batch)
-    /// worker pool at `workers` threads; `0` restores the default of
+    /// Sizes the MAC-conclusion pool of a
+    /// [`FleetRuntime`](crate::FleetRuntime) built over this registry
+    /// afterwards at `workers` threads; `0` restores the default of
     /// following [`std::thread::available_parallelism`]. Shared with
-    /// the reactor count by [`MultiGateway`](crate::MultiGateway):
-    /// each reactor concludes with `parallelism / reactors` workers so
-    /// reactors and MAC workers together never oversubscribe the
-    /// machine.
+    /// the reactor count: each reactor fans a batch over at most
+    /// `parallelism / reactors` lanes, so reactors and MAC workers
+    /// together never oversubscribe the machine.
     pub fn set_parallelism(&self, workers: usize) {
         self.conclude_workers.store(workers, Ordering::Relaxed);
     }
 
-    /// The effective [`conclude_batch`](FleetVerifier::conclude_batch)
-    /// worker cap: the configured knob, or
+    /// The effective MAC-pool size: the configured knob, or
     /// [`std::thread::available_parallelism`] when unset.
     pub fn parallelism(&self) -> usize {
         match self.conclude_workers.load(Ordering::Relaxed) {
@@ -573,18 +579,20 @@ impl FleetVerifier {
         (Some(id), result)
     }
 
-    /// Concludes a whole batch of response frames, MAC verification
-    /// fanned out onto a [`std::thread::scope`] worker pool when the
-    /// batch is large enough to pay for the threads. Results come back
-    /// in **input order**, so callers can feed them to
+    /// Concludes a whole batch of response frames. Results come back in
+    /// **input order**, so callers can feed them to
     /// [`RoundEngine::outcome_received`] and get the same report a
     /// serial conclusion would have produced.
     ///
-    /// This is where the sharded registry earns its sharding: each
-    /// worker's [`conclude`](FleetVerifier::conclude) holds a shard
-    /// lock only for the session pop, and the MAC recomputation — the
-    /// actual work — runs outside all locks, so workers on devices in
-    /// different shards never contend.
+    /// While a [`FleetRuntime`](crate::FleetRuntime) is attached and the
+    /// batch holds at least 8 frames, MAC verification fans out over
+    /// the runtime's worker pool (at most
+    /// [`parallelism`](FleetVerifier::parallelism) lanes); otherwise the
+    /// batch concludes serially on the calling thread. This is where
+    /// the sharded registry earns its sharding: each worker's
+    /// [`conclude`](FleetVerifier::conclude) holds a shard lock only for
+    /// the session pop, and the MAC recomputation — the actual work —
+    /// runs outside all locks.
     ///
     /// Duplicates are resolved deterministically: when a batch carries
     /// *several* frames for the same device, the **first frame in input
@@ -592,156 +600,66 @@ impl FleetVerifier {
     /// settles as [`FleetError::NoSession`] — exactly what a serial
     /// pass over the batch would produce, regardless of how the pool
     /// schedules its workers.
-    ///
-    /// The worker count follows [`parallelism`](FleetVerifier::parallelism)
-    /// (all available cores unless capped with
-    /// [`set_parallelism`](FleetVerifier::set_parallelism)). When a
-    /// [`FleetRuntime`](crate::FleetRuntime) pool is attached, the
-    /// batch dispatches to those persistent workers instead of spawning
-    /// a scoped pool — one frame-buffer copy buys out the per-batch
-    /// thread spawn/join tax.
     pub fn conclude_batch(&self, frames: &[Vec<u8>]) -> Vec<Verdict> {
-        if self.has_conclude_pool() {
-            let (verdicts, _) = self.conclude_batch_pooled(frames.to_vec(), self.parallelism());
-            return verdicts;
+        match self.pool_for(frames.len(), self.parallelism()) {
+            Some(pool) => self.conclude_on_pool(pool, frames.to_vec()).0,
+            None => frames.iter().map(|f| self.conclude(f)).collect(),
         }
-        self.conclude_batch_with(frames, self.parallelism())
     }
 
-    /// [`conclude_batch`](FleetVerifier::conclude_batch) with an
-    /// explicit worker cap, for callers that already own some of the
-    /// machine — a [`MultiGateway`](crate::MultiGateway) reactor
-    /// concludes with `parallelism / reactors` workers so the reactors'
-    /// pools together never oversubscribe the cores.
-    pub fn conclude_batch_with(&self, frames: &[Vec<u8>], workers: usize) -> Vec<Verdict> {
-        /// Below this, thread spawn/join costs more than it buys.
-        const PARALLEL_MIN: usize = 32;
-
-        if frames.len() < PARALLEL_MIN || workers < 2 {
-            return frames.iter().map(|f| self.conclude(f)).collect();
-        }
-
-        // Only the *first* frame per device (in input order) races on
-        // the pool; repeats are deferred. Undecodable frames carry no
-        // device id and cannot collide, so they pool freely.
-        let mut seen = HashSet::new();
-        let mut pooled: Vec<usize> = Vec::with_capacity(frames.len());
-        let mut deferred: Vec<usize> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            match Envelope::from_bytes(frame) {
-                Ok(e) if !seen.insert(DeviceId(e.device_id)) => deferred.push(i),
-                _ => pooled.push(i),
-            }
-        }
-
-        let mut results: Vec<Option<Verdict>> = frames.iter().map(|_| None).collect();
-        let per_worker = Self::chunk_len(pooled.len(), workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pooled
-                .chunks(per_worker)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&i| (i, self.conclude(&frames[i])))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("conclude worker never panics") {
-                    results[i] = Some(result);
-                }
-            }
-        });
-        // The pool has drained, so each device's first frame has
-        // already settled its session; these repeats now observe what
-        // a serial pass would — `NoSession` (or `UnknownDevice`).
-        for i in deferred {
-            results[i] = Some(self.conclude(&frames[i]));
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every input index concluded exactly once"))
-            .collect()
-    }
-
-    /// Frames per pool worker: the batch split as evenly as possible
-    /// across `workers` chunks. Never zero, and — unlike the old
-    /// hard-wired `workers.min(8)` — never capped below the requested
-    /// width, so `chunks(chunk_len(n, w))` yields `min(w, n)` chunks.
-    fn chunk_len(frames: usize, workers: usize) -> usize {
-        frames.div_ceil(workers.max(1)).max(1)
-    }
-
-    /// Attaches a long-lived MAC-conclusion worker pool:
-    /// [`conclude_batch_pooled`](FleetVerifier::conclude_batch_pooled)
-    /// will dispatch to `tx` instead of spawning a scoped pool per
-    /// batch. `me` must be a weak handle to the very `Arc` wrapping
-    /// this registry — jobs carry an upgraded clone so workers can
-    /// conclude against it without borrowing. Called by
-    /// [`FleetRuntime`](crate::FleetRuntime) at construction.
-    pub(crate) fn attach_conclude_pool(
-        &self,
-        tx: Sender<ConcludeJob>,
-        me: Weak<FleetVerifier>,
-        workers: usize,
-    ) {
-        *self.pool.lock().unwrap() = Some(AttachedPool { tx, me, workers });
-    }
-
-    /// Detaches the runtime pool; subsequent batches fall back to the
-    /// scoped pool. Called before the runtime shuts its workers down so
-    /// no batch can race a dying pool.
-    pub(crate) fn detach_conclude_pool(&self) {
-        *self.pool.lock().unwrap() = None;
-    }
-
-    /// True when a [`FleetRuntime`](crate::FleetRuntime) pool is
-    /// currently attached.
-    pub fn has_conclude_pool(&self) -> bool {
-        self.pool.lock().unwrap().is_some()
-    }
-
-    /// [`conclude_batch_with`](FleetVerifier::conclude_batch_with) over
-    /// an **owned** batch, routed through the attached runtime pool
-    /// when one exists. Returns the verdicts (input order, duplicate
-    /// resolution identical to the scoped path) plus the frame buffer
-    /// back, **cleared**, so a reactor can reuse its inbound `Vec`
-    /// across rounds instead of reallocating.
-    ///
-    /// The dispatch threshold is lower than the scoped pool's 32: a
-    /// persistent pool costs two channel hops (~a few µs) instead of a
-    /// thread spawn/join (~tens of µs), so fanning out pays for itself
-    /// at about a quarter the batch size. Batches under the threshold,
-    /// single-worker calls, and standalone registries (no pool
-    /// attached) all take the existing scoped/serial path.
-    pub fn conclude_batch_pooled(
+    /// [`conclude_batch`](FleetVerifier::conclude_batch) over an
+    /// **owned** batch, fanned over at most `lanes` pool workers. Hands
+    /// the frame buffer back **cleared**, so a reactor reuses its
+    /// inbound `Vec` across sweeps instead of reallocating.
+    pub(crate) fn conclude_batch_pooled(
         &self,
         frames: Vec<Vec<u8>>,
-        workers: usize,
+        lanes: usize,
     ) -> (Vec<Verdict>, Vec<Vec<u8>>) {
+        match self.pool_for(frames.len(), lanes) {
+            Some(pool) => self.conclude_on_pool(pool, frames),
+            None => {
+                let verdicts = frames.iter().map(|f| self.conclude(f)).collect();
+                (verdicts, recycled(frames))
+            }
+        }
+    }
+
+    /// The attached pool and lane count for a batch of `frames`, or
+    /// `None` when the batch should conclude serially: no runtime pool
+    /// attached, fewer than two lanes, or too few frames to pay for the
+    /// channel hops (each dispatched chunk costs two, ~a few µs).
+    fn pool_for(&self, frames: usize, lanes: usize) -> Option<Dispatch> {
         /// Pool-dispatch floor: two mpsc hops per chunk amortize over
-        /// ~8 MAC recomputations, versus ~32 for a spawned thread.
+        /// ~8 MAC recomputations.
         const POOLED_MIN: usize = 8;
 
-        let pool = {
-            let pool = self.pool.lock().unwrap();
-            pool.as_ref()
-                .and_then(|p| p.me.upgrade().map(|me| (p.tx.clone(), me, p.workers)))
-        };
-        let Some((tx, me, pool_workers)) = pool else {
-            let verdicts = self.conclude_batch_with(&frames, workers);
-            return (verdicts, recycled(frames));
-        };
-        let lanes = workers.min(pool_workers);
-        if frames.len() < POOLED_MIN || lanes < 2 {
-            let verdicts = self.conclude_batch_with(&frames, workers);
-            return (verdicts, recycled(frames));
+        if frames < POOLED_MIN {
+            return None;
         }
+        let pool = self.pool.lock().unwrap();
+        let p = pool.as_ref()?;
+        let lanes = lanes.min(p.workers);
+        if lanes < 2 {
+            return None;
+        }
+        Some(Dispatch {
+            tx: p.tx.clone(),
+            me: p.me.upgrade()?,
+            lanes,
+        })
+    }
 
-        // Same duplicate discipline as the scoped pool: first frame per
-        // device races, repeats are deferred until the pool drains.
+    /// Fans `frames` over the pool: the first frame per device (in
+    /// input order) races on the workers, repeats are deferred until
+    /// the pool drains and then observe what a serial pass would —
+    /// `NoSession` (or `UnknownDevice`). Undecodable frames carry no
+    /// device id and cannot collide, so they pool freely.
+    fn conclude_on_pool(
+        &self,
+        pool: Dispatch,
+        frames: Vec<Vec<u8>>,
+    ) -> (Vec<Verdict>, Vec<Vec<u8>>) {
         let mut seen = HashSet::new();
         let mut pooled: Vec<usize> = Vec::with_capacity(frames.len());
         let mut deferred: Vec<usize> = Vec::new();
@@ -754,17 +672,18 @@ impl FleetVerifier {
 
         let mut results: Vec<Option<Verdict>> = frames.iter().map(|_| None).collect();
         let frames = Arc::new(frames);
-        let per_lane = Self::chunk_len(pooled.len(), lanes);
+        let per_lane = Self::chunk_len(pooled.len(), pool.lanes);
         let (reply_tx, reply_rx) = mpsc::channel();
         let mut outstanding = 0usize;
         for chunk in pooled.chunks(per_lane) {
-            tx.send(ConcludeJob {
-                fleet: Arc::clone(&me),
-                frames: Arc::clone(&frames),
-                indices: chunk.to_vec(),
-                reply: reply_tx.clone(),
-            })
-            .expect("runtime pool outlives every attached batch");
+            pool.tx
+                .send(ConcludeJob {
+                    fleet: Arc::clone(&pool.me),
+                    frames: Arc::clone(&frames),
+                    indices: chunk.to_vec(),
+                    reply: reply_tx.clone(),
+                })
+                .expect("runtime pool outlives every attached batch");
             outstanding += 1;
         }
         drop(reply_tx);
@@ -791,6 +710,42 @@ impl FleetVerifier {
         (verdicts, frames)
     }
 
+    /// Frames per pool lane: the batch split as evenly as possible
+    /// across `lanes` chunks. Never zero, and never capped below the
+    /// requested width, so `chunks(chunk_len(n, w))` yields `min(w, n)`
+    /// chunks.
+    fn chunk_len(frames: usize, lanes: usize) -> usize {
+        frames.div_ceil(lanes.max(1)).max(1)
+    }
+
+    /// Attaches a long-lived MAC-conclusion worker pool: batches big
+    /// enough to fan out dispatch to `tx`. `me` must be a weak handle
+    /// to the very `Arc` wrapping this registry — jobs carry an
+    /// upgraded clone so workers can conclude against it without
+    /// borrowing. Called by [`FleetRuntime`](crate::FleetRuntime) at
+    /// construction.
+    pub(crate) fn attach_conclude_pool(
+        &self,
+        tx: Sender<ConcludeJob>,
+        me: Weak<FleetVerifier>,
+        workers: usize,
+    ) {
+        *self.pool.lock().unwrap() = Some(AttachedPool { tx, me, workers });
+    }
+
+    /// Detaches the runtime pool; subsequent batches conclude serially.
+    /// Called before the runtime shuts its workers down so no batch can
+    /// race a dying pool.
+    pub(crate) fn detach_conclude_pool(&self) {
+        *self.pool.lock().unwrap() = None;
+    }
+
+    /// True when a [`FleetRuntime`](crate::FleetRuntime) pool is
+    /// currently attached.
+    pub fn has_conclude_pool(&self) -> bool {
+        self.pool.lock().unwrap().is_some()
+    }
+
     /// Concludes a whole round: absorbs every response frame, then
     /// charges [`FleetError::NoResponse`] to each challenged device
     /// whose session is still dangling — aborting it, so the registry
@@ -801,10 +756,9 @@ impl FleetVerifier {
     /// only; every other frame in the round is still judged.
     ///
     /// A thin lock-step driver over [`RoundEngine`]: the frames are
-    /// concluded as one [`conclude_batch`](FleetVerifier::conclude_batch)
-    /// (so large rounds verify MACs on the worker pool), their verdicts
-    /// injected in frame order, and one tick at the lock-step deadline
-    /// settles the silent devices.
+    /// concluded as one [`conclude_batch`](FleetVerifier::conclude_batch),
+    /// their verdicts injected in frame order, and one tick at the
+    /// lock-step deadline settles the silent devices.
     pub fn conclude_round(&self, challenged: &[DeviceId], frames: &[Vec<u8>]) -> RoundReport {
         let mut engine = RoundEngine::resume(self, challenged, RoundConfig::lockstep());
         for (device, result) in self.conclude_batch(frames) {
@@ -832,11 +786,11 @@ impl FleetVerifier {
     /// settles. Devices whose response is not available by then are
     /// reported as [`FleetError::NoResponse`].
     ///
-    /// This is the zero-latency driver over [`RoundEngine`] — right
-    /// for [`Loopback`](crate::Loopback), where responses appear the
-    /// moment a request is sent. A transport with real latency wants
-    /// [`drive_round`](crate::stream::drive_round) (a response budget
-    /// mapped onto engine ticks) or a hand-rolled engine loop.
+    /// This is the zero-latency reference driver over [`RoundEngine`] —
+    /// right for [`Loopback`](crate::Loopback), where responses appear
+    /// the moment a request is sent. Provers behind real sockets are
+    /// driven by [`FleetRuntime`](crate::FleetRuntime), which maps a
+    /// response budget onto engine ticks.
     ///
     /// # Errors
     ///
@@ -856,29 +810,6 @@ impl FleetVerifier {
         }
         engine.tick(engine.now());
         Ok(engine.into_report())
-    }
-
-    /// Drives one full round through a [`FleetGateway`]: challenges
-    /// every device in `ids`, lets the gateway route each request to
-    /// whichever connection its device announced itself on, and maps
-    /// the wall-clock `budget` onto engine ticks — exactly
-    /// [`drive_round`](crate::stream::drive_round)'s contract, but over
-    /// *many* concurrent prover connections instead of one stream.
-    /// Inbound frames are concluded via
-    /// [`conclude_batch`](FleetVerifier::conclude_batch), so a busy
-    /// sweep verifies MACs on the scoped worker pool.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
-    /// challenge is issued in that case).
-    pub fn run_round_gateway<L: GatewayListener>(
-        &self,
-        ids: &[DeviceId],
-        gateway: &mut FleetGateway<L>,
-        budget: std::time::Duration,
-    ) -> Result<RoundReport, FleetError> {
-        gateway.drive_round(self, ids, budget)
     }
 }
 
@@ -1058,30 +989,45 @@ mod tests {
 
     #[test]
     fn pooled_batch_without_runtime_falls_back_to_scoped() {
+        use crate::runtime::{FleetRuntime, NoListener};
+        use std::os::unix::net::UnixStream;
+
+        const DEVICES: u64 = 16; // past the pool-dispatch floor
         let image = asap::programs::fig4_authorized().unwrap();
         let spec = Arc::new(VerifierSpec::from_image(&image).unwrap());
-        let fleet = FleetVerifier::new();
-        assert!(!fleet.has_conclude_pool());
-        for id in 0..4 {
+        let fleet = Arc::new(FleetVerifier::new());
+        fleet.set_parallelism(2); // two pool lanes even on one cpu
+        for id in 0..DEVICES {
             fleet
                 .register_shared(DeviceId(id), b"k", Arc::clone(&spec))
                 .unwrap();
         }
-        let frames: Vec<Vec<u8>> = (0..4)
-            .map(|id| fleet.begin(DeviceId(id)).unwrap())
-            .collect();
         // Challenge frames are not evidence: every verdict is a
-        // rejection, but each is *attributed* and the buffer comes back
-        // cleared with its capacity intact.
-        let capacity = frames.capacity();
-        let (verdicts, recycled) = fleet.conclude_batch_pooled(frames, 4);
-        assert_eq!(verdicts.len(), 4);
-        for (i, (device, outcome)) in verdicts.iter().enumerate() {
-            assert_eq!(*device, Some(DeviceId(i as u64)));
-            assert!(outcome.is_err());
-        }
-        assert!(recycled.is_empty());
-        assert_eq!(recycled.capacity(), capacity);
+        // rejection, but each is *attributed*, in input order, and the
+        // buffer comes back cleared with its capacity intact — serially
+        // with no runtime attached, and on the pool with one.
+        let check = |fleet: &FleetVerifier| {
+            let frames: Vec<Vec<u8>> = (0..DEVICES)
+                .map(|id| fleet.begin(DeviceId(id)).unwrap())
+                .collect();
+            let capacity = frames.capacity();
+            let (verdicts, recycled) = fleet.conclude_batch_pooled(frames, 2);
+            assert_eq!(verdicts.len(), DEVICES as usize);
+            for (i, (device, outcome)) in verdicts.iter().enumerate() {
+                assert_eq!(*device, Some(DeviceId(i as u64)));
+                assert!(outcome.is_err());
+            }
+            assert!(recycled.is_empty());
+            assert_eq!(recycled.capacity(), capacity);
+        };
+        assert!(!fleet.has_conclude_pool());
+        check(&fleet);
+        let runtime: FleetRuntime<NoListener<UnixStream>> =
+            FleetRuntime::detached(Arc::clone(&fleet), 1, 1);
+        assert!(fleet.has_conclude_pool());
+        check(&fleet);
+        drop(runtime);
+        assert!(!fleet.has_conclude_pool());
     }
 
     #[test]

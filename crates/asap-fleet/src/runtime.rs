@@ -1,30 +1,29 @@
-//! The persistent fleet runtime: reactor threads, the accept
-//! supervisor and the MAC-conclusion worker pool, owned **across**
-//! rounds.
+//! The fleet runtime: the one socket driver. Reactor threads, the
+//! accept supervisor and the MAC-conclusion worker pool, owned
+//! **across** rounds.
 //!
-//! [`MultiGateway::drive_round`](crate::MultiGateway::drive_round)
-//! rebuilds its world every round: reactors are spawned as scoped
-//! threads, mail channels and settled flags are allocated fresh, and
-//! every `conclude_batch` raises its own worker pool. That tax is
-//! invisible on a one-shot round and ruinous on a *sustained* sweep —
-//! continuous attestation drives thousands of rounds back-to-back, and
-//! the spawn/join cost serializes against every one of them.
-//! [`FleetRuntime`] pays the setup cost once:
+//! A [`FleetRuntime`] owns a listening socket (or none, for socketpair
+//! fabrics fed through [`adopt`](FleetRuntime::adopt)) plus every
+//! accepted prover connection, and judges them all through sans-IO
+//! [`RoundEngine`](crate::RoundEngine)s. It pays its setup cost once:
 //!
-//! * **Persistent reactors.** Each reactor thread is spawned at
-//!   construction, owns its connection slab for life, and *parks* on
-//!   its mail inbox between rounds. A round arrives as a
+//! * **Persistent reactors.** Each reactor thread ([`crate::reactor`])
+//!   is spawned at construction, owns its connection slab for life, and
+//!   *parks* on its mail inbox between rounds. A round arrives as a
 //!   [`ReactorMsg::Begin`] descriptor over the same channel that
 //!   carries cross-reactor mail; per-round scratch — deframers, write
 //!   queues, the inbound evidence batch, the transmit staging buffer,
 //!   the cohort partition vectors — is reused, not reallocated.
 //! * **Shared conclude pool.** A fixed pool of MAC workers serves
-//!   every reactor's batches for the lifetime of the runtime
-//!   ([`FleetVerifier::conclude_batch_pooled`]); no round spawns a
-//!   thread.
+//!   every reactor's batches for the lifetime of the runtime; no round
+//!   spawns a thread.
 //! * **Accept supervision.** The runtime owns the listener; the driver
-//!   thread accepts and hands off connections whenever it waits on
-//!   epoch completions, exactly as the scoped supervisor did per-round.
+//!   thread accepts and hands off connections round-robin whenever it
+//!   waits on epoch completions.
+//!
+//! Wall-clock budgets map onto engine ticks via
+//! [`RoundConfig::realtime`](crate::RoundConfig::realtime): the clock
+//! lives in the reactors, the engines only ever see logical time.
 //!
 //! # Pipelined epochs
 //!
@@ -38,15 +37,16 @@
 //! *and* pipeline depths because every outcome is charged to the epoch
 //! that challenged its device (cohorts in flight are disjoint — see
 //! [`LifecycleConfig::pipeline_window`](crate::LifecycleConfig)), and
-//! the merge re-canonicalizes exactly as the scoped gateway does.
+//! the per-reactor partials merge canonically.
 //!
 //! Verdict attribution under churn follows the engines: an eviction
 //! landing while several epochs are in flight settles as
 //! [`FleetError::Evicted`] in the single epoch that was awaiting the
-//! device, and nowhere else.
+//! device, and nowhere else — including a leave that lands after
+//! [`submit_round`](FleetRuntime::submit_round) but before a reactor
+//! began the epoch.
 
 use crate::error::FleetError;
-use crate::gateway::{GatewayConn, GatewayListener, NoListener};
 use crate::reactor::{
     merge_reports, ReactorMsg, ReactorRun, ReactorState, ReactorStats, RoundStart, Route,
 };
@@ -54,24 +54,127 @@ use crate::registry::{ConcludeJob, FleetVerifier};
 use crate::round::RoundReport;
 use crate::DeviceId;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io;
-use std::net::TcpListener;
+use std::io::{self, ErrorKind, Read, Write};
+use std::marker::PhantomData;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// A peer byte stream the runtime can service without ever blocking on
+/// it.
+pub trait GatewayConn: Read + Write {
+    /// Puts the stream into non-blocking mode (and applies any
+    /// transport-specific tuning, like `TCP_NODELAY`). Called once when
+    /// the connection enters the runtime.
+    ///
+    /// # Errors
+    ///
+    /// Any configure error from the socket layer.
+    fn prepare(&mut self) -> io::Result<()>;
+}
+
+impl GatewayConn for TcpStream {
+    fn prepare(&mut self) -> io::Result<()> {
+        self.set_nonblocking(true)?;
+        // Challenges and evidence are small back-to-back frames; Nagle
+        // + delayed ACKs would add ~40 ms per exchange.
+        self.set_nodelay(true)
+    }
+}
+
+#[cfg(unix)]
+impl GatewayConn for std::os::unix::net::UnixStream {
+    fn prepare(&mut self) -> io::Result<()> {
+        self.set_nonblocking(true)
+    }
+}
+
+/// A listening socket the runtime can poll without blocking.
+pub trait GatewayListener {
+    /// The accepted connection type.
+    type Conn: GatewayConn;
+
+    /// Puts the listener into non-blocking mode. Called once when the
+    /// runtime takes ownership.
+    ///
+    /// # Errors
+    ///
+    /// Any configure error from the socket layer.
+    fn prepare(&mut self) -> io::Result<()>;
+
+    /// Accepts one pending connection, or `None` when nobody is
+    /// waiting right now.
+    ///
+    /// # Errors
+    ///
+    /// Any accept error other than "no connection pending".
+    fn poll_accept(&mut self) -> io::Result<Option<Self::Conn>>;
+}
+
+/// The accept outcome both std listeners share: a pending connection,
+/// "nobody waiting", or a real error.
+fn accepted<C, A>(result: io::Result<(C, A)>) -> io::Result<Option<C>> {
+    match result {
+        Ok((conn, _)) => Ok(Some(conn)),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+impl GatewayListener for TcpListener {
+    type Conn = TcpStream;
+
+    fn prepare(&mut self) -> io::Result<()> {
+        self.set_nonblocking(true)
+    }
+
+    fn poll_accept(&mut self) -> io::Result<Option<TcpStream>> {
+        accepted(self.accept())
+    }
+}
+
+#[cfg(unix)]
+impl GatewayListener for std::os::unix::net::UnixListener {
+    type Conn = std::os::unix::net::UnixStream;
+
+    fn prepare(&mut self) -> io::Result<()> {
+        self.set_nonblocking(true)
+    }
+
+    fn poll_accept(&mut self) -> io::Result<Option<Self::Conn>> {
+        accepted(self.accept())
+    }
+}
+
+/// The "nobody ever dials in" listener, for runtimes fed purely through
+/// [`FleetRuntime::adopt`] — socketpair fabrics in tests and benches.
+pub struct NoListener<C>(PhantomData<C>);
+
+impl<C: GatewayConn> GatewayListener for NoListener<C> {
+    type Conn = C;
+
+    fn prepare(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    fn poll_accept(&mut self) -> io::Result<Option<C>> {
+        Ok(None)
+    }
+}
+
 /// Idle sweeps that merely yield before a wait loop starts sleeping.
 const IDLE_YIELDS: u32 = 64;
 
 /// One epoch's completion, mailed from a reactor to the driver: the
-/// reactor's partial report (or the begin error), its cohort partition
-/// for recycling, and a stats snapshot.
+/// reactor's partial report, its cohort partition for recycling, and a
+/// stats snapshot.
 struct EpochDone {
     reactor: usize,
     epoch: u64,
-    result: Result<RoundReport, FleetError>,
+    report: RoundReport,
     cohort: Vec<DeviceId>,
     stats: ReactorStats,
 }
@@ -81,7 +184,7 @@ struct EpochDone {
 struct PendingEpoch {
     epoch: u64,
     order: Vec<DeviceId>,
-    partials: Vec<Option<Result<RoundReport, FleetError>>>,
+    partials: Vec<Option<RoundReport>>,
     received: usize,
 }
 
@@ -91,7 +194,7 @@ impl PendingEpoch {
     }
 }
 
-/// A long-lived multi-reactor fleet runtime. See the [module
+/// The long-lived socket driver of a fleet. See the [module
 /// docs](self) for the architecture; construction is
 /// [`over`](FleetRuntime::over) / [`detached`](FleetRuntime::detached)
 /// / [`bind_tcp`](FleetRuntime::bind_tcp), driving is
@@ -127,7 +230,7 @@ where
     /// license to stop servicing sockets.
     live_epochs: Arc<AtomicUsize>,
     pending: VecDeque<PendingEpoch>,
-    merged: HashMap<u64, Result<RoundReport, FleetError>>,
+    merged: HashMap<u64, RoundReport>,
     stats: Vec<ReactorStats>,
     /// Cohort partition vectors handed back by finished epochs, reused
     /// by the next submission.
@@ -212,8 +315,8 @@ where
             .collect();
         fleet.attach_conclude_pool(job_tx, Arc::downgrade(&fleet), pool_size);
 
-        // Each reactor's in-reactor conclude share mirrors the scoped
-        // gateway's split of the machine.
+        // Each reactor's conclude batches fan out over its share of
+        // the machine: reactors and MAC lanes divide the same cores.
         let workers = (fleet.parallelism() / reactors).max(1);
         let live_epochs = Arc::new(AtomicUsize::new(0));
         let reactor_handles = inboxes
@@ -249,15 +352,7 @@ where
             live_epochs,
             pending: VecDeque::new(),
             merged: HashMap::new(),
-            stats: vec![
-                ReactorStats {
-                    connections: 0,
-                    dropped_connections: 0,
-                    unknown_device_hellos: 0,
-                    last_round_outcomes: 0,
-                };
-                reactors
-            ],
+            stats: vec![ReactorStats::default(); reactors],
             partition_pool: Vec::new(),
         }
     }
@@ -340,16 +435,10 @@ where
         let mut accepted = 0;
         while let Some(listener) = self.listener.as_mut() {
             match listener.poll_accept() {
-                Ok(Some(mut conn)) => {
-                    if conn.prepare().is_ok() {
-                        self.accepted_total += 1;
-                        let _ = self.mates[self.next_reactor].send(ReactorMsg::Conn(conn));
-                        self.next_reactor = (self.next_reactor + 1) % self.mates.len();
-                        accepted += 1;
-                    } else {
-                        self.accept_errors += 1;
-                    }
-                }
+                Ok(Some(conn)) => match self.adopt(conn) {
+                    Ok(()) => accepted += 1,
+                    Err(_) => self.accept_errors += 1,
+                },
                 Ok(None) => break,
                 Err(_) => {
                     self.accept_errors += 1;
@@ -370,8 +459,7 @@ where
     /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
     /// challenge is issued, nothing is submitted).
     pub fn submit_round(&mut self, ids: &[DeviceId], budget: Duration) -> Result<u64, FleetError> {
-        // Validate and dedupe globally before any challenge is issued,
-        // exactly as the scoped gateway does.
+        // Validate and dedupe globally before any challenge is issued.
         let mut seen = HashSet::new();
         let mut order = Vec::new();
         for &id in ids {
@@ -425,19 +513,19 @@ where
 
     /// Blocks — supervising accepts — until the epoch behind `ticket`
     /// has settled on every reactor, then merges its partial reports
-    /// canonically (identical to the scoped gateway's merge: challenge
-    /// order first, leftovers grouped by reactor index).
+    /// canonically (challenge order first, leftovers grouped by reactor
+    /// index).
     ///
     /// Completions are cached, so tickets may be awaited in any order.
     ///
     /// # Errors
     ///
-    /// The first reactor error for that epoch, or
-    /// [`FleetError::UnknownDevice`] for a ticket never submitted.
+    /// [`FleetError::UnknownDevice`] for a ticket never submitted (or
+    /// already collected).
     pub fn wait_round(&mut self, ticket: u64) -> Result<RoundReport, FleetError> {
         loop {
-            if let Some(result) = self.merged.remove(&ticket) {
-                return result;
+            if let Some(report) = self.merged.remove(&ticket) {
+                return Ok(report);
             }
             if !self.pending.iter().any(|p| p.epoch == ticket) {
                 return Err(FleetError::UnknownDevice(DeviceId(ticket)));
@@ -446,10 +534,8 @@ where
         }
     }
 
-    /// Submits one round and waits for its report: the drop-in,
-    /// depth-agnostic equivalent of
-    /// [`MultiGateway::drive_round`](crate::MultiGateway::drive_round),
-    /// minus the per-round thread spawns.
+    /// Submits one round and waits for its report — the serial,
+    /// depth-agnostic way to drive the runtime.
     ///
     /// # Errors
     ///
@@ -522,22 +608,14 @@ where
                     self.live_epochs.fetch_sub(1, Ordering::Release);
                 }
             }
-            p.partials[done.reactor] = Some(done.result);
+            p.partials[done.reactor] = Some(done.report);
         }
     }
 
+    /// Merges every fully-reported epoch into the `merged` cache, in
+    /// whatever order they completed (a deep pipeline may settle a
+    /// later epoch first), so `wait_round(ticket)` terminates.
     fn merge_completed(&mut self) {
-        while let Some(front) = self.pending.front() {
-            // Merge in submission order so `merged` grows oldest-first,
-            // but any fully-reported epoch unblocks the window.
-            if !front.complete() {
-                break;
-            }
-            let p = self.pending.pop_front().expect("front just checked");
-            self.merged.insert(p.epoch, Self::merge_epoch(p));
-        }
-        // Out-of-order completions (a deep pipeline where a later epoch
-        // settles first) still cache, so wait_round(ticket) terminates.
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].complete() {
@@ -549,12 +627,13 @@ where
         }
     }
 
-    fn merge_epoch(p: PendingEpoch) -> Result<RoundReport, FleetError> {
-        let mut reports = Vec::with_capacity(p.partials.len());
-        for partial in p.partials {
-            reports.push(partial.expect("complete epochs have every partial")?);
-        }
-        Ok(merge_reports(&p.order, reports))
+    fn merge_epoch(p: PendingEpoch) -> RoundReport {
+        let reports = p
+            .partials
+            .into_iter()
+            .map(|partial| partial.expect("complete epochs have every partial"))
+            .collect();
+        merge_reports(&p.order, reports)
     }
 }
 
@@ -654,15 +733,7 @@ fn run_reactor_persistent<C: GatewayConn>(
         if run.shutdown {
             return;
         }
-        for (epoch, error, cohort) in run.start_pending_epochs() {
-            let _ = done.send(EpochDone {
-                reactor: me,
-                epoch,
-                result: Err(error),
-                cohort,
-                stats: run.state.stats(),
-            });
-        }
+        run.start_pending_epochs();
         run.pump_transmits();
         run.sweep_reads();
         run.conclude_inbound();
@@ -674,7 +745,7 @@ fn run_reactor_persistent<C: GatewayConn>(
             let _ = done.send(EpochDone {
                 reactor: me,
                 epoch,
-                result: Ok(report),
+                report,
                 cohort,
                 stats: run.state.stats(),
             });

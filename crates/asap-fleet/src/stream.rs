@@ -1,51 +1,23 @@
-//! The single-peer stream transport: length-prefixed [`Envelope`]
-//! frames over one byte stream (TCP or Unix-domain), std-only — plus
-//! the reusable non-blocking halves every stream speaker in this crate
-//! is built from.
-//!
-//! Three layers live here:
+//! The non-blocking stream halves every socket speaker in this crate
+//! is built from, plus the prover-side glue for hosting simulated
+//! devices behind a socket.
 //!
 //! * **The halves** — [`pump_read`] (one non-blocking read attempt into
 //!   a [`StreamDeframer`], every outcome named by [`ReadPump`]) and
 //!   [`WriteQueue`] (a bounded byte queue flushed with partial-write
 //!   backpressure, outcomes named by [`WritePump`]). These are the
-//!   *only* places raw socket reads and writes happen: the single-peer
-//!   transport below, the prover loop, and the multi-peer
-//!   [`FleetGateway`](crate::FleetGateway) all share them, so framing
-//!   behaviour cannot drift between the two driving modes.
-//! * **[`StreamTransport`]** — the verifier-side single-peer transport:
-//!   a non-blocking pump (`send`/`try_recv`) multiplexing a whole fleet
-//!   over **one** stream, the envelope's device id doing the routing. A
-//!   read timeout is *not* an error — `try_recv` returns `None`, the
-//!   driver [`tick`]s the engine, and a device that stays silent past
-//!   its deadline settles as
-//!   [`FleetError::NoResponse`](crate::FleetError::NoResponse).
-//! * **The drivers** — [`drive_round`] glues a [`Transport`] to the
-//!   [`RoundEngine`] by mapping elapsed wall-clock milliseconds to
-//!   [`LogicalTime`] ticks (the engine itself stays free of clocks),
-//!   pacing its idle loop by the transport's
-//!   [`recv_pacing`](Transport::recv_pacing) hint; [`serve_frames`] and
-//!   [`announce_devices`] are the matching prover-side pieces for
-//!   examples, tests and benches that host simulated devices behind a
-//!   socket.
-//!
-//! [`tick`]: RoundEngine::tick
+//!   *only* places raw socket reads and writes happen: the
+//!   [`FleetRuntime`](crate::FleetRuntime) reactors and the prover loop
+//!   share them, so framing behaviour cannot drift between the two
+//!   ends.
+//! * **The prover side** — [`announce_devices`] and [`serve_frames`]
+//!   are what examples, tests and benches run simulated devices behind
+//!   when they play an out-of-process prover host.
 
-use crate::engine::{LogicalTime, RoundConfig, RoundEngine};
-use crate::error::FleetError;
-use crate::registry::FleetVerifier;
-use crate::round::RoundReport;
-use crate::transport::Transport;
 use crate::DeviceId;
 use apex_pox::wire::{frame_stream, Envelope, StreamDeframer, MAX_FRAME_LEN};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
-
-/// Default socket read timeout: how long one `try_recv` may wait
-/// before reporting "nothing yet" and letting the driver tick.
-pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_millis(20);
 
 /// True for the error kinds that mean "nothing to do right now" on a
 /// non-blocking or timeout-configured socket.
@@ -138,8 +110,8 @@ impl WriteQueue {
     /// Queues `bytes` for transmission. Returns `false` — queuing
     /// *nothing* — when the queue is non-empty and the bytes would push
     /// it over capacity: the peer is not draining, and the caller
-    /// decides whether that means "drop the connection" (the gateway)
-    /// or "keep flushing first" (a lock-step sender).
+    /// decides whether that means "drop the connection" (a reactor) or
+    /// "keep flushing first" (a lock-step sender).
     #[must_use]
     pub fn enqueue(&mut self, bytes: &[u8]) -> bool {
         if !self.buf.is_empty() && self.buf.len() + bytes.len() > self.capacity {
@@ -192,256 +164,11 @@ impl WriteQueue {
     }
 }
 
-/// A verifier-side transport over one framed byte stream.
-///
-/// Generic over the stream type so TCP ([`TcpStream`]) and Unix-domain
-/// ([`std::os::unix::net::UnixStream`]) sockets — or an in-memory pipe
-/// in tests — share one implementation. The stream should have a read
-/// timeout configured (the `connect*` constructors do this); without
-/// one, `try_recv` blocks until the peer writes or hangs up.
-pub struct StreamTransport<S> {
-    stream: S,
-    deframer: StreamDeframer,
-    outbox: WriteQueue,
-    /// The configured socket read timeout, surfaced to drivers via
-    /// [`Transport::recv_pacing`] so they know `try_recv` already
-    /// paces the loop.
-    read_timeout: Option<Duration>,
-    /// Set once the stream or framing is beyond recovery (EOF, I/O
-    /// error, oversized frame): all further sends and receives are
-    /// no-ops, and outstanding devices settle as `NoResponse`.
-    dead: bool,
-}
-
-impl StreamTransport<TcpStream> {
-    /// Connects over TCP with [`DEFAULT_READ_TIMEOUT`].
-    ///
-    /// # Errors
-    ///
-    /// Any connect/configure error from the socket layer.
-    pub fn connect(
-        addr: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<StreamTransport<TcpStream>> {
-        StreamTransport::connect_with(addr, DEFAULT_READ_TIMEOUT)
-    }
-
-    /// Connects over TCP with an explicit read/write timeout — the
-    /// knob for links whose round-trip does not fit the default (a
-    /// congested uplink wants more; a loopback bench wants less).
-    ///
-    /// # Errors
-    ///
-    /// Any connect/configure error from the socket layer.
-    pub fn connect_with(
-        addr: impl std::net::ToSocketAddrs,
-        timeout: Duration,
-    ) -> std::io::Result<StreamTransport<TcpStream>> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        stream.set_nodelay(true)?;
-        Ok(StreamTransport::over(stream).paced_by(timeout))
-    }
-}
-
-#[cfg(unix)]
-impl StreamTransport<std::os::unix::net::UnixStream> {
-    /// Connects over a Unix-domain socket with [`DEFAULT_READ_TIMEOUT`].
-    ///
-    /// # Errors
-    ///
-    /// Any connect/configure error from the socket layer.
-    pub fn connect_uds(
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<StreamTransport<std::os::unix::net::UnixStream>> {
-        StreamTransport::connect_uds_with(path, DEFAULT_READ_TIMEOUT)
-    }
-
-    /// Connects over a Unix-domain socket with an explicit read/write
-    /// timeout.
-    ///
-    /// # Errors
-    ///
-    /// Any connect/configure error from the socket layer.
-    pub fn connect_uds_with(
-        path: impl AsRef<std::path::Path>,
-        timeout: Duration,
-    ) -> std::io::Result<StreamTransport<std::os::unix::net::UnixStream>> {
-        let stream = std::os::unix::net::UnixStream::connect(path)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(StreamTransport::over(stream).paced_by(timeout))
-    }
-
-    /// A connected socketpair: the verifier-side transport plus the raw
-    /// prover-side stream (hand it to [`serve_frames`] in a prover
-    /// thread). The verifier side gets [`DEFAULT_READ_TIMEOUT`].
-    ///
-    /// # Errors
-    ///
-    /// Any socketpair/configure error from the socket layer.
-    pub fn pair() -> std::io::Result<(
-        StreamTransport<std::os::unix::net::UnixStream>,
-        std::os::unix::net::UnixStream,
-    )> {
-        StreamTransport::pair_with(DEFAULT_READ_TIMEOUT)
-    }
-
-    /// A connected socketpair whose verifier side uses an explicit
-    /// read/write timeout.
-    ///
-    /// # Errors
-    ///
-    /// Any socketpair/configure error from the socket layer.
-    pub fn pair_with(
-        timeout: Duration,
-    ) -> std::io::Result<(
-        StreamTransport<std::os::unix::net::UnixStream>,
-        std::os::unix::net::UnixStream,
-    )> {
-        let (verifier, prover) = std::os::unix::net::UnixStream::pair()?;
-        verifier.set_read_timeout(Some(timeout))?;
-        verifier.set_write_timeout(Some(timeout))?;
-        Ok((StreamTransport::over(verifier).paced_by(timeout), prover))
-    }
-}
-
-impl<S: Read + Write> StreamTransport<S> {
-    /// Wraps an already-connected, already-configured stream. The
-    /// transport assumes no read timeout is set; if one is, record it
-    /// with [`paced_by`](StreamTransport::paced_by) so drivers skip
-    /// their fallback sleep.
-    pub fn over(stream: S) -> StreamTransport<S> {
-        StreamTransport {
-            stream,
-            deframer: StreamDeframer::new(),
-            outbox: WriteQueue::default(),
-            read_timeout: None,
-            dead: false,
-        }
-    }
-
-    /// Declares the read timeout already configured on the wrapped
-    /// stream, so [`Transport::recv_pacing`] can report it.
-    pub fn paced_by(mut self, timeout: Duration) -> StreamTransport<S> {
-        self.read_timeout = Some(timeout);
-        self
-    }
-
-    /// The read timeout this transport believes its stream has.
-    pub fn read_timeout(&self) -> Option<Duration> {
-        self.read_timeout
-    }
-
-    /// True once the stream has failed (EOF, I/O error, or an
-    /// oversized/unrecoverable frame). A dead transport never yields
-    /// another frame, so outstanding devices settle by deadline.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-}
-
-/// Consecutive stalled write attempts (write timed out *and* no write
-/// progress) before a send declares the stream dead. With the default
-/// timeouts this bounds a wedged peer to roughly two seconds, instead
-/// of deadlocking the round forever.
-const MAX_SEND_STALLS: u32 = 50;
-
-impl<S: Read + Write> Transport for StreamTransport<S> {
-    fn send(&mut self, _device: DeviceId, frame: &[u8]) {
-        // The envelope already carries the device id; the stream needs
-        // only the length prefix. Write errors kill the transport —
-        // loss is reported by omission, per the trait contract.
-        if self.dead {
-            return;
-        }
-        if !self.outbox.enqueue(&frame_stream(frame)) {
-            // Over the bound with a peer that is not draining: wedged.
-            self.dead = true;
-            return;
-        }
-        let mut stalls = 0;
-        loop {
-            match self.outbox.flush(&mut self.stream) {
-                WritePump::Drained => return,
-                WritePump::Blocked(wrote) => {
-                    // Backpressure: with both sides single-threaded, a
-                    // full send buffer usually means the peer is itself
-                    // blocked writing responses we have not read. Drain
-                    // whatever is readable into the deframer (the frames
-                    // surface later via try_recv) so the peer can make
-                    // progress, then retry the write. Only *write*
-                    // progress resets the stall counter: a peer that
-                    // floods bytes while never draining our writes must
-                    // still run out of stalls, not hold send() forever.
-                    stalls = if wrote > 0 { 1 } else { stalls + 1 };
-                    if stalls >= MAX_SEND_STALLS {
-                        self.dead = true; // wedged or hostile peer, give up
-                        return;
-                    }
-                    match pump_read(&mut self.stream, &mut self.deframer) {
-                        ReadPump::Bytes(_) | ReadPump::Idle => {}
-                        ReadPump::Closed | ReadPump::Broken => {
-                            self.dead = true;
-                            return;
-                        }
-                    }
-                }
-                WritePump::Closed | WritePump::Broken => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn try_recv(&mut self) -> Option<Vec<u8>> {
-        loop {
-            match self.deframer.next_frame() {
-                Ok(Some(frame)) => return Some(frame),
-                Ok(None) => {}
-                Err(_) => {
-                    // Framing is unrecoverable: a length prefix over the
-                    // bound means the frame boundary is lost for good.
-                    self.dead = true;
-                    return None;
-                }
-            }
-            if self.dead {
-                return None;
-            }
-            match pump_read(&mut self.stream, &mut self.deframer) {
-                ReadPump::Bytes(_) => {}
-                ReadPump::Idle => return None, // Read timeout: nothing yet — tick.
-                ReadPump::Closed | ReadPump::Broken => {
-                    self.dead = true;
-                    return None;
-                }
-            }
-        }
-    }
-
-    fn recv_pacing(&self) -> Option<Duration> {
-        // A dead stream returns from try_recv instantly; report no
-        // pacing so the driver falls back to its own yield instead of
-        // busy-spinning the rest of the budget.
-        if self.dead {
-            None
-        } else {
-            self.read_timeout
-        }
-    }
-}
-
-/// Announces the devices hosted behind `stream` to a listening
-/// [`FleetGateway`](crate::FleetGateway): one *hello* frame — an
-/// [`Envelope`] with an empty payload — per id. The gateway never
+/// Announces the devices hosted behind `stream` to a
+/// [`FleetRuntime`](crate::FleetRuntime): one *hello* frame — an
+/// [`Envelope`] with an empty payload — per id. The runtime never
 /// judges a hello; it only learns "frames for this device go to this
 /// connection", which is how challenges find provers that dialed in.
-///
-/// Single-peer transports must **not** be sent hellos: a
-/// [`StreamTransport`] driver would feed the empty payload to the
-/// engine as (rejected) evidence.
 ///
 /// # Errors
 ///
@@ -460,9 +187,8 @@ pub fn announce_devices<S: Write>(stream: &mut S, ids: &[DeviceId]) -> std::io::
 ///
 /// This is the glue an out-of-process prover host needs: the examples,
 /// the socket integration tests and the benches all run simulated
-/// [`Device`](asap::Device)s behind it in their own thread. Pair it
-/// with [`announce_devices`] when the verifier side is a
-/// [`FleetGateway`](crate::FleetGateway).
+/// [`Device`](asap::Device)s behind it in their own thread, after
+/// [`announce_devices`] has told the runtime where they live.
 pub fn serve_frames<S: Read + Write>(
     mut stream: S,
     mut respond: impl FnMut(DeviceId, &Envelope) -> Option<Vec<u8>>,
@@ -490,60 +216,6 @@ pub fn serve_frames<S: Read + Write>(
             ReadPump::Closed | ReadPump::Broken => return,
         }
     }
-}
-
-/// Drives one full round over any [`Transport`] with a real-time
-/// response budget: challenges every device, pumps the transport, and
-/// maps elapsed wall-clock milliseconds onto the engine's
-/// [`LogicalTime`] — so every read timeout becomes a `tick`, and a
-/// device that stays silent past `budget` settles as
-/// [`FleetError::NoResponse`](crate::FleetError::NoResponse). The
-/// wall clock stays *here*, in the driver; the engine only ever sees
-/// injected time.
-///
-/// The idle loop is paced by the transport itself: a transport whose
-/// [`recv_pacing`](Transport::recv_pacing) reports a read timeout has
-/// already waited that long inside `try_recv`, so the driver ticks and
-/// retries immediately; one with no pacing (or a dead stream returning
-/// instantly) gets a short sleep so it cannot busy-spin a core for the
-/// whole budget. The budget should comfortably exceed the transport's
-/// read timeout, or the first silent wait may overshoot it.
-///
-/// # Errors
-///
-/// [`FleetError::UnknownDevice`] when an id is not enrolled (no
-/// challenge is issued in that case).
-pub fn drive_round<T: Transport + ?Sized>(
-    fleet: &FleetVerifier,
-    ids: &[DeviceId],
-    transport: &mut T,
-    budget: Duration,
-) -> Result<RoundReport, FleetError> {
-    let mut engine = RoundEngine::begin(fleet, ids, RoundConfig::realtime(budget))?;
-    // The budget clock starts before the send phase: sends can stall on
-    // backpressure, and that time must count against the round too.
-    let started = Instant::now();
-    while let Some((device, frame)) = engine.poll_transmit() {
-        transport.send(device, &frame);
-    }
-    while !engine.is_settled() {
-        match transport.try_recv() {
-            Some(frame) => engine.frame_received(&frame),
-            // No frame: a transport with a configured read timeout has
-            // already paced this iteration; anything else yields
-            // briefly so an instantly-returning transport does not
-            // busy-spin a core for the whole budget.
-            None => {
-                if transport.recv_pacing().is_none() {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
-        // Tick unconditionally: a peer flooding frames must not be able
-        // to hold the round open past its budget.
-        engine.tick(LogicalTime(started.elapsed().as_millis() as u64));
-    }
-    Ok(engine.into_report())
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! [`RoundEngine`](crate::RoundEngine), which any transport drives by
 //! pumping frames in and ticking logical time.
 //!
-//! Two implementations ship: the in-process [`Loopback`] wiring frames
-//! straight into simulated [`Device`]s (the reference vehicle for
-//! tests, scenarios and benchmarks), and the socket-backed
-//! [`StreamTransport`](crate::StreamTransport) for provers living in
-//! other processes or hosts.
+//! The in-process [`Loopback`] wires frames straight into simulated
+//! [`Device`]s: the zero-latency reference that
+//! [`FleetVerifier::run_round`](crate::FleetVerifier::run_round) drives
+//! lock-step, for tests, scenarios and benchmarks. Provers in other
+//! processes or hosts are served over sockets by
+//! [`FleetRuntime`](crate::FleetRuntime) instead.
 //!
 //! [`send`]: Transport::send
 //! [`try_recv`]: Transport::try_recv
@@ -33,20 +34,9 @@ pub trait Transport {
     fn send(&mut self, device: DeviceId, frame: &[u8]);
 
     /// The next received enveloped response frame, if one is available
-    /// without blocking indefinitely. Implementations may wait a
-    /// bounded interval (a socket read timeout); `None` means "nothing
-    /// yet", and the driver should `tick` the engine.
+    /// right now; `None` means "nothing yet", and the driver should
+    /// `tick` the engine.
     fn try_recv(&mut self) -> Option<Vec<u8>>;
-
-    /// How long one empty [`try_recv`](Transport::try_recv) may already
-    /// have waited — the transport's configured read timeout, if it has
-    /// one. Drivers use this to pace their idle loop: a paced transport
-    /// is retried immediately, an unpaced (or instantly-returning) one
-    /// gets the driver's own yield. `None`, the default, means "I
-    /// return immediately; pace me yourself".
-    fn recv_pacing(&self) -> Option<std::time::Duration> {
-        None
-    }
 }
 
 /// An in-memory transport backed by real simulated devices.

@@ -1,33 +1,28 @@
-//! Fleet throughput: sessions/sec vs device count, loopback, socket
-//! and gateway.
+//! Fleet throughput: sessions/sec vs device count, lock-step loopback
+//! and the socket runtime.
 //!
 //! Builds an all-honest fleet of N simulated devices (each one a real
 //! OpenMSP430 run to completion), then times a full batched PoX round —
 //! challenge issuance, delivery, SW-Att attestation, evidence
 //! conclusion — and records the results into `BENCH_fleet.json`.
 //!
-//! Three transports are measured through the same sans-IO `RoundEngine`:
+//! Series, all through the same sans-IO `RoundEngine`:
 //!
-//! * **loopback** — frames wired straight into in-process devices
-//!   (the PR 2 baseline series);
-//! * **uds** — length-prefixed envelope frames over a *single*
-//!   Unix-domain socketpair to one prover-host thread
-//!   (`StreamTransport`), so the delta against loopback is the framing
-//!   + socket overhead;
-//! * **gateway** — the same frames over *many* concurrent connections
-//!   into one `FleetGateway` (a devices × connections sweep), so the
-//!   delta against uds is the cost of the multi-peer readiness loop,
-//!   hello routing, and per-connection write queues;
-//! * **multigateway** — the sharded `MultiGateway`: a devices ×
-//!   connections × reactors sweep (including a 10k-connection run,
-//!   degraded gracefully if the fd limit caps it lower), so the delta
-//!   against the single-reactor gateway is the cross-reactor mailbox +
-//!   merge cost — or, on a multi-core host, the parallel speedup;
-//! * **sustained** — ≥30 consecutive rounds through one persistent
-//!   `FleetRuntime` (reactors parked between rounds, the MAC pool
-//!   attached once), so the delta against the per-round gateway rows
-//!   is the spawn/join + allocation tax the runtime amortizes; the row
-//!   also records the post-soak RSS ceiling.
+//! * **loopback** — frames wired straight into in-process devices by
+//!   the lock-step reference driver: the pure verifier-side cost;
+//! * **runtime** — the same frames over real socketpairs into one
+//!   `FleetRuntime`: a devices × connections × reactors sweep, one
+//!   prover-host thread per connection, so the delta against loopback
+//!   is framing, hello routing, per-connection write queues and the
+//!   reactor loop — or, on a multi-core host, the reactors' parallel
+//!   speedup;
+//! * **sustained** — ≥30 consecutive rounds through one runtime
+//!   (optionally with one seeded leave/re-join per round), recording
+//!   the post-soak RSS ceiling;
+//! * **lifecycle** — the memory-diet series: 10k-, 100k- and 1M-device
+//!   fleets enrolled through a `FleetDirectory` under one shared spec,
+//!   epoch-sampled partial rounds driven over loopback, `VmRSS`
+//!   recorded at enrollment (full run only).
 //!
 //! Device construction and execution are *not* timed: the measured
 //! quantity is verifier-side round throughput, which is what a
@@ -35,38 +30,23 @@
 //!
 //! Environment knobs:
 //!
-//! * `FLEET_SMOKE=1` — one small loopback round only, for CI bit-rot
-//!   checks;
-//! * `SOCKET_SMOKE=1` — one small loopback round *plus* one small
-//!   socket round, for the CI socket step;
-//! * `GATEWAY_SMOKE=1` — one loopback round plus one gateway round and
-//!   one 2-reactor multigateway round at the same device count, for
-//!   the CI gateway step (which also compares the loopback number
-//!   against the checked-in baseline);
+//! * `FLEET_SMOKE=1` — one loopback round plus one small runtime point
+//!   at 1 and 2 reactors, for the CI fleet runtime step (which compares
+//!   both against the checked-in baseline);
 //! * `LIFECYCLE_SMOKE=1` — one mid-scale (10k-device) lifecycle
 //!   enrollment + epoch series recording RSS, for the CI lifecycle
 //!   step;
 //! * `SOAK_SMOKE=1` — one bounded sustained run (30 rounds through a
-//!   persistent runtime with one seeded leave/re-join per round), for
-//!   the CI soak step;
-//! * `FLEET_DEVICES=a,b,c` — explicit device-count series (all
-//!   transports; gateway rows use 8 connections, multigateway rows 8
-//!   connections × 4 reactors).
-//!
-//! The full (no-knob) run additionally measures the **lifecycle**
-//! memory-diet series: 10k-, 100k- and 1M-device fleets enrolled
-//! through a `FleetDirectory` under one shared spec, epoch-sampled
-//! partial rounds driven over loopback, `VmRSS` recorded at
-//! enrollment.
+//!   runtime with one seeded leave/re-join per round), for the CI soak
+//!   step;
+//! * `FLEET_DEVICES=a,b,c` — explicit device-count series (loopback,
+//!   plus runtime rows at 8 connections × 1 and 4 reactors).
 
 use asap::{programs, Device, PoxMode, VerifierSpec};
-use asap_bench::fleet::{
-    device_key, host_gateway_provers, host_simulated_provers, GatewayTransport, ScenarioHarness,
-    ScenarioMix,
-};
+use asap_bench::fleet::{device_key, host_gateway_provers, ScenarioHarness, ScenarioMix};
 use asap_fleet::{
-    drive_round, DeviceId, FleetDirectory, FleetGateway, FleetRuntime, FleetVerifier,
-    LifecycleConfig, Loopback, MultiGateway, NoListener, StreamTransport,
+    DeviceId, FleetDirectory, FleetRuntime, FleetVerifier, LifecycleConfig, Loopback, NoListener,
+    XorShift64,
 };
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -75,13 +55,11 @@ use std::time::{Duration, Instant};
 struct Row {
     transport: &'static str,
     devices: usize,
-    /// Concurrent connections carrying the round; `None` for
-    /// transports where the notion does not apply (loopback) or is
-    /// fixed at one (uds).
+    /// Concurrent connections carrying the round; `None` where the
+    /// notion does not apply (loopback, lifecycle).
     connections: Option<usize>,
-    /// Reactor threads sharding the round loop: `Some(1)` for the
-    /// single-reactor `FleetGateway`, `Some(n)` for `MultiGateway`
-    /// rows, `None` where there is no gateway at all.
+    /// Reactor threads sharding the round loop; `None` where there is
+    /// no runtime at all.
     reactors: Option<usize>,
     /// Outcomes contributed by each reactor in the last timed round —
     /// the shard-affinity balance at a glance.
@@ -172,200 +150,50 @@ fn measure_loopback(devices: usize, seed: u64) -> Row {
     }
 }
 
-fn measure_socket(devices: usize, seed: u64) -> Row {
+/// One point of the runtime sweep: `devices` honest provers behind
+/// `connections` socketpairs (one prover-host thread each) into a
+/// `FleetRuntime` sharded over `reactors` reactor threads. One untimed
+/// warm-up round records the hello routes; the row is the best of the
+/// next three.
+fn measure_runtime(devices: usize, connections: usize, reactors: usize, seed: u64) -> Row {
     let ids: Vec<DeviceId> = (1..=devices as u64).map(DeviceId).collect();
 
     let t0 = Instant::now();
-    let fleet = enroll(&ids, seed);
-    // Prover host: a thread owning every device behind the socketpair.
-    // It signals readiness once every device is built and run, so the
-    // timed round measures transport + verification, not construction.
-    let (mut transport, prover_stream) = StreamTransport::pair().expect("socketpair");
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let host_ids = ids.clone();
-    let host = std::thread::spawn(move || {
-        host_simulated_provers(
-            prover_stream,
-            &host_ids,
-            |id| device_key(seed, id),
-            &[],
-            move || ready_tx.send(()).expect("bench main thread waits"),
-        );
-    });
-    ready_rx.recv().expect("prover host builds its fleet");
+    let fleet = Arc::new(enroll(&ids, seed));
+    let mut runtime: FleetRuntime<NoListener<UnixStream>> =
+        FleetRuntime::detached(Arc::clone(&fleet), reactors, 1);
+    let hosts = spawn_hosts(&mut runtime, &ids, connections, seed);
     let build_secs = t0.elapsed().as_secs_f64();
 
-    // Best of three rounds, matching measure_loopback's sampling.
+    let budget = Duration::from_secs(30);
+    let warm = runtime.run_round(&ids, budget).expect("warm-up round runs");
+    assert_eq!(warm.verified(), devices, "warm-up must verify in full");
     let mut round_secs = f64::INFINITY;
     for _ in 0..3 {
         let t1 = Instant::now();
-        let report =
-            drive_round(&fleet, &ids, &mut transport, Duration::from_secs(30)).expect("round runs");
+        let report = runtime.run_round(&ids, budget).expect("round runs");
         round_secs = round_secs.min(t1.elapsed().as_secs_f64());
 
         assert_eq!(
             report.verified(),
             devices,
-            "an all-honest socket round must verify every device"
+            "an all-honest runtime round must verify every device: {report}"
         );
         assert_eq!(fleet.in_flight(), 0, "rounds must not leak sessions");
     }
-    drop(transport);
-    host.join().expect("prover host exits");
-
-    Row {
-        transport: "uds",
-        devices,
-        connections: Some(1),
-        reactors: None,
-        per_reactor: None,
-        cohort: None,
-        epochs: None,
-        rss_bytes: None,
-        verified: devices,
-        build_secs,
-        round_secs,
-        sessions_per_sec: devices as f64 / round_secs.max(f64::EPSILON),
-    }
-}
-
-fn measure_gateway(devices: usize, connections: usize, seed: u64) -> Row {
-    let ids: Vec<DeviceId> = (1..=devices as u64).map(DeviceId).collect();
-
-    let t0 = Instant::now();
-    let fleet = enroll(&ids, seed);
-    // One prover-host thread per connection, each owning its share of
-    // the fleet behind its own socketpair into the gateway. All
-    // construction happens before the ready gate opens.
-    let mut gateway = FleetGateway::detached();
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let hosts: Vec<_> = ids
-        .chunks(devices.div_ceil(connections))
-        .map(|chunk| {
-            let (gw_end, prover_end) = std::os::unix::net::UnixStream::pair().expect("socketpair");
-            gateway.adopt(gw_end).expect("adopt gateway end");
-            let host_ids = chunk.to_vec();
-            let ready_tx = ready_tx.clone();
-            std::thread::spawn(move || {
-                host_gateway_provers(
-                    prover_end,
-                    &host_ids,
-                    |id| device_key(seed, id),
-                    &[],
-                    move || ready_tx.send(()).expect("bench main thread waits"),
-                );
-            })
-        })
-        .collect();
-    // With fewer devices than requested connections, chunking yields
-    // fewer (but never more) actual connections; record what ran.
-    let connections = hosts.len();
-    for _ in 0..connections {
-        ready_rx.recv().expect("prover host builds its fleet");
-    }
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    // Best of three rounds, matching measure_loopback's sampling.
-    let mut round_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let t1 = Instant::now();
-        let report = fleet
-            .run_round_gateway(&ids, &mut gateway, Duration::from_secs(30))
-            .expect("round runs");
-        round_secs = round_secs.min(t1.elapsed().as_secs_f64());
-
-        assert_eq!(
-            report.verified(),
-            devices,
-            "an all-honest gateway round must verify every device: {report}"
-        );
-        assert_eq!(fleet.in_flight(), 0, "rounds must not leak sessions");
-    }
-    drop(gateway); // hang up every connection: the hosts see EOF
-    for host in hosts {
-        host.join().expect("prover host exits");
-    }
-
-    Row {
-        transport: "gateway",
-        devices,
-        connections: Some(connections),
-        reactors: Some(1),
-        per_reactor: None,
-        cohort: None,
-        epochs: None,
-        rss_bytes: None,
-        verified: devices,
-        build_secs,
-        round_secs,
-        sessions_per_sec: devices as f64 / round_secs.max(f64::EPSILON),
-    }
-}
-
-/// The multigateway devices × connections × reactors point: identical
-/// fleet hosting to [`measure_gateway`] (one prover-host thread per
-/// connection), but the round loop is sharded over `reactors` reactor
-/// threads by [`MultiGateway::drive_round`].
-fn measure_multi(devices: usize, connections: usize, reactors: usize, seed: u64) -> Row {
-    let ids: Vec<DeviceId> = (1..=devices as u64).map(DeviceId).collect();
-
-    let t0 = Instant::now();
-    let fleet = enroll(&ids, seed);
-    let mut gateway: MultiGateway<asap_fleet::NoListener<std::os::unix::net::UnixStream>> =
-        MultiGateway::detached(reactors);
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let hosts: Vec<_> = ids
-        .chunks(devices.div_ceil(connections))
-        .map(|chunk| {
-            let (gw_end, prover_end) = std::os::unix::net::UnixStream::pair().expect("socketpair");
-            gateway.adopt(gw_end).expect("adopt gateway end");
-            let host_ids = chunk.to_vec();
-            let ready_tx = ready_tx.clone();
-            std::thread::spawn(move || {
-                host_gateway_provers(
-                    prover_end,
-                    &host_ids,
-                    |id| device_key(seed, id),
-                    &[],
-                    move || ready_tx.send(()).expect("bench main thread waits"),
-                );
-            })
-        })
-        .collect();
-    let connections = hosts.len();
-    for _ in 0..connections {
-        ready_rx.recv().expect("prover host builds its fleet");
-    }
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    // Best of three rounds, matching measure_loopback's sampling.
-    let mut round_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let t1 = Instant::now();
-        let report = gateway
-            .drive_round(&fleet, &ids, Duration::from_secs(30))
-            .expect("round runs");
-        round_secs = round_secs.min(t1.elapsed().as_secs_f64());
-
-        assert_eq!(
-            report.verified(),
-            devices,
-            "an all-honest multigateway round must verify every device: {report}"
-        );
-        assert_eq!(fleet.in_flight(), 0, "rounds must not leak sessions");
-    }
-    let per_reactor: Vec<usize> = gateway
+    let per_reactor: Vec<usize> = runtime
         .reactor_stats()
         .iter()
         .map(|s| s.last_round_outcomes)
         .collect();
-    drop(gateway); // hang up every connection: the hosts see EOF
+    let connections = hosts.len();
+    drop(runtime); // hang up every connection: the hosts see EOF
     for host in hosts {
         host.join().expect("prover host exits");
     }
 
     Row {
-        transport: "multigateway",
+        transport: "runtime",
         devices,
         connections: Some(connections),
         reactors: Some(reactors),
@@ -380,95 +208,45 @@ fn measure_multi(devices: usize, connections: usize, reactors: usize, seed: u64)
     }
 }
 
-/// The connection-scale point: one device per connection, aiming for
-/// `target` concurrent connections into a `MultiGateway`. The fd
-/// budget is probed first — two fds per socketpair plus headroom — so
-/// a host whose limit caps the run below `target` degrades gracefully
-/// and the row records the count that actually ran. The whole prover
-/// side is serviced by the scenario harness's pooled single-thread
-/// loop; at this scale the row measures connection fan-in, not MAC
-/// throughput.
-fn measure_multi_scale(target: usize, reactors: usize, seed: u64) -> Row {
-    let mut probe = Vec::with_capacity(target);
-    while probe.len() < target {
-        match std::os::unix::net::UnixStream::pair() {
-            Ok(pair) => probe.push(pair),
-            Err(_) => break, // EMFILE: the fd limit is the ceiling
-        }
+/// Hosts `ids` behind `connections` socketpairs adopted into `runtime`,
+/// one prover-host thread per connection, and returns once every host
+/// has built its devices. With fewer devices than requested
+/// connections, chunking yields fewer (but never more) hosts.
+fn spawn_hosts(
+    runtime: &mut FleetRuntime<NoListener<UnixStream>>,
+    ids: &[DeviceId],
+    connections: usize,
+    seed: u64,
+) -> Vec<std::thread::JoinHandle<()>> {
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let hosts: Vec<_> = ids
+        .chunks(ids.len().div_ceil(connections))
+        .map(|chunk| {
+            let (runtime_end, prover_end) = UnixStream::pair().expect("socketpair");
+            runtime.adopt(runtime_end).expect("adopt runtime end");
+            let host_ids = chunk.to_vec();
+            let ready_tx = ready_tx.clone();
+            std::thread::spawn(move || {
+                host_gateway_provers(
+                    prover_end,
+                    &host_ids,
+                    |id| device_key(seed, id),
+                    &[],
+                    move || ready_tx.send(()).expect("bench main thread waits"),
+                );
+            })
+        })
+        .collect();
+    for _ in 0..hosts.len() {
+        ready_rx.recv().expect("prover host builds its fleet");
     }
-    let capacity = probe.len();
-    drop(probe);
-    let devices = target.min(capacity.saturating_sub(64)).max(1);
-    if devices < target {
-        eprintln!("fd limit caps the {target}-connection run at {devices} connections");
-    }
-
-    let t0 = Instant::now();
-    let mut harness = ScenarioHarness::build(seed, &ScenarioMix::honest(devices));
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    let mut round_secs = f64::INFINITY;
-    let mut per_reactor: Vec<usize> = Vec::new();
-    for _ in 0..3 {
-        let t1 = Instant::now();
-        let run = harness.run_round_multi(
-            reactors,
-            GatewayTransport::Socketpair,
-            Duration::from_secs(60),
-        );
-        round_secs = round_secs.min(t1.elapsed().as_secs_f64());
-
-        assert_eq!(
-            run.report.verified(),
-            devices,
-            "an all-honest scale round must verify every device"
-        );
-        assert_eq!(
-            harness.fleet().in_flight(),
-            0,
-            "rounds must not leak sessions"
-        );
-        per_reactor = run
-            .reactor_stats
-            .iter()
-            .map(|s| s.last_round_outcomes)
-            .collect();
-    }
-
-    Row {
-        transport: "multigateway",
-        devices,
-        connections: Some(devices),
-        reactors: Some(reactors),
-        per_reactor: Some(per_reactor),
-        cohort: None,
-        epochs: None,
-        rss_bytes: None,
-        verified: devices,
-        build_secs,
-        round_secs,
-        sessions_per_sec: devices as f64 / round_secs.max(f64::EPSILON),
-    }
-}
-
-/// xorshift64* — the same tiny generator family the scenario harness
-/// uses, so the soak churn schedule is seed-reproducible anywhere.
-fn next_rand(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    hosts
 }
 
 /// The sustained series: `rounds` consecutive full-fleet rounds driven
-/// through **one** persistent [`FleetRuntime`] — reactors parked
-/// between rounds, connections adopted once, the MAC pool attached for
-/// the whole span. The scoped gateway rebuilds its reactor threads,
-/// channels and conclude pools every round; this row measures the
-/// steady state with that per-round tax paid once, which is the number
-/// a continuous-attestation deployment actually sustains.
+/// through **one** [`FleetRuntime`] — reactors parked between rounds,
+/// connections adopted once, the MAC pool attached for the whole span:
+/// the number a continuous-attestation deployment actually sustains.
 ///
 /// With `churn`, every round is preceded by one seeded leave (the
 /// victim re-enrolls after the round settles), so the soak also covers
@@ -496,29 +274,8 @@ fn measure_sustained(
     let fleet = Arc::new(enroll(&ids, seed));
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
         FleetRuntime::detached(Arc::clone(&fleet), reactors, 1);
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let hosts: Vec<_> = ids
-        .chunks(devices.div_ceil(connections))
-        .map(|chunk| {
-            let (gw_end, prover_end) = UnixStream::pair().expect("socketpair");
-            runtime.adopt(gw_end).expect("adopt runtime end");
-            let host_ids = chunk.to_vec();
-            let ready_tx = ready_tx.clone();
-            std::thread::spawn(move || {
-                host_gateway_provers(
-                    prover_end,
-                    &host_ids,
-                    |id| device_key(seed, id),
-                    &[],
-                    move || ready_tx.send(()).expect("bench main thread waits"),
-                );
-            })
-        })
-        .collect();
+    let hosts = spawn_hosts(&mut runtime, &ids, connections, seed);
     let connections = hosts.len();
-    for _ in 0..connections {
-        ready_rx.recv().expect("prover host builds its fleet");
-    }
     let build_secs = t0.elapsed().as_secs_f64();
 
     // Warm the runtime: first-contact hellos, route recording and the
@@ -531,12 +288,12 @@ fn measure_sustained(
         assert_eq!(report.verified(), devices, "warmup must verify in full");
     }
 
-    let mut rng = seed | 1;
+    let mut rng = XorShift64::new(seed | 1);
     let mut verified = 0usize;
     let t1 = Instant::now();
     for _ in 0..rounds {
         if churn {
-            let victim = ids[(next_rand(&mut rng) as usize) % devices];
+            let victim = ids[rng.below(devices as u64) as usize];
             fleet.remove(victim);
             let cohort: Vec<DeviceId> = ids.iter().copied().filter(|&id| id != victim).collect();
             let report = runtime
@@ -670,114 +427,72 @@ fn measure_lifecycle(devices: usize, cohort: usize, epochs: usize, seed: u64) ->
     }
 }
 
-/// Round-cost ratio of `slow` against `fast` at the largest device
-/// count both measured. When `slow` swept several connection counts
-/// there, the *median-fan-in* row is used — representative of the
-/// transport, cherry-picking neither the degenerate single-connection
-/// run nor the deliberately oversubscribed one. (<1.0 just means the
-/// baseline sample drew the short straw on a loaded host.)
-fn overhead_vs(rows: &[Row], slow: &str, fast: &str) -> Option<(usize, f64)> {
-    let devices = rows
-        .iter()
-        .filter(|r| r.transport == slow)
-        .filter(|s| {
-            rows.iter()
-                .any(|l| l.transport == fast && l.devices == s.devices)
-        })
-        .map(|r| r.devices)
-        .max()?;
-    let mut candidates: Vec<&Row> = rows
-        .iter()
-        .filter(|r| r.transport == slow && r.devices == devices)
-        .collect();
-    candidates.sort_by_key(|r| r.connections.unwrap_or(0));
-    let s = candidates[candidates.len() / 2];
-    let l = rows
-        .iter()
-        .find(|l| l.transport == fast && l.devices == devices)?;
-    Some((devices, l.sessions_per_sec / s.sessions_per_sec))
-}
-
 fn main() {
     let explicit: Option<Vec<usize>> = std::env::var("FLEET_DEVICES").ok().map(|list| {
         list.split(',')
             .map(|s| s.trim().parse().expect("FLEET_DEVICES: usize list"))
             .collect()
     });
-    let gateway_smoke = std::env::var("GATEWAY_SMOKE").is_ok();
-    let socket_smoke = std::env::var("SOCKET_SMOKE").is_ok();
     let fleet_smoke = std::env::var("FLEET_SMOKE").is_ok();
     let lifecycle_smoke = std::env::var("LIFECYCLE_SMOKE").is_ok();
     let soak_smoke = std::env::var("SOAK_SMOKE").is_ok();
 
     type Sweep = (
         Vec<usize>,
-        Vec<usize>,
-        Vec<(usize, usize)>,
+        // Runtime points: devices × connections × reactors.
         Vec<(usize, usize, usize)>,
-        Option<(usize, usize)>,
         Vec<(usize, usize, usize)>,
         // Sustained runs: devices × connections × reactors × rounds ×
         // seeded-churn.
         Vec<(usize, usize, usize, usize, bool)>,
     );
-    #[rustfmt::skip]
-    let (loopback_counts, socket_counts, gateway_counts, multi_counts, scale_run, lifecycle_runs,
-         sustained_runs): Sweep =
-        match &explicit {
-            Some(counts) => (
-                counts.clone(),
-                counts.clone(),
-                counts.iter().map(|&n| (n, 8)).collect(),
-                counts.iter().map(|&n| (n, 8, 4)).collect(),
-                None,
-                vec![],
-                vec![],
-            ),
-            None if gateway_smoke => {
-                (vec![100], vec![], vec![(100, 8)], vec![(100, 8, 2)], None, vec![], vec![])
-            }
-            None if socket_smoke => (vec![25], vec![25], vec![], vec![], None, vec![], vec![]),
-            None if fleet_smoke => (vec![25], vec![], vec![], vec![], None, vec![], vec![]),
-            // One mid-scale lifecycle point for the CI lifecycle step:
-            // big enough that the registry footprint dominates RSS,
-            // small enough to stay in smoke-test time.
-            None if lifecycle_smoke => {
-                (vec![], vec![], vec![], vec![], None, vec![(10_000, 512, 2)], vec![])
-            }
-            // The CI soak point: 30 consecutive rounds through one
-            // persistent runtime with one seeded leave/re-join per
-            // round — bounded wall-clock, gated on both steady-state
-            // throughput and the soak RSS ceiling.
-            None if soak_smoke => {
-                (vec![], vec![], vec![], vec![], None, vec![], vec![(100, 4, 2, 30, true)])
-            }
-            None => (
-                vec![100, 250, 500],
-                vec![100, 250],
-                // The devices × connections sweep: scaling devices at a
-                // fixed fan-in, then scaling fan-in at the full fleet.
-                vec![(100, 8), (250, 8), (500, 1), (500, 8), (500, 32)],
-                // The reactors sweep at the full fleet: a 1-reactor
-                // MultiGateway isolates the mailbox/merge overhead,
-                // then the shard counts that matter on multi-core.
-                vec![(500, 8, 1), (500, 8, 2), (500, 8, 4), (1000, 16, 4)],
-                // The connection-scale point: 10k connections, one
-                // device each (fd-limit-degraded where necessary).
-                Some((10_000, 4)),
-                // The lifecycle memory-diet series: devices × cohort ×
-                // epochs, RSS recorded at enrollment. The 1M row is a
-                // smoke point — one epoch, small cohort — pinning that
-                // enrollment and epoch scheduling stay tractable at
-                // the paper's fleet scale.
-                vec![(10_000, 512, 2), (100_000, 1024, 2), (1_000_000, 256, 1)],
-                // The sustained series: the steady-state point mirrors
-                // the 500-device/8-connection gateway row for a direct
-                // per-round-vs-persistent comparison, and the churn
-                // point is the full-sweep twin of the CI soak step.
-                vec![(500, 8, 1, 30, false), (100, 4, 2, 30, true)],
-            ),
-        };
+    let (loopback_counts, runtime_points, lifecycle_runs, sustained_runs): Sweep = match &explicit {
+        Some(counts) => (
+            counts.clone(),
+            counts
+                .iter()
+                .flat_map(|&n| [(n, 8, 1), (n, 8, 4)])
+                .collect(),
+            vec![],
+            vec![],
+        ),
+        None if fleet_smoke => (vec![100], vec![(100, 8, 1), (100, 8, 2)], vec![], vec![]),
+        // One mid-scale lifecycle point for the CI lifecycle step:
+        // big enough that the registry footprint dominates RSS, small
+        // enough to stay in smoke-test time.
+        None if lifecycle_smoke => (vec![], vec![], vec![(10_000, 512, 2)], vec![]),
+        // The CI soak point: 30 consecutive rounds through one runtime
+        // with one seeded leave/re-join per round — bounded
+        // wall-clock, gated on both steady-state throughput and the
+        // soak RSS ceiling.
+        None if soak_smoke => (vec![], vec![], vec![], vec![(100, 4, 2, 30, true)]),
+        None => (
+            vec![100, 250, 500],
+            vec![
+                // Scaling devices at a fixed fan-in…
+                (100, 8, 1),
+                (250, 8, 1),
+                // …then fan-in at the full fleet…
+                (500, 1, 1),
+                (500, 8, 1),
+                (500, 32, 1),
+                // …then the reactor counts that matter on multi-core.
+                (500, 8, 2),
+                (500, 8, 4),
+                (1000, 16, 4),
+            ],
+            // The lifecycle memory-diet series: devices × cohort ×
+            // epochs, RSS recorded at enrollment. The 1M row is a smoke
+            // point — one epoch, small cohort — pinning that enrollment
+            // and epoch scheduling stay tractable at the paper's fleet
+            // scale.
+            vec![(10_000, 512, 2), (100_000, 1024, 2), (1_000_000, 256, 1)],
+            // The sustained series: the steady-state point mirrors the
+            // 500-device/8-connection runtime row, and the churn point
+            // is the full-sweep twin of the CI soak step.
+            vec![(500, 8, 1, 30, false), (100, 4, 2, 30, true)],
+        ),
+    };
 
     println!(
         "{:<13} {:<8} {:<6} {:<8} {:>12} {:>12} {:>16}",
@@ -790,20 +505,11 @@ fn main() {
         .map(|&(n, c, e)| measure_lifecycle(n, c, e, 0xA5A5))
         .collect();
     rows.extend(loopback_counts.iter().map(|&n| measure_loopback(n, 0xA5A5)));
-    rows.extend(socket_counts.iter().map(|&n| measure_socket(n, 0xA5A5)));
     rows.extend(
-        gateway_counts
+        runtime_points
             .iter()
-            .map(|&(n, c)| measure_gateway(n, c, 0xA5A5)),
+            .map(|&(n, c, r)| measure_runtime(n, c, r, 0xA5A5)),
     );
-    rows.extend(
-        multi_counts
-            .iter()
-            .map(|&(n, c, r)| measure_multi(n, c, r, 0xA5A5)),
-    );
-    if let Some((target, reactors)) = scale_run {
-        rows.push(measure_multi_scale(target, reactors, 0xA5A5));
-    }
     rows.extend(
         sustained_runs
             .iter()
@@ -828,48 +534,8 @@ fn main() {
         );
     }
 
-    let socket_overhead = overhead_vs(&rows, "uds", "loopback");
-    if let Some((devices, factor)) = socket_overhead {
-        println!("\nsocket/loopback round-cost ratio at {devices} devices: {factor:.2}x");
-    }
-    let gateway_overhead = overhead_vs(&rows, "gateway", "loopback");
-    if let Some((devices, factor)) = gateway_overhead {
-        println!("gateway/loopback round-cost ratio at {devices} devices: {factor:.2}x");
-    }
-    // Sharded vs single-reactor gateway at the same (devices, conns)
-    // point, widest shard count measured. On a single-core host this
-    // reads as pure mailbox/merge overhead (≤1.0x); the parallel
-    // speedup only shows on multi-core.
-    let multi_speedup = rows
-        .iter()
-        .filter(|r| r.transport == "multigateway" && r.reactors.unwrap_or(1) > 1)
-        .filter_map(|m| {
-            rows.iter()
-                .find(|g| {
-                    g.transport == "gateway"
-                        && g.devices == m.devices
-                        && g.connections == m.connections
-                })
-                .map(|g| (m, g.sessions_per_sec))
-        })
-        .max_by_key(|(m, _)| (m.devices, m.reactors))
-        .map(|(m, single)| {
-            (
-                m.devices,
-                m.reactors.unwrap_or(1),
-                m.sessions_per_sec / single,
-            )
-        });
-    if let Some((devices, reactors, factor)) = multi_speedup {
-        println!(
-            "multigateway speedup at {devices} devices, {reactors} reactors vs single-reactor \
-             gateway: {factor:.2}x"
-        );
-    }
-
     // The host's parallelism travels with the numbers: a 4-reactor row
-    // measured on one core is mailbox overhead, not speedup, and the
-    // regression gate needs to tell the difference.
+    // measured on one core is mailbox overhead, not speedup.
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n  \"bench\": \"fleet_throughput\",\n");
     json.push_str(&format!("  \"parallelism\": {parallelism},\n"));
@@ -912,24 +578,7 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ]");
-    if let Some((devices, factor)) = socket_overhead {
-        json.push_str(&format!(
-            ",\n  \"socket_overhead\": {{\"devices\": {devices}, \"vs_loopback\": {factor:.3}}}"
-        ));
-    }
-    if let Some((devices, factor)) = gateway_overhead {
-        json.push_str(&format!(
-            ",\n  \"gateway_overhead\": {{\"devices\": {devices}, \"vs_loopback\": {factor:.3}}}"
-        ));
-    }
-    if let Some((devices, reactors, factor)) = multi_speedup {
-        json.push_str(&format!(
-            ",\n  \"multi_speedup\": {{\"devices\": {devices}, \"reactors\": {reactors}, \
-             \"vs_single_reactor\": {factor:.3}}}"
-        ));
-    }
-    json.push_str("\n}\n");
+    json.push_str("  ]\n}\n");
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("\nwrote BENCH_fleet.json");
 }

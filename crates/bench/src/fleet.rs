@@ -14,8 +14,8 @@
 //! shapes the old blocking one-exchange-per-device API could not
 //! represent at all.
 //!
-//! Everything is derived from a caller-supplied seed through a local
-//! xorshift generator: device keys, mode assignment, the scenario
+//! Everything is derived from a caller-supplied seed through the
+//! workspace's xorshift generator: device keys, mode assignment, the scenario
 //! shuffle and the delivery schedule. There is **no wall-clock input
 //! anywhere**, so a (seed, mix) pair replays the identical fleet, byte
 //! for byte, on every run — the property the exact-verdict-count
@@ -25,13 +25,14 @@ use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
 use asap::device::PoxMode;
 use asap::{programs, AsapError, Attested, Device, VerifierSpec};
 use asap_fleet::{
-    pump_read, DeviceId, FleetError, FleetGateway, FleetVerifier, GatewayConn, GatewayListener,
-    GatewayPoll, GatewayRound, LogicalTime, Loopback, MultiGateway, ReactorStats, ReadPump,
-    RoundConfig, RoundEngine, RoundReport, WritePump, WriteQueue,
+    pump_read, DeviceId, FleetError, FleetRuntime, FleetVerifier, GatewayConn, GatewayListener,
+    LogicalTime, Loopback, ReactorStats, ReadPump, RoundConfig, RoundEngine, RoundReport,
+    WritePump, WriteQueue, XorShift64,
 };
 use pox_crypto::sha256;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Offset of the envelope payload inside an envelope frame — the
@@ -44,37 +45,27 @@ const ENVELOPE_PAYLOAD_AT: usize = apex_pox::wire::ENVELOPE_OVERHEAD as usize;
 /// `ROUND_DEADLINE - 1`, the last one still in time.
 pub const ROUND_DEADLINE: u64 = 8;
 
-/// A deterministic xorshift64* generator — the harness's only source of
-/// "randomness".
+/// The harness's only source of "randomness": the workspace's
+/// [`XorShift64`] over a whitened seed.
 #[derive(Debug, Clone)]
-pub struct DetRng(u64);
+pub struct DetRng(XorShift64);
 
 impl DetRng {
-    /// A generator for `seed`. Any value is accepted: the xorshift
-    /// state must be non-zero (zero is a fixpoint emitting zeros
-    /// forever), so the one seed that whitens to zero is remapped.
+    /// A generator for `seed`, whitened by XOR with the golden-ratio
+    /// constant. Any value is accepted: the one seed that whitens to
+    /// the xorshift zero fixpoint is remapped by the generator.
     pub fn new(seed: u64) -> DetRng {
-        let state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        DetRng(if state == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            state
-        })
+        DetRng(XorShift64::new(seed ^ 0x9E37_79B9_7F4A_7C15))
     }
 
     /// The next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.0.next_u64()
     }
 
     /// Uniform value in `0..n` (`n > 0`).
     pub fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
+        self.0.below(n as u64) as usize
     }
 
     /// A fair coin.
@@ -100,7 +91,7 @@ pub enum Scenario {
     /// Never answers the challenge.
     DroppedResponse,
     /// Receives its challenge, then severs its connection without
-    /// answering — the crashed-prover shape. Over a gateway the hangup
+    /// answering — the crashed-prover shape. Over sockets the hangup
     /// is observed directly and the device is charged
     /// [`FleetError::NoResponse`] on the spot; over loopback (which has
     /// no connection to sever) it degenerates to a dropped response and
@@ -246,7 +237,7 @@ pub fn expected_verdict(
 /// simulated devices, a seeded per-device behaviour script, and the
 /// generator that keeps drawing each round's delivery schedule.
 pub struct ScenarioHarness {
-    fleet: FleetVerifier,
+    fleet: Arc<FleetVerifier>,
     fabric: Loopback,
     plans: Vec<(DeviceId, PoxMode, Scenario)>,
     rng: DetRng,
@@ -291,7 +282,7 @@ impl ScenarioHarness {
         }
         shuffle(&mut scenarios, &mut rng);
 
-        let fleet = FleetVerifier::new();
+        let fleet = Arc::new(FleetVerifier::new());
         let mut fabric = Loopback::new();
         let mut plans = Vec::with_capacity(scenarios.len());
         // Mis-binding devices swap evidence pairwise; a cross-mode swap
@@ -373,17 +364,7 @@ impl ScenarioHarness {
     /// when the engine ticks to [`ROUND_DEADLINE`]. Purely logical
     /// time: no sleeps, no clocks, replayable byte for byte.
     pub fn run_round(&mut self) -> ScenarioReport {
-        // Replaying devices first obtain evidence for a challenge that
-        // the scored round will supersede.
-        let mut stale: Vec<(DeviceId, Vec<u8>)> = Vec::new();
-        for &(id, _, scenario) in &self.plans {
-            if scenario == Scenario::ReplayedEvidence {
-                let req = self.fleet.begin(id).expect("registered");
-                let resp = self.fabric.exchange(id, &req).expect("loopback answers");
-                stale.push((id, resp));
-            }
-        }
-
+        let stale = self.prime_stale();
         let ids: Vec<DeviceId> = self.plans.iter().map(|p| p.0).collect();
         let mut engine = RoundEngine::begin(
             &self.fleet,
@@ -409,13 +390,7 @@ impl ScenarioHarness {
                         self.fabric.exchange(*id, request).expect("honest response"),
                     ));
                 }
-                Scenario::ReplayedEvidence => {
-                    let (_, frame) = stale
-                        .iter()
-                        .find(|(sid, _)| sid == id)
-                        .expect("stale evidence was primed");
-                    frames.push(Some(frame.clone()));
-                }
+                Scenario::ReplayedEvidence => frames.push(Some(stale[id].clone())),
                 Scenario::BitFlippedFrame => {
                     let mut frame = self.fabric.exchange(*id, request).expect("honest response");
                     frame[ENVELOPE_PAYLOAD_AT] ^= 0x01; // corrupt the inner magic
@@ -495,68 +470,59 @@ impl ScenarioHarness {
             engine.tick(LogicalTime(now));
         }
         let report = engine.into_report();
-
-        let entries = self
-            .plans
-            .iter()
-            .map(|&(id, mode, scenario)| ScenarioEntry {
-                device: id,
-                mode,
-                scenario,
-                result: report
-                    .of(id)
-                    .cloned()
-                    .unwrap_or(Err(FleetError::NoResponse(id))),
-            })
-            .collect();
-        ScenarioReport { entries }
+        self.tagged(&report)
     }
 
     /// Runs one full scripted round **over real sockets**: every device
-    /// gets its own connection into one
-    /// [`FleetGateway`](asap_fleet::FleetGateway), and the whole
-    /// scenario matrix — honest, replayed, bit-flipped, cross-addressed,
-    /// late, dropped, mid-round hangups — plays out as actual bytes on
-    /// actual file descriptors, with the same expected verdicts as the
-    /// loopback schedule.
+    /// gets its own connection into a fresh [`FleetRuntime`] sharded
+    /// over `reactors` reactor threads, and the whole scenario matrix —
+    /// honest, replayed, bit-flipped, cross-addressed, late, dropped,
+    /// mid-round hangups, evictions, reconnect storms — plays out as
+    /// actual bytes on actual file descriptors, with the same expected
+    /// verdicts as the loopback schedule.
     ///
-    /// Both sides run on *this* thread: the gateway round is polled via
-    /// [`GatewayRound::poll`] (it never blocks), and between sweeps the
-    /// harness services every prover-side socket — announcing hellos,
-    /// answering challenges per the script, hanging up where scripted.
-    /// Late devices answer after a quarter of `budget`; dropped devices
-    /// stay silently connected and expire when `budget` runs out, so a
-    /// mix with dropped devices makes the round last the full budget.
+    /// The runtime's round runs on a scoped verifier thread while
+    /// *this* thread services every prover-side socket — announcing
+    /// hellos, answering challenges per the script, hanging up where
+    /// scripted (the loopback fabric holds simulated
+    /// [`Device`](apex_pox::Device)s, which are not `Send`). Late
+    /// devices answer after a quarter of `budget`; dropped devices stay
+    /// silently connected and expire when `budget` runs out, so a mix
+    /// with dropped devices makes the round last the full budget. The
+    /// raw [`RoundReport`]'s outcome order is canonical — the
+    /// determinism tests compare raw reports across reactor counts.
     ///
     /// # Panics
     ///
     /// On socket-layer failures, or when a scripted exchange fails.
-    pub fn run_round_gateway(
+    pub fn run_round_runtime(
         &mut self,
+        reactors: usize,
         transport: GatewayTransport,
         budget: Duration,
-    ) -> ScenarioReport {
+    ) -> RuntimeRun {
+        let fleet = Arc::clone(&self.fleet);
         match transport {
             GatewayTransport::Socketpair => {
-                let mut gateway = FleetGateway::detached();
+                let mut runtime = FleetRuntime::detached(fleet, reactors, 1);
                 let peers: Vec<(DeviceId, std::os::unix::net::UnixStream)> = self
                     .plans
                     .iter()
                     .map(|&(id, _, _)| {
-                        let (gw_end, prover_end) =
+                        let (runtime_end, prover_end) =
                             std::os::unix::net::UnixStream::pair().expect("socketpair");
-                        gateway.adopt(gw_end).expect("adopt gateway end");
+                        runtime.adopt(runtime_end).expect("adopt runtime end");
                         (id, prover_end)
                     })
                     .collect();
                 // A socketpair cannot be redialed: reconnect storms
                 // degenerate to answer-then-hangup.
-                self.gateway_round(&mut gateway, peers, budget, None)
+                self.runtime_round(&mut runtime, peers, budget, None)
             }
             GatewayTransport::Tcp => {
-                let mut gateway =
-                    FleetGateway::bind_tcp("127.0.0.1:0").expect("bind ephemeral listener");
-                let addr = gateway
+                let mut runtime = FleetRuntime::bind_tcp("127.0.0.1:0", fleet, reactors, 1)
+                    .expect("bind ephemeral listener");
+                let addr = runtime
                     .listener()
                     .expect("own listener")
                     .local_addr()
@@ -568,133 +534,35 @@ impl ScenarioHarness {
                     for &(id, _, _) in chunk {
                         peers.push((id, std::net::TcpStream::connect(addr).expect("connect")));
                     }
-                    gateway.accept_pending().expect("accept burst");
+                    runtime.accept_pending();
                 }
-                while gateway.connections() < peers.len() {
-                    if gateway.accept_pending().expect("accept stragglers") == 0 {
+                while runtime.accepted_connections() < peers.len() as u64 {
+                    if runtime.accept_pending() == 0 {
                         std::thread::yield_now();
                     }
                 }
-                // Reconnect storms redial the listener; `poll` accepts
-                // the fresh connections mid-round.
+                // Reconnect storms redial the listener; the runtime
+                // accepts the fresh connections mid-round.
                 let redial: Option<Box<dyn FnMut() -> Option<std::net::TcpStream>>> =
                     Some(Box::new(move || std::net::TcpStream::connect(addr).ok()));
-                self.gateway_round(&mut gateway, peers, budget, redial)
+                self.runtime_round(&mut runtime, peers, budget, redial)
             }
         }
     }
 
-    /// The shared gateway round loop: one scripted prover peer per
-    /// connection, serviced strictly without blocking so verifier and
-    /// provers can interleave on a single thread.
-    fn gateway_round<L: GatewayListener, C: GatewayConn>(
+    /// The shared round loop behind [`Self::run_round_runtime`]: one
+    /// scripted prover peer per connection, serviced strictly without
+    /// blocking on this thread while the runtime drives the round on a
+    /// scoped one.
+    fn runtime_round<L: GatewayListener + Send>(
         &mut self,
-        gateway: &mut FleetGateway<L>,
-        peers: Vec<(DeviceId, C)>,
-        budget: Duration,
-        redial: Option<Box<dyn FnMut() -> Option<C>>>,
-    ) -> ScenarioReport {
-        let stale = self.prime_stale();
-        let mut pool = ProverPool::new(&self.plans, peers, stale, budget, redial);
-
-        let ids: Vec<DeviceId> = self.plans.iter().map(|p| p.0).collect();
-        let fleet: &FleetVerifier = &self.fleet;
-        let fabric = &mut self.fabric;
-        let mut round = GatewayRound::begin(fleet, &ids, gateway, budget).expect("all registered");
-
-        loop {
-            let status = round.poll(gateway);
-            // Scripted churn lands beside the round, exactly as a
-            // lifecycle feed would: registry removal now, engine sync
-            // on the driver's next sweep.
-            for id in pool.due_evictions() {
-                fleet.remove(id);
-            }
-            pool.service(fabric);
-            match status {
-                GatewayPoll::Settled => break,
-                GatewayPoll::Progressed => {}
-                GatewayPoll::Idle => std::thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        self.tagged(&round.finish())
-    }
-
-    /// Runs one full scripted round through a sharded
-    /// [`MultiGateway`]: the verifier (supervisor plus its reactor
-    /// threads) drives the round on a scoped thread while *this*
-    /// thread services every scripted prover socket, exactly as
-    /// [`Self::run_round_gateway`] does for the single-reactor
-    /// gateway. The raw [`RoundReport`]'s outcome order is canonical —
-    /// the determinism tests compare raw reports across reactor
-    /// counts.
-    ///
-    /// # Panics
-    ///
-    /// On socket-layer failures, or when a scripted exchange fails.
-    pub fn run_round_multi(
-        &mut self,
-        reactors: usize,
-        transport: GatewayTransport,
-        budget: Duration,
-    ) -> MultiRoundRun {
-        match transport {
-            GatewayTransport::Socketpair => {
-                let mut gateway = MultiGateway::detached(reactors);
-                let peers: Vec<(DeviceId, std::os::unix::net::UnixStream)> = self
-                    .plans
-                    .iter()
-                    .map(|&(id, _, _)| {
-                        let (gw_end, prover_end) =
-                            std::os::unix::net::UnixStream::pair().expect("socketpair");
-                        gateway.adopt(gw_end).expect("adopt gateway end");
-                        (id, prover_end)
-                    })
-                    .collect();
-                self.multi_round(&mut gateway, peers, budget, None)
-            }
-            GatewayTransport::Tcp => {
-                let mut gateway = MultiGateway::bind_tcp("127.0.0.1:0", reactors)
-                    .expect("bind ephemeral listener");
-                let addr = gateway
-                    .listener()
-                    .expect("own listener")
-                    .local_addr()
-                    .expect("listener addr");
-                let mut peers = Vec::with_capacity(self.plans.len());
-                for chunk in self.plans.chunks(64) {
-                    for &(id, _, _) in chunk {
-                        peers.push((id, std::net::TcpStream::connect(addr).expect("connect")));
-                    }
-                    gateway.accept_pending().expect("accept burst");
-                }
-                while gateway.connections() < peers.len() {
-                    if gateway.accept_pending().expect("accept stragglers") == 0 {
-                        std::thread::yield_now();
-                    }
-                }
-                let redial: Option<Box<dyn FnMut() -> Option<std::net::TcpStream>>> =
-                    Some(Box::new(move || std::net::TcpStream::connect(addr).ok()));
-                self.multi_round(&mut gateway, peers, budget, redial)
-            }
-        }
-    }
-
-    /// The multi-reactor counterpart of [`Self::gateway_round`].
-    /// [`MultiGateway::drive_round`] blocks its caller (the calling
-    /// thread becomes the accept supervisor), so the verifier runs on
-    /// a scoped thread and the provers stay here — the loopback fabric
-    /// holds simulated [`Device`](apex_pox::Device)s, which are not
-    /// `Send`.
-    fn multi_round<L: GatewayListener + Send>(
-        &mut self,
-        gateway: &mut MultiGateway<L>,
+        runtime: &mut FleetRuntime<L>,
         peers: Vec<(DeviceId, L::Conn)>,
         budget: Duration,
         redial: Option<Box<dyn FnMut() -> Option<L::Conn>>>,
-    ) -> MultiRoundRun
+    ) -> RuntimeRun
     where
-        L::Conn: Send,
+        L::Conn: Send + 'static,
     {
         let stale = self.prime_stale();
         let mut pool = ProverPool::new(&self.plans, peers, stale, budget, redial);
@@ -707,13 +575,14 @@ impl ScenarioHarness {
         let done = &done;
         let (raw, reactor_stats) = std::thread::scope(|scope| {
             let verifier = scope.spawn(move || {
-                let report = gateway.drive_round(fleet, &ids, budget);
+                let report = runtime.run_round(&ids, budget);
                 done.store(true, Ordering::Release);
-                (report, gateway.reactor_stats())
+                (report, runtime.reactor_stats())
             });
             while !done.load(Ordering::Acquire) {
-                // Mid-round churn from the supervisor side: reactors
-                // observe the generation bump on their next sweep.
+                // Scripted churn lands beside the round, exactly as a
+                // lifecycle feed would: registry removal now, engine
+                // sync on the reactors' next sweep.
                 for id in pool.due_evictions() {
                     fleet.remove(id);
                 }
@@ -723,7 +592,7 @@ impl ScenarioHarness {
             let (report, stats) = verifier.join().expect("verifier thread never panics");
             (report.expect("all registered"), stats)
         });
-        MultiRoundRun {
+        RuntimeRun {
             report: self.tagged(&raw),
             raw,
             reactor_stats,
@@ -764,11 +633,11 @@ impl ScenarioHarness {
     }
 }
 
-/// Everything a multi-reactor scripted round yields: the scenario
-/// verdicts, the raw canonically-merged report (what the determinism
-/// tests compare across reactor counts), and a per-reactor breakdown
+/// Everything a scripted socket round yields: the scenario verdicts,
+/// the raw canonically-merged report (what the determinism tests
+/// compare across reactor counts), and a per-reactor breakdown
 /// snapshot taken right after the round.
-pub struct MultiRoundRun {
+pub struct RuntimeRun {
     /// Per-device verdicts tagged with their scripted scenario.
     pub report: ScenarioReport,
     /// The canonical merged round report, outcome order independent of
@@ -799,11 +668,10 @@ fn hello_outbox(id: DeviceId) -> WriteQueue {
     outbox
 }
 
-/// The prover side of a scripted gateway round: every device's
+/// The prover side of a scripted socket round: every device's
 /// connection, serviced strictly without blocking so one thread can
-/// interleave the whole fleet — and, for the single-reactor gateway,
-/// the verifier too. Scripting (replay, bit-flip, mis-bind, late,
-/// hangup) lives here so the single- and multi-reactor rounds replay
+/// interleave the whole fleet. Scripting (replay, bit-flip, mis-bind,
+/// late, hangup) lives here so rounds at every reactor count replay
 /// byte-identical behaviour.
 struct ProverPool<C> {
     provers: Vec<Prover<C>>,
@@ -819,7 +687,7 @@ struct ProverPool<C> {
     /// Devices scripted for mid-round eviction, drained (once) into
     /// the driver via [`ProverPool::due_evictions`] at `evict_at`.
     evict_ids: Vec<DeviceId>,
-    /// Dials a fresh connection to the gateway for reconnect-storm
+    /// Dials a fresh connection to the runtime for reconnect-storm
     /// redials; `None` on fabrics that cannot dial (socketpairs), where
     /// the storm degenerates to answer-then-hangup.
     redial: Option<Box<dyn FnMut() -> Option<C>>>,
@@ -1035,58 +903,31 @@ impl<C: GatewayConn> ProverPool<C> {
     }
 }
 
-/// Which socket fabric a gateway scenario round runs over.
+/// Which socket fabric a scripted runtime round runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GatewayTransport {
-    /// One Unix socketpair per device, adopted into a detached gateway
+    /// One Unix socketpair per device, adopted into a detached runtime
     /// — no listener, no ports, maximum connection count.
     Socketpair,
-    /// Real TCP: every device dials the gateway's ephemeral loopback
+    /// Real TCP: every device dials the runtime's ephemeral loopback
     /// listener, exercising accept and `TCP_NODELAY` configuration.
     Tcp,
 }
 
-/// A prover host for socket transports: builds one honestly-run ASAP
-/// device per id (keys from `key_for`, a mid-`ER` button interrupt,
-/// run to its done loop), calls `ready`, then serves attestation
-/// frames on `stream` via [`asap_fleet::serve_frames`] until the peer
-/// hangs up. Devices in `silent` are built but never answer — the
-/// shape of a crashed or partitioned prover.
+/// A prover host for the runtime: builds one honestly-run ASAP device
+/// per id (keys from `key_for`, a mid-`ER` button interrupt, run to its
+/// done loop), calls `ready`, **announces** the devices with hello
+/// frames so the runtime learns to route their challenges here, then
+/// serves attestation frames on `stream` via
+/// [`asap_fleet::serve_frames`] until the peer hangs up. Devices in
+/// `silent` are built but never answer — the shape of a crashed or
+/// partitioned prover.
 ///
 /// Meant to run in its own thread (it models another process): the
-/// socket integration tests and the `fleet_throughput` socket series
-/// both host their fleets behind it, so the prover-side loop exists in
-/// exactly one place. `ready` lets a bench separate device
-/// construction from the timed round.
-///
-/// # Panics
-///
-/// When the image fails to link or a device fails to build/run.
-pub fn host_simulated_provers<S: std::io::Read + std::io::Write>(
-    stream: S,
-    ids: &[DeviceId],
-    key_for: impl Fn(DeviceId) -> Vec<u8>,
-    silent: &[DeviceId],
-    ready: impl FnOnce(),
-) {
-    let mut devices = build_asap_provers(ids, key_for);
-    ready();
-    let silent = silent.to_vec();
-    asap_fleet::serve_frames(stream, move |id, envelope| {
-        if silent.contains(&id) {
-            return None;
-        }
-        let response = devices.get_mut(&id)?.attest_bytes(&envelope.payload).ok()?;
-        Some(Envelope::wrap(id.0, response).to_bytes())
-    });
-}
-
-/// The gateway flavour of [`host_simulated_provers`]: identical fleet
-/// construction and serve loop, but the host first **announces** its
-/// devices with hello frames so a [`FleetGateway`] on the other end
-/// learns to route their challenges here. Never pair this with a
-/// single-peer [`StreamTransport`](asap_fleet::StreamTransport) — its
-/// driver would judge the hellos as (rejected) evidence.
+/// socket integration tests, examples and the `fleet_throughput`
+/// runtime series all host their fleets behind it, so the prover-side
+/// loop exists in exactly one place. `ready` lets a bench separate
+/// device construction from the timed round.
 ///
 /// # Panics
 ///
@@ -1098,30 +939,9 @@ pub fn host_gateway_provers<S: std::io::Read + std::io::Write>(
     silent: &[DeviceId],
     ready: impl FnOnce(),
 ) {
-    let mut devices = build_asap_provers(ids, key_for);
-    ready();
-    if asap_fleet::announce_devices(&mut stream, ids).is_err() {
-        return; // the gateway is already gone
-    }
-    let silent = silent.to_vec();
-    asap_fleet::serve_frames(stream, move |id, envelope| {
-        if silent.contains(&id) {
-            return None;
-        }
-        let response = devices.get_mut(&id)?.attest_bytes(&envelope.payload).ok()?;
-        Some(Envelope::wrap(id.0, response).to_bytes())
-    });
-}
-
-/// One honestly-run ASAP device per id: keys from `key_for`, a
-/// mid-`ER` button interrupt, run to the done loop — the fleet shape
-/// both prover hosts serve.
-fn build_asap_provers(
-    ids: &[DeviceId],
-    key_for: impl Fn(DeviceId) -> Vec<u8>,
-) -> HashMap<DeviceId, Device> {
     let image = programs::fig4_authorized().expect("image links");
-    ids.iter()
+    let mut devices: HashMap<DeviceId, Device> = ids
+        .iter()
         .map(|&id| {
             let mut device = Device::builder(&image)
                 .mode(PoxMode::Asap)
@@ -1136,7 +956,19 @@ fn build_asap_provers(
             );
             (id, device)
         })
-        .collect()
+        .collect();
+    ready();
+    if asap_fleet::announce_devices(&mut stream, ids).is_err() {
+        return; // the runtime is already gone
+    }
+    let silent = silent.to_vec();
+    asap_fleet::serve_frames(stream, move |id, envelope| {
+        if silent.contains(&id) {
+            return None;
+        }
+        let response = devices.get_mut(&id)?.attest_bytes(&envelope.payload).ok()?;
+        Some(Envelope::wrap(id.0, response).to_bytes())
+    });
 }
 
 /// The per-device key: first 16 bytes of `SHA-256(seed ‖ id)`. Public

@@ -1,7 +1,7 @@
-//! Fifty provers, one sharded gateway, mixed verdicts.
+//! Fifty provers, one fleet runtime, mixed verdicts.
 //!
 //! The verifier binds a single TCP endpoint and drives one batched PoX
-//! round through a `MultiGateway` sharded over two reactor threads;
+//! round through a `FleetRuntime` sharded over two reactor threads;
 //! five prover-host threads dial in, each announcing and serving ten
 //! simulated MCUs over its own connection — devices are routed by
 //! their hello frames, never pinned to a transport *or a reactor*:
@@ -16,8 +16,9 @@
 
 use asap::{programs, PoxMode, VerifierSpec};
 use asap_bench::fleet::host_gateway_provers;
-use asap_fleet::{DeviceId, FleetVerifier, MultiGateway};
+use asap_fleet::{DeviceId, FleetRuntime, FleetVerifier};
 use std::error::Error;
+use std::sync::Arc;
 use std::time::Duration;
 
 const DEVICES: u64 = 50;
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Device 23 is enrolled under the wrong key — its evidence will be
     // honest and well-formed, and still fail the MAC check.
     let image = programs::fig4_authorized()?;
-    let fleet = FleetVerifier::new();
+    let fleet = Arc::new(FleetVerifier::new());
     for &id in &ids {
         let key = if id == mis_keyed {
             b"not-the-device's-key".to_vec()
@@ -52,9 +53,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // One TCP endpoint for the whole fleet, served by two reactors.
-    let mut gateway = MultiGateway::bind_tcp("127.0.0.1:0", REACTORS)?;
-    let addr = gateway.listener().expect("own listener").local_addr()?;
-    println!("gateway listening on {addr} ({REACTORS} reactors)");
+    let mut runtime = FleetRuntime::bind_tcp("127.0.0.1:0", Arc::clone(&fleet), REACTORS, 1)?;
+    let addr = runtime.listener().expect("own listener").local_addr()?;
+    println!("runtime listening on {addr} ({REACTORS} reactors)");
 
     // Five prover hosts, ten devices each, every one dialing in on its
     // own connection and announcing its devices with hello frames.
@@ -68,14 +69,14 @@ fn main() -> Result<(), Box<dyn Error>> {
                 .filter(|id| silent.contains(id))
                 .collect();
             std::thread::spawn(move || {
-                let stream = std::net::TcpStream::connect(addr).expect("dial the gateway");
+                let stream = std::net::TcpStream::connect(addr).expect("dial the runtime");
                 host_gateway_provers(stream, &host_ids, key_for, &silent, || ());
             })
         })
         .collect();
 
     println!("challenging {DEVICES} devices across {HOSTS} connections…");
-    let report = gateway.drive_round(&fleet, &ids, Duration::from_millis(800))?;
+    let report = runtime.run_round(&ids, Duration::from_millis(800))?;
 
     for outcome in &report.outcomes {
         if let (Some(id), Err(e)) = (outcome.device, &outcome.result) {
@@ -84,10 +85,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     println!(
         "{report} — over {} connections, {} devices routed",
-        gateway.connections(),
-        gateway.routed_devices()
+        runtime.connections(),
+        runtime.routed_devices()
     );
-    for (i, stats) in gateway.reactor_stats().iter().enumerate() {
+    for (i, stats) in runtime.reactor_stats().iter().enumerate() {
         println!(
             "  reactor {i}: {} connections, {} outcomes",
             stats.connections, stats.last_round_outcomes
@@ -104,7 +105,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     assert_eq!(fleet.in_flight(), 0, "rounds never leak sessions");
 
-    drop(gateway); // hang up; every prover host sees EOF and exits
+    drop(runtime); // hang up; every prover host sees EOF and exits
     for host in hosts {
         host.join().expect("prover host exits cleanly");
     }

@@ -19,9 +19,9 @@
 //! * [`asap_fleet`] — fleet-scale verification: the `DeviceId`-keyed
 //!   `FleetVerifier` with its sharded session registry, the sans-IO
 //!   `RoundEngine` (events in, frames and deadlines out, on injected
-//!   logical time), and the non-blocking `Transport` layer with
-//!   in-memory `Loopback` and framed TCP/UDS `StreamTransport`
-//!   implementations;
+//!   logical time), driven lock-step over the in-memory `Loopback`
+//!   or by the `FleetRuntime` socket driver over framed TCP/UDS
+//!   connections;
 //! * [`rtl_synth`] — LUT/FF cost model (Fig. 6);
 //! * [`sim_wave`] — waveforms (Fig. 5).
 //!

@@ -198,8 +198,8 @@ mod envelope_golden {
     }
 
     // -----------------------------------------------------------------
-    // Stream framing: `len (u32 LE) ‖ envelope`, as spoken by
-    // `StreamTransport` over TCP/UDS. The prefix is the envelope's
+    // Stream framing: `len (u32 LE) ‖ envelope`, as spoken by the
+    // fleet runtime over TCP/UDS. The prefix is the envelope's
     // byte length, so each golden stream vector is the length prefix
     // followed by the corresponding envelope vector.
     // -----------------------------------------------------------------

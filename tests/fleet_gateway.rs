@@ -1,23 +1,28 @@
-//! The multi-peer gateway under load: hundreds of *concurrent* prover
-//! connections into one `FleetGateway`, every scripted behaviour in
-//! the scenario matrix playing out as real bytes on real sockets —
+//! The fleet runtime as a gateway under load: hundreds of *concurrent*
+//! prover connections into one `FleetRuntime`, every scripted behaviour
+//! in the scenario matrix playing out as real bytes on real sockets —
 //! and still exact, per-variant verdict counts.
 //!
 //! Two fabrics run the same 500-device matrix: one Unix socketpair per
-//! device (adopted into a detached gateway) and real TCP (every device
+//! device (adopted into a detached runtime) and real TCP (every device
 //! dials an ephemeral loopback listener). On top of the matrix, the
-//! direct tests pin down the gateway-only behaviours: routing by
-//! hello, multi-device connections, connections that outlive rounds,
-//! mid-round hangups and poisoned framing resolving to `NoResponse`
-//! *immediately*, and never-connected devices expiring by deadline.
+//! direct tests pin down the socket behaviours: routing by hello,
+//! multi-device connections, connections that outlive rounds, mid-round
+//! hangups and poisoned framing resolving to `NoResponse`
+//! *immediately*, never-connected devices expiring by deadline, and
+//! routing across reactors.
 
 use asap::{programs, AsapError, PoxMode, VerifierSpec};
 use asap_bench::fleet::{
     host_gateway_provers, GatewayTransport, Scenario, ScenarioHarness, ScenarioMix,
 };
-use asap_fleet::{DeviceId, FleetError, FleetGateway, FleetVerifier};
+use asap_fleet::{DeviceId, FleetError, FleetRuntime, FleetVerifier, NoListener};
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A runtime fed through socketpairs.
+type Runtime = FleetRuntime<NoListener<UnixStream>>;
 
 /// 500 devices, every behaviour represented: 350 honest, 40 replaying,
 /// 30 corrupted in transit, 30 mis-binding (15 swap pairs), 20
@@ -43,7 +48,7 @@ const BUDGET: Duration = Duration::from_millis(1500);
 fn assert_exact_gateway_verdicts(transport: GatewayTransport, seed: u64) {
     let mut harness = ScenarioHarness::build(seed, &MIX);
     assert_eq!(harness.device_count(), 500);
-    let report = harness.run_round_gateway(transport, BUDGET);
+    let report = harness.run_round_runtime(1, transport, BUDGET).report;
 
     assert_eq!(report.entries.len(), 500);
     assert!(
@@ -127,7 +132,9 @@ fn hangups_settle_immediately_not_by_deadline() {
     };
     let mut harness = ScenarioHarness::build(0x6A7E_0003, &mix);
     let started = Instant::now();
-    let report = harness.run_round_gateway(GatewayTransport::Socketpair, Duration::from_secs(30));
+    let report = harness
+        .run_round_runtime(1, GatewayTransport::Socketpair, Duration::from_secs(30))
+        .report;
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "hangups must settle the round early, not at the 30 s deadline"
@@ -142,9 +149,9 @@ fn key_for(id: DeviceId) -> Vec<u8> {
 }
 
 /// Enrolls `ids` into a fresh fleet (verifier side).
-fn fleet_for(ids: &[DeviceId]) -> FleetVerifier {
+fn fleet_for(ids: &[DeviceId]) -> Arc<FleetVerifier> {
     let image = programs::fig4_authorized().unwrap();
-    let fleet = FleetVerifier::new();
+    let fleet = Arc::new(FleetVerifier::new());
     for &id in ids {
         fleet
             .register(
@@ -159,30 +166,44 @@ fn fleet_for(ids: &[DeviceId]) -> FleetVerifier {
     fleet
 }
 
+/// A runtime over `fleet` with one socketpair adopted (onto reactor 0);
+/// returns the runtime and the prover end.
+fn runtime_with_peer(fleet: &Arc<FleetVerifier>, reactors: usize) -> (Runtime, UnixStream) {
+    let mut runtime = FleetRuntime::detached(Arc::clone(fleet), reactors, 1);
+    let (runtime_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(runtime_end).unwrap();
+    (runtime, prover_end)
+}
+
+/// Connections reaped so far, across reactors.
+fn dropped_connections(runtime: &Runtime) -> u64 {
+    runtime
+        .reactor_stats()
+        .iter()
+        .map(|s| s.dropped_connections)
+        .sum()
+}
+
 #[test]
 fn one_connection_may_host_many_devices() {
     // Devices are routed by their hellos, not pinned to a transport:
     // ten devices share one socketpair behind a threaded prover host.
     let ids: Vec<DeviceId> = (1..=10).map(DeviceId).collect();
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(&fleet, 1);
 
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || {
         host_gateway_provers(prover_end, &host_ids, key_for, &[], || ())
     });
 
-    let report = fleet
-        .run_round_gateway(&ids, &mut gateway, Duration::from_secs(5))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
     assert_eq!(report.verified(), ids.len(), "{report}");
-    assert_eq!(gateway.connections(), 1);
-    assert_eq!(gateway.routed_devices(), 10);
+    assert_eq!(runtime.connections(), 1);
+    assert_eq!(runtime.routed_devices(), 10);
     assert_eq!(fleet.in_flight(), 0);
 
-    drop(gateway); // hang up: the prover host sees EOF and returns
+    drop(runtime); // hang up: the prover host sees EOF and returns
     host.join().unwrap();
 }
 
@@ -190,9 +211,7 @@ fn one_connection_may_host_many_devices() {
 fn connections_and_routes_survive_across_rounds() {
     let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(&fleet, 1);
 
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || {
@@ -200,19 +219,17 @@ fn connections_and_routes_survive_across_rounds() {
     });
 
     for round in 0..3 {
-        let report = fleet
-            .run_round_gateway(&ids, &mut gateway, Duration::from_secs(5))
-            .unwrap();
+        let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
         assert_eq!(report.verified(), ids.len(), "round {round}: {report}");
         assert_eq!(fleet.in_flight(), 0, "round {round}");
     }
     assert_eq!(
-        gateway.accepted_connections(),
+        runtime.accepted_connections(),
         1,
         "one connection served every round"
     );
 
-    drop(gateway);
+    drop(runtime);
     host.join().unwrap();
 }
 
@@ -223,18 +240,14 @@ fn unconnected_devices_expire_by_deadline_alone() {
     // out — without stalling device 1.
     let ids: Vec<DeviceId> = (1..=2).map(DeviceId).collect();
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(&fleet, 1);
 
     let connected = vec![DeviceId(1)];
     let host = std::thread::spawn(move || {
         host_gateway_provers(prover_end, &connected, key_for, &[], || ())
     });
 
-    let report = fleet
-        .run_round_gateway(&ids, &mut gateway, Duration::from_millis(400))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_millis(400)).unwrap();
     assert!(report.of(DeviceId(1)).unwrap().is_ok());
     assert_eq!(
         report.of(DeviceId(2)),
@@ -243,7 +256,7 @@ fn unconnected_devices_expire_by_deadline_alone() {
     assert_eq!(report.no_response(), 1);
     assert_eq!(fleet.in_flight(), 0);
 
-    drop(gateway);
+    drop(runtime);
     host.join().unwrap();
 }
 
@@ -254,9 +267,7 @@ fn prover_announcing_after_the_round_started_still_verifies() {
     // challenge is delivered then.
     let ids = vec![DeviceId(7)];
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(&fleet, 1);
 
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || {
@@ -264,13 +275,11 @@ fn prover_announcing_after_the_round_started_still_verifies() {
         host_gateway_provers(prover_end, &host_ids, key_for, &[], || ());
     });
 
-    let report = fleet
-        .run_round_gateway(&ids, &mut gateway, Duration::from_secs(5))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
     assert!(report.of(DeviceId(7)).unwrap().is_ok(), "{report}");
     assert_eq!(fleet.in_flight(), 0);
 
-    drop(gateway);
+    drop(runtime);
     host.join().unwrap();
 }
 
@@ -278,7 +287,6 @@ fn prover_announcing_after_the_round_started_still_verifies() {
 fn foreign_hello_hijack_cannot_falsify_a_verdict() {
     use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
     use asap::{programs, Device, PoxMode};
-    use asap_fleet::{GatewayPoll, GatewayRound};
     use std::io::{Read, Write};
 
     // Device 1 is honestly connected on B and slow to answer. A second
@@ -288,43 +296,43 @@ fn foreign_hello_hijack_cannot_falsify_a_verdict() {
     // on B, and its eventual honest answer must still verify.
     let ids = vec![DeviceId(1)];
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (b_gw, mut b_prover) = UnixStream::pair().unwrap();
-    gateway.adopt(b_gw).unwrap();
+    let (mut runtime, mut b_prover) = runtime_with_peer(&fleet, 1);
     b_prover
-        .set_read_timeout(Some(Duration::from_millis(5)))
+        .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     b_prover
         .write_all(&frame_stream(&Envelope::wrap(1, Vec::new()).to_bytes()))
         .unwrap();
 
-    let mut round =
-        GatewayRound::begin(&fleet, &ids, &mut gateway, Duration::from_secs(10)).unwrap();
+    let ticket = runtime.submit_round(&ids, Duration::from_secs(10)).unwrap();
 
-    // Pump until device 1's challenge lands on B.
+    // Wait until device 1's challenge lands on B.
     let mut deframer = StreamDeframer::new();
     let challenge = loop {
-        round.poll(&mut gateway);
-        if let Ok(Some(frame)) = deframer.next_frame() {
+        if let Some(frame) = deframer.next_frame().unwrap() {
             break frame;
         }
         let mut chunk = [0u8; 4096];
-        if let Ok(n) = b_prover.read(&mut chunk) {
-            deframer.extend(&chunk[..n]);
-        }
+        let n = b_prover.read(&mut chunk).expect("challenge arrives on B");
+        deframer.extend(&chunk[..n]);
     };
 
-    // The hijack: connection A claims device 1, then dies.
-    let (a_gw, mut a_prover) = UnixStream::pair().unwrap();
-    gateway.adopt(a_gw).unwrap();
+    // The hijack: connection A claims device 1, then dies. A's hello
+    // moves device 1's route onto A and A's death forgets it, so the
+    // route map empties exactly when the reactor has reaped A.
+    let (a_runtime, mut a_prover) = UnixStream::pair().unwrap();
+    runtime.adopt(a_runtime).unwrap();
     a_prover
         .write_all(&frame_stream(&Envelope::wrap(1, Vec::new()).to_bytes()))
         .unwrap();
     drop(a_prover);
-    while gateway.dropped_connections() == 0 {
-        assert_ne!(round.poll(&mut gateway), GatewayPoll::Settled);
+    while runtime.routed_devices() != 0 {
+        std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(round.awaiting(), 1, "device 1 must still be awaited");
+    assert!(
+        fleet.session_pending(DeviceId(1)),
+        "device 1 must still be awaited"
+    );
 
     // Device 1 finally answers, honestly, on B.
     let image = programs::fig4_authorized().unwrap();
@@ -342,8 +350,7 @@ fn foreign_hello_hijack_cannot_falsify_a_verdict() {
         .write_all(&frame_stream(&Envelope::wrap(1, response).to_bytes()))
         .unwrap();
 
-    while round.poll(&mut gateway) != GatewayPoll::Settled {}
-    let report = round.finish();
+    let report = runtime.wait_round(ticket).unwrap();
     assert!(
         report.of(DeviceId(1)).unwrap().is_ok(),
         "hijacked route must not deny the verdict: {report}"
@@ -358,13 +365,11 @@ fn hello_floods_past_the_route_cap_drop_the_connection() {
     use std::io::Write;
 
     // One connection announces far more device ids than any honest
-    // host plausibly carries: the gateway must drop it instead of
+    // host plausibly carries: the runtime must drop it instead of
     // letting the route map grow without bound.
     let ids = vec![DeviceId(1)];
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(&fleet, 1);
 
     let flooder = std::thread::spawn(move || {
         let mut prover_end = prover_end;
@@ -380,15 +385,13 @@ fn hello_floods_past_the_route_cap_drop_the_connection() {
         }
     });
 
-    let report = fleet
-        .run_round_gateway(&ids, &mut gateway, Duration::from_millis(300))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_millis(300)).unwrap();
     flooder.join().unwrap();
-    assert_eq!(gateway.dropped_connections(), 1, "flooder must be dropped");
+    assert_eq!(dropped_connections(&runtime), 1, "flooder must be dropped");
     assert!(
-        gateway.routed_devices() <= MAX_ROUTED_PER_CONN,
+        runtime.routed_devices() <= MAX_ROUTED_PER_CONN,
         "route map stays bounded, got {}",
-        gateway.routed_devices()
+        runtime.routed_devices()
     );
     // Device 1 never actually connected; it expires by deadline.
     assert_eq!(
@@ -400,36 +403,16 @@ fn hello_floods_past_the_route_cap_drop_the_connection() {
 
 #[test]
 fn submillisecond_budget_does_not_expire_the_round_at_birth() {
-    use asap_fleet::{GatewayPoll, GatewayRound};
-
     // Regression: a budget under one millisecond used to truncate to a
-    // zero-tick deadline, so the driver's first sweep charged every
-    // device NoResponse before a single frame was read. Budgets now
-    // round up to at least one tick.
+    // zero-tick deadline. Budgets now round up to at least one tick
+    // (pinned at the engine level by the crate's
+    // `submillisecond_budget_rounds_up_to_one_tick`); over sockets, the
+    // one-tick deadline must still expire a silent peer.
     let ids = vec![DeviceId(1)];
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, _prover_end) = UnixStream::pair().unwrap(); // silent peer
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, _prover_end) = runtime_with_peer(&fleet, 1); // silent peer
 
-    let started = Instant::now();
-    let mut round =
-        GatewayRound::begin(&fleet, &ids, &mut gateway, Duration::from_micros(500)).unwrap();
-    let status = round.poll(&mut gateway);
-    // Guard against a pathological scheduler pause: the assertion only
-    // holds while we are genuinely still inside the first millisecond.
-    if started.elapsed() < Duration::from_millis(1) {
-        assert_ne!(
-            status,
-            GatewayPoll::Settled,
-            "a sub-ms budget must mean 'one tick', not 'expire everyone at time zero'"
-        );
-        assert_eq!(round.awaiting(), 1);
-    }
-    // The one-tick deadline still works: the silent peer expires.
-    std::thread::sleep(Duration::from_millis(5));
-    while round.poll(&mut gateway) != GatewayPoll::Settled {}
-    let report = round.finish();
+    let report = runtime.run_round(&ids, Duration::from_micros(500)).unwrap();
     assert_eq!(
         report.of(DeviceId(1)),
         Some(&Err(FleetError::NoResponse(DeviceId(1))))
@@ -449,11 +432,11 @@ fn id_with_affinity(want: usize, reactors: usize) -> DeviceId {
 
 #[test]
 fn multi_reactor_matrix_stays_exact() {
-    // The full 500-device scenario matrix through a 4-reactor sharded
-    // gateway: the verdicts must be exactly those of the single-reactor
-    // gateway and the loopback schedule.
+    // The full 500-device scenario matrix through a 4-reactor runtime:
+    // the verdicts must be exactly those of the single-reactor runtime
+    // and the loopback schedule.
     let mut harness = ScenarioHarness::build(0x6A7E_0007, &MIX);
-    let run = harness.run_round_multi(4, GatewayTransport::Socketpair, BUDGET);
+    let run = harness.run_round_runtime(4, GatewayTransport::Socketpair, BUDGET);
 
     assert_eq!(run.report.entries.len(), 500);
     assert!(
@@ -503,7 +486,7 @@ fn multi_reactor_report_is_identical_across_reactor_counts() {
         .into_iter()
         .map(|reactors| {
             let mut harness = ScenarioHarness::build(0x6A7E_0008, &mix);
-            let run = harness.run_round_multi(
+            let run = harness.run_round_runtime(
                 reactors,
                 GatewayTransport::Socketpair,
                 Duration::from_millis(500),
@@ -528,8 +511,6 @@ fn multi_reactor_report_is_identical_across_reactor_counts() {
 
 #[test]
 fn hello_on_one_reactor_reaches_a_challenge_owned_by_another() {
-    use asap_fleet::MultiGateway;
-
     // The device's challenge is owned by reactor 1 (by shard
     // affinity), but its connection lands on reactor 0 (first adopt,
     // round-robin). The hello must route across reactors: reactor 0
@@ -538,9 +519,7 @@ fn hello_on_one_reactor_reaches_a_challenge_owned_by_another() {
     let id = id_with_affinity(1, 2);
     let ids = vec![id];
     let fleet = fleet_for(&ids);
-    let mut gateway: MultiGateway<asap_fleet::NoListener<UnixStream>> = MultiGateway::detached(2);
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap(); // reactor 0
+    let (mut runtime, prover_end) = runtime_with_peer(&fleet, 2); // reactor 0
 
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || {
@@ -548,28 +527,23 @@ fn hello_on_one_reactor_reaches_a_challenge_owned_by_another() {
     });
 
     // Round 1: the route is learned mid-round from the hello.
-    let report = gateway
-        .drive_round(&fleet, &ids, Duration::from_secs(5))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
     assert!(report.of(id).unwrap().is_ok(), "round 1: {report}");
 
     // Round 2: the route is already known, so the owner forwards the
     // fresh challenge to the other reactor's connection directly.
-    let report = gateway
-        .drive_round(&fleet, &ids, Duration::from_secs(5))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
     assert!(report.of(id).unwrap().is_ok(), "round 2: {report}");
-    assert_eq!(gateway.routed_devices(), 1);
+    assert_eq!(runtime.routed_devices(), 1);
     assert_eq!(fleet.in_flight(), 0);
 
-    drop(gateway); // hang up: the prover host sees EOF and returns
+    drop(runtime); // hang up: the prover host sees EOF and returns
     host.join().unwrap();
 }
 
 #[test]
 fn hangup_on_one_reactor_leaves_the_other_reactors_verdicts_intact() {
     use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
-    use asap_fleet::MultiGateway;
     use std::io::{Read, Write};
 
     // Device `honest` lives on reactor 0, device `quitter` on reactor
@@ -581,11 +555,9 @@ fn hangup_on_one_reactor_leaves_the_other_reactors_verdicts_intact() {
     let quitter = id_with_affinity(1, 2);
     let ids = vec![honest, quitter];
     let fleet = fleet_for(&ids);
-    let mut gateway: MultiGateway<asap_fleet::NoListener<UnixStream>> = MultiGateway::detached(2);
-    let (h_gw, h_prover) = UnixStream::pair().unwrap();
-    gateway.adopt(h_gw).unwrap(); // reactor 0
-    let (q_gw, mut q_prover) = UnixStream::pair().unwrap();
-    gateway.adopt(q_gw).unwrap(); // reactor 1
+    let (mut runtime, h_prover) = runtime_with_peer(&fleet, 2); // reactor 0
+    let (q_runtime, mut q_prover) = UnixStream::pair().unwrap();
+    runtime.adopt(q_runtime).unwrap(); // reactor 1
 
     let host_ids = vec![honest];
     let host =
@@ -613,9 +585,7 @@ fn hangup_on_one_reactor_leaves_the_other_reactors_verdicts_intact() {
     });
 
     let started = Instant::now();
-    let report = gateway
-        .drive_round(&fleet, &ids, Duration::from_secs(30))
-        .unwrap();
+    let report = runtime.run_round(&ids, Duration::from_secs(30)).unwrap();
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "one reactor's hangup must not hold the round to the 30 s deadline"
@@ -628,39 +598,46 @@ fn hangup_on_one_reactor_leaves_the_other_reactors_verdicts_intact() {
         report.of(quitter),
         Some(&Err(FleetError::NoResponse(quitter)))
     );
-    assert_eq!(gateway.dropped_connections(), 1);
+    assert_eq!(dropped_connections(&runtime), 1);
     assert_eq!(fleet.in_flight(), 0);
 
     quit.join().unwrap();
-    drop(gateway);
+    drop(runtime);
     host.join().unwrap();
 }
 
 #[test]
 fn oversized_frame_poisons_the_connection_and_charges_no_response() {
     use apex_pox::wire::{frame_stream, Envelope, MAX_FRAME_LEN};
-    use std::io::Write;
+    use std::io::{Read, Write};
 
     let ids = vec![DeviceId(1)];
     let fleet = fleet_for(&ids);
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, mut prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, mut prover_end) = runtime_with_peer(&fleet, 1);
 
-    // The prover announces itself honestly, then turns hostile: a
-    // length prefix over the bound, which no deframer can recover from.
+    // The prover announces itself honestly, takes its challenge, then
+    // turns hostile: a length prefix over the bound, which no deframer
+    // can recover from. (Poisoning before the challenge is delivered
+    // would only drop an idle connection, leaving the device to expire
+    // by deadline.)
     prover_end
         .write_all(&frame_stream(&Envelope::wrap(1, Vec::new()).to_bytes()))
         .unwrap();
+    let started = Instant::now();
+    let ticket = runtime.submit_round(&ids, Duration::from_secs(30)).unwrap();
+    prover_end
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut first = [0u8; 1];
+    prover_end
+        .read_exact(&mut first)
+        .expect("the challenge reaches the prover");
     prover_end
         .write_all(&(MAX_FRAME_LEN + 1).to_le_bytes())
         .unwrap();
     prover_end.write_all(&[0u8; 64]).unwrap();
 
-    let started = Instant::now();
-    let report = fleet
-        .run_round_gateway(&ids, &mut gateway, Duration::from_secs(30))
-        .unwrap();
+    let report = runtime.wait_round(ticket).unwrap();
     assert!(
         started.elapsed() < Duration::from_secs(10),
         "the sticky framing error must settle the round early"
@@ -669,7 +646,7 @@ fn oversized_frame_poisons_the_connection_and_charges_no_response() {
         report.of(DeviceId(1)),
         Some(&Err(FleetError::NoResponse(DeviceId(1))))
     );
-    assert_eq!(gateway.dropped_connections(), 1);
-    assert_eq!(gateway.connections(), 0);
+    assert_eq!(dropped_connections(&runtime), 1);
+    assert_eq!(runtime.connections(), 0);
     assert_eq!(fleet.in_flight(), 0);
 }

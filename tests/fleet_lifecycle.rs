@@ -10,8 +10,8 @@ use apex_pox::wire::{frame_stream, Envelope};
 use asap::{programs, PoxMode, VerifierSpec};
 use asap_bench::fleet::{GatewayTransport, Scenario, ScenarioHarness, ScenarioMix};
 use asap_fleet::{
-    DeviceId, DeviceState, FleetDirectory, FleetError, FleetGateway, FleetVerifier,
-    LifecycleConfig, MultiGateway, SHARD_COUNT,
+    DeviceId, DeviceState, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier,
+    LifecycleConfig, NoListener, RoundReport, SHARD_COUNT,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -37,6 +37,26 @@ fn shared_spec() -> Arc<VerifierSpec> {
     )
 }
 
+/// A runtime fed through socketpairs.
+type Runtime = FleetRuntime<NoListener<UnixStream>>;
+
+/// A one-reactor runtime over `fleet` with one socketpair adopted;
+/// returns the runtime and the prover end.
+fn runtime_with_peer(fleet: Arc<FleetVerifier>, reactors: usize) -> (Runtime, UnixStream) {
+    let mut runtime = FleetRuntime::detached(fleet, reactors, 1);
+    let (runtime_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(runtime_end).unwrap();
+    (runtime, prover_end)
+}
+
+/// One epoch through the runtime, via the directory's own driver.
+fn run_epoch(dir: &FleetDirectory, runtime: &mut Runtime) -> (EpochPlan, RoundReport) {
+    dir.run_epochs_runtime(runtime, 1, BUDGET)
+        .unwrap()
+        .pop()
+        .unwrap()
+}
+
 /// A directory with devices `1..=n` enrolled (still `Joining` until the
 /// first epoch boundary).
 fn directory_of(n: u64, config: LifecycleConfig) -> FleetDirectory {
@@ -49,19 +69,17 @@ fn directory_of(n: u64, config: LifecycleConfig) -> FleetDirectory {
     dir
 }
 
-/// Epoch-sampled rounds over a real gateway: a fleet larger than the
+/// Epoch-sampled rounds over a real socket: a fleet larger than the
 /// cohort is attested a partial round at a time, every cohort verifies
 /// in full, and one rotation cycle covers every device exactly once —
-/// while the gateway's hello routes persist across epochs.
+/// while the runtime's hello routes persist across epochs.
 #[test]
 fn epoch_rounds_attest_the_rotation_over_a_gateway() {
     const FLEET: u64 = 12;
     const COHORT: usize = 4;
     let dir = directory_of(FLEET, LifecycleConfig::new().cohort(COHORT).seed(5));
 
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(dir.fleet_arc(), 1);
     let all: Vec<DeviceId> = (1..=FLEET).map(DeviceId).collect();
 
     let (ready_tx, ready_rx) = mpsc::channel();
@@ -75,7 +93,7 @@ fn epoch_rounds_attest_the_rotation_over_a_gateway() {
 
         let mut attested: HashMap<DeviceId, usize> = HashMap::new();
         for epoch in 1..=(FLEET as usize / COHORT) {
-            let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+            let (plan, report) = run_epoch(&dir, &mut runtime);
             assert_eq!(plan.epoch, epoch as u64);
             assert_eq!(plan.cohort.len(), COHORT, "partial rounds, never the fleet");
             assert_eq!(report.verified(), COHORT, "epoch {epoch}: {report:?}");
@@ -89,9 +107,9 @@ fn epoch_rounds_attest_the_rotation_over_a_gateway() {
             "one cycle attests every device exactly once: {attested:?}"
         );
         assert_eq!(dir.fleet().in_flight(), 0);
-        // Dropping the gateway hangs up the prover host's connection,
+        // Dropping the runtime hangs up the prover host's connection,
         // letting its serve loop (and thread) finish.
-        drop(gateway);
+        drop(runtime);
     });
 }
 
@@ -106,9 +124,7 @@ fn churn_between_epochs_respects_joins_and_leaves() {
     let late = DeviceId(99);
     let dir = directory_of(FLEET, LifecycleConfig::new().cohort(8).seed(2));
 
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(dir.fleet_arc(), 1);
     // The prover host serves devices 1..=4 AND 99 — announcing 99's
     // hello before the verifier has ever heard of it.
     let mut hosted: Vec<DeviceId> = (1..=FLEET).map(DeviceId).collect();
@@ -125,12 +141,16 @@ fn churn_between_epochs_respects_joins_and_leaves() {
 
         // Epoch 1: the four enrolled devices verify; 99's hello routes
         // silently but is counted against the registry.
-        let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (plan, report) = run_epoch(&dir, &mut runtime);
         assert_eq!(plan.cohort.len(), 4);
         assert_eq!(report.verified(), 4);
+        let unknown: u64 = runtime
+            .reactor_stats()
+            .iter()
+            .map(|s| s.unknown_device_hellos)
+            .sum();
         assert_eq!(
-            gateway.unknown_device_hellos(),
-            1,
+            unknown, 1,
             "a never-enrolled hello routes but must not go uncounted"
         );
 
@@ -141,7 +161,7 @@ fn churn_between_epochs_respects_joins_and_leaves() {
 
         // Epoch 2: 99 is challenged over the route its hello recorded
         // last epoch; 2 is gone for good.
-        let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (plan, report) = run_epoch(&dir, &mut runtime);
         assert!(
             plan.cohort.contains(&late),
             "joined → challenged next epoch"
@@ -152,7 +172,7 @@ fn churn_between_epochs_respects_joins_and_leaves() {
 
         assert_eq!(dir.state_of(DeviceId(2)), Some(DeviceState::Evicted));
         assert_eq!(dir.state_of(late), Some(DeviceState::Active));
-        drop(gateway);
+        drop(runtime);
     });
 }
 
@@ -174,9 +194,7 @@ fn rekey_applies_at_the_boundary_and_the_device_keeps_verifying() {
     )
     .unwrap();
 
-    let mut gateway = FleetGateway::detached();
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(dir.fleet_arc(), 1);
 
     let (ready_tx, ready_rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -188,18 +206,18 @@ fn rekey_applies_at_the_boundary_and_the_device_keeps_verifying() {
         ready_rx.recv().unwrap();
 
         // Epoch 1: the key mismatch rejects the honest device.
-        let (_, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (_, report) = run_epoch(&dir, &mut runtime);
         assert!(matches!(report.of(id), Some(&Err(FleetError::Rejected(_)))));
 
         // Stage the real key; it applies at the next boundary.
         assert!(dir.rekey(id, &key_for(id)));
         assert_eq!(dir.state_of(id), Some(DeviceState::Rekeying));
 
-        let (plan, report) = dir.run_epoch_gateway(&mut gateway, BUDGET).unwrap();
+        let (plan, report) = run_epoch(&dir, &mut runtime);
         assert!(plan.cohort.contains(&id));
         assert!(matches!(report.of(id), Some(&Ok(_))));
         assert_eq!(dir.state_of(id), Some(DeviceState::Active));
-        drop(gateway);
+        drop(runtime);
     });
 }
 
@@ -214,7 +232,7 @@ fn parked_challenge_racing_eviction_is_deterministic_across_reactor_counts() {
 
     let run = |reactors: usize| -> asap_fleet::RoundReport {
         let image = programs::fig4_authorized().unwrap();
-        let fleet = FleetVerifier::new();
+        let fleet = Arc::new(FleetVerifier::new());
         let honest: Vec<DeviceId> = (1..=4).map(DeviceId).collect();
         for &id in &honest {
             fleet
@@ -237,9 +255,7 @@ fn parked_challenge_racing_eviction_is_deterministic_across_reactor_counts() {
             )
             .unwrap();
 
-        let mut gateway = MultiGateway::detached(reactors);
-        let (gw_end, prover_end) = UnixStream::pair().unwrap();
-        gateway.adopt(gw_end).unwrap();
+        let (mut runtime, prover_end) = runtime_with_peer(Arc::clone(&fleet), reactors);
 
         let (ready_tx, ready_rx) = mpsc::channel();
         let mut ids = honest.clone();
@@ -263,10 +279,8 @@ fn parked_challenge_racing_eviction_is_deterministic_across_reactor_counts() {
                 std::thread::sleep(Duration::from_millis(120));
                 assert!(fleet_ref.remove(ghost));
             });
-            let report = gateway
-                .drive_round(fleet_ref, &ids, Duration::from_millis(800))
-                .unwrap();
-            drop(gateway);
+            let report = runtime.run_round(&ids, Duration::from_millis(800)).unwrap();
+            drop(runtime);
             report
         });
 
@@ -306,7 +320,7 @@ fn seeded_churn_schedule_is_byte_identical_across_reactor_counts() {
         .into_iter()
         .map(|reactors| {
             let mut harness = ScenarioHarness::build(0x11FE_C7C1, &mix);
-            let run = harness.run_round_multi(
+            let run = harness.run_round_runtime(
                 reactors,
                 GatewayTransport::Socketpair,
                 Duration::from_millis(800),
@@ -336,13 +350,13 @@ fn seeded_churn_schedule_is_byte_identical_across_reactor_counts() {
     assert_eq!(reports[0], reports[2], "1 vs 4 reactors");
 }
 
-/// The unknown-device hello stat on the sharded gateway: each reactor
+/// The unknown-device hello stat on a sharded runtime: each reactor
 /// counts the never-enrolled hellos it read, surfaced per reactor via
 /// `reactor_stats()`.
 #[test]
 fn unknown_hellos_are_counted_on_reactor_stats() {
     let id = DeviceId(1);
-    let fleet = FleetVerifier::new();
+    let fleet = Arc::new(FleetVerifier::new());
     fleet
         .register(
             id,
@@ -353,9 +367,7 @@ fn unknown_hellos_are_counted_on_reactor_stats() {
         )
         .unwrap();
 
-    let mut gateway = MultiGateway::detached(2);
-    let (gw_end, prover_end) = UnixStream::pair().unwrap();
-    gateway.adopt(gw_end).unwrap();
+    let (mut runtime, prover_end) = runtime_with_peer(fleet, 2);
 
     let (ready_tx, ready_rx) = mpsc::channel();
     std::thread::scope(|scope| {
@@ -372,15 +384,15 @@ fn unknown_hellos_are_counted_on_reactor_stats() {
             });
         });
         ready_rx.recv().unwrap();
-        let report = gateway.drive_round(&fleet, &[id], BUDGET).unwrap();
+        let report = runtime.run_round(&[id], BUDGET).unwrap();
         assert_eq!(report.verified(), 1);
-        let unknown: u64 = gateway
+        let unknown: u64 = runtime
             .reactor_stats()
             .iter()
             .map(|s| s.unknown_device_hellos)
             .sum();
         assert_eq!(unknown, 2, "both ghost hellos counted, none judged");
-        drop(gateway);
+        drop(runtime);
     });
 }
 

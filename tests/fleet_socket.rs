@@ -1,19 +1,22 @@
-//! The fleet layer over a *real* socket: provers live behind a
-//! byte stream served from another thread, frames are length-prefixed
-//! envelopes, and silence is resolved by deadline — never by blocking
-//! the round on one device.
+//! The fleet layer over a *real* socket with the whole fleet behind
+//! one connection: provers live behind a byte stream served from
+//! another thread, frames are length-prefixed envelopes, and silence is
+//! resolved by deadline — never by blocking the round on one device.
 //!
-//! Topology per test: the verifier drives a `StreamTransport` over one
-//! end of a socketpair (or a TCP connection); a prover-host thread owns
-//! the simulated devices and answers frames via `serve_frames`. Devices
-//! are built *inside* the prover thread — it models a different
-//! process, and nothing but bytes crosses the boundary.
+//! Topology per test: a one-reactor `FleetRuntime` owns one end of a
+//! socketpair (or an accepted TCP connection); a prover-host thread
+//! owns the simulated devices, announces them and answers frames via
+//! `serve_frames`. Devices are built *inside* the prover thread — it
+//! models a different process, and nothing but bytes crosses the
+//! boundary.
 
 use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
 use asap::{programs, PoxMode, VerifierSpec};
-use asap_bench::fleet::{host_simulated_provers, DetRng};
-use asap_fleet::{drive_round, DeviceId, FleetError, FleetVerifier, StreamTransport};
+use asap_bench::fleet::{host_gateway_provers, DetRng};
+use asap_fleet::{DeviceId, FleetError, FleetRuntime, FleetVerifier, NoListener};
 use proptest::prelude::*;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn key_for(id: DeviceId) -> Vec<u8> {
@@ -21,9 +24,9 @@ fn key_for(id: DeviceId) -> Vec<u8> {
 }
 
 /// Enrolls `ids` into a fresh fleet (verifier side).
-fn fleet_for(ids: &[DeviceId]) -> FleetVerifier {
+fn fleet_for(ids: &[DeviceId]) -> Arc<FleetVerifier> {
     let image = programs::fig4_authorized().unwrap();
-    let fleet = FleetVerifier::new();
+    let fleet = Arc::new(FleetVerifier::new());
     for &id in ids {
         fleet
             .register(
@@ -38,6 +41,17 @@ fn fleet_for(ids: &[DeviceId]) -> FleetVerifier {
     fleet
 }
 
+/// A one-reactor runtime over `fleet` with one socketpair adopted;
+/// returns the runtime and the prover end.
+fn socketpair_runtime(
+    fleet: &Arc<FleetVerifier>,
+) -> (FleetRuntime<NoListener<UnixStream>>, UnixStream) {
+    let mut runtime = FleetRuntime::detached(Arc::clone(fleet), 1, 1);
+    let (runtime_end, prover_end) = UnixStream::pair().unwrap();
+    runtime.adopt(runtime_end).unwrap();
+    (runtime, prover_end)
+}
+
 /// The prover host, run *in its own thread*: devices are built there —
 /// it models a different process, and nothing but bytes crosses the
 /// boundary.
@@ -46,7 +60,7 @@ fn host_provers(
     ids: Vec<DeviceId>,
     silent: Vec<DeviceId>,
 ) {
-    host_simulated_provers(stream, &ids, key_for, &silent, || ());
+    host_gateway_provers(stream, &ids, key_for, &silent, || ());
 }
 
 #[test]
@@ -54,15 +68,15 @@ fn socketpair_round_verifies_every_device() {
     let ids: Vec<DeviceId> = (1..=4).map(DeviceId).collect();
     let fleet = fleet_for(&ids);
 
-    let (mut transport, prover_stream) = StreamTransport::pair().unwrap();
+    let (mut runtime, prover_stream) = socketpair_runtime(&fleet);
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || host_provers(prover_stream, host_ids, Vec::new()));
 
-    let report = drive_round(&fleet, &ids, &mut transport, Duration::from_secs(5)).unwrap();
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
     assert_eq!(report.verified(), ids.len(), "{:#?}", report.outcomes);
     assert_eq!(fleet.in_flight(), 0, "rounds never leak sessions");
 
-    drop(transport); // hang up: the prover host sees EOF and returns
+    drop(runtime); // hang up: the prover host sees EOF and returns
     host.join().unwrap();
 }
 
@@ -72,22 +86,22 @@ fn silent_prover_times_out_as_no_response_only() {
     let fleet = fleet_for(&ids);
     let silent = DeviceId(2);
 
-    let (mut transport, prover_stream) = StreamTransport::pair().unwrap();
+    let (mut runtime, prover_stream) = socketpair_runtime(&fleet);
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || host_provers(prover_stream, host_ids, vec![silent]));
 
     // The budget bounds the wall-clock cost of the silent device; the
     // answering devices settle as soon as their frames arrive.
-    let report = drive_round(&fleet, &ids, &mut transport, Duration::from_millis(400)).unwrap();
+    let report = runtime.run_round(&ids, Duration::from_millis(400)).unwrap();
     assert_eq!(
         report.of(silent),
         Some(&Err(FleetError::NoResponse(silent))),
-        "the read timeout surfaced as ticks that expired the deadline"
+        "the elapsed budget surfaced as ticks that expired the deadline"
     );
     assert_eq!(report.verified(), 2, "silence never stalls the others");
     assert_eq!(fleet.in_flight(), 0);
 
-    drop(transport);
+    drop(runtime);
     host.join().unwrap();
 }
 
@@ -96,44 +110,16 @@ fn peer_hangup_settles_the_round_by_deadline() {
     let ids: Vec<DeviceId> = (1..=2).map(DeviceId).collect();
     let fleet = fleet_for(&ids);
 
-    let (mut transport, prover_stream) = StreamTransport::pair().unwrap();
-    drop(prover_stream); // nobody home
+    let (mut runtime, prover_stream) = socketpair_runtime(&fleet);
+    drop(prover_stream); // nobody home: no hello ever routes a device
 
-    let report = drive_round(&fleet, &ids, &mut transport, Duration::from_millis(200)).unwrap();
-    assert!(transport.is_dead(), "EOF kills the transport");
+    let report = runtime.run_round(&ids, Duration::from_millis(200)).unwrap();
+    assert_eq!(runtime.connections(), 0, "EOF reaps the connection");
     assert_eq!(report.verified(), 0);
     for &id in &ids {
         assert_eq!(report.of(id), Some(&Err(FleetError::NoResponse(id))));
     }
     assert_eq!(fleet.in_flight(), 0);
-}
-
-#[test]
-fn explicit_read_timeout_threads_through_the_round() {
-    // connect_with: same round as below, but with a caller-chosen read
-    // timeout. The transport reports the timeout as its pacing, and
-    // the tighter tick granularity must not change any verdict.
-    let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
-    let fleet = fleet_for(&ids);
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let host_ids = ids.clone();
-    let host = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_nodelay(true).unwrap();
-        host_provers(stream, host_ids, Vec::new());
-    });
-
-    let timeout = Duration::from_millis(5);
-    let mut transport = StreamTransport::connect_with(addr, timeout).unwrap();
-    assert_eq!(transport.read_timeout(), Some(timeout));
-    let report = drive_round(&fleet, &ids, &mut transport, Duration::from_secs(5)).unwrap();
-    assert_eq!(report.verified(), ids.len(), "{report}");
-    assert_eq!(fleet.in_flight(), 0);
-
-    drop(transport);
-    host.join().unwrap();
 }
 
 proptest! {
@@ -179,22 +165,22 @@ fn tcp_round_verifies_over_a_real_listener() {
     let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
     let fleet = fleet_for(&ids);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
+    let mut runtime = FleetRuntime::bind_tcp("127.0.0.1:0", Arc::clone(&fleet), 1, 1).unwrap();
+    let addr = runtime.listener().unwrap().local_addr().unwrap();
     let host_ids = ids.clone();
     let host = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
+        let stream = std::net::TcpStream::connect(addr).unwrap();
         // Small back-to-back response frames: without nodelay, Nagle +
         // delayed ACKs can stall each one ~40 ms.
         stream.set_nodelay(true).unwrap();
         host_provers(stream, host_ids, Vec::new());
     });
 
-    let mut transport = StreamTransport::connect(addr).unwrap();
-    let report = drive_round(&fleet, &ids, &mut transport, Duration::from_secs(5)).unwrap();
+    // The runtime accepts the dialing host while it drives the round.
+    let report = runtime.run_round(&ids, Duration::from_secs(5)).unwrap();
     assert_eq!(report.verified(), ids.len(), "{:#?}", report.outcomes);
     assert_eq!(fleet.in_flight(), 0);
 
-    drop(transport);
+    drop(runtime);
     host.join().unwrap();
 }
