@@ -37,6 +37,6 @@ pub mod monitor;
 pub mod protocol;
 pub mod wire;
 
-pub use monitor::{exec_inputs, exec_kernel, ApexMonitor, ExecIn, ExecState};
+pub use monitor::{exec_kernel, ApexMonitor, ExecIn, ExecState};
 pub use protocol::{labels, pox_items, PoxError, PoxRequest, PoxResponse, PoxVerifier};
 pub use wire::WireError;

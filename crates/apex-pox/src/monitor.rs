@@ -12,17 +12,16 @@
 //! * a write to `OR` by anything but the executing `ER` code;
 //! * DMA activity or a CPU fault during execution.
 //!
-//! The kernel is pure; it is wrapped as a runtime
-//! [`openmsp430::HwModule`] and as a model-checkable
+//! The kernel is pure. [`ApexMonitor`] clocks it for the device through
+//! `step_wires`, and the same value is a model-checkable
 //! [`ltl_mc::MonitorFsm`] (the same transition code in both roles).
 
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::hwmod::{HwAction, HwModule, ObservesWires, WireSet};
-use openmsp430::signals::Signals;
+use openmsp430::hwmod::{ObservesWires, WireSet};
 use vrased::hw::WireStep;
-use vrased::props::{names, PropCtx, WireImage};
+use vrased::props::{names, WireImage};
 
 fn p(name: &str) -> Ltl {
     Ltl::prop(name)
@@ -144,54 +143,25 @@ impl ExecIn {
     }
 }
 
-/// Extracts the kernel inputs from a simulation step.
-pub fn exec_inputs(ctx: &PropCtx, signals: &Signals) -> ExecIn {
-    let er = ctx.er.expect("PoX monitor requires ER geometry");
-    ExecIn {
-        pc_in_er: er.region.contains(signals.pc),
-        pc_at_ermin: signals.pc == er.min,
-        pc_at_erexit: signals.pc == er.exit,
-        irq: signals.irq,
-        wen_er: signals.cpu_write_in(er.region),
-        dma_er: signals.dma_in(er.region),
-        wen_or: signals.cpu_write_in(ctx.layout.or),
-        dma_or: signals.dma_in(ctx.layout.or),
-        dma_active: signals.dma_active(),
-        fault: signals.fault.is_some(),
-    }
-}
-
 /// The APEX `EXEC` monitor (LTL 3 enforced).
+///
+/// `ApexMonitor::default()` is the power-on state (`EXEC = 0`): the
+/// value the device clocks and the model checker explores alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ApexMonitor {
-    ctx: Option<PropCtx>,
     state: ExecState,
 }
 
 impl ApexMonitor {
-    /// Creates the monitor for runtime use.
-    pub fn new(ctx: PropCtx) -> ApexMonitor {
-        ApexMonitor {
-            ctx: Some(ctx),
-            state: ExecState::default(),
-        }
-    }
-
-    /// Creates the monitor for model checking.
-    pub fn for_model() -> ApexMonitor {
-        ApexMonitor::default()
-    }
-
     /// Current `EXEC` level.
     pub fn exec(&self) -> bool {
         self.state.exec
     }
 
-    /// The violation message raised when `EXEC` falls, shared by the
-    /// `HwModule` path and the device's wire-level rendering.
+    /// The violation message the device records when `EXEC` falls.
     pub const EXEC_CLEARED: &'static str = "APEX: EXEC cleared";
 
-    /// One wire-level clock of the `EXEC` kernel (LTL 3 enforced) against
+    /// One clock of the `EXEC` kernel (LTL 3 enforced) against
     /// a pre-extracted [`WireImage`]. The returned wire is `EXEC`; the
     /// edge reports `EXEC` falling this step.
     pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
@@ -324,31 +294,6 @@ pub fn shared_exec_properties() -> Vec<Property> {
             p(names::EXEC).implies(p(names::PC_AT_ERMIN)),
         ),
     ]
-}
-
-impl HwModule for ApexMonitor {
-    fn name(&self) -> &'static str {
-        "apex.exec"
-    }
-
-    fn reset(&mut self) {
-        self.state = ExecState::default();
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let ctx = self.ctx.as_ref().expect("runtime monitor needs a PropCtx");
-        let i = exec_inputs(ctx, signals);
-        let before = self.state.exec;
-        self.state = exec_kernel(self.state, i, true);
-        let mut action = HwAction {
-            exec: Some(self.state.exec),
-            ..HwAction::none()
-        };
-        if before && !self.state.exec {
-            action.violations.push(ApexMonitor::EXEC_CLEARED.into());
-        }
-        action
-    }
 }
 
 impl ObservesWires for ApexMonitor {
@@ -646,7 +591,7 @@ mod tests {
 
     #[test]
     fn apex_suite_model_checks() {
-        let k = kripke_of_constrained(&ApexMonitor::for_model(), ApexMonitor::env_constraint);
+        let k = kripke_of_constrained(&ApexMonitor::default(), ApexMonitor::env_constraint);
         let rows = check_suite(&k, &ApexMonitor::properties());
         assert_eq!(rows.len(), 9);
         for row in &rows {

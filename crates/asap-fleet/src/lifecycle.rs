@@ -50,12 +50,11 @@
 //!   takes effect at the next epoch boundary, so an in-flight round
 //!   concludes under the key its challenge was MACed with.
 //!
-//! The directory composes with both round drivers: hand the
-//! [`EpochPlan`] cohort to [`FleetVerifier::run_round`] or
-//! [`FleetRuntime::run_round`], or use the
-//! [`run_epoch`](FleetDirectory::run_epoch) /
-//! [`run_epochs_runtime`](FleetDirectory::run_epochs_runtime)
-//! conveniences. The runtime's hello-routing needs no lifecycle
+//! Epochs run one of two ways: hand the cohort of
+//! [`begin_epoch`](FleetDirectory::begin_epoch) to
+//! [`FleetVerifier::run_round`] (the lock-step reference over any
+//! `Transport`), or run them pipelined through a persistent runtime with
+//! [`run_epochs_runtime`](FleetDirectory::run_epochs_runtime). The runtime's hello-routing needs no lifecycle
 //! awareness: a joining device's hello records its route today, and the
 //! next epoch's challenge finds the route waiting.
 
@@ -64,7 +63,6 @@ use crate::registry::{FleetVerifier, SHARD_COUNT};
 use crate::rng::XorShift64;
 use crate::round::RoundReport;
 use crate::runtime::{FleetRuntime, GatewayListener};
-use crate::transport::Transport;
 use crate::DeviceId;
 use asap::VerifierSpec;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -643,22 +641,6 @@ impl FleetDirectory {
             epoch: state.epoch,
             cohort,
         }
-    }
-
-    /// One epoch, lock-step over a [`Transport`] —
-    /// [`begin_epoch`](FleetDirectory::begin_epoch) handed to
-    /// [`FleetVerifier::run_round`].
-    ///
-    /// # Errors
-    ///
-    /// Round-level errors from the driver; the epoch still advanced.
-    pub fn run_epoch<T: Transport + ?Sized>(
-        &self,
-        transport: &mut T,
-    ) -> Result<(EpochPlan, RoundReport), FleetError> {
-        let plan = self.begin_epoch();
-        let report = self.fleet.run_round(&plan.cohort, transport)?;
-        Ok((plan, report))
     }
 
     /// `epochs` consecutive epochs through a persistent

@@ -14,12 +14,12 @@ use apex_pox::protocol::{pox_items, PoxRequest, PoxResponse};
 use ltl_mc::trace::Trace;
 use msp430_tools::link::Image;
 use openmsp430::bus::{Master, MemAccess};
-use openmsp430::hwmod::{Compose, HwModule, ObservesWires, WireSet};
+use openmsp430::hwmod::{Compose, ObservesWires, WireSet};
 use openmsp430::layout::MemLayout;
 use openmsp430::mcu::Mcu;
 use openmsp430::periph::DmaOp;
 use openmsp430::signals::Signals;
-use openmsp430::superblock::{SbConfig, SbExit, SbStep, StepCtl};
+use openmsp430::superblock::{SbConfig, SbExit, StepCtl, WireSummary};
 use periph::gpio::{Gpio, PORT1_VECTOR, PORT2_VECTOR};
 use periph::{DmaController, Timer, Uart};
 use std::fmt;
@@ -32,8 +32,8 @@ use vrased::swatt::{attest, swatt_cycle_cost, CHAL_LEN};
 pub type WaveSink = Box<dyn FnMut(WaveSample) + Send>;
 
 /// A streaming consumer of every step's full [`Signals`] bundle.
-/// Installing one forces the superblock executor to materialize
-/// interior steps (elision would hide signals the tap must see).
+/// Installing one sends the run loops down the per-step pipeline
+/// (superblock elision would hide signals the tap must see).
 pub type SignalTap = Box<dyn FnMut(&Signals) + Send>;
 
 /// Which PoX architecture the hardware implements.
@@ -150,17 +150,18 @@ impl<'a> DeviceBuilder<'a> {
     }
 
     /// Streams every step's full [`Signals`] into `tap` — for digest
-    /// pipelines and bit-identity harnesses. Forces the superblock
-    /// executor to materialize interior steps.
+    /// pipelines and bit-identity harnesses. Like any capture, it makes
+    /// the run loops step per step.
     pub fn stream_signals(mut self, tap: impl FnMut(&Signals) + Send + 'static) -> Self {
         self.signal_tap = Some(Box::new(tap));
         self
     }
 
     /// Enables or disables superblock execution in the internal run
-    /// loops (default: on). `step`/`step_into` are always per-step;
-    /// this knob exists for ablation benchmarks and bit-identity
-    /// cross-checks against the per-step pipeline.
+    /// loops (default: on). `step`/`step_into` are always per-step, and
+    /// so are the run loops of a device that captures a trace, a
+    /// waveform or a signal tap; this knob exists for ablation
+    /// benchmarks and cross-checks against the per-step pipeline.
     pub fn superblocks(mut self, on: bool) -> Self {
         self.superblocks = on;
         self
@@ -224,7 +225,7 @@ type VrasedGuards = Compose<KeyGuard, SwAttAtomicity>;
 /// mode-specific `EXEC` monitor (the APEX kernel, or ASAP's kernel +
 /// `IvtGuard` composite). One enum arm per architecture, each a concrete
 /// [`Compose`] chain: the per-step walk is fully monomorphized, with no
-/// `dyn HwModule` dispatch and no heap allocation on the clean path.
+/// `dyn` dispatch and no heap allocation on the clean path.
 #[derive(Clone, PartialEq)]
 enum MonitorStack {
     Apex(Compose<VrasedGuards, ApexMonitor>),
@@ -247,28 +248,40 @@ impl StackOut {
     fn violations(&self) -> usize {
         self.key_raised as usize + self.atomicity_raised as usize + self.exec_fell as usize
     }
+
+    /// Appends the message of every violation edge raised this clock,
+    /// stamped with `step`. Allocates only when something tripped.
+    fn record(&self, mode: PoxMode, step: u64, log: &mut Vec<(u64, String)>) {
+        if self.key_raised {
+            log.push((step, KeyGuard::VIOLATION.into()));
+        }
+        if self.atomicity_raised {
+            log.push((step, SwAttAtomicity::VIOLATION.into()));
+        }
+        if self.exec_fell {
+            let message = match mode {
+                PoxMode::Apex => ApexMonitor::EXEC_CLEARED,
+                PoxMode::Asap => AsapMonitor::EXEC_CLEARED,
+            };
+            log.push((step, message.into()));
+        }
+    }
 }
 
 impl MonitorStack {
-    fn new(ctx: PropCtx, mode: PoxMode) -> MonitorStack {
-        let guards = Compose(KeyGuard::new(ctx), SwAttAtomicity::new(ctx));
+    fn new(mode: PoxMode) -> MonitorStack {
+        let guards = Compose(KeyGuard::default(), SwAttAtomicity::default());
         match mode {
-            PoxMode::Apex => MonitorStack::Apex(Compose(guards, ApexMonitor::new(ctx))),
-            PoxMode::Asap => MonitorStack::Asap(Compose(guards, AsapMonitor::new(ctx))),
+            PoxMode::Apex => MonitorStack::Apex(Compose(guards, ApexMonitor::default())),
+            PoxMode::Asap => MonitorStack::Asap(Compose(guards, AsapMonitor::default())),
         }
     }
 
-    /// Clocks every monitor against one shared single-pass [`WireImage`]
-    /// extraction — the hardware picture exactly: all modules sample the
-    /// same wires on the same clock edge, and the outputs conjoin.
-    fn step_wires(&mut self, ctx: &PropCtx, signals: &Signals) -> StackOut {
-        self.step_image(&WireImage::of(ctx, signals))
-    }
-
-    /// Clocks every monitor with an already-extracted wire image — the
-    /// shared back half of [`MonitorStack::step_wires`] and the
-    /// superblock fast path (whose elided steps build the image from a
-    /// [`openmsp430::superblock::WireSummary`] instead of full signals).
+    /// Clocks every monitor against one shared [`WireImage`] — the
+    /// hardware picture exactly: all modules sample the same wires on
+    /// the same clock edge, and the outputs conjoin. The per-step path
+    /// extracts the image from full [`Signals`], the superblock path
+    /// from an elided [`WireSummary`].
     fn step_image(&mut self, w: &WireImage) -> StackOut {
         let (guards, exec) = match self {
             MonitorStack::Apex(Compose(guards, monitor)) => (guards, monitor.step_wires(w)),
@@ -294,11 +307,12 @@ impl MonitorStack {
         }
     }
 
+    /// Hardware reset: every FSM back to its power-on state.
     fn reset(&mut self) {
-        match self {
-            MonitorStack::Apex(stack) => stack.reset(),
-            MonitorStack::Asap(stack) => stack.reset(),
-        }
+        *self = match self {
+            MonitorStack::Apex(_) => MonitorStack::new(PoxMode::Apex),
+            MonitorStack::Asap(_) => MonitorStack::new(PoxMode::Asap),
+        };
     }
 
     fn exec(&self) -> bool {
@@ -414,7 +428,7 @@ impl Device {
             mode,
             er,
             key: key_bytes,
-            stack: MonitorStack::new(ctx, mode),
+            stack: MonitorStack::new(mode),
             trace: None,
             wave: None,
             wave_sink: None,
@@ -476,27 +490,11 @@ impl Device {
     /// output wires. The clean path (no violation, no capture sink)
     /// performs no heap allocation.
     fn observe(&mut self, signals: &Signals) -> StepVerdict {
-        let out = self.stack.step_wires(&self.ctx, signals);
-
+        let out = self.stack.step_image(&WireImage::of(&self.ctx, signals));
         let exec = out.exec;
         self.mcu
             .set_hw_cell(self.ctx.layout.exec_flag_addr, exec as u16);
-
-        if out.key_raised {
-            self.violations
-                .push((signals.step, KeyGuard::VIOLATION.into()));
-        }
-        if out.atomicity_raised {
-            self.violations
-                .push((signals.step, SwAttAtomicity::VIOLATION.into()));
-        }
-        if out.exec_fell {
-            let message = match self.mode {
-                PoxMode::Apex => ApexMonitor::EXEC_CLEARED,
-                PoxMode::Asap => AsapMonitor::EXEC_CLEARED,
-            };
-            self.violations.push((signals.step, message.into()));
-        }
+        out.record(self.mode, signals.step, &mut self.violations);
 
         if let Some(trace) = self.trace.as_mut() {
             let mut props = self.ctx.props_of(signals);
@@ -534,6 +532,15 @@ impl Device {
             reset: out.reset,
             violations: out.violations(),
         }
+    }
+
+    /// True when something consumes every step's full signals — a trace,
+    /// a waveform buffer or sink, or a signal tap.
+    fn capturing(&self) -> bool {
+        self.trace.is_some()
+            || self.wave.is_some()
+            || self.wave_sink.is_some()
+            || self.signal_tap.is_some()
     }
 
     /// VRASED's response to a guard violation: hard MCU reset (monitors
@@ -575,219 +582,121 @@ impl Device {
     /// Runs up to `max_steps`, stopping early when the PC reaches
     /// `stop_pc`. Returns true if the stop address was reached.
     pub fn run_until_pc(&mut self, stop_pc: u16, max_steps: u64) -> bool {
-        if self.superblocks {
-            return self.run_fast(Some(stop_pc), max_steps);
-        }
-        let mut signals = std::mem::take(&mut self.scratch);
-        let mut outcome = None;
-        for _ in 0..max_steps {
-            if self.mcu.cpu.regs.pc() == stop_pc {
-                outcome = Some(true);
-                break;
-            }
-            self.step_into(&mut signals);
-            if signals.fault.is_some() {
-                outcome = Some(false);
-                break;
-            }
-        }
-        let reached = outcome.unwrap_or_else(|| self.mcu.cpu.regs.pc() == stop_pc);
-        self.scratch = signals;
-        reached
+        self.run(Some(stop_pc), max_steps)
     }
 
     /// Runs exactly `steps` steps (or until a CPU fault).
     pub fn run_steps(&mut self, steps: u64) {
-        if self.superblocks {
-            self.run_fast(None, steps);
-            return;
-        }
-        let mut signals = std::mem::take(&mut self.scratch);
-        for _ in 0..steps {
-            self.step_into(&mut signals);
-            if signals.fault.is_some() {
-                break;
-            }
-        }
-        self.scratch = signals;
+        self.run(None, steps);
     }
 
-    /// The superblock-backed run loop behind [`Device::run_steps`] and
-    /// [`Device::run_until_pc`].
+    /// The run loop behind [`Device::run_steps`] and
+    /// [`Device::run_until_pc`]: up to `max_steps` steps, stopping
+    /// before `stop_pc` or after a CPU fault. Returns true if it stopped
+    /// at `stop_pc`.
     ///
-    /// Bursts through cached straight-line traces, clocking the monitor
-    /// stack once per interior step from either an elided
-    /// [`openmsp430::superblock::WireSummary`] (the common case: only
-    /// the wires the composed stack declares via `ObservesWires` are
-    /// computed) or a fully materialized [`Signals`] bundle (forced by
-    /// trace/wave capture and signal taps). Steps the executor cannot
-    /// run inside a trace — interrupt servicing, MMIO fetches, halted
-    /// CPU — fall back to exactly one [`Device::step_into`], so the
-    /// machine and every monitor see the same history, bit for bit, as
-    /// the per-step pipeline.
-    fn run_fast(&mut self, stop_pc: Option<u16>, max_steps: u64) -> bool {
-        let observed = MonitorStack::observed_wires(self.mode);
+    /// With superblocks on and no capture, it bursts through cached
+    /// straight-line traces (see [`Device::burst`]). Steps a trace
+    /// cannot run — interrupt servicing, MMIO fetches, a halted CPU —
+    /// and every step of a capturing or superblocks-off device go
+    /// through exactly one [`Device::step_into`], so the machine and
+    /// every monitor see the same history as the per-step pipeline.
+    fn run(&mut self, stop_pc: Option<u16>, max_steps: u64) -> bool {
+        let bursts = self.superblocks && !self.capturing();
         let mut signals = std::mem::take(&mut self.scratch);
         let mut remaining = max_steps;
         let mut outcome = None;
         while remaining > 0 {
-            if let Some(sp) = stop_pc {
-                if self.mcu.cpu.regs.pc() == sp {
-                    outcome = Some(true);
-                    break;
-                }
+            if stop_pc == Some(self.mcu.cpu.regs.pc()) {
+                outcome = Some(true);
+                break;
             }
-            let cfg = SbConfig {
-                budget: remaining,
-                stop_pc,
-                exec_cell: Some(self.ctx.layout.exec_flag_addr),
-                observed,
-                materialize: self.trace.is_some()
-                    || self.wave.is_some()
-                    || self.wave_sink.is_some()
-                    || self.signal_tap.is_some(),
-            };
-            let mut reset_pending = false;
-            // Monitor clock gating: once clocking the stack with a given
-            // wire picture provably left every FSM unchanged (a fixed
-            // point — checked by state comparison), repeating the same
-            // picture must repeat the same output, so the kernels are
-            // skipped until the wires change. Scoped to one burst: any
-            // out-of-band clocking (per-step fallback, hard reset)
-            // starts the next burst ungated.
-            type WireKey = (u16, [bool; 10]);
-            let mut gate: Option<(WireKey, StackOut)> = None;
-            let mut gate_stable = false;
-            let (done, exit) = {
-                // Disjoint field borrows: the executor owns `mcu`, the
-                // observer closure owns the monitor stack and captures.
-                let Device {
-                    mcu,
-                    ctx,
-                    mode,
-                    stack,
-                    trace,
-                    wave,
-                    wave_sink,
-                    signal_tap,
-                    violations,
-                    ..
-                } = self;
-                let mode = *mode;
-                mcu.run_superblock(&cfg, &mut signals, |step| {
-                    let (out, at_step) = match step {
-                        SbStep::Wires(s) => {
-                            let key: WireKey = (
-                                s.pc,
-                                [
-                                    s.fault,
-                                    s.dma_active,
-                                    s.ren_key,
-                                    s.dma_key,
-                                    s.wen_ivt,
-                                    s.dma_ivt,
-                                    s.wen_or,
-                                    s.dma_or,
-                                    s.wen_er,
-                                    s.dma_er,
-                                ],
-                            );
-                            let out = match gate {
-                                Some((gated, out)) if gate_stable && gated == key => out,
-                                _ => {
-                                    let before = stack.clone();
-                                    let out = stack.step_image(&WireImage::of_summary(ctx, s));
-                                    gate_stable = *stack == before;
-                                    gate = Some((key, out));
-                                    out
-                                }
-                            };
-                            (out, s.step)
-                        }
-                        SbStep::Signals(s) => (stack.step_image(&WireImage::of(ctx, s)), s.step),
-                    };
-                    if out.key_raised {
-                        violations.push((at_step, KeyGuard::VIOLATION.into()));
-                    }
-                    if out.atomicity_raised {
-                        violations.push((at_step, SwAttAtomicity::VIOLATION.into()));
-                    }
-                    if out.exec_fell {
-                        let message = match mode {
-                            PoxMode::Apex => ApexMonitor::EXEC_CLEARED,
-                            PoxMode::Asap => AsapMonitor::EXEC_CLEARED,
-                        };
-                        violations.push((at_step, message.into()));
-                    }
-                    if let SbStep::Signals(s) = step {
-                        if let Some(trace) = trace.as_mut() {
-                            let mut props = ctx.props_of(s);
-                            if out.exec {
-                                props.insert(names::EXEC.to_string());
-                            }
-                            if out.reset {
-                                props.insert(names::RESET.to_string());
-                            }
-                            trace.push_state(props);
-                        }
-                        if wave.is_some() || wave_sink.is_some() {
-                            let sample = WaveSample {
-                                cycle: s.cycle,
-                                pc: s.pc,
-                                irq: s.irq,
-                                exec: out.exec,
-                            };
-                            if let Some(buffer) = wave.as_mut() {
-                                buffer.push(sample);
-                            }
-                            if let Some(sink) = wave_sink.as_mut() {
-                                sink(sample);
-                            }
-                        }
-                        if let Some(tap) = signal_tap.as_mut() {
-                            tap(s);
-                        }
-                    }
-                    reset_pending |= out.reset;
-                    StepCtl {
-                        exec: out.exec,
-                        stop: out.reset,
-                    }
-                })
-            };
-            remaining -= done;
-            if reset_pending {
-                self.hard_reset();
-            }
-            match exit {
-                SbExit::Budget => break,
-                SbExit::StopPc => {
-                    outcome = Some(true);
-                    break;
-                }
-                SbExit::ObserverStop => continue,
-                SbExit::Fault => {
-                    outcome = Some(false);
-                    break;
-                }
-                SbExit::NeedStep => {
-                    if remaining == 0 {
+            if bursts {
+                let (done, exit) = self.burst(stop_pc, remaining);
+                remaining -= done;
+                match exit {
+                    SbExit::Budget => break,
+                    SbExit::StopPc => {
+                        outcome = Some(true);
                         break;
                     }
-                    self.mcu.step_into(&mut signals);
-                    self.observe(&signals);
-                    remaining -= 1;
-                    if signals.fault.is_some() {
+                    SbExit::Fault => {
                         outcome = Some(false);
                         break;
                     }
+                    SbExit::ObserverStop => continue,
+                    SbExit::NeedStep if remaining == 0 => break,
+                    SbExit::NeedStep => {}
                 }
+            }
+            self.step_into(&mut signals);
+            remaining -= 1;
+            if signals.fault.is_some() {
+                outcome = Some(false);
+                break;
             }
         }
         let reached =
             outcome.unwrap_or_else(|| stop_pc.is_some_and(|sp| self.mcu.cpu.regs.pc() == sp));
         self.scratch = signals;
         reached
+    }
+
+    /// One superblock burst of at most `budget` steps, clocking the
+    /// monitor stack once per interior step from an elided
+    /// [`WireSummary`]: only the wires the composed stack declares via
+    /// `ObservesWires` are computed. A guard's reset request ends the
+    /// burst and is applied once it returns.
+    fn burst(&mut self, stop_pc: Option<u16>, budget: u64) -> (u64, SbExit) {
+        let cfg = SbConfig {
+            budget,
+            stop_pc,
+            exec_cell: Some(self.ctx.layout.exec_flag_addr),
+            observed: MonitorStack::observed_wires(self.mode),
+        };
+        let mut reset_pending = false;
+        // Monitor clock gating: once clocking the stack with a given
+        // wire picture provably left every FSM unchanged (a fixed point —
+        // checked by state comparison), repeating the same picture must
+        // repeat the same output, so the kernels are skipped until the
+        // wires change. Scoped to one burst: any out-of-band clocking
+        // (per-step fallback, hard reset) starts the next burst ungated.
+        let mut gate: Option<(WireSummary, StackOut)> = None;
+        let mut gate_stable = false;
+        // Disjoint field borrows: the executor owns `mcu`, the observer
+        // closure the monitor stack and the violation log.
+        let Device {
+            mcu,
+            ctx,
+            mode,
+            stack,
+            violations,
+            ..
+        } = self;
+        let result = mcu.run_superblock(&cfg, |s| {
+            // The wire picture: PC and wires, without the step index.
+            let key = WireSummary { step: 0, ..*s };
+            let out = match gate {
+                Some((gated, out)) if gate_stable && gated == key => out,
+                _ => {
+                    let before = stack.clone();
+                    let out = stack.step_image(&WireImage::of_summary(ctx, s));
+                    gate_stable = *stack == before;
+                    gate = Some((key, out));
+                    out
+                }
+            };
+            out.record(*mode, s.step, violations);
+            reset_pending |= out.reset;
+            StepCtl {
+                exec: out.exec,
+                stop: out.reset,
+            }
+        });
+        if reset_pending {
+            self.hard_reset();
+        }
+        result
     }
 
     /// Models an attacker-controlled CPU instruction writing `value` at

@@ -15,15 +15,19 @@
 //! The composite monitor drives the device's `EXEC` wire as the
 //! conjunction of both parts, and its property suite (P18–P21) includes
 //! the paper's key theorem: *authorized interrupts preserve `EXEC`*.
+//!
+//! The device clocks [`AsapMonitor`] through `step_wires`; the model
+//! checker explores the same value through its [`MonitorFsm`] impl.
+//! [`IvtGuard`] is the Fig. 3 FSM on its own, model-checked against
+//! \[AP1\]'s properties (P18–P20).
 
-use apex_pox::monitor::{exec_inputs, exec_kernel, ExecState};
+use apex_pox::monitor::{exec_kernel, ExecState};
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::hwmod::{HwAction, HwModule, ObservesWires, WireSet};
-use openmsp430::signals::Signals;
+use openmsp430::hwmod::{ObservesWires, WireSet};
 use vrased::hw::WireStep;
-use vrased::props::{names, PropCtx, WireImage};
+use vrased::props::{names, WireImage};
 
 fn p(name: &str) -> Ltl {
     Ltl::prop(name)
@@ -54,27 +58,15 @@ pub fn ivt_kernel(run: bool, i: IvtIn) -> bool {
 }
 
 /// The standalone IVT-immutability guard (\[AP1\]).
+///
+/// `IvtGuard::default()` starts in `NotExec`, where it stays until the
+/// first `ERmin` entry (matching the power-on value `EXEC = 0`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IvtGuard {
-    ctx: Option<PropCtx>,
     run: bool,
 }
 
 impl IvtGuard {
-    /// Creates the guard for runtime use (starts in `NotExec` until the
-    /// first `ERmin` entry, matching the power-on value `EXEC = 0`).
-    pub fn new(ctx: PropCtx) -> IvtGuard {
-        IvtGuard {
-            ctx: Some(ctx),
-            run: false,
-        }
-    }
-
-    /// Creates the guard for model checking.
-    pub fn for_model() -> IvtGuard {
-        IvtGuard::default()
-    }
-
     /// Current state (`true` = `Run`).
     pub fn running(&self) -> bool {
         self.run
@@ -107,36 +99,6 @@ impl IvtGuard {
                     .globally(),
             ),
         ]
-    }
-}
-
-impl HwModule for IvtGuard {
-    fn name(&self) -> &'static str {
-        "asap.ivt_guard"
-    }
-
-    fn reset(&mut self) {
-        self.run = false;
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let ctx = self.ctx.as_ref().expect("runtime monitor needs a PropCtx");
-        let er = ctx.er.expect("IVT guard requires ER geometry");
-        let i = IvtIn {
-            wen_ivt: signals.cpu_write_in(ctx.layout.ivt),
-            dma_ivt: signals.dma_in(ctx.layout.ivt),
-            pc_at_ermin: signals.pc == er.min,
-        };
-        let was = self.run;
-        self.run = ivt_kernel(self.run, i);
-        let mut action = HwAction {
-            exec: Some(self.run),
-            ..HwAction::none()
-        };
-        if was && !self.run {
-            action.violations.push("ASAP [AP1]: IVT modified".into());
-        }
-        action
     }
 }
 
@@ -193,26 +155,15 @@ pub struct AsapState {
 
 /// The complete ASAP monitor: the APEX kernel without LTL 3, conjoined
 /// with the \[AP1\] IVT guard.
+///
+/// `AsapMonitor::default()` is the power-on state (`EXEC = 0`): the
+/// value the device clocks and the model checker explores alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AsapMonitor {
-    ctx: Option<PropCtx>,
     state: AsapState,
 }
 
 impl AsapMonitor {
-    /// Creates the monitor for runtime use.
-    pub fn new(ctx: PropCtx) -> AsapMonitor {
-        AsapMonitor {
-            ctx: Some(ctx),
-            state: AsapState::default(),
-        }
-    }
-
-    /// Creates the monitor for model checking.
-    pub fn for_model() -> AsapMonitor {
-        AsapMonitor::default()
-    }
-
     /// The composite `EXEC` level.
     pub fn exec(&self) -> bool {
         self.state.exec.exec && self.state.ivt_run
@@ -226,12 +177,11 @@ impl AsapMonitor {
         }
     }
 
-    /// The violation message raised when the composite `EXEC` falls,
-    /// shared by the `HwModule` path and the device's wire-level
-    /// rendering.
+    /// The violation message the device records when the composite
+    /// `EXEC` falls.
     pub const EXEC_CLEARED: &'static str = "ASAP: EXEC cleared";
 
-    /// One wire-level clock of the composite (relaxed `EXEC` kernel +
+    /// One clock of the composite (relaxed `EXEC` kernel +
     /// \[AP1\] guard) against a pre-extracted [`WireImage`]. The returned
     /// wire is the composite `EXEC`; the edge reports it falling.
     pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
@@ -300,37 +250,6 @@ impl AsapMonitor {
                 .implies(p(names::EXEC).next())
                 .globally(),
         )]
-    }
-}
-
-impl HwModule for AsapMonitor {
-    fn name(&self) -> &'static str {
-        "asap.monitor"
-    }
-
-    fn reset(&mut self) {
-        self.state = AsapState::default();
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let ctx = self.ctx.as_ref().expect("runtime monitor needs a PropCtx");
-        let er = ctx.er.expect("ASAP monitor requires ER geometry");
-        let exec_in = exec_inputs(ctx, signals);
-        let ivt_in = IvtIn {
-            wen_ivt: signals.cpu_write_in(ctx.layout.ivt),
-            dma_ivt: signals.dma_in(ctx.layout.ivt),
-            pc_at_ermin: signals.pc == er.min,
-        };
-        let before = self.exec();
-        self.state = AsapMonitor::kernel(self.state, exec_in, ivt_in);
-        let mut action = HwAction {
-            exec: Some(self.exec()),
-            ..HwAction::none()
-        };
-        if before && !self.exec() {
-            action.violations.push(AsapMonitor::EXEC_CLEARED.into());
-        }
-        action
     }
 }
 
@@ -441,7 +360,7 @@ mod tests {
 
     #[test]
     fn ivt_guard_suite_model_checks() {
-        let k = kripke_of(&IvtGuard::for_model());
+        let k = kripke_of(&IvtGuard::default());
         let rows = check_suite(&k, &IvtGuard::properties());
         assert_eq!(rows.len(), 3);
         for row in &rows {
@@ -511,7 +430,7 @@ mod tests {
 
     #[test]
     fn composite_suite_model_checks() {
-        let k = kripke_of_constrained(&AsapMonitor::for_model(), AsapMonitor::env_constraint);
+        let k = kripke_of_constrained(&AsapMonitor::default(), AsapMonitor::env_constraint);
         let rows = check_suite(&k, &AsapMonitor::properties());
         for row in &rows {
             assert!(
@@ -525,7 +444,7 @@ mod tests {
     #[test]
     fn composite_ltl4_model_checks() {
         // P18 over the composite EXEC wire (not just the guard's).
-        let k = kripke_of_constrained(&AsapMonitor::for_model(), AsapMonitor::env_constraint);
+        let k = kripke_of_constrained(&AsapMonitor::default(), AsapMonitor::env_constraint);
         let ltl4 = ltl_mc::mc::Property::new(
             "LTL4 over composite",
             p(names::WEN_IVT)

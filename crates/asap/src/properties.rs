@@ -105,22 +105,22 @@ pub fn verify_all() -> SuiteReport {
         }
     };
 
-    let k = kripke_of(&KeyGuard::for_model());
+    let k = kripke_of(&KeyGuard::default());
     push("vrased.key_guard", check_suite(&k, &KeyGuard::properties()));
 
-    let k = kripke_of_constrained(&SwAttAtomicity::for_model(), SwAttAtomicity::env_constraint);
+    let k = kripke_of_constrained(&SwAttAtomicity::default(), SwAttAtomicity::env_constraint);
     push(
         "vrased.atomicity",
         check_suite(&k, &SwAttAtomicity::properties()),
     );
 
-    let k = kripke_of_constrained(&ApexMonitor::for_model(), ApexMonitor::env_constraint);
+    let k = kripke_of_constrained(&ApexMonitor::default(), ApexMonitor::env_constraint);
     push("apex.exec", check_suite(&k, &ApexMonitor::properties()));
 
-    let k = kripke_of(&IvtGuard::for_model());
+    let k = kripke_of(&IvtGuard::default());
     push("asap.ivt_guard", check_suite(&k, &IvtGuard::properties()));
 
-    let k = kripke_of_constrained(&AsapMonitor::for_model(), AsapMonitor::env_constraint);
+    let k = kripke_of_constrained(&AsapMonitor::default(), AsapMonitor::env_constraint);
     push(
         "asap.composite",
         check_suite(&k, &AsapMonitor::properties()),

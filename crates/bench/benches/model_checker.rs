@@ -12,20 +12,20 @@ use vrased::hw::{KeyGuard, SwAttAtomicity};
 fn bench_monitor_suites(c: &mut Criterion) {
     c.bench_function("mc_key_guard_suite", |b| {
         b.iter(|| {
-            let k = kripke_of(&KeyGuard::for_model());
+            let k = kripke_of(&KeyGuard::default());
             black_box(check_suite(&k, &KeyGuard::properties()))
         })
     });
     c.bench_function("mc_atomicity_suite", |b| {
         b.iter(|| {
             let k =
-                kripke_of_constrained(&SwAttAtomicity::for_model(), SwAttAtomicity::env_constraint);
+                kripke_of_constrained(&SwAttAtomicity::default(), SwAttAtomicity::env_constraint);
             black_box(check_suite(&k, &SwAttAtomicity::properties()))
         })
     });
     c.bench_function("mc_ivt_guard_suite", |b| {
         b.iter(|| {
-            let k = kripke_of(&IvtGuard::for_model());
+            let k = kripke_of(&IvtGuard::default());
             black_box(check_suite(&k, &IvtGuard::properties()))
         })
     });

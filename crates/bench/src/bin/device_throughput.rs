@@ -6,13 +6,10 @@
 //! between PoX rounds. Two arms step the *same* machine state through
 //! the *same* monitor semantics:
 //!
-//! * **legacy** — the pre-refactor pipeline, reproduced faithfully:
-//!   predecode cache off (every step re-decodes through closure-based
-//!   bus reads), a fresh `Signals` allocation per step, the monitors
-//!   clocked through a `dyn HwModule` walk with the key guard going
-//!   through the proposition-set conversion (`PropCtx::props_of`), and
-//!   the per-step report cloning the signal bundle — exactly what
-//!   `Device::step()` used to do.
+//! * **legacy** — the live-fetch reference: predecode cache off (every
+//!   step decodes through bus reads) and the allocating `Device::step()`,
+//!   which hands back a fresh `Signals` and step report per call. Every
+//!   faster arm is checked against this path by the differential tests.
 //! * **predecoded** — the per-step pipeline: `Device::step_into` into
 //!   one reused `Signals` buffer, generation-checked predecoded
 //!   instructions, sorted MMIO lookup and the statically composed
@@ -22,9 +19,8 @@
 //!   interior steps (only the wires the composed stack declares via
 //!   `ObservesWires` are computed).
 //!
-//! Both arms step identically prepared machines through the same monitor
-//! kernels (whose per-step cost does not depend on register state), so
-//! the ablation compares pipeline cost, not behaviour.
+//! All arms step identically prepared machines through the same monitor
+//! stack, so the ablation compares pipeline cost, not behaviour.
 //!
 //! Environment knobs:
 //!
@@ -35,54 +31,11 @@
 
 use asap::device::{Device, PoxMode};
 use asap::{programs, AsapVerifier, VerifierSpec};
-use openmsp430::hwmod::{HwAction, HwModule};
 use openmsp430::signals::Signals;
 use std::hint::black_box;
 use std::time::Instant;
-use vrased::hw::{KeyGuard, KeyGuardIn, SwAttAtomicity};
-use vrased::props::{names, PropCtx};
 
 const KEY: &[u8] = b"bench-key";
-
-/// The pre-refactor key-access monitor step: the same [`KeyGuard`]
-/// kernel, but fed through the allocating proposition-set conversion the
-/// old `HwModule` implementation used. Kept here so the legacy arm pays
-/// the historical per-step cost the refactor removed.
-struct PropsKeyGuard {
-    ctx: PropCtx,
-    violated: bool,
-}
-
-impl HwModule for PropsKeyGuard {
-    fn name(&self) -> &'static str {
-        "legacy.key_guard"
-    }
-
-    fn reset(&mut self) {
-        self.violated = false;
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let props = self.ctx.props_of(signals);
-        let i = KeyGuardIn {
-            ren_key: props.contains(names::REN_KEY),
-            dma_key: props.contains(names::DMA_KEY),
-            pc_in_swatt: props.contains(names::PC_IN_SWATT),
-        };
-        let was = self.violated;
-        self.violated = KeyGuard::kernel(self.violated, i);
-        let mut action = HwAction {
-            reset_mcu: self.violated,
-            ..HwAction::none()
-        };
-        if self.violated && !was {
-            action
-                .violations
-                .push("key region accessed outside SW-Att".into());
-        }
-        action
-    }
-}
 
 /// Builds the Fig. 4 ASAP device and runs it honestly to its done loop.
 fn steady_device() -> Device {
@@ -99,39 +52,18 @@ fn steady_device() -> Device {
     device
 }
 
-/// Steps the legacy pipeline: closure decode, fresh per-step `Signals`,
-/// `dyn HwModule` walk, cloned report. Returns steps/sec.
+/// Steps the live-fetch reference: predecode off, and a fresh
+/// `Signals` and report per `Device::step()`. Returns steps/sec.
 fn measure_legacy(steps: u64) -> f64 {
     let mut device = steady_device();
-    let ctx = *device.ctx();
     device.mcu.set_predecode(false);
-    let mut monitors: Vec<Box<dyn HwModule>> = vec![
-        Box::new(PropsKeyGuard {
-            ctx,
-            violated: false,
-        }),
-        Box::new(SwAttAtomicity::new(ctx)),
-        Box::new(asap::monitor::AsapMonitor::new(ctx)),
-    ];
-    // The guard FSMs in `monitors` start fresh, exactly as a power-on
-    // legacy device would; re-arm EXEC by re-entering ER honestly.
     let t0 = Instant::now();
     let mut exec = false;
     for _ in 0..steps {
-        let signals = device.mcu.step();
-        let mut action = HwAction::none();
-        for m in &mut monitors {
-            action.merge(m.step(&signals));
-        }
-        exec = action.exec.unwrap_or(false);
-        device
-            .mcu
-            .set_hw_cell(ctx.layout.exec_flag_addr, exec as u16);
-        // The legacy step report cloned the full signal bundle.
-        black_box(signals.clone());
+        exec = black_box(device.step()).exec;
     }
     let secs = t0.elapsed().as_secs_f64();
-    assert!(!exec, "fresh monitors have not observed an ERmin entry");
+    assert!(exec, "honest stepping preserves EXEC");
     steps as f64 / secs.max(f64::EPSILON)
 }
 

@@ -2,83 +2,25 @@
 //! VRASED/APEX/ASAP `HW-Mod` modules of Fig. 2.
 //!
 //! A monitor is a small synchronous FSM clocked once per execution step
-//! with the current [`Signals`]. It can drive the `EXEC` wire (APEX/ASAP)
+//! with the wires it samples. It can drive the `EXEC` wire (APEX/ASAP)
 //! and/or request a hard MCU reset (VRASED's response to a key-access or
 //! atomicity violation). Monitors never mutate machine state directly —
 //! they are pure observers plus output wires, exactly like their Verilog
-//! counterparts.
+//! counterparts. The monitors themselves live in the `vrased`,
+//! `apex-pox` and `asap` crates; this module holds what the simulator
+//! needs to know about them: which wires they sample ([`ObservesWires`],
+//! [`WireSet`]), so the superblock executor can skip computing the rest.
 
-use crate::signals::Signals;
-
-/// Output wires of a hardware monitor for one step.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HwAction {
-    /// Level of the `EXEC` wire driven by this monitor, if it owns one.
-    /// The MCU conjoins all driven `EXEC` wires.
-    pub exec: Option<bool>,
-    /// Request an immediate hard reset of the MCU (VRASED-style response).
-    pub reset_mcu: bool,
-    /// Human-readable violation descriptions raised this step (empty when
-    /// nothing tripped). Purely diagnostic; the security semantics are in
-    /// `exec`/`reset_mcu`.
-    pub violations: Vec<String>,
-}
-
-impl HwAction {
-    /// An action that reports nothing.
-    pub fn none() -> HwAction {
-        HwAction::default()
-    }
-
-    /// Merges another monitor's action into this one (wire conjunction).
-    pub fn merge(&mut self, other: HwAction) {
-        self.exec = match (self.exec, other.exec) {
-            (Some(a), Some(b)) => Some(a && b),
-            (a, b) => a.or(b),
-        };
-        self.reset_mcu |= other.reset_mcu;
-        self.violations.extend(other.violations);
-    }
-}
-
-/// A synchronous hardware monitor module.
-pub trait HwModule {
-    /// Stable module name (for diagnostics and waveforms).
-    fn name(&self) -> &'static str;
-
-    /// Hardware reset: return the FSM to its initial state.
-    fn reset(&mut self);
-
-    /// Clocks the FSM with one step's signals.
-    fn step(&mut self, signals: &Signals) -> HwAction;
-}
-
-/// Two monitors composed statically, clocked with the same signals and
-/// merged by wire conjunction — the software analogue of instantiating
-/// both Verilog modules against the same CPU wires.
+/// Two monitors composed statically, clocked with the same wires — the
+/// software analogue of instantiating both Verilog modules against the
+/// same CPU wires.
 ///
 /// Nesting `Compose` builds a whole monitor stack as one concrete type,
 /// so a device can clock its `HW-Mod` without `dyn` dispatch or per-step
 /// allocation: `Compose(Compose(key_guard, atomicity), exec_monitor)`.
+/// Its [`ObservesWires`] impl unions the children's wire sets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Compose<A, B>(pub A, pub B);
-
-impl<A: HwModule, B: HwModule> HwModule for Compose<A, B> {
-    fn name(&self) -> &'static str {
-        "hwmod.compose"
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-        self.1.reset();
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let mut action = self.0.step(signals);
-        action.merge(self.1.step(signals));
-        action
-    }
-}
 
 /// A set of monitor-observable wires, one bit per `WireImage`-style
 /// boolean. Monitors declare the wires they sample via
@@ -157,26 +99,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn merge_conjoins_exec() {
-        let mut a = HwAction {
-            exec: Some(true),
-            ..HwAction::none()
-        };
-        a.merge(HwAction {
-            exec: Some(false),
-            ..HwAction::none()
-        });
-        assert_eq!(a.exec, Some(false));
-
-        let mut a = HwAction::none();
-        a.merge(HwAction {
-            exec: Some(true),
-            ..HwAction::none()
-        });
-        assert_eq!(a.exec, Some(true));
-    }
-
-    #[test]
     fn wire_set_union_and_contains() {
         let a = WireSet::REN_KEY.union(WireSet::DMA_KEY);
         assert!(a.contains(WireSet::REN_KEY));
@@ -198,17 +120,5 @@ mod tests {
                 .union(WireSet::FAULT)
                 .union(WireSet::DMA_ACTIVE)
         );
-    }
-
-    #[test]
-    fn merge_accumulates_reset_and_violations() {
-        let mut a = HwAction::none();
-        a.merge(HwAction {
-            reset_mcu: true,
-            violations: vec!["key read outside SW-Att".into()],
-            ..HwAction::none()
-        });
-        assert!(a.reset_mcu);
-        assert_eq!(a.violations.len(), 1);
     }
 }

@@ -20,9 +20,11 @@
 //!   caller-owned reusable buffer ([`mcu::Mcu::step_into`], the
 //!   zero-allocation fast path fed by the generation-checked predecode
 //!   cache);
-//! * the hardware-monitor contract ([`hwmod`]) through which security
-//!   modules (VRASED / APEX / ASAP) observe the wires — mirroring the
-//!   `HW-Mod` attachment of the paper's Fig. 2.
+//! * a superblock executor ([`superblock`], [`mcu::Mcu::run_superblock`])
+//!   that runs cached straight-line traces and reports only the wires
+//!   the attached monitors sample, declared through [`hwmod`] — the
+//!   `HW-Mod` attachment of the paper's Fig. 2. Full [`signals::Signals`]
+//!   come only from the per-step pipeline.
 //!
 //! # Quick start
 //!
@@ -60,7 +62,7 @@ pub mod superblock;
 
 pub use bus::{Bus, Master, MemAccess};
 pub use cpu::{Cpu, CpuFault, StepOut, IVT_BASE, IVT_VECTORS, RESET_VECTOR};
-pub use hwmod::{Compose, HwAction, HwModule, ObservesWires, WireSet};
+pub use hwmod::{Compose, ObservesWires, WireSet};
 pub use isa::{Cond, Instr, OneOp, Operand, TwoOp};
 pub use layout::MemLayout;
 pub use mcu::{Mcu, NMI_VECTOR};
@@ -68,4 +70,4 @@ pub use mem::{MemRegion, Memory};
 pub use periph::{DmaOp, Peripheral};
 pub use regs::{sr_bits, Reg, RegFile};
 pub use signals::Signals;
-pub use superblock::{CacheStats, SbConfig, SbExit, SbStep, StepCtl, WireSummary};
+pub use superblock::{CacheStats, SbConfig, SbExit, StepCtl, WireSummary};

@@ -11,8 +11,8 @@ use crate::periph::{DmaOp, Peripheral};
 use crate::predecode::DecodeCache;
 use crate::signals::Signals;
 use crate::superblock::{
-    terminates_block, BlockCache, CacheStats, SbConfig, SbExit, SbStep, StepCtl, Superblock,
-    TraceStep, WireSummary, MAX_BLOCK_LEN,
+    terminates_block, BlockCache, CacheStats, SbConfig, SbExit, StepCtl, Superblock, TraceStep,
+    WireSummary, MAX_BLOCK_LEN,
 };
 use std::sync::Arc;
 
@@ -641,7 +641,6 @@ impl Mcu {
                 pc,
                 instr: e.instr,
                 size: e.size,
-                words: e.words,
                 fetch_ren_key,
             });
             if terminates_block(&e.instr) {
@@ -659,10 +658,10 @@ impl Mcu {
     }
 
     /// Executes up to `cfg.budget` steps through the superblock tier,
-    /// calling `obs` once per executed step — with an elided
-    /// [`WireSummary`] by default, or (in `cfg.materialize` mode) with
-    /// the same full [`Signals`] written into `signals` that
-    /// [`Mcu::step_into`] would have produced.
+    /// calling `obs` once per executed step with an elided
+    /// [`WireSummary`]: only the wires in `cfg.observed` are computed.
+    /// Callers that need full [`Signals`] (trace or waveform capture)
+    /// step with [`Mcu::step_into`] instead.
     ///
     /// Interior steps never service interrupts: the executor polls the
     /// interrupt lines at every step boundary and returns
@@ -677,8 +676,7 @@ impl Mcu {
     pub fn run_superblock(
         &mut self,
         cfg: &SbConfig,
-        signals: &mut Signals,
-        mut obs: impl FnMut(SbStep<'_>) -> StepCtl,
+        mut obs: impl FnMut(&WireSummary) -> StepCtl,
     ) -> (u64, SbExit) {
         let mut done: u64 = 0;
         // The EXEC cell is level-driven: rewriting it only on a level
@@ -729,11 +727,7 @@ impl Mcu {
                     // (should be unreachable; terminators end blocks).
                     continue 'outer;
                 }
-                let (ctl, faulted, dirty) = if cfg.materialize {
-                    self.sb_step_materialize(ts, signals, &mut obs)
-                } else {
-                    self.sb_step_elide(ts, cfg, &mut obs)
-                };
+                let (ctl, faulted, dirty) = self.sb_step_elide(ts, cfg, &mut obs);
                 done += 1;
                 if let Some(cell) = cfg.exec_cell {
                     let level = ctl.exec as u16;
@@ -778,7 +772,7 @@ impl Mcu {
         &mut self,
         ts: &TraceStep,
         cfg: &SbConfig,
-        obs: &mut impl FnMut(SbStep<'_>) -> StepCtl,
+        obs: &mut impl FnMut(&WireSummary) -> StepCtl,
     ) -> (StepCtl, bool, bool) {
         let want = cfg.observed;
         let mut acc = WireAcc::default();
@@ -854,91 +848,7 @@ impl Mcu {
         self.step_idx += 1;
         summary.step = self.step_idx;
 
-        let ctl = obs(SbStep::Wires(&summary));
-        (ctl, step_out.fault.is_some(), dirty)
-    }
-
-    /// One materialized interior step: identical to [`Mcu::step_into`]
-    /// for a predecoded, non-interrupt step — the observer sees the
-    /// same full `Signals` the per-step path would produce.
-    fn sb_step_materialize(
-        &mut self,
-        ts: &TraceStep,
-        out: &mut Signals,
-        obs: &mut impl FnMut(SbStep<'_>) -> StepCtl,
-    ) -> (StepCtl, bool, bool) {
-        let mut lines = self.pending_irq;
-        for &i in &self.irq_periphs {
-            lines |= self.periphs[i].irq_lines();
-        }
-        let irq_pending = lines != 0;
-
-        out.accesses.clear();
-        for i in 0..ts.size / 2 {
-            out.accesses.push(MemAccess::fetch(
-                ts.pc.wrapping_add(2 * i),
-                ts.words[i as usize],
-            ));
-        }
-
-        let step_out = {
-            let mut bus = McuBus {
-                mem: &mut self.mem,
-                periphs: &mut self.periphs,
-                periph_ranges: &self.periph_ranges,
-                hw_cells: &self.hw_cells,
-                log: &mut out.accesses,
-            };
-            self.cpu.step_predecoded(&mut bus, None, ts.instr, ts.size)
-        };
-
-        self.dma_scratch.clear();
-        self.dma_scratch.append(&mut self.injected_dma);
-        for i in 0..self.dma_periphs.len() {
-            let ops = self.periphs[self.dma_periphs[i]].dma_ops();
-            self.dma_scratch.extend(ops);
-        }
-        for op in self.dma_scratch.drain(..) {
-            let value = self.mem.read(op.src, op.byte);
-            self.mem.write(op.dst, value, op.byte);
-            out.accesses.push(MemAccess {
-                addr: op.src,
-                value,
-                byte: op.byte,
-                write: false,
-                fetch: false,
-                master: Master::Dma,
-            });
-            out.accesses.push(MemAccess {
-                addr: op.dst,
-                value,
-                byte: op.byte,
-                write: true,
-                fetch: false,
-                master: Master::Dma,
-            });
-        }
-
-        for &i in &self.tick_periphs {
-            self.periphs[i].tick(step_out.cycles);
-        }
-        self.cycle += step_out.cycles;
-        self.step_idx += 1;
-
-        out.cycle = self.cycle;
-        out.step = self.step_idx;
-        out.pc = step_out.pc_before;
-        out.pc_next = step_out.pc_after;
-        out.irq = false;
-        out.irq_vector = None;
-        out.irq_pending = irq_pending;
-        out.gie = self.cpu.regs.gie();
-        out.cpu_off = self.cpu.regs.cpu_off();
-        out.idle = step_out.idle;
-        out.fault = step_out.fault;
-
-        let dirty = out.accesses.iter().any(|a| a.write);
-        let ctl = obs(SbStep::Signals(&*out));
+        let ctl = obs(&summary);
         (ctl, step_out.fault.is_some(), dirty)
     }
 }
@@ -1252,36 +1162,59 @@ mod tests {
         assert_eq!(mcu.cycles(), 4);
     }
 
-    /// Drives `mcu` for `steps` steps through the superblock tier in
-    /// materialize mode, collecting every produced `Signals` (interior
-    /// trace steps and `NeedStep` fallbacks alike).
-    fn run_superblocked(mcu: &mut Mcu, steps: u64) -> Vec<Signals> {
+    /// The wires the superblock executor must report for one step with
+    /// every wire observed, derived from that step's per-step `Signals`.
+    fn reference_wires(layout: &MemLayout, s: &Signals) -> WireSummary {
+        WireSummary {
+            step: s.step,
+            pc: s.pc,
+            fault: s.fault.is_some(),
+            dma_active: s.dma_active(),
+            ren_key: s.cpu_read_in(layout.key) || s.fetch_in(layout.key),
+            dma_key: s.dma_in(layout.key),
+            wen_ivt: s.cpu_write_in(layout.ivt),
+            dma_ivt: s.dma_in(layout.ivt),
+            wen_or: s.cpu_write_in(layout.or),
+            dma_or: s.dma_in(layout.or),
+            wen_er: s.cpu_write_in(layout.er),
+            dma_er: s.dma_in(layout.er),
+        }
+    }
+
+    /// Runs `steps` steps through the per-step pipeline, returning each
+    /// step's reference wires.
+    fn run_per_step(mcu: &mut Mcu, steps: u64) -> Vec<WireSummary> {
+        (0..steps)
+            .map(|_| {
+                let s = mcu.step();
+                reference_wires(&mcu.layout, &s)
+            })
+            .collect()
+    }
+
+    /// Drives `mcu` for `steps` steps through the superblock tier with
+    /// every wire observed, collecting each interior step's summary and
+    /// the reference wires of every `NeedStep` fallback step.
+    fn run_superblocked(mcu: &mut Mcu, steps: u64) -> Vec<WireSummary> {
         let mut collected = Vec::new();
-        let mut signals = Signals::default();
         let mut remaining = steps;
         while remaining > 0 {
             let cfg = SbConfig {
                 budget: remaining,
                 stop_pc: None,
                 exec_cell: None,
-                observed: crate::hwmod::WireSet::ALL,
-                materialize: true,
+                observed: WireSet::ALL,
             };
-            let (done, exit) = mcu.run_superblock(&cfg, &mut signals, |s| {
-                if let SbStep::Signals(s) = s {
-                    collected.push(s.clone());
-                }
+            let (done, exit) = mcu.run_superblock(&cfg, |w| {
+                collected.push(*w);
                 StepCtl::default()
             });
             remaining -= done;
             match exit {
                 SbExit::Budget => break,
                 SbExit::NeedStep => {
-                    if remaining == 0 {
-                        break;
-                    }
-                    mcu.step_into(&mut signals);
-                    collected.push(signals.clone());
+                    let s = mcu.step();
+                    collected.push(reference_wires(&mcu.layout, &s));
                     remaining -= 1;
                 }
                 other => panic!("unexpected exit {other:?}"),
@@ -1293,9 +1226,9 @@ mod tests {
     #[test]
     fn superblock_and_per_step_signals_are_bit_identical() {
         // GIE on, a store, a spin loop; an interrupt arrives mid-way and
-        // the ISR returns — every step must match the per-step pipeline
-        // bit for bit, including the interrupt entry the superblock tier
-        // hands back to `step_into`.
+        // the ISR returns — every step's index, PC, fault flag and wires
+        // must match the per-step pipeline, including the interrupt
+        // entry the superblock tier hands back to `step_into`.
         let words = [0x4034u16, 0x1234, 0x4482, 0x0200, 0xD232, 0x3FFF];
         let mut stepped = Mcu::new(MemLayout::default());
         let mut blocked = Mcu::new(MemLayout::default());
@@ -1306,13 +1239,15 @@ mod tests {
             mcu.reset();
             mcu.raise_irq(9);
         }
-        let expect: Vec<Signals> = (0..64).map(|_| stepped.step()).collect();
+        let expect = run_per_step(&mut stepped, 64);
         let got = run_superblocked(&mut blocked, 64);
         assert_eq!(expect.len(), got.len());
         for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
             assert_eq!(a, b, "step {i}");
         }
+        assert_eq!(stepped.cpu.regs, blocked.cpu.regs);
         assert_eq!(stepped.cycles(), blocked.cycles());
+        assert_eq!(blocked.mem.read_word(0x0200), 0x1234);
     }
 
     #[test]
@@ -1331,34 +1266,34 @@ mod tests {
         let mut blocked = Mcu::new(MemLayout::default());
         program(&mut stepped, 0xE000, &words);
         program(&mut blocked, 0xE000, &words);
-        let expect: Vec<Signals> = (0..16).map(|_| stepped.step()).collect();
+        let expect = run_per_step(&mut stepped, 16);
         let got = run_superblocked(&mut blocked, 16);
         assert_eq!(expect, got);
+        assert_eq!(blocked.cpu.regs, stepped.cpu.regs);
         assert_eq!(blocked.cpu.regs.get(crate::regs::Reg::r(5)), 2);
         assert!(blocked.cache_stats().invalidations > 0);
     }
 
     #[test]
     fn elided_and_materialized_runs_agree_on_machine_state() {
+        // Nothing observed: the elided burst computes no wire at all, and
+        // must still leave the machine where the per-step pipeline (full
+        // `Signals` per step) leaves it.
         let words = [0x4034u16, 0x1234, 0x4482, 0x0200, 0x4315, 0x3FFF];
         let mut elided = Mcu::new(MemLayout::default());
         let mut full = Mcu::new(MemLayout::default());
         program(&mut elided, 0xE000, &words);
         program(&mut full, 0xE000, &words);
-        let _ = run_superblocked(&mut full, 40);
-        let mut signals = Signals::default();
+        let _ = run_per_step(&mut full, 40);
         let cfg = SbConfig {
             budget: 40,
             stop_pc: None,
             exec_cell: None,
-            observed: crate::hwmod::WireSet::NONE,
-            materialize: false,
+            observed: WireSet::NONE,
         };
         let mut summaries = 0u64;
-        let (done, exit) = elided.run_superblock(&cfg, &mut signals, |s| {
-            if matches!(s, SbStep::Wires(_)) {
-                summaries += 1;
-            }
+        let (done, exit) = elided.run_superblock(&cfg, |_| {
+            summaries += 1;
             StepCtl::default()
         });
         assert_eq!(exit, SbExit::Budget);
@@ -1376,25 +1311,18 @@ mod tests {
         // was never computed), but the write itself still lands.
         let ivt_addr = MemLayout::default().ivt.start();
         let words = [0x40B2u16, 0xAAAA, ivt_addr, 0x3FFF];
-        for (observed, expect_wire) in [
-            (crate::hwmod::WireSet::WEN_IVT, true),
-            (crate::hwmod::WireSet::NONE, false),
-        ] {
+        for (observed, expect_wire) in [(WireSet::WEN_IVT, true), (WireSet::NONE, false)] {
             let mut mcu = Mcu::new(MemLayout::default());
             program(&mut mcu, 0xE000, &words);
-            let mut signals = Signals::default();
             let mut saw = false;
             let cfg = SbConfig {
                 budget: 2,
                 stop_pc: None,
                 exec_cell: None,
                 observed,
-                materialize: false,
             };
-            let (done, _) = mcu.run_superblock(&cfg, &mut signals, |s| {
-                if let SbStep::Wires(w) = s {
-                    saw |= w.wen_ivt;
-                }
+            let (done, _) = mcu.run_superblock(&cfg, |w| {
+                saw |= w.wen_ivt;
                 StepCtl::default()
             });
             assert_eq!(done, 2);
@@ -1408,15 +1336,13 @@ mod tests {
         let mut mcu = Mcu::new(MemLayout::default());
         mcu.add_hw_cell(0x0190, 0);
         program(&mut mcu, 0xE000, &words);
-        let mut signals = Signals::default();
         let cfg = SbConfig {
             budget: 100,
             stop_pc: Some(0xE006),
             exec_cell: Some(0x0190),
-            observed: crate::hwmod::WireSet::NONE,
-            materialize: false,
+            observed: WireSet::NONE,
         };
-        let (done, exit) = mcu.run_superblock(&cfg, &mut signals, |_| StepCtl {
+        let (done, exit) = mcu.run_superblock(&cfg, |_| StepCtl {
             exec: true,
             stop: false,
         });
@@ -1466,7 +1392,7 @@ mod tests {
             program(mcu, 0xE000, words.as_slice());
             mcu.mem.write_word(0x0400, 0x4335); // "mov #-1, r5"
         }
-        let a: Vec<Signals> = (0..4).map(|_| stepped.step()).collect();
+        let a = run_per_step(&mut stepped, 4);
         let b = run_superblocked(&mut blocked, 4);
         assert_eq!(a, b);
         for mcu in [&mut stepped, &mut blocked] {
@@ -1476,10 +1402,12 @@ mod tests {
                 byte: false,
             });
         }
-        let a: Vec<Signals> = (0..8).map(|_| stepped.step()).collect();
+        let a = run_per_step(&mut stepped, 8);
         let b = run_superblocked(&mut blocked, 8);
         assert_eq!(a, b);
+        assert!(a.iter().any(|w| w.dma_active), "the DMA step is observed");
         assert_eq!(stepped.cpu.regs.get(crate::regs::Reg::r(5)), 0xFFFF);
         assert_eq!(blocked.cpu.regs.get(crate::regs::Reg::r(5)), 0xFFFF);
+        assert_eq!(stepped.mem.read_word(0xE000), blocked.mem.read_word(0xE000));
     }
 }

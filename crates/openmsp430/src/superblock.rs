@@ -26,10 +26,9 @@ use std::sync::Arc;
 pub const MAX_BLOCK_LEN: usize = 64;
 
 /// One predecoded instruction inside a superblock, with everything the
-/// executor needs precomputed: the expected PC, the decoded form, the
-/// encoded words (for fetch replay in materialize mode), and whether
-/// any fetch word overlaps the attestation key (the `R_en ∧ key` wire
-/// fires on fetches too).
+/// executor needs precomputed: the expected PC, the decoded form, and
+/// whether any fetch word overlaps the attestation key (the
+/// `R_en ∧ key` wire fires on fetches too).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceStep {
     /// PC this step must execute at.
@@ -38,8 +37,6 @@ pub struct TraceStep {
     pub instr: Instr,
     /// Encoded size in bytes (2, 4, or 6).
     pub size: u16,
-    /// The encoded words, `words[..size/2]` valid.
-    pub words: [u16; 3],
     /// True when any fetch word of this instruction touches the key
     /// region (precomputed so elided steps never re-test the layout).
     pub fetch_ren_key: bool,
@@ -227,22 +224,8 @@ pub struct SbConfig {
     /// every interior step (the device's EXEC flag).
     pub exec_cell: Option<u16>,
     /// Union of every wire the composed monitor stack samples; wires
-    /// outside the set are never computed on elided steps.
+    /// outside the set are never computed on interior steps.
     pub observed: crate::hwmod::WireSet,
-    /// Materialize full `Signals` per interior step (forced by wave /
-    /// trace capture and signal taps) instead of elided wire summaries.
-    pub materialize: bool,
-}
-
-/// What the executor hands the observer for each interior step:
-/// an elided wire summary, or — in materialize mode — the same full
-/// `Signals` the per-step path would have produced.
-#[derive(Debug, Clone, Copy)]
-pub enum SbStep<'a> {
-    /// Elided step: only the monitor-observable wires.
-    Wires(&'a WireSummary),
-    /// Materialized step: bit-identical to `Mcu::step_into` output.
-    Signals(&'a crate::signals::Signals),
 }
 
 /// Observer verdict for one interior step.
@@ -275,7 +258,7 @@ pub enum SbExit {
 /// servicing never happens inside a trace, so there is no `irq` field;
 /// the PC-comparison wires are derived from `pc` by the observer
 /// (which owns the ER layout).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireSummary {
     /// Step index (after the step executed), for violation logs.
     pub step: u64,

@@ -2,17 +2,18 @@
 //! the DMA guard.
 //!
 //! Each monitor is written as a pure *kernel* — a transition function
-//! over boolean wires — wrapped twice: as an [`openmsp430::HwModule`]
-//! clocked by simulation signals, and as an [`ltl_mc::MonitorFsm`] closed
-//! with a free environment for model checking. Both wrappers call the
-//! same kernel, so the model checker verifies the code that actually
-//! runs — the Rust analogue of VRASED's verified Verilog.
+//! over boolean wires — with two faces on the same value: `step_wires`,
+//! which the device clocks with each step's [`WireImage`], and an
+//! [`ltl_mc::MonitorFsm`] impl closed with a free environment for model
+//! checking. Both call the same kernel, and the model checker is handed
+//! the very value the device runs, so it verifies the code that
+//! actually runs — the Rust analogue of VRASED's verified Verilog.
 
 use crate::props::{names, PropCtx, WireImage};
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::hwmod::{HwAction, HwModule, ObservesWires, WireSet};
+use openmsp430::hwmod::{ObservesWires, WireSet};
 use openmsp430::signals::Signals;
 use std::collections::BTreeSet;
 
@@ -38,25 +39,15 @@ pub struct KeyGuardIn {
 /// VRASED's key access control: the attestation key is readable only
 /// while the (trusted, immutable) SW-Att code is executing; DMA may never
 /// touch it. Violations latch a reset request.
+///
+/// `KeyGuard::default()` is the power-on state: the value the device
+/// clocks and the model checker explores alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KeyGuard {
-    ctx: Option<PropCtx>,
     violated: bool,
 }
 
 impl KeyGuardIn {
-    /// Extracts the kernel inputs straight from one step's signals —
-    /// three region tests over the packed access log, no proposition-set
-    /// allocation.
-    pub fn from_signals(ctx: &PropCtx, signals: &Signals) -> KeyGuardIn {
-        let key = ctx.layout.key;
-        KeyGuardIn {
-            ren_key: signals.cpu_read_in(key) || signals.fetch_in(key),
-            dma_key: signals.dma_in(key),
-            pc_in_swatt: ctx.layout.swatt.contains(signals.pc),
-        }
-    }
-
     /// The kernel inputs from an already-extracted [`WireImage`].
     pub fn from_wires(w: &WireImage) -> KeyGuardIn {
         KeyGuardIn {
@@ -67,44 +58,28 @@ impl KeyGuardIn {
     }
 }
 
-/// The `(output wire, rising violation edge)` pair of one wire-level
-/// monitor clock — the allocation-free face of [`HwModule::step`].
+/// The `(output wire, rising violation edge)` pair of one monitor clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireStep {
     /// The monitor's output wire this step (`reset` for the VRASED
     /// guards, `EXEC` for the PoX monitors).
     pub wire: bool,
     /// True exactly when the monitor newly flagged a violation this step
-    /// (the edge on which the `HwModule` path would emit a message).
+    /// (the edge on which the device records a violation message).
     pub raised: bool,
 }
 
 impl KeyGuard {
-    /// Creates the monitor for runtime use.
-    pub fn new(ctx: PropCtx) -> KeyGuard {
-        KeyGuard {
-            ctx: Some(ctx),
-            violated: false,
-        }
-    }
-
-    /// Creates the monitor for model checking (no signal context needed).
-    pub fn for_model() -> KeyGuard {
-        KeyGuard::default()
-    }
-
     /// The kernel: one clock of the monitor.
     pub fn kernel(violated: bool, i: KeyGuardIn) -> bool {
         violated || i.dma_key || (i.ren_key && !i.pc_in_swatt)
     }
 
-    /// The violation message this monitor raises, shared by the
-    /// `HwModule` path and the device's wire-level rendering.
+    /// The violation message the device records when this monitor trips.
     pub const VIOLATION: &'static str = "key region accessed outside SW-Att";
 
-    /// One wire-level clock: the same kernel as [`HwModule::step`], fed
-    /// from a pre-extracted [`WireImage`]. The returned wire is the reset
-    /// request.
+    /// One clock of the kernel, fed from a pre-extracted [`WireImage`].
+    /// The returned wire is the reset request.
     pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
         let was = self.violated;
         self.violated = KeyGuard::kernel(self.violated, KeyGuardIn::from_wires(w));
@@ -134,31 +109,6 @@ impl KeyGuard {
                 p(names::RESET).implies(p(names::RESET).next()).globally(),
             ),
         ]
-    }
-}
-
-impl HwModule for KeyGuard {
-    fn name(&self) -> &'static str {
-        "vrased.key_guard"
-    }
-
-    fn reset(&mut self) {
-        self.violated = false;
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let ctx = self.ctx.as_ref().expect("runtime monitor needs a PropCtx");
-        let i = KeyGuardIn::from_signals(ctx, signals);
-        let was = self.violated;
-        self.violated = KeyGuard::kernel(self.violated, i);
-        let mut action = HwAction {
-            reset_mcu: self.violated,
-            ..HwAction::none()
-        };
-        if self.violated && !was {
-            action.violations.push(KeyGuard::VIOLATION.into());
-        }
-        action
     }
 }
 
@@ -238,26 +188,15 @@ pub struct AtomicityState {
 /// VRASED's SW-Att atomicity: the attestation routine is entered only at
 /// its first instruction, left only from its last, and never interrupted
 /// or raced by DMA. Violations latch a reset request.
+///
+/// `SwAttAtomicity::default()` is the power-on state: the value the
+/// device clocks and the model checker explores alike.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SwAttAtomicity {
-    ctx: Option<PropCtx>,
     state: AtomicityState,
 }
 
 impl SwAttAtomicity {
-    /// Creates the monitor for runtime use.
-    pub fn new(ctx: PropCtx) -> SwAttAtomicity {
-        SwAttAtomicity {
-            ctx: Some(ctx),
-            state: AtomicityState::default(),
-        }
-    }
-
-    /// Creates the monitor for model checking.
-    pub fn for_model() -> SwAttAtomicity {
-        SwAttAtomicity::default()
-    }
-
     /// The kernel: one clock of the monitor.
     pub fn kernel(s: AtomicityState, i: AtomicityIn) -> AtomicityState {
         let illegal_entry = i.pc_in_swatt && !s.prev_in_swatt && !i.pc_at_min;
@@ -271,11 +210,10 @@ impl SwAttAtomicity {
         }
     }
 
-    /// The violation message this monitor raises, shared by the
-    /// `HwModule` path and the device's wire-level rendering.
+    /// The violation message the device records when this monitor trips.
     pub const VIOLATION: &'static str = "SW-Att atomicity violated";
 
-    /// One wire-level clock of the atomicity FSM against a pre-extracted
+    /// One clock of the atomicity FSM against a pre-extracted
     /// [`WireImage`]. The returned wire is the reset request.
     pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
         let i = AtomicityIn {
@@ -340,38 +278,6 @@ impl SwAttAtomicity {
     pub fn env_constraint(v: &InputVal<'_>) -> bool {
         (!v.get(names::PC_AT_SWATT_MIN) || v.get(names::PC_IN_SWATT))
             && (!v.get(names::PC_AT_SWATT_MAX) || v.get(names::PC_IN_SWATT))
-    }
-}
-
-impl HwModule for SwAttAtomicity {
-    fn name(&self) -> &'static str {
-        "vrased.atomicity"
-    }
-
-    fn reset(&mut self) {
-        self.state = AtomicityState::default();
-    }
-
-    fn step(&mut self, signals: &Signals) -> HwAction {
-        let ctx = self.ctx.as_ref().expect("runtime monitor needs a PropCtx");
-        let swatt = ctx.layout.swatt;
-        let i = AtomicityIn {
-            pc_in_swatt: swatt.contains(signals.pc),
-            pc_at_min: signals.pc == swatt.start(),
-            pc_at_max: signals.pc == swatt_exit_addr(&ctx.layout),
-            irq: signals.irq,
-            dma_active: signals.dma_active(),
-        };
-        let was = self.state.violated;
-        self.state = SwAttAtomicity::kernel(self.state, i);
-        let mut action = HwAction {
-            reset_mcu: self.state.violated,
-            ..HwAction::none()
-        };
-        if self.state.violated && !was {
-            action.violations.push(SwAttAtomicity::VIOLATION.into());
-        }
-        action
     }
 }
 
@@ -471,7 +377,7 @@ mod tests {
 
     #[test]
     fn key_guard_model_checks() {
-        let k = kripke_of(&KeyGuard::for_model());
+        let k = kripke_of(&KeyGuard::default());
         let rows = check_suite(&k, &KeyGuard::properties());
         for row in &rows {
             assert!(
@@ -535,7 +441,7 @@ mod tests {
 
     #[test]
     fn atomicity_model_checks() {
-        let k = kripke_of_constrained(&SwAttAtomicity::for_model(), SwAttAtomicity::env_constraint);
+        let k = kripke_of_constrained(&SwAttAtomicity::default(), SwAttAtomicity::env_constraint);
         let rows = check_suite(&k, &SwAttAtomicity::properties());
         for row in &rows {
             assert!(
@@ -551,7 +457,7 @@ mod tests {
         // Sanity: the properties are not vacuous — a broken kernel fails.
         // (Flip the entry check off by feeding pc_at_min always true via
         // the constraint; P04 must then be checkable but P05 still holds.)
-        let k = kripke_of_constrained(&SwAttAtomicity::for_model(), |v| {
+        let k = kripke_of_constrained(&SwAttAtomicity::default(), |v| {
             SwAttAtomicity::env_constraint(v) && v.get(names::IRQ)
         });
         // With irq always high, any SW-Att execution violates: P06 holds

@@ -4,8 +4,8 @@
 //! al., USENIX Security 2019) that APEX and ASAP build upon:
 //!
 //! * [`hw`] — the hardware monitors (key access control, SW-Att
-//!   atomicity, DMA guard), each implemented once as a pure kernel and
-//!   exposed both as a runtime [`openmsp430::HwModule`] and as a
+//!   atomicity, DMA guard), each implemented once as a pure kernel: the
+//!   device clocks it through `step_wires`, and the same value is a
 //!   model-checkable [`ltl_mc::MonitorFsm`], with its LTL property set
 //!   (P01–P08 of the 21-property suite);
 //! * [`swatt`] — the ROM-resident attestation routine

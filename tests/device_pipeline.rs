@@ -178,10 +178,10 @@ fn superblock_and_per_step_devices_agree() {
     }
 }
 
-/// Tentpole: with a signal tap installed (materialize forced), the
-/// superblocked device streams the exact per-step `Signals` sequence —
-/// bit for bit — and records the same waveform, through interrupts and
-/// DMA-into-code invalidation.
+/// With a signal tap installed, a device built with superblocks on runs
+/// its loops per step, so it streams the exact per-step `Signals`
+/// sequence — bit for bit — and records the same waveform, through
+/// interrupts and DMA-into-code invalidation.
 #[test]
 fn superblock_signal_stream_is_bit_identical() {
     use std::sync::{Arc, Mutex};
@@ -223,9 +223,10 @@ fn superblock_signal_stream_is_bit_identical() {
     assert_eq!(devices[0].violations(), devices[1].violations());
 }
 
-/// Tentpole: dead-signal elision (no tap, wires only) reaches the same
-/// machine state and verdicts as full materialization — the elided
-/// wires really are the only ones the monitor stack can see.
+/// Dead-signal elision (no tap, wires only) reaches the same machine
+/// state and verdicts as a tapped device, which runs per step and
+/// materializes full `Signals` — the elided wires really are the only
+/// ones the monitor stack can see.
 #[test]
 fn elided_and_materialized_device_runs_agree() {
     let image = programs::fig4_authorized().expect("image links");

@@ -4,9 +4,11 @@
 //! must agree on every step's `Signals` (compared as per-step digests),
 //! the final run verdict, and every monitor observation.
 //!
-//! A signal tap is installed on both devices, which forces the
-//! superblocked run to materialize interior steps; the elided path is
-//! covered separately by the machine-state comparison at the end.
+//! The first sweep installs a signal tap on both devices, and a tapped
+//! device runs per step whatever its superblock setting: it pins the
+//! capture path to the per-step reference. The elided path is covered
+//! by the machine-state comparison at the end, and with interrupt timing
+//! swept by `tests/superblock_sweep.rs`.
 
 use asap::device::Device;
 use asap_corpus::{default_programs_dir, discover, CorpusProgram};
