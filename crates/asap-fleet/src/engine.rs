@@ -33,7 +33,7 @@ use crate::registry::FleetVerifier;
 use crate::round::{RoundOutcome, RoundReport};
 use crate::DeviceId;
 use asap::Attested;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// A point in injected, driver-defined time.
 ///
@@ -120,9 +120,8 @@ struct TxSpan {
 /// Per-device state is kept on a diet for very large cohorts: queued
 /// challenge frames live end-to-end in **one arena allocation**
 /// (released the moment the last frame leaves), the awaited set is a
-/// bare `Vec<DeviceId>` (8 bytes per device), and deadlines are one
-/// shared round deadline plus a sparse override map that stays empty
-/// unless [`set_deadline`](RoundEngine::set_deadline) is used.
+/// bare `Vec<DeviceId>` (8 bytes per device), and every awaited device
+/// shares the one round deadline.
 ///
 /// [`conclude`]: FleetVerifier::conclude
 pub struct RoundEngine<'a> {
@@ -137,12 +136,8 @@ pub struct RoundEngine<'a> {
     /// Challenged devices still owed a response, in challenge order —
     /// a `Vec`, not a hash map, so expiry order is deterministic.
     awaiting: Vec<DeviceId>,
-    /// The round deadline every awaited device shares by default.
+    /// The round deadline every awaited device shares.
     deadline: LogicalTime,
-    /// Per-device deadline overrides ([`RoundEngine::set_deadline`]);
-    /// empty in the common case, so a million awaited devices cost one
-    /// `LogicalTime`, not a million.
-    deadline_overrides: HashMap<DeviceId, LogicalTime>,
     /// Every settled verdict, in settlement order, for the final report.
     outcomes: Vec<RoundOutcome>,
     /// How many of `outcomes` were already drained by `poll_outcome`.
@@ -187,7 +182,6 @@ impl<'a> RoundEngine<'a> {
             cancelled_tx: HashSet::new(),
             awaiting,
             deadline: config.started_at.plus(config.deadline_after),
-            deadline_overrides: HashMap::new(),
             outcomes: Vec::new(),
             drained: 0,
             now: config.started_at,
@@ -221,7 +215,6 @@ impl<'a> RoundEngine<'a> {
             cancelled_tx: HashSet::new(),
             awaiting,
             deadline: config.started_at.plus(config.deadline_after),
-            deadline_overrides: HashMap::new(),
             outcomes: Vec::new(),
             drained: 0,
             now: config.started_at,
@@ -288,7 +281,6 @@ impl<'a> RoundEngine<'a> {
     ) {
         if let Some(id) = device {
             self.awaiting.retain(|&d| d != id);
-            self.deadline_overrides.remove(&id);
         }
         self.settle(RoundOutcome { device, result });
     }
@@ -329,7 +321,6 @@ impl<'a> RoundEngine<'a> {
         if self.awaiting.len() == before {
             return false;
         }
-        self.deadline_overrides.remove(&id);
         self.cancelled_tx.insert(id);
         self.fleet.abort(id);
         self.settle(RoundOutcome {
@@ -372,36 +363,21 @@ impl<'a> RoundEngine<'a> {
         self.fleet
     }
 
-    /// The deadline in force for one awaited device: its override, or
-    /// the shared round deadline.
-    fn deadline_of(&self, id: DeviceId) -> LogicalTime {
-        self.deadline_overrides
-            .get(&id)
-            .copied()
-            .unwrap_or(self.deadline)
-    }
-
-    /// Advances logical time to `now` (never backwards) and charges
-    /// [`FleetError::NoResponse`] to every device whose deadline is at
-    /// or before `now`, aborting its in-flight session.
+    /// Advances logical time to `now` (never backwards) and, once the
+    /// round deadline is at or before `now`, charges
+    /// [`FleetError::NoResponse`] to every awaited device, aborting its
+    /// in-flight session.
     pub fn tick(&mut self, now: LogicalTime) {
         self.now = self.now.max(now);
-        if self.deadline_overrides.is_empty() && self.deadline > self.now {
-            return; // shared deadline not reached; nobody can expire
+        if self.deadline <= self.now {
+            self.expire_awaiting();
         }
-        let mut expired = Vec::new();
-        let overrides = &self.deadline_overrides;
-        let deadline = self.deadline;
-        let at = self.now;
-        self.awaiting.retain(|&d| {
-            let due = overrides.get(&d).copied().unwrap_or(deadline) <= at;
-            if due {
-                expired.push(d);
-            }
-            !due
-        });
-        for id in expired {
-            self.deadline_overrides.remove(&id);
+    }
+
+    /// Charges [`FleetError::NoResponse`] to every awaited device, in
+    /// challenge order, aborting its in-flight session.
+    fn expire_awaiting(&mut self) {
+        for id in std::mem::take(&mut self.awaiting) {
             self.fleet.abort(id);
             self.settle(RoundOutcome {
                 device: Some(id),
@@ -410,24 +386,11 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// Extends (or shortens) the deadline of one still-awaited device.
-    /// No effect on devices that already settled.
-    pub fn set_deadline(&mut self, id: DeviceId, deadline: LogicalTime) {
-        if self.awaiting.contains(&id) {
-            self.deadline_overrides.insert(id, deadline);
-        }
-    }
-
-    /// The earliest pending deadline — the latest instant the driver
-    /// must `tick` at, even if the transport stays silent forever.
+    /// The round deadline while any device is awaited — the latest
+    /// instant the driver must `tick` at, even if the transport stays
+    /// silent forever.
     pub fn next_deadline(&self) -> Option<LogicalTime> {
-        if self.awaiting.is_empty() {
-            return None;
-        }
-        if self.deadline_overrides.is_empty() {
-            return Some(self.deadline);
-        }
-        self.awaiting.iter().map(|&d| self.deadline_of(d)).min()
+        (!self.awaiting.is_empty()).then_some(self.deadline)
     }
 
     /// The engine's current logical time.
@@ -457,14 +420,7 @@ impl<'a> RoundEngine<'a> {
     /// charged [`FleetError::NoResponse`], so no round ever leaks
     /// sessions.
     pub fn into_report(mut self) -> RoundReport {
-        let unsettled: Vec<DeviceId> = std::mem::take(&mut self.awaiting);
-        for id in unsettled {
-            self.fleet.abort(id);
-            self.settle(RoundOutcome {
-                device: Some(id),
-                result: Err(FleetError::NoResponse(id)),
-            });
-        }
+        self.expire_awaiting();
         RoundReport {
             outcomes: self.outcomes,
         }

@@ -8,7 +8,7 @@
 //! * [`DeviceId`] — a 64-bit fleet-wide prover identity, carried on the
 //!   wire by the [`apex_pox::wire::Envelope`] frame;
 //! * [`FleetVerifier`] — one [`asap::AsapVerifier`] per device behind a
-//!   growable array of independently locked shards, so sessions on
+//!   fixed array of independently locked shards, so sessions on
 //!   different devices never contend; large frame batches verify their
 //!   MACs on the runtime's worker pool
 //!   ([`FleetVerifier::conclude_batch`], [`registry`]);
@@ -124,7 +124,7 @@
 //! for frame in &responses {
 //!     engine.frame_received(frame);             // …device 2 answers late
 //! }
-//! engine.tick(LogicalTime(10));                 // device 1's deadline
+//! engine.tick(LogicalTime(10));                 // the round deadline
 //!
 //! let report = engine.into_report();
 //! assert!(report.of(DeviceId(2)).unwrap().is_ok());
@@ -372,29 +372,6 @@ mod tests {
             "late evidence answers an aborted session"
         );
         assert_eq!(fleet.in_flight(), 0);
-    }
-
-    #[test]
-    fn engine_deadlines_are_per_device() {
-        let (fleet, _fabric) = fleet_of(2);
-        let ids = [DeviceId(1), DeviceId(2)];
-        let mut engine =
-            RoundEngine::begin(&fleet, &ids, RoundConfig::new(LogicalTime(0), 4)).unwrap();
-        while engine.poll_transmit().is_some() {} // requests "on the wire"
-        engine.set_deadline(DeviceId(2), LogicalTime(9));
-        assert_eq!(engine.next_deadline(), Some(LogicalTime(4)));
-
-        engine.tick(LogicalTime(4)); // only device 1 expires
-        assert_eq!(engine.awaiting(), 1);
-        assert_eq!(engine.next_deadline(), Some(LogicalTime(9)));
-        assert_eq!(
-            engine.poll_outcome().unwrap().result,
-            Err(FleetError::NoResponse(DeviceId(1)))
-        );
-
-        engine.tick(LogicalTime(9));
-        assert!(engine.is_settled());
-        assert_eq!(fleet.in_flight(), 0, "expiry aborts both sessions");
     }
 
     #[test]

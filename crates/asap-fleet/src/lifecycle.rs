@@ -48,7 +48,9 @@
 //!   [`apply`](FleetDirectory::apply)) may be called from any thread at
 //!   any time, mid-round included. Rekeys are *staged*: the new key
 //!   takes effect at the next epoch boundary, so an in-flight round
-//!   concludes under the key its challenge was MACed with.
+//!   concludes under the key its challenge was MACed with. Joins never
+//!   move an enrolled device: the registry's shard table is fixed, so
+//!   every challenge already out keeps its reactor.
 //!
 //! Epochs run one of two ways: hand the cohort of
 //! [`begin_epoch`](FleetDirectory::begin_epoch) to
@@ -59,7 +61,7 @@
 //! next epoch's challenge finds the route waiting.
 
 use crate::error::FleetError;
-use crate::registry::{FleetVerifier, SHARD_COUNT};
+use crate::registry::FleetVerifier;
 use crate::rng::XorShift64;
 use crate::round::RoundReport;
 use crate::runtime::{FleetRuntime, GatewayListener};
@@ -138,8 +140,6 @@ pub enum ChurnEvent {
 /// Construction knobs for a [`FleetDirectory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LifecycleConfig {
-    /// Registry lock shards ([`FleetVerifier::with_shards`]).
-    pub shards: usize,
     /// Devices attested per epoch — the partial-round size. The
     /// scheduler never hands out a larger cohort, however big the
     /// fleet.
@@ -160,38 +160,22 @@ pub struct LifecycleConfig {
     /// runtime actually pipelines — so per-epoch reports stay
     /// byte-identical across pipeline depths 1..=window.
     pub pipeline_window: usize,
-    /// Live devices per lock shard that trigger an **online doubling**
-    /// of the registry's shard count at join time
-    /// ([`FleetVerifier::grow_shards`]): a fleet enrolled at a small
-    /// shard count keeps per-shard occupancy bounded as it grows to
-    /// millions, with no reconstruction and no round pause. 0 disables
-    /// auto-growth (growth stays available explicitly through
-    /// [`FleetDirectory::grow_shards`]).
-    pub grow_load: usize,
 }
 
 impl LifecycleConfig {
-    /// Defaults: [`SHARD_COUNT`] shards, 1024-device cohorts, seed 1,
-    /// sequential epochs (window 1).
+    /// Defaults: 1024-device cohorts, seed 1, sequential epochs
+    /// (window 1).
     pub fn new() -> LifecycleConfig {
         LifecycleConfig {
-            shards: SHARD_COUNT,
             cohort: 1024,
             seed: 1,
             pipeline_window: 1,
-            grow_load: 1024,
         }
     }
 
     /// Sets the per-epoch cohort size (clamped to at least one).
     pub fn cohort(mut self, cohort: usize) -> LifecycleConfig {
         self.cohort = cohort.max(1);
-        self
-    }
-
-    /// Sets the registry shard count.
-    pub fn shards(mut self, shards: usize) -> LifecycleConfig {
-        self.shards = shards;
         self
     }
 
@@ -205,13 +189,6 @@ impl LifecycleConfig {
     /// [`LifecycleConfig::pipeline_window`].
     pub fn pipeline_window(mut self, window: usize) -> LifecycleConfig {
         self.pipeline_window = window.max(1);
-        self
-    }
-
-    /// Sets the auto-grow load factor. See
-    /// [`LifecycleConfig::grow_load`]; 0 disables auto-growth.
-    pub fn grow_load(mut self, devices_per_shard: usize) -> LifecycleConfig {
-        self.grow_load = devices_per_shard;
         self
     }
 }
@@ -271,9 +248,6 @@ struct DirectoryState {
     epoch: u64,
     rng: XorShift64,
     reconnects: u64,
-    /// Registered (non-evicted) devices — the cheap census that drives
-    /// the auto-grow load check without walking the fleet.
-    live: usize,
 }
 
 /// Fleet membership and epoch scheduling over a [`FleetVerifier`].
@@ -292,7 +266,7 @@ impl FleetDirectory {
     /// An empty directory over a fresh registry.
     pub fn new(config: LifecycleConfig) -> FleetDirectory {
         FleetDirectory {
-            fleet: Arc::new(FleetVerifier::with_shards(config.shards)),
+            fleet: Arc::new(FleetVerifier::new()),
             config: LifecycleConfig {
                 cohort: config.cohort.max(1),
                 pipeline_window: config.pipeline_window.max(1),
@@ -307,7 +281,6 @@ impl FleetDirectory {
                 epoch: 0,
                 rng: XorShift64::new(config.seed.max(1)),
                 reconnects: 0,
-                live: 0,
             }),
         }
     }
@@ -417,16 +390,6 @@ impl FleetDirectory {
         let mut state = self.state.lock().unwrap();
         self.fleet.register_shared(id, key, spec)?;
         state.states.insert(id, DeviceState::Joining);
-        state.live += 1;
-        // Online growth: double the shard count whenever per-shard
-        // occupancy crosses the load factor, so a fleet enrolled at a
-        // handful of shards reaches millions of devices with bounded
-        // lock contention — no reconstruction, no round pause.
-        if self.config.grow_load > 0
-            && state.live > self.fleet.shard_count() * self.config.grow_load
-        {
-            self.fleet.grow_shards();
-        }
         Ok(())
     }
 
@@ -441,7 +404,6 @@ impl FleetDirectory {
             Some(s @ (DeviceState::Joining | DeviceState::Active | DeviceState::Rekeying)) => {
                 *s = DeviceState::Draining;
                 state.staged_keys.remove(&id);
-                state.live -= 1;
                 self.fleet.remove(id);
                 true
             }
@@ -480,15 +442,6 @@ impl FleetDirectory {
             }
             _ => false,
         }
-    }
-
-    /// Doubles the registry's shard count online — power-of-two split,
-    /// per-shard migration under the existing locks, rounds in flight
-    /// undisturbed ([`FleetVerifier::grow_shards`]). Returns the new
-    /// shard count. The auto-grow path ([`LifecycleConfig::grow_load`])
-    /// calls the same primitive; this is the operator's explicit lever.
-    pub fn grow_shards(&self) -> usize {
-        self.fleet.grow_shards()
     }
 
     /// Drops `Evicted` tombstones, returning how many were purged.

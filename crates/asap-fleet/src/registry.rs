@@ -3,15 +3,15 @@
 //!
 //! Scale shape: challenge issuance and evidence conclusion are hash-map
 //! operations plus (for conclusion) a MAC recomputation. The registry
-//! keeps the *map operations* under per-shard mutexes — a shard array
-//! seeded at construction ([`FleetVerifier::with_shards`], default
-//! [`SHARD_COUNT`]) and grown online by power-of-two splits
-//! ([`FleetVerifier::grow_shards`]), shard picked by a multiplicative
-//! hash of the device id against the published linear-hashing layout —
-//! and performs the MAC work on a clone of the device's verifier
-//! *outside* any lock. Two sessions on devices in different shards
-//! therefore never contend at all, and even same-shard devices only
-//! serialize the cheap map lookups, not the crypto.
+//! keeps the *map operations* under per-shard mutexes — a fixed array
+//! of [`SHARD_COUNT`] shards, shard picked by a multiplicative hash of
+//! the device id — and performs the MAC work on a clone of the
+//! device's verifier *outside* any lock. Two sessions on devices in
+//! different shards therefore never contend at all, and even
+//! same-shard devices only serialize the cheap map lookups, not the
+//! crypto. Because the table never changes size, a device's shard and
+//! reactor ([`FleetVerifier::reactor_of`]) are fixed for the registry's
+//! whole life: no enrollment, however large, reroutes a round in flight.
 //!
 //! Membership can churn while rounds are in flight:
 //! [`remove`](FleetVerifier::remove) bumps a fleet-wide *membership
@@ -30,14 +30,11 @@ use asap::{AsapVerifier, Attested, VerifierSpec};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, Weak};
 
-/// Default number of registry shards
-/// ([`FleetVerifier::new`]; override with
-/// [`FleetVerifier::with_shards`]). The count can later *grow online*
-/// — see [`FleetVerifier::grow_shards`] — but never shrinks, and shard
-/// selection stays a pure function of the device id and the published
-/// `(base, split)` layout, so readers need one atomic load to address.
+/// Number of registry shards, fixed for the registry's whole life:
+/// shard selection ([`FleetVerifier::shard_of`]) is a pure function of
+/// the device id, so a device never changes shard or reactor.
 pub const SHARD_COUNT: usize = 16;
 
 /// One concluded frame: the device it was attributed to (when the
@@ -101,19 +98,8 @@ struct Dispatch {
 /// `Send + Sync`). See the [module docs](self) for the locking story,
 /// and [`crate`] docs for a full loopback walk-through.
 pub struct FleetVerifier {
-    /// The shard table. Only [`grow_shards`](FleetVerifier::grow_shards)
-    /// takes the write lock, and only long enough to *append* empty
-    /// shards; every other access is an uncontended read-lock plus a
-    /// clone of one `Arc`.
-    shards: RwLock<Vec<Arc<Mutex<Shard>>>>,
-    /// The published linear-hashing layout, packed `(base << 32) | split`:
-    /// shards `< split` have been rehashed against `2 * base` shards,
-    /// the rest still address against `base`. A completed table has
-    /// `split == 0`.
-    layout: AtomicU64,
-    /// Serializes [`grow_shards`](FleetVerifier::grow_shards) calls so
-    /// at most one doubling is in flight.
-    grow_lock: Mutex<()>,
+    /// The shard table, fixed at [`SHARD_COUNT`] entries.
+    shards: Box<[Mutex<Shard>]>,
     /// Sizes a runtime's MAC pool; `0` means "follow
     /// [`std::thread::available_parallelism`]".
     conclude_workers: AtomicUsize,
@@ -135,82 +121,24 @@ impl Default for FleetVerifier {
 }
 
 impl FleetVerifier {
-    /// An empty fleet over the default [`SHARD_COUNT`] shards.
+    /// An empty fleet over [`SHARD_COUNT`] shards.
     pub fn new() -> FleetVerifier {
-        FleetVerifier::with_shards(SHARD_COUNT)
-    }
-
-    /// An empty fleet over `shards` lock shards (clamped to at least
-    /// one). More shards mean less lock contention for wide conclude
-    /// pools and many-reactor runtimes; each shard is one mutex plus
-    /// one hash map, so a million-device fleet can afford hundreds.
-    pub fn with_shards(shards: usize) -> FleetVerifier {
-        let shards = shards.max(1);
         FleetVerifier {
-            shards: RwLock::new(
-                (0..shards)
-                    .map(|_| Arc::new(Mutex::new(Shard::default())))
-                    .collect(),
-            ),
-            layout: AtomicU64::new(Self::pack_layout(shards, 0)),
-            grow_lock: Mutex::new(()),
+            shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
             conclude_workers: AtomicUsize::new(0),
             churn_generation: AtomicU64::new(0),
             pool: Mutex::new(None),
         }
     }
 
-    fn pack_layout(base: usize, split: usize) -> u64 {
-        ((base as u64) << 32) | split as u64
-    }
-
-    /// The published `(base, split)` linear-hashing layout.
-    fn layout(&self) -> (usize, usize) {
-        let v = self.layout.load(Ordering::Acquire);
-        ((v >> 32) as usize, (v & 0xFFFF_FFFF) as usize)
-    }
-
-    /// Number of lock shards currently live: the constructed count plus
-    /// every split [`grow_shards`](FleetVerifier::grow_shards) has
-    /// published so far.
-    pub fn shard_count(&self) -> usize {
-        let (base, split) = self.layout();
-        base + split
-    }
-
-    /// Which of `shards` shards holds `id` — the pure hash both
-    /// [`shard_of`](FleetVerifier::shard_of) and external partitioners
-    /// compute. Every caller agreeing on `shards` computes the same
-    /// answer with no coordination.
-    pub fn shard_in(id: DeviceId, shards: usize) -> usize {
+    /// Which registry shard holds `id` — a pure function of the id, so
+    /// a device keeps its shard (and its reactor) for the registry's
+    /// whole life.
+    pub fn shard_of(&self, id: DeviceId) -> usize {
         // Fibonacci hashing: spreads dense (0, 1, 2, …) id assignments
         // across shards instead of clustering them modulo the count.
         let h = id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize % shards.max(1)
-    }
-
-    /// `shard_in` against a mid-growth `(base, split)` layout: shards
-    /// below the split pointer have already been rehashed to the
-    /// doubled table. Doubling preserves residues — `h % 2n` is either
-    /// `h % n` or `h % n + n` — so a split moves a device from shard
-    /// `s` to `s + base` or leaves it put, never anywhere else.
-    fn address_in(id: DeviceId, base: usize, split: usize) -> usize {
-        let i = Self::shard_in(id, base);
-        if i < split {
-            Self::shard_in(id, base * 2)
-        } else {
-            i
-        }
-    }
-
-    /// Which registry shard holds `id` in *this* fleet —
-    /// [`shard_in`](FleetVerifier::shard_in) over the current layout.
-    /// During an online [`grow_shards`](FleetVerifier::grow_shards)
-    /// this answer moves exactly once per device, when its old shard's
-    /// split is published.
-    pub fn shard_of(&self, id: DeviceId) -> usize {
-        let (base, split) = self.layout();
-        Self::address_in(id, base, split)
+        (h >> 32) as usize % SHARD_COUNT
     }
 
     /// Which of `reactors` reactor threads owns `id`'s round state in a
@@ -220,7 +148,7 @@ impl FleetVerifier {
     /// shards `s` with `s % reactors == r`, so the devices one reactor
     /// concludes live in a disjoint set of registry shards from every
     /// other reactor's — their `conclude` calls never touch the same
-    /// shard lock. (With `reactors > shard_count` the surplus reactors
+    /// shard lock. (With `reactors > SHARD_COUNT` the surplus reactors
     /// own no devices; they still service connections.)
     ///
     /// # Panics
@@ -231,83 +159,9 @@ impl FleetVerifier {
         self.shard_of(id) % reactors
     }
 
-    /// Runs `f` under the lock of the shard that holds `id`, re-checking
-    /// the layout after acquisition: if a concurrent
-    /// [`grow_shards`](FleetVerifier::grow_shards) split moved `id`
-    /// between our address computation and the lock, retry against the
-    /// fresh layout. The splitter publishes each split *while holding
-    /// both affected shard locks*, so once the address is stable under
-    /// the lock the entry (if enrolled) is guaranteed present.
+    /// Runs `f` under the lock of the shard that holds `id`.
     fn with_shard<R>(&self, id: DeviceId, f: impl FnOnce(&mut Shard) -> R) -> R {
-        loop {
-            let (base, split) = self.layout();
-            let idx = Self::address_in(id, base, split);
-            let shard = self.shards.read().unwrap()[idx].clone();
-            let mut guard = shard.lock().unwrap();
-            let (base2, split2) = self.layout();
-            if Self::address_in(id, base2, split2) == idx {
-                return f(&mut guard);
-            }
-        }
-    }
-
-    /// Snapshot of every live shard, for whole-fleet sweeps.
-    fn shard_snapshot(&self) -> Vec<Arc<Mutex<Shard>>> {
-        self.shards.read().unwrap().clone()
-    }
-
-    /// Doubles the shard count **online**: appends `base` empty shards,
-    /// then splits the existing shards one at a time — each split
-    /// rehashes one shard's devices into `(s, s + base)` under exactly
-    /// those two shard locks and publishes the move atomically, so
-    /// rounds keep issuing and concluding throughout. No global pause,
-    /// no session is dropped, and the membership generation does not
-    /// move (growth is not churn: no device joins or leaves).
-    ///
-    /// Returns the new shard count. Concurrent calls serialize; each
-    /// completes a full doubling. Reactor affinity
-    /// ([`reactor_of`](FleetVerifier::reactor_of)) follows the shard
-    /// hash, so devices may migrate to a different reactor on the
-    /// *next* round after a growth step — mid-round, the per-shard
-    /// mutexes keep cross-reactor conclusion safe, merely contended.
-    /// When the pre-growth shard count is a multiple of the reactor
-    /// count, affinity is stable even *across* growth (a split moves
-    /// shard `s` to `s + base`, and `(s + base) % reactors == s %
-    /// reactors`); doubling preserves the property, so seeding shards
-    /// as a reactor-count multiple keeps routing stable forever.
-    pub fn grow_shards(&self) -> usize {
-        let _serialize = self.grow_lock.lock().unwrap();
-        let (base, split) = self.layout();
-        debug_assert_eq!(split, 0, "grow_lock serializes whole doublings");
-        {
-            let mut table = self.shards.write().unwrap();
-            table.extend((0..base).map(|_| Arc::new(Mutex::new(Shard::default()))));
-        }
-        let table = self.shard_snapshot();
-        for s in 0..base {
-            let mut old = table[s].lock().unwrap();
-            let mut new = table[s + base].lock().unwrap();
-            let moved: Vec<DeviceId> = old
-                .devices
-                .keys()
-                .copied()
-                .filter(|&id| Self::shard_in(id, base * 2) != s)
-                .collect();
-            for id in moved {
-                let entry = old.devices.remove(&id).expect("key just listed");
-                new.devices.insert(id, entry);
-            }
-            // Publish while both locks are held: a reader that raced to
-            // the old address blocks on `old`, then re-checks the
-            // layout and retries at the new address.
-            self.layout
-                .store(Self::pack_layout(base, s + 1), Ordering::Release);
-        }
-        // `(base, base)` and `(2 * base, 0)` address identically, so
-        // this final store needs no lock.
-        self.layout
-            .store(Self::pack_layout(base * 2, 0), Ordering::Release);
-        base * 2
+        f(&mut self.shards[self.shard_of(id)].lock().unwrap())
     }
 
     /// Sizes the MAC-conclusion pool of a
@@ -417,12 +271,9 @@ impl FleetVerifier {
         self.churn_generation.load(Ordering::Acquire)
     }
 
-    /// Number of enrolled devices. Holds the grow serialization lock so
-    /// a concurrent [`grow_shards`](FleetVerifier::grow_shards) cannot
-    /// move devices mid-sweep and double-count them.
+    /// Number of enrolled devices.
     pub fn device_count(&self) -> usize {
-        let _settled = self.grow_lock.lock().unwrap();
-        self.shard_snapshot()
+        self.shards
             .iter()
             .map(|s| s.lock().unwrap().devices.len())
             .sum()
@@ -444,11 +295,8 @@ impl FleetVerifier {
     }
 
     /// Number of sessions currently awaiting evidence, fleet-wide.
-    /// Like [`device_count`](FleetVerifier::device_count), serialized
-    /// against growth for an exact answer.
     pub fn in_flight(&self) -> usize {
-        let _settled = self.grow_lock.lock().unwrap();
-        self.shard_snapshot()
+        self.shards
             .iter()
             .map(|s| {
                 s.lock()
@@ -875,49 +723,36 @@ mod tests {
     #[test]
     fn reactor_affinity_partitions_shards() {
         // Every device lands on exactly one reactor, and that reactor
-        // is a pure function of its registry shard — whatever shard
-        // count the fleet was constructed with.
-        for shards in [1, 4, SHARD_COUNT, 64] {
-            let fleet = FleetVerifier::with_shards(shards);
-            assert_eq!(fleet.shard_count(), shards);
-            for reactors in 1..=4 {
-                for id in 0..1000 {
-                    let id = DeviceId(id);
-                    let r = fleet.reactor_of(id, reactors);
-                    assert!(r < reactors);
-                    assert_eq!(r, fleet.shard_of(id) % reactors);
-                    assert_eq!(fleet.shard_of(id), FleetVerifier::shard_in(id, shards));
-                }
+        // is a pure function of its registry shard.
+        let fleet = FleetVerifier::new();
+        for reactors in 1..=4 {
+            for id in 0..1000 {
+                let id = DeviceId(id);
+                let r = fleet.reactor_of(id, reactors);
+                assert!(r < reactors);
+                assert_eq!(r, fleet.shard_of(id) % reactors);
+                assert!(fleet.shard_of(id) < SHARD_COUNT);
             }
-            // One reactor owns everything.
-            assert!((0..1000).all(|id| fleet.reactor_of(DeviceId(id), 1) == 0));
         }
+        // One reactor owns everything.
+        assert!((0..1000).all(|id| fleet.reactor_of(DeviceId(id), 1) == 0));
     }
 
     #[test]
     fn default_shard_count_is_pinned() {
-        // The default fleet keeps the historical 16-shard layout, so
-        // shard/reactor affinity of existing deployments is unchanged.
+        // The historical 16-shard Fibonacci layout, so shard/reactor
+        // affinity of existing deployments is unchanged.
         let fleet = FleetVerifier::new();
-        assert_eq!(fleet.shard_count(), SHARD_COUNT);
-        for id in 0..1000 {
-            let id = DeviceId(id);
-            assert_eq!(fleet.shard_of(id), FleetVerifier::shard_in(id, SHARD_COUNT));
+        for (id, shard) in [(1, 9), (2, 2), (3, 12), (42, 14), (1000, 9), (u64::MAX, 6)] {
+            assert_eq!(fleet.shard_of(DeviceId(id)), shard, "device {id}");
         }
-    }
-
-    #[test]
-    fn with_shards_clamps_zero_to_one() {
-        let fleet = FleetVerifier::with_shards(0);
-        assert_eq!(fleet.shard_count(), 1);
-        assert_eq!(fleet.shard_of(DeviceId(7)), 0);
     }
 
     #[test]
     fn remove_bumps_generation_and_drops_sessions() {
         let image = asap::programs::fig4_authorized().unwrap();
         let spec = VerifierSpec::from_image(&image).unwrap();
-        let fleet = FleetVerifier::with_shards(4);
+        let fleet = FleetVerifier::new();
         let id = DeviceId(9);
         fleet.register(id, b"k", spec).unwrap();
         fleet.begin(id).unwrap();
@@ -931,60 +766,6 @@ mod tests {
         // Removing an unknown id is a no-op, generation included.
         assert!(!fleet.remove(id));
         assert_eq!(fleet.membership_generation(), before + 1);
-    }
-
-    #[test]
-    fn grow_doubles_and_preserves_membership_and_sessions() {
-        let image = asap::programs::fig4_authorized().unwrap();
-        let spec = Arc::new(VerifierSpec::from_image(&image).unwrap());
-        let fleet = FleetVerifier::with_shards(4);
-        for id in 0..64 {
-            fleet
-                .register_shared(DeviceId(id), b"k", Arc::clone(&spec))
-                .unwrap();
-        }
-        // Half the fleet mid-round when the table doubles.
-        let challenged: Vec<DeviceId> = (0..32).map(DeviceId).collect();
-        let frames = fleet.begin_round(&challenged).unwrap();
-        let generation = fleet.membership_generation();
-
-        assert_eq!(fleet.grow_shards(), 8);
-        assert_eq!(fleet.shard_count(), 8);
-        assert_eq!(fleet.grow_shards(), 16);
-
-        // Growth is not churn, loses no device and aborts no session.
-        assert_eq!(fleet.membership_generation(), generation);
-        assert_eq!(fleet.device_count(), 64);
-        assert_eq!(fleet.in_flight(), 32);
-        for id in 0..64 {
-            let id = DeviceId(id);
-            assert!(fleet.is_registered(id));
-            assert_eq!(fleet.shard_of(id), FleetVerifier::shard_in(id, 16));
-            assert!(fleet.shard_of(id) < fleet.shard_count());
-        }
-        // The pre-growth challenges still conclude: sessions migrated
-        // shards with their devices. (No device answered, so a second
-        // begin_round replaces them — proving lookups still resolve.)
-        assert_eq!(frames.len(), 32);
-        for &id in &challenged {
-            assert!(fleet.session_pending(id));
-            fleet.begin(id).unwrap();
-        }
-    }
-
-    #[test]
-    fn grow_preserves_doubling_residues() {
-        // The split invariant: doubling maps shard `s` into exactly
-        // `{s, s + base}`, whatever the starting count (power of two or
-        // not), so each split touches two shard locks and no more.
-        for base in [1usize, 3, 4, 5, 16] {
-            for id in 0..1000u64 {
-                let id = DeviceId(id);
-                let old = FleetVerifier::shard_in(id, base);
-                let new = FleetVerifier::shard_in(id, base * 2);
-                assert!(new == old || new == old + base, "{base}: {old} -> {new}");
-            }
-        }
     }
 
     #[test]

@@ -421,12 +421,12 @@ fn submillisecond_budget_does_not_expire_the_round_at_birth() {
 }
 
 /// The first enrolled id whose challenge is owned by `want` when the
-/// round is sharded over `reactors` reactor threads (over the default
-/// shard count, which every harness fleet uses).
+/// round is sharded over `reactors` reactor threads.
 fn id_with_affinity(want: usize, reactors: usize) -> DeviceId {
+    let fleet = FleetVerifier::new();
     (1u64..)
         .map(DeviceId)
-        .find(|&id| FleetVerifier::shard_in(id, asap_fleet::SHARD_COUNT) % reactors == want)
+        .find(|&id| fleet.reactor_of(id, reactors) == want)
         .unwrap()
 }
 

@@ -11,7 +11,7 @@ use asap::{programs, PoxMode, VerifierSpec};
 use asap_bench::fleet::{GatewayTransport, Scenario, ScenarioHarness, ScenarioMix};
 use asap_fleet::{
     DeviceId, DeviceState, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier,
-    LifecycleConfig, NoListener, RoundReport, SHARD_COUNT,
+    LifecycleConfig, NoListener, RoundReport,
 };
 use std::collections::HashMap;
 use std::io::Write;
@@ -396,22 +396,14 @@ fn unknown_hellos_are_counted_on_reactor_stats() {
     });
 }
 
-/// The registry shard count is a construction knob on both layers: the
-/// raw `FleetVerifier` and the `FleetDirectory` that owns one — with
-/// the affinity invariant holding at any shard count.
+/// The shard table is fixed at `SHARD_COUNT` on both layers — the raw
+/// `FleetVerifier` and the `FleetDirectory` that owns one — so a
+/// directory's fleet splits devices across reactors exactly as a bare
+/// registry does.
 #[test]
-fn shard_count_is_configurable_at_both_layers() {
-    assert_eq!(FleetVerifier::new().shard_count(), SHARD_COUNT);
-    assert_eq!(FleetVerifier::with_shards(4).shard_count(), 4);
-
-    let dir = FleetDirectory::new(LifecycleConfig::new().shards(4));
-    assert_eq!(dir.fleet().shard_count(), 4);
-    assert_eq!(dir.config().shards, 4);
-
-    // Affinity stays a pure function of (id, shard count): the
-    // directory's fleet partitions devices exactly as a bare registry
-    // with the same shard count would.
-    let bare = FleetVerifier::with_shards(4);
+fn directory_fleet_splits_devices_like_a_bare_registry() {
+    let dir = FleetDirectory::new(LifecycleConfig::new());
+    let bare = FleetVerifier::new();
     for raw in 0..256u64 {
         let id = DeviceId(raw);
         assert_eq!(dir.fleet().shard_of(id), bare.shard_of(id));
@@ -422,4 +414,50 @@ fn shard_count_is_configurable_at_both_layers() {
             );
         }
     }
+}
+
+/// Joins landing mid-round never reroute the round: a 3-reactor
+/// runtime (a reactor count that does not divide `SHARD_COUNT`) has its
+/// cohort's challenges out when 16,400 devices join, and only then do
+/// the cohort's provers hello. Every device's reactor is a function of
+/// its id alone, so each hello reaches the reactor holding its
+/// challenge and the whole cohort verifies.
+#[test]
+fn mid_round_joins_keep_every_verdict_at_three_reactors() {
+    const COHORT: u64 = 48;
+    const JOINERS: u64 = 16_400;
+    let dir = directory_of(COHORT, LifecycleConfig::new().cohort(COHORT as usize));
+    let plan = dir.begin_epoch();
+    assert_eq!(plan.cohort.len(), COHORT as usize);
+    let (mut runtime, prover_end) = runtime_with_peer(dir.fleet_arc(), 3);
+
+    let (built_tx, built_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let report = std::thread::scope(|scope| {
+        let hosted = plan.cohort.clone();
+        scope.spawn(move || {
+            asap_bench::fleet::host_gateway_provers(prover_end, &hosted, key_for, &[], move || {
+                // Devices are booted; hold every hello until the joins
+                // have landed.
+                built_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            });
+        });
+        built_rx.recv().unwrap();
+        let ticket = runtime.submit_round(&plan.cohort, BUDGET).unwrap();
+        let spec = shared_spec();
+        for raw in 1_000..1_000 + JOINERS {
+            let id = DeviceId(raw);
+            dir.join_shared(id, &key_for(id), Arc::clone(&spec))
+                .unwrap();
+        }
+        release_tx.send(()).unwrap();
+        let report = runtime.wait_round(ticket).unwrap();
+        drop(runtime);
+        report
+    });
+
+    assert_eq!(report.verified(), COHORT as usize, "{report}");
+    assert_eq!(dir.fleet().device_count(), (COHORT + JOINERS) as usize);
+    assert_eq!(dir.fleet().in_flight(), 0);
 }

@@ -1,9 +1,8 @@
 //! The persistent fleet runtime end to end: reactors that park between
 //! rounds instead of being re-spawned, the shared MAC-conclusion pool,
 //! pipelined epochs with byte-identical per-epoch reports across every
-//! reactor count *and* pipeline depth, verdict attribution under churn
-//! with several epochs in flight, and online shard growth under live
-//! rounds with no pause and no verdict changes.
+//! reactor count *and* pipeline depth, and verdict attribution under
+//! churn with several epochs in flight.
 
 use asap::{programs, PoxMode, VerifierSpec};
 use asap_bench::fleet::host_gateway_provers;
@@ -36,10 +35,9 @@ fn shared_spec() -> Arc<VerifierSpec> {
     )
 }
 
-/// Enrolls `ids` into a fresh shared registry over `shards` lock
-/// shards.
-fn fleet_of(ids: &[DeviceId], shards: usize) -> Arc<FleetVerifier> {
-    let fleet = FleetVerifier::with_shards(shards);
+/// Enrolls `ids` into a fresh shared registry.
+fn fleet_of(ids: &[DeviceId]) -> Arc<FleetVerifier> {
+    let fleet = FleetVerifier::new();
     let spec = shared_spec();
     for &id in ids {
         fleet
@@ -80,7 +78,7 @@ fn wait_session_pending(fleet: &FleetVerifier, id: DeviceId) {
 #[test]
 fn persistent_runtime_reuses_connections_across_rounds() {
     let ids: Vec<DeviceId> = (1..=6).map(DeviceId).collect();
-    let fleet = fleet_of(&ids, 4);
+    let fleet = fleet_of(&ids);
     fleet.set_parallelism(4);
 
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
@@ -121,7 +119,7 @@ fn persistent_runtime_reuses_connections_across_rounds() {
 #[test]
 fn unknown_devices_and_tickets_are_rejected() {
     let ids: Vec<DeviceId> = (1..=2).map(DeviceId).collect();
-    let fleet = fleet_of(&ids, 4);
+    let fleet = fleet_of(&ids);
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
         FleetRuntime::detached(Arc::clone(&fleet), 1, 2);
 
@@ -149,7 +147,7 @@ fn pipelined_epochs_overlap_in_flight() {
     let cohort_b: Vec<DeviceId> = ids[4..].to_vec();
     let silent = cohort_a[3];
 
-    let fleet = fleet_of(&ids, 4);
+    let fleet = fleet_of(&ids);
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
         FleetRuntime::detached(Arc::clone(&fleet), 2, 2);
     let (gw_end, prover_end) = UnixStream::pair().unwrap();
@@ -198,7 +196,6 @@ fn churned_epochs(
     const FLEET: u64 = 24;
     let dir = FleetDirectory::new(
         LifecycleConfig::new()
-            .shards(4)
             .cohort(6)
             .seed(0x6A7E_0010)
             .pipeline_window(4),
@@ -309,7 +306,7 @@ fn eviction_with_two_epochs_in_flight_charges_exactly_one() {
     let cohort_b: Vec<DeviceId> = ids[4..].to_vec();
     let victim = cohort_a[3];
 
-    let fleet = fleet_of(&ids, 4);
+    let fleet = fleet_of(&ids);
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
         FleetRuntime::detached(Arc::clone(&fleet), 2, 2);
     let (gw_end, prover_end) = UnixStream::pair().unwrap();
@@ -339,59 +336,13 @@ fn eviction_with_two_epochs_in_flight_charges_exactly_one() {
     host.join().unwrap();
 }
 
-/// Online shard growth under live rounds: the registry doubles its
-/// shard count mid-flight — splits proceeding while reactors issue and
-/// conclude — and every verdict matches a control fleet that never
-/// grew. No pause, no reconstruction, no verdict changes.
-#[test]
-fn shard_growth_mid_round_changes_no_verdicts() {
-    let ids: Vec<DeviceId> = (1..=32).map(DeviceId).collect();
-
-    let run = |grow: bool| -> Vec<RoundReport> {
-        // 4 shards at 2 reactors: the pre-growth count is a multiple
-        // of the reactor count, so affinity stays stable across splits
-        // (see `FleetVerifier::grow_shards`) and growth is safe even
-        // mid-round.
-        let fleet = fleet_of(&ids, 4);
-        let mut runtime: FleetRuntime<NoListener<UnixStream>> =
-            FleetRuntime::detached(Arc::clone(&fleet), 2, 1);
-        let (gw_end, prover_end) = UnixStream::pair().unwrap();
-        runtime.adopt(gw_end).unwrap();
-        let host = spawn_host(prover_end, ids.clone(), Vec::new());
-
-        let mut reports = Vec::new();
-        let ticket = runtime.submit_round(&ids, BUDGET).unwrap();
-        if grow {
-            // Split every shard while the round is in flight.
-            assert_eq!(fleet.grow_shards(), 8);
-        }
-        reports.push(runtime.wait_round(ticket).unwrap());
-        if grow {
-            assert_eq!(fleet.grow_shards(), 16);
-        }
-        reports.push(runtime.run_round(&ids, BUDGET).unwrap());
-
-        assert_eq!(runtime.in_flight_epochs(), 0);
-        assert_eq!(fleet.shard_count(), if grow { 16 } else { 4 });
-        assert_eq!(fleet.in_flight(), 0, "sessions leaked");
-        drop(runtime);
-        host.join().unwrap();
-        reports
-    };
-
-    let grown = run(true);
-    let control = run(false);
-    assert_eq!(grown, control, "growth must be invisible to round verdicts");
-    assert!(grown.iter().all(|r| r.verified() == ids.len()));
-}
-
 /// The TCP face of the runtime: bind an ephemeral listener, let the
 /// driver's wait loops accept the dialing prover host, and drive
 /// multiple rounds over the one accepted connection.
 #[test]
 fn runtime_accepts_tcp_connections_while_driving_rounds() {
     let ids: Vec<DeviceId> = (1..=6).map(DeviceId).collect();
-    let fleet = fleet_of(&ids, 4);
+    let fleet = fleet_of(&ids);
     let mut runtime = FleetRuntime::bind_tcp("127.0.0.1:0", Arc::clone(&fleet), 2, 1).unwrap();
     let addr = runtime.listener().unwrap().local_addr().unwrap();
 
@@ -416,13 +367,7 @@ fn runtime_accepts_tcp_connections_while_driving_rounds() {
 #[test]
 fn directory_drives_pipelined_epochs_through_the_runtime() {
     const FLEET: u64 = 12;
-    let dir = FleetDirectory::new(
-        LifecycleConfig::new()
-            .shards(4)
-            .cohort(4)
-            .seed(9)
-            .pipeline_window(2),
-    );
+    let dir = FleetDirectory::new(LifecycleConfig::new().cohort(4).seed(9).pipeline_window(2));
     let spec = shared_spec();
     let all: Vec<DeviceId> = (1..=FLEET).map(DeviceId).collect();
     for &id in &all {
