@@ -8,7 +8,7 @@
 //! and produced the *claimed* outputs.
 
 use openmsp430::mem::MemRegion;
-use pox_crypto::hmac::ct_eq;
+use pox_crypto::hmac::{ct_eq, HmacKey};
 use std::error::Error;
 use std::fmt;
 use vrased::protocol::Challenge;
@@ -52,33 +52,36 @@ pub struct PoxResponse {
 
 /// Builds the measured-item list for a PoX measurement. Both the prover
 /// (over device memory) and the verifier (over expected contents) use
-/// this to guarantee transcript agreement.
-pub fn pox_items(
+/// this to guarantee transcript agreement. The items borrow the region
+/// bytes; nothing is copied.
+pub fn pox_items<'a>(
     exec: bool,
     er: MemRegion,
-    er_bytes: &[u8],
+    er_bytes: &'a [u8],
     or: MemRegion,
-    or_bytes: &[u8],
-    ivt: Option<(MemRegion, &[u8])>,
-) -> Vec<MeasuredItem> {
-    let mut items = vec![
-        MeasuredItem::value(labels::EXEC, vec![exec as u8]),
-        MeasuredItem {
-            label: labels::ER.to_string(),
-            start: er.start(),
-            bytes: er_bytes.to_vec(),
-        },
-        MeasuredItem {
-            label: labels::OR.to_string(),
-            start: or.start(),
-            bytes: or_bytes.to_vec(),
-        },
-    ];
+    or_bytes: &'a [u8],
+    ivt: Option<(MemRegion, &'a [u8])>,
+) -> Vec<MeasuredItem<'a>> {
+    let mut items = Vec::with_capacity(4);
+    items.push(MeasuredItem::value(
+        labels::EXEC,
+        if exec { &[1] } else { &[0] },
+    ));
+    items.push(MeasuredItem {
+        label: labels::ER,
+        start: er.start(),
+        bytes: er_bytes,
+    });
+    items.push(MeasuredItem {
+        label: labels::OR,
+        start: or.start(),
+        bytes: or_bytes,
+    });
     if let Some((region, bytes)) = ivt {
         items.push(MeasuredItem {
-            label: labels::IVT.to_string(),
+            label: labels::IVT,
             start: region.start(),
-            bytes: bytes.to_vec(),
+            bytes,
         });
     }
     items
@@ -123,7 +126,7 @@ impl Error for PoxError {}
 /// binary, and (under ASAP) the expected trusted-ISR entry points.
 #[derive(Debug, Clone)]
 pub struct PoxVerifier {
-    key: Vec<u8>,
+    key: HmacKey,
     counter: u64,
     /// Expected bytes of `ER` (the shipped binary).
     pub expected_er: Vec<u8>,
@@ -133,7 +136,7 @@ impl PoxVerifier {
     /// Creates a verifier expecting the given `ER` binary.
     pub fn new(key: &[u8], expected_er: Vec<u8>) -> PoxVerifier {
         PoxVerifier {
-            key: key.to_vec(),
+            key: HmacKey::new(key),
             counter: 0,
             expected_er,
         }
@@ -187,7 +190,7 @@ mod tests {
             exec: true,
             output: out.to_vec(),
             ivt: None,
-            mac: attest(key, &req.chal.0, &items),
+            mac: attest(&HmacKey::new(key), &req.chal.0, &items),
         }
     }
 
@@ -225,7 +228,7 @@ mod tests {
             exec: true, // lie
             output: b"out".to_vec(),
             ivt: None,
-            mac: attest(key, &req.chal.0, &items),
+            mac: attest(&HmacKey::new(key), &req.chal.0, &items),
         };
         assert_eq!(vrf.verify_apex(&req, &resp), Err(PoxError::BadMac));
     }

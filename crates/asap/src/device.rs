@@ -22,6 +22,7 @@ use openmsp430::signals::Signals;
 use openmsp430::superblock::{SbConfig, SbExit, StepCtl, WireSummary};
 use periph::gpio::{Gpio, PORT1_VECTOR, PORT2_VECTOR};
 use periph::{DmaController, Timer, Uart};
+use pox_crypto::hmac::HmacKey;
 use std::fmt;
 use vrased::hw::{swatt_exit_addr, KeyGuard, SwAttAtomicity};
 use vrased::props::{names, ErInfo, PropCtx, WireImage};
@@ -172,11 +173,20 @@ impl<'a> DeviceBuilder<'a> {
     /// # Errors
     ///
     /// [`AsapError::MissingKey`] when no key was provided;
+    /// [`AsapError::KeyTooLong`] when the key does not fit the layout's
+    /// key region;
     /// [`AsapError::NoEr`], [`AsapError::BadLayout`] or
     /// [`AsapError::ErOutsideProgram`] when the image and layout do not
     /// form a provable configuration.
     pub fn build(self) -> Result<Device, AsapError> {
         let key = self.key.ok_or(AsapError::MissingKey)?;
+        let max = self.layout.key.len() as usize;
+        if key.len() > max {
+            return Err(AsapError::KeyTooLong {
+                len: key.len(),
+                max,
+            });
+        }
         let mut device = Device::assemble(self.image, self.mode, &key, self.layout)?;
         if self.record_wave {
             device.wave = Some(Vec::new());
@@ -343,7 +353,8 @@ pub struct Device {
     ctx: PropCtx,
     mode: PoxMode,
     er: ErInfo,
-    key: Vec<u8>,
+    /// HMAC key over the provisioned key-region bytes that SW-Att reads.
+    key: HmacKey,
     stack: MonitorStack,
     trace: Option<Trace>,
     wave: Option<Vec<WaveSample>>,
@@ -413,9 +424,9 @@ impl Device {
 
         image.load_into(&mut mcu.mem);
         // Provision the device key (normally burned at manufacture).
+        // `build` checked that the key fits the region.
         let mut key_bytes = vec![0u8; layout.key.len() as usize];
-        let n = key.len().min(key_bytes.len());
-        key_bytes[..n].copy_from_slice(&key[..n]);
+        key_bytes[..key.len()].copy_from_slice(key);
         mcu.mem.load(layout.key.start(), &key_bytes);
         mcu.reset();
         // Warm the predecode cache over the proved region; everything
@@ -427,7 +438,7 @@ impl Device {
             ctx,
             mode,
             er,
-            key: key_bytes,
+            key: HmacKey::new(&key_bytes),
             stack: MonitorStack::new(mode),
             trace: None,
             wave: None,
@@ -774,14 +785,28 @@ impl Device {
         // --- Step 1: enter SW-Att at its first instruction.
         self.swatt_step(layout.swatt.start(), &[]);
 
-        // --- Step 2: the measurement body — key + region reads.
+        // --- Step 2: the measurement body — key + region reads. The MAC
+        // borrows the measured regions straight from memory.
         let exec = self.exec();
-        let er_bytes = self.er_bytes();
-        let or_bytes = self.or_bytes();
+        let mem = &self.mcu.mem;
+        let or_bytes = mem.slice(layout.or);
         let ivt = match self.mode {
-            PoxMode::Asap => Some((layout.ivt, self.ivt_bytes())),
+            PoxMode::Asap => Some((layout.ivt, mem.slice(layout.ivt))),
             PoxMode::Apex => None,
         };
+        let items = pox_items(
+            exec,
+            self.er.region,
+            mem.slice(self.er.region),
+            layout.or,
+            or_bytes,
+            ivt,
+        );
+        let mac = attest(&self.key, &chal, &items);
+        let measured: usize = items.iter().map(|i| i.bytes.len()).sum();
+        let output = or_bytes.to_vec();
+        let ivt = ivt.map(|(_, bytes)| bytes.to_vec());
+
         let mut accesses = [MemAccess::read(0, 0, true); 4];
         let mut measured_regions = 3;
         accesses[0] = MemAccess::read(layout.key.start(), 0, true);
@@ -792,17 +817,6 @@ impl Device {
             measured_regions = 4;
         }
         self.swatt_step(layout.swatt.start() + 2, &accesses[..measured_regions]);
-
-        let items = pox_items(
-            exec,
-            self.er.region,
-            &er_bytes,
-            layout.or,
-            &or_bytes,
-            ivt.as_ref().map(|(r, b)| (*r, b.as_slice())),
-        );
-        let mac = attest(&self.key, &chal, &items);
-        let measured: usize = items.iter().map(|i| i.bytes.len()).sum();
         self.mcu.charge_cycles(swatt_cycle_cost(measured));
 
         // --- Step 3: write the MAC to the metadata region.
@@ -820,8 +834,8 @@ impl Device {
 
         PoxResponse {
             exec,
-            output: or_bytes,
-            ivt: ivt.map(|(_, b)| b),
+            output,
+            ivt,
             mac,
         }
     }
@@ -1032,6 +1046,28 @@ mod tests {
         assert_eq!(
             Device::builder(&img).build().unwrap_err(),
             AsapError::MissingKey
+        );
+    }
+
+    #[test]
+    fn key_must_fit_the_key_region() {
+        use crate::error::AsapError;
+        use crate::verifier::{AsapVerifier, VerifierSpec};
+
+        let img = image();
+        let full = [0x5A; 32];
+        let mut d = Device::builder(&img).key(&full).build().unwrap();
+        d.run_until_pc(0xF004, 1000);
+        let mut vrf = AsapVerifier::new(&full, VerifierSpec::from_image(&img).unwrap());
+        let session = vrf.begin();
+        let resp = d.attest(session.request());
+        assert!(session.evidence(resp).conclude(&vrf).is_verified());
+
+        // One byte more would be truncated on the device and never
+        // verify, so the builder refuses it.
+        assert_eq!(
+            Device::builder(&img).key(&[0x5A; 33]).build().unwrap_err(),
+            AsapError::KeyTooLong { len: 33, max: 32 }
         );
     }
 

@@ -29,6 +29,14 @@ pub enum AsapError {
     /// [`DeviceBuilder`](crate::device::DeviceBuilder) was finished
     /// without a device key.
     MissingKey,
+    /// The device key is longer than the layout's key region, which
+    /// would truncate it.
+    KeyTooLong {
+        /// The key's length in bytes.
+        len: usize,
+        /// The key region's size in bytes.
+        max: usize,
+    },
     /// Assembling/linking the program failed.
     Link(String),
 
@@ -66,6 +74,9 @@ impl fmt::Display for AsapError {
                 write!(f, "linked ER lies outside program memory")
             }
             AsapError::MissingKey => write!(f, "device builder needs a key"),
+            AsapError::KeyTooLong { len, max } => {
+                write!(f, "device key is {len} bytes; the key region holds {max}")
+            }
             AsapError::Link(m) => write!(f, "{m}"),
             AsapError::Wire(e) => write!(f, "wire decode failed: {e}"),
             AsapError::NotExecuted => write!(f, "EXEC = 0: execution proof invalid"),

@@ -26,7 +26,7 @@ use msp430_tools::link::Image;
 use openmsp430::cpu::IVT_VECTORS;
 use openmsp430::layout::MemLayout;
 use openmsp430::mem::MemRegion;
-use pox_crypto::hmac::ct_eq;
+use pox_crypto::hmac::{ct_eq, HmacKey};
 use std::collections::BTreeMap;
 use vrased::protocol::Challenge;
 use vrased::swatt::attest;
@@ -125,7 +125,8 @@ impl VerifierSpec {
     }
 }
 
-/// The immutable half of a verifier: the shared device key and the
+/// The immutable half of a verifier: the shared device key, held as its
+/// HMAC midstates so no session re-derives the key pads, and the
 /// image-derived spec. Kept behind an `Arc` so cloning a verifier (as
 /// fleet registries do to run MAC checks outside their locks) is a
 /// refcount bump, not a copy of the expected `ER` bytes. The spec is
@@ -134,7 +135,7 @@ impl VerifierSpec {
 /// ([`AsapVerifier::new_shared`]).
 #[derive(Debug)]
 struct VerifierCore {
-    key: Vec<u8>,
+    key: HmacKey,
     spec: std::sync::Arc<VerifierSpec>,
 }
 
@@ -160,7 +161,7 @@ impl AsapVerifier {
     pub fn new_shared(key: &[u8], spec: std::sync::Arc<VerifierSpec>) -> AsapVerifier {
         AsapVerifier {
             core: std::sync::Arc::new(VerifierCore {
-                key: key.to_vec(),
+                key: HmacKey::new(key),
                 spec,
             }),
             counter: 0,
@@ -308,11 +309,12 @@ mod tests {
             out,
             ivt.as_ref().map(|b| (vrf.spec().ivt_region, b.as_slice())),
         );
+        let mac = attest(&HmacKey::new(KEY), req.chal.as_bytes(), &items);
         PoxResponse {
             exec: true,
             output: out.to_vec(),
             ivt,
-            mac: attest(KEY, req.chal.as_bytes(), &items),
+            mac,
         }
     }
 

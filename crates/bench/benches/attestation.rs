@@ -7,19 +7,22 @@ use asap::device::PoxMode;
 use asap::programs;
 use asap_bench::{device_for, KEY};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pox_crypto::hmac::HmacKey;
 use std::hint::black_box;
 use vrased::swatt::{attest, MeasuredItem};
 
 fn bench_swatt_mac(c: &mut Criterion) {
     let mut group = c.benchmark_group("swatt_mac");
+    let key = HmacKey::new(KEY);
     for size in [256usize, 1024, 4096, 8192] {
-        let item = MeasuredItem::value("er", vec![0xA5; size]);
+        let bytes = vec![0xA5; size];
+        let item = MeasuredItem::value("er", &bytes);
         let chal = [7u8; 16];
         group.throughput(Throughput::Bytes(size as u64));
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, _| {
             b.iter(|| {
                 attest(
-                    black_box(KEY),
+                    black_box(&key),
                     black_box(&chal),
                     black_box(std::slice::from_ref(&item)),
                 )

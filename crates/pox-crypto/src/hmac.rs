@@ -1,6 +1,69 @@
 //! HMAC-SHA256 (RFC 2104 / FIPS 198-1), built on [`crate::sha256`].
+//!
+//! A key's two pads each fill exactly one SHA-256 block, so their
+//! chaining values depend on the key alone. [`HmacKey`] computes them
+//! once; every MAC under that key then starts from the inner midstate
+//! and finishes from the outer one, saving the two compressions a MAC
+//! pays when it derives the pads anew.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use std::fmt;
+
+/// An HMAC-SHA256 key, held as the SHA-256 midstates of its inner and
+/// outer pads. Derive it once per key and start any number of MACs
+/// from it with [`HmacKey::begin`].
+///
+/// # Examples
+///
+/// ```
+/// use pox_crypto::hmac::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"device-key");
+/// for msg in [&b"first"[..], b"second"] {
+///     let mut mac = key.begin();
+///     mac.update(msg);
+///     assert_eq!(mac.finalize(), hmac_sha256(b"device-key", msg));
+/// }
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Derives the pad midstates of `key` (any length; keys longer
+    /// than one block are hashed first, per RFC 2104).
+    pub fn new(key: &[u8]) -> HmacKey {
+        let mut k = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            k[..DIGEST_LEN].copy_from_slice(&crate::sha256::digest(key));
+        } else {
+            k[..key.len()].copy_from_slice(key);
+        }
+        let ipad = k.map(|b| b ^ 0x36);
+        let opad = k.map(|b| b ^ 0x5c);
+        HmacKey {
+            inner: Sha256::midstate(&ipad),
+            outer: Sha256::midstate(&opad),
+        }
+    }
+
+    /// Starts a MAC under this key.
+    pub fn begin(&self) -> HmacSha256 {
+        HmacSha256 {
+            inner: Sha256::resume(self.inner, BLOCK_LEN as u64),
+            outer: self.outer,
+        }
+    }
+}
+
+/// Redacted: the midstates stand in for the key.
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
+}
 
 /// Incremental HMAC-SHA256 state.
 ///
@@ -20,32 +83,14 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 #[derive(Debug, Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    outer: [u32; 8],
 }
 
 impl HmacSha256 {
-    /// Creates an HMAC state keyed with `key` (any length; keys longer
-    /// than one block are hashed first, per RFC 2104).
+    /// Creates an HMAC state keyed with `key`; the same as
+    /// `HmacKey::new(key).begin()`.
     pub fn new(key: &[u8]) -> HmacSha256 {
-        let mut k = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            let d = crate::sha256::digest(key);
-            k[..DIGEST_LEN].copy_from_slice(&d);
-        } else {
-            k[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        HmacKey::new(key).begin()
     }
 
     /// Absorbs message data.
@@ -56,8 +101,7 @@ impl HmacSha256 {
     /// Finishes the computation and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+        let mut outer = Sha256::resume(self.outer, BLOCK_LEN as u64);
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -91,70 +135,102 @@ mod tests {
     use super::*;
     use crate::hex;
 
-    /// RFC 4231 test vectors for HMAC-SHA-256.
+    /// RFC 4231 test case `n`: key, message, and the expected tag
+    /// (case 5 publishes only the first 128 bits).
+    fn rfc4231(n: usize) -> (Vec<u8>, Vec<u8>, &'static str) {
+        match n {
+            1 => (
+                vec![0x0b; 20],
+                b"Hi There".to_vec(),
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            2 => (
+                b"Jefe".to_vec(),
+                b"what do ya want for nothing?".to_vec(),
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            3 => (
+                vec![0xaa; 20],
+                vec![0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            4 => (
+                (1..=25).collect(),
+                vec![0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            5 => (
+                vec![0x0c; 20],
+                b"Test With Truncation".to_vec(),
+                "a3b6167473100ee06e0c796c2955552b",
+            ),
+            6 => (
+                vec![0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First".to_vec(),
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            7 => (
+                vec![0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.".to_vec(),
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+            _ => unreachable!("RFC 4231 has cases 1..=7"),
+        }
+    }
+
+    /// Checks case `n` through `hmac_sha256` and through one
+    /// `HmacKey` that MACs other messages before and between.
+    fn check_rfc4231(n: usize) {
+        let (key, msg, expect) = rfc4231(n);
+        let tag = |t: [u8; DIGEST_LEN]| hex::encode(&t[..expect.len() / 2]);
+        assert_eq!(tag(hmac_sha256(&key, &msg)), expect, "case {n}");
+
+        let reused = HmacKey::new(&key);
+        for round in 0..3u8 {
+            let other = vec![round; 64 * round as usize + 7];
+            let mut mac = reused.begin();
+            mac.update(&other);
+            assert_eq!(mac.finalize(), hmac_sha256(&key, &other), "case {n}");
+
+            let mut mac = reused.begin();
+            mac.update(&msg);
+            assert_eq!(tag(mac.finalize()), expect, "case {n}, reuse {round}");
+        }
+    }
+
     #[test]
     fn rfc4231_case1() {
-        let key = [0x0b; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            hex::encode(&tag),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
+        check_rfc4231(1);
     }
 
     #[test]
     fn rfc4231_case2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            hex::encode(&tag),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+        check_rfc4231(2);
     }
 
     #[test]
     fn rfc4231_case3() {
-        let key = [0xaa; 20];
-        let msg = [0xdd; 50];
-        let tag = hmac_sha256(&key, &msg);
-        assert_eq!(
-            hex::encode(&tag),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
-        );
+        check_rfc4231(3);
     }
 
     #[test]
     fn rfc4231_case4() {
-        let key: Vec<u8> = (1..=25).collect();
-        let msg = [0xcd; 50];
-        let tag = hmac_sha256(&key, &msg);
-        assert_eq!(
-            hex::encode(&tag),
-            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
-        );
+        check_rfc4231(4);
+    }
+
+    #[test]
+    fn rfc4231_case5_truncation() {
+        check_rfc4231(5);
     }
 
     #[test]
     fn rfc4231_case6_long_key() {
-        let key = [0xaa; 131];
-        let tag = hmac_sha256(
-            &key,
-            b"Test Using Larger Than Block-Size Key - Hash Key First",
-        );
-        assert_eq!(
-            hex::encode(&tag),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
-        );
+        check_rfc4231(6);
     }
 
     #[test]
     fn rfc4231_case7_long_key_and_data() {
-        let key = [0xaa; 131];
-        let msg: &[u8] = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
-        let tag = hmac_sha256(&key, msg);
-        assert_eq!(
-            hex::encode(&tag),
-            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
-        );
+        check_rfc4231(7);
     }
 
     #[test]

@@ -6,9 +6,19 @@
 //! checks over prover memory, and that the verifier uses to validate
 //! attestation/PoX responses.
 //!
-//! No external crypto dependencies are used: the reproduction's trust
-//! anchor is self-contained, mirroring the self-contained HACL*-derived
-//! HMAC that VRASED ships in ROM.
+//! No external crypto dependencies are used, only `std`: the
+//! reproduction's trust anchor is self-contained, mirroring the
+//! self-contained HACL*-derived HMAC that VRASED ships in ROM.
+//!
+//! SHA-256 compression has two backends. The portable one is the
+//! reference and the only path on CPUs without the x86-64 SHA
+//! extensions; where `is_x86_feature_detected!` finds them, a SHA-NI
+//! backend runs instead. The choice is made once per process from CPU
+//! detection alone, and unit tests hold the two backends to each other.
+//!
+//! [`HmacKey`] caches the SHA-256 midstates of a key's inner and outer
+//! pads, so a verifier or device that MACs many messages under one key
+//! pays the two pad compressions once.
 //!
 //! # Examples
 //!
@@ -24,5 +34,5 @@ pub mod hex;
 pub mod hmac;
 pub mod sha256;
 
-pub use hmac::{ct_eq, hmac_sha256, HmacSha256};
+pub use hmac::{ct_eq, hmac_sha256, HmacKey, HmacSha256};
 pub use sha256::{digest, Sha256, DIGEST_LEN};

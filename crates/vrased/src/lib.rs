@@ -19,6 +19,7 @@
 //! # Examples
 //!
 //! ```
+//! use pox_crypto::hmac::HmacKey;
 //! use vrased::protocol::Verifier;
 //! use vrased::swatt::{attest, MeasuredItem};
 //!
@@ -26,8 +27,8 @@
 //! let mut vrf = Verifier::new(key);
 //! let req = vrf.request();
 //! // The prover measures its program memory…
-//! let measured = vec![MeasuredItem::value("pmem", vec![0x55; 64])];
-//! let mac = attest(key, &req.chal.0, &measured);
+//! let measured = [MeasuredItem::value("pmem", &[0x55; 64])];
+//! let mac = attest(&HmacKey::new(key), &req.chal.0, &measured);
 //! // …and the verifier accepts the honest response.
 //! assert!(vrf.verify(&req, &measured, &vrased::protocol::AttResponse { mac }).is_ok());
 //! ```

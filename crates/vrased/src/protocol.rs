@@ -3,7 +3,7 @@
 //! check → response → verification.
 
 use crate::swatt::{attest, MeasuredItem, CHAL_LEN, MAC_LEN};
-use pox_crypto::hmac::ct_eq;
+use pox_crypto::hmac::{ct_eq, HmacKey};
 use std::error::Error;
 use std::fmt;
 
@@ -68,7 +68,7 @@ impl Error for VerifyError {}
 /// contents.
 #[derive(Debug, Clone)]
 pub struct Verifier {
-    key: Vec<u8>,
+    key: HmacKey,
     counter: u64,
 }
 
@@ -76,7 +76,7 @@ impl Verifier {
     /// Creates a verifier sharing `key` with the prover.
     pub fn new(key: &[u8]) -> Verifier {
         Verifier {
-            key: key.to_vec(),
+            key: HmacKey::new(key),
             counter: 0,
         }
     }
@@ -119,9 +119,9 @@ mod tests {
         let key = b"shared-device-key";
         let mut vrf = Verifier::new(key);
         let req = vrf.request();
-        let items = vec![MeasuredItem::value("pmem", vec![1, 2, 3])];
+        let items = vec![MeasuredItem::value("pmem", &[1, 2, 3])];
         let response = AttResponse {
-            mac: attest(key, &req.chal.0, &items),
+            mac: attest(&HmacKey::new(key), &req.chal.0, &items),
         };
         assert!(vrf.verify(&req, &items, &response).is_ok());
     }
@@ -131,10 +131,10 @@ mod tests {
         let key = b"shared-device-key";
         let mut vrf = Verifier::new(key);
         let req = vrf.request();
-        let honest = vec![MeasuredItem::value("pmem", vec![1, 2, 3])];
-        let infected = vec![MeasuredItem::value("pmem", vec![1, 2, 0xFF])];
+        let honest = vec![MeasuredItem::value("pmem", &[1, 2, 3])];
+        let infected = vec![MeasuredItem::value("pmem", &[1, 2, 0xFF])];
         let response = AttResponse {
-            mac: attest(key, &req.chal.0, &infected),
+            mac: attest(&HmacKey::new(key), &req.chal.0, &infected),
         };
         assert_eq!(
             vrf.verify(&req, &honest, &response),
@@ -147,9 +147,9 @@ mod tests {
         let key = b"shared-device-key";
         let mut vrf = Verifier::new(key);
         let req1 = vrf.request();
-        let items = vec![MeasuredItem::value("pmem", vec![9])];
+        let items = vec![MeasuredItem::value("pmem", &[9])];
         let old = AttResponse {
-            mac: attest(key, &req1.chal.0, &items),
+            mac: attest(&HmacKey::new(key), &req1.chal.0, &items),
         };
         let req2 = vrf.request();
         assert_ne!(req1.chal, req2.chal);
@@ -163,9 +163,9 @@ mod tests {
     fn wrong_key_rejected() {
         let mut vrf = Verifier::new(b"right-key");
         let req = vrf.request();
-        let items = vec![MeasuredItem::value("pmem", vec![1])];
+        let items = vec![MeasuredItem::value("pmem", &[1])];
         let response = AttResponse {
-            mac: attest(b"wrong-key", &req.chal.0, &items),
+            mac: attest(&HmacKey::new(b"wrong-key"), &req.chal.0, &items),
         };
         assert!(vrf.verify(&req, &items, &response).is_err());
     }

@@ -10,10 +10,15 @@
 //! The measured transcript is canonical and collision-free:
 //! `label ‖ start ‖ len` frames every region, so distinct region
 //! geometries can never produce identical transcripts.
+//!
+//! The host computes the MAC with whatever SHA-256 backend its CPU
+//! offers, from key midstates cached in an [`HmacKey`]. Neither touches
+//! the modelled device time: [`swatt_cycle_cost`] depends only on the
+//! number of measured bytes.
 
 use crate::props::PropCtx;
 use openmsp430::mem::{MemRegion, Memory};
-use pox_crypto::hmac::HmacSha256;
+use pox_crypto::hmac::HmacKey;
 
 /// Size of the verifier challenge in bytes.
 pub const CHAL_LEN: usize = 16;
@@ -22,31 +27,32 @@ pub const CHAL_LEN: usize = 16;
 pub const MAC_LEN: usize = 32;
 
 /// A measured item: a label plus bytes (either a memory region or a
-/// direct value such as the `EXEC` flag).
+/// direct value such as the `EXEC` flag), borrowed from wherever they
+/// live.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MeasuredItem {
+pub struct MeasuredItem<'a> {
     /// Domain-separation label.
-    pub label: String,
+    pub label: &'a str,
     /// Region start (0 for direct values).
     pub start: u16,
     /// The measured bytes.
-    pub bytes: Vec<u8>,
+    pub bytes: &'a [u8],
 }
 
-impl MeasuredItem {
+impl<'a> MeasuredItem<'a> {
     /// Measures a memory region.
-    pub fn region(label: &str, mem: &Memory, region: MemRegion) -> MeasuredItem {
+    pub fn region(label: &'a str, mem: &'a Memory, region: MemRegion) -> MeasuredItem<'a> {
         MeasuredItem {
-            label: label.to_string(),
+            label,
             start: region.start(),
-            bytes: mem.snapshot(region),
+            bytes: mem.slice(region),
         }
     }
 
     /// Measures a direct value.
-    pub fn value(label: &str, bytes: Vec<u8>) -> MeasuredItem {
+    pub fn value(label: &'a str, bytes: &'a [u8]) -> MeasuredItem<'a> {
         MeasuredItem {
-            label: label.to_string(),
+            label,
             start: 0,
             bytes,
         }
@@ -57,8 +63,8 @@ impl MeasuredItem {
 ///
 /// This is the functional core of SW-Att; both the prover (over its real
 /// memory) and the verifier (over expected contents) call it.
-pub fn attest(key: &[u8], chal: &[u8; CHAL_LEN], items: &[MeasuredItem]) -> [u8; MAC_LEN] {
-    let mut mac = HmacSha256::new(key);
+pub fn attest(key: &HmacKey, chal: &[u8; CHAL_LEN], items: &[MeasuredItem]) -> [u8; MAC_LEN] {
+    let mut mac = key.begin();
     mac.update(b"VRASED-SWATT-v1");
     mac.update(chal);
     for item in items {
@@ -66,7 +72,7 @@ pub fn attest(key: &[u8], chal: &[u8; CHAL_LEN], items: &[MeasuredItem]) -> [u8;
         mac.update(item.label.as_bytes());
         mac.update(&item.start.to_le_bytes());
         mac.update(&(item.bytes.len() as u32).to_le_bytes());
-        mac.update(&item.bytes);
+        mac.update(item.bytes);
     }
     mac.finalize()
 }
@@ -100,30 +106,31 @@ mod tests {
 
     #[test]
     fn deterministic_and_key_dependent() {
-        let items = vec![MeasuredItem::value("exec", vec![1])];
-        let m1 = attest(b"k1", &chal(1), &items);
-        let m2 = attest(b"k1", &chal(1), &items);
-        let m3 = attest(b"k2", &chal(1), &items);
+        let items = vec![MeasuredItem::value("exec", &[1])];
+        let m1 = attest(&HmacKey::new(b"k1"), &chal(1), &items);
+        let m2 = attest(&HmacKey::new(b"k1"), &chal(1), &items);
+        let m3 = attest(&HmacKey::new(b"k2"), &chal(1), &items);
         assert_eq!(m1, m2);
         assert_ne!(m1, m3);
     }
 
     #[test]
     fn challenge_freshness_changes_mac() {
-        let items = vec![MeasuredItem::value("exec", vec![1])];
+        let items = vec![MeasuredItem::value("exec", &[1])];
         assert_ne!(
-            attest(b"k", &chal(1), &items),
-            attest(b"k", &chal(2), &items)
+            attest(&HmacKey::new(b"k"), &chal(1), &items),
+            attest(&HmacKey::new(b"k"), &chal(2), &items)
         );
     }
 
     #[test]
     fn content_binding() {
+        let key = HmacKey::new(b"k");
         let mut mem = Memory::new();
         let region = MemRegion::new(0xE000, 0xE00F);
-        let m1 = attest(b"k", &chal(1), &[MeasuredItem::region("er", &mem, region)]);
+        let m1 = attest(&key, &chal(1), &[MeasuredItem::region("er", &mem, region)]);
         mem.write_byte(0xE005, 0xFF);
-        let m2 = attest(b"k", &chal(1), &[MeasuredItem::region("er", &mem, region)]);
+        let m2 = attest(&key, &chal(1), &[MeasuredItem::region("er", &mem, region)]);
         assert_ne!(m1, m2, "one flipped byte must change the MAC");
     }
 
@@ -131,14 +138,17 @@ mod tests {
     fn framing_prevents_region_splicing() {
         // (AB, C) and (A, BC) must measure differently.
         let i1 = vec![
-            MeasuredItem::value("x", vec![1, 2]),
-            MeasuredItem::value("y", vec![3]),
+            MeasuredItem::value("x", &[1, 2]),
+            MeasuredItem::value("y", &[3]),
         ];
         let i2 = vec![
-            MeasuredItem::value("x", vec![1]),
-            MeasuredItem::value("y", vec![2, 3]),
+            MeasuredItem::value("x", &[1]),
+            MeasuredItem::value("y", &[2, 3]),
         ];
-        assert_ne!(attest(b"k", &chal(0), &i1), attest(b"k", &chal(0), &i2));
+        assert_ne!(
+            attest(&HmacKey::new(b"k"), &chal(0), &i1),
+            attest(&HmacKey::new(b"k"), &chal(0), &i2)
+        );
     }
 
     #[test]
@@ -148,7 +158,10 @@ mod tests {
         mem.write_byte(0xF000, 7);
         let a = MeasuredItem::region("er", &mem, MemRegion::new(0xE000, 0xE000));
         let b = MeasuredItem::region("er", &mem, MemRegion::new(0xF000, 0xF000));
-        assert_ne!(attest(b"k", &chal(0), &[a]), attest(b"k", &chal(0), &[b]));
+        assert_ne!(
+            attest(&HmacKey::new(b"k"), &chal(0), &[a]),
+            attest(&HmacKey::new(b"k"), &chal(0), &[b])
+        );
     }
 
     #[test]

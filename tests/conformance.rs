@@ -296,6 +296,58 @@ mod envelope_golden {
 }
 
 // ---------------------------------------------------------------------
+// Transcript golden vectors
+// ---------------------------------------------------------------------
+
+/// Real SW-Att responses, MAC included, pinned byte for byte. The wire
+/// vectors above use a fixed tag, and every other MAC test compares the
+/// prover with the verifier, so a transcript change made on both sides
+/// would pass them all; it fails here.
+mod transcript_golden {
+    use apex_pox::wire::Envelope;
+    use asap::device::{Device, PoxMode};
+    use asap::{programs, AsapVerifier, VerifierSpec};
+
+    const KEY: &[u8] = b"golden-transcript-key";
+
+    const DEVICE_ID: u64 = 0x0001_0002_0003_0004;
+
+    /// fig4 run to its done loop, then attested under the verifier's
+    /// seventh challenge (`Challenge::from_counter(7)`), in ASAP mode.
+    const ASAP_RESPONSE_HEX: &str = "505850310304000300020001008f00000050585031020140000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000120000000000000001ae000000000000000000000000000000000000000000000000000f0bbec1391c840410a6078bd98669c8ddf8a390274835ab5bc7ff4aba351112629";
+
+    /// The same run in APEX mode.
+    const APEX_RESPONSE_HEX: &str = "505850310304000300020001006b0000005058503102014000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005dc07012c70033fb5d699579e1a89434bf6d18cbb6707c41c53da1a22efad69e";
+
+    fn check(mode: PoxMode, golden: &str) {
+        let image = programs::fig4_authorized().unwrap();
+        let mut device = Device::builder(&image).mode(mode).key(KEY).build().unwrap();
+        device.run_until_pc(programs::done_pc(), 10_000);
+
+        let spec = VerifierSpec::from_image(&image).unwrap().mode(mode);
+        let mut verifier = AsapVerifier::new(KEY, spec);
+        let session = (0..7).map(|_| verifier.begin()).last().unwrap();
+        let response = device.attest(session.request());
+        assert_eq!(
+            pox_crypto::hex::encode(&Envelope::wrap(DEVICE_ID, response.to_bytes()).to_bytes()),
+            golden,
+            "{mode:?} transcript or MAC drifted from the checked-in vector"
+        );
+        assert!(session.evidence(response).conclude(&verifier).is_verified());
+    }
+
+    #[test]
+    fn asap_response_with_real_mac_matches_golden_vector() {
+        check(PoxMode::Asap, ASAP_RESPONSE_HEX);
+    }
+
+    #[test]
+    fn apex_response_with_real_mac_matches_golden_vector() {
+        check(PoxMode::Apex, APEX_RESPONSE_HEX);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Netlist ⇔ kernel equivalence
 // ---------------------------------------------------------------------
 

@@ -4,10 +4,16 @@
 use apex_pox::protocol::{pox_items, PoxResponse, PoxVerifier};
 use asap::{AsapVerifier, PoxMode, VerifierSpec};
 use openmsp430::mem::MemRegion;
+use pox_crypto::hmac::HmacKey;
 use proptest::prelude::*;
-use vrased::swatt::attest;
+use vrased::swatt::{attest, MeasuredItem};
 
 const KEY: &[u8] = b"prop-key";
+
+/// The honest prover's MAC under `KEY`.
+fn honest_mac(chal: &[u8; 16], items: &[MeasuredItem]) -> [u8; 32] {
+    attest(&HmacKey::new(KEY), chal, items)
+}
 
 fn er_region() -> MemRegion {
     MemRegion::new(0xE000, 0xE1FF)
@@ -31,11 +37,12 @@ proptest! {
         let mut vrf = PoxVerifier::new(KEY, er_bytes.clone());
         let req = vrf.request(er_region(), or_region());
         let items = pox_items(true, req.er, &er_bytes, req.or, &out, None);
+        let mac = honest_mac(&req.chal.0, &items);
         let resp = PoxResponse {
             exec: true,
             output: out,
             ivt: None,
-            mac: attest(KEY, &req.chal.0, &items),
+            mac,
         };
         prop_assert!(vrf.verify_apex(&req, &resp).is_ok());
     }
@@ -53,11 +60,12 @@ proptest! {
         let mut vrf = PoxVerifier::new(KEY, er_bytes);
         let req = vrf.request(er_region(), or_region());
         let items = pox_items(true, req.er, &infected, req.or, b"out", None);
+        let mac = honest_mac(&req.chal.0, &items);
         let resp = PoxResponse {
             exec: true,
             output: b"out".to_vec(),
             ivt: None,
-            mac: attest(KEY, &req.chal.0, &items),
+            mac,
         };
         prop_assert!(vrf.verify_apex(&req, &resp).is_err());
     }
@@ -72,11 +80,12 @@ proptest! {
         let mut vrf = PoxVerifier::new(KEY, er_bytes.clone());
         let req = vrf.request(er_region(), or_region());
         let items = pox_items(true, req.er, &er_bytes, req.or, &out, None);
+        let mac = honest_mac(&req.chal.0, &items);
         let mut resp = PoxResponse {
             exec: true,
             output: out,
             ivt: None,
-            mac: attest(KEY, &req.chal.0, &items),
+            mac,
         };
         let i = idx % resp.output.len();
         resp.output[i] ^= 0xFF;
@@ -113,11 +122,12 @@ proptest! {
         let items = pox_items(
             true, er, &spec.expected_er, or_region(), b"out", Some((ivt_region(), &ivt)),
         );
+        let mac = honest_mac(session.request().chal.as_bytes(), &items);
         let resp = PoxResponse {
             exec: true,
             output: b"out".to_vec(),
             ivt: Some(ivt),
-            mac: attest(KEY, session.request().chal.as_bytes(), &items),
+            mac,
         };
         prop_assert!(session.evidence(resp).conclude(&vrf).is_verified());
 
@@ -128,11 +138,12 @@ proptest! {
         let items = pox_items(
             true, er, &spec.expected_er, or_region(), b"out", Some((ivt_region(), &bad_ivt)),
         );
+        let mac = honest_mac(session.request().chal.as_bytes(), &items);
         let resp = PoxResponse {
             exec: true,
             output: b"out".to_vec(),
             ivt: Some(bad_ivt),
-            mac: attest(KEY, session.request().chal.as_bytes(), &items),
+            mac,
         };
         prop_assert!(!session.evidence(resp).conclude(&vrf).is_verified());
     }
@@ -144,11 +155,12 @@ proptest! {
         let mut vrf = PoxVerifier::new(KEY, er_bytes.clone());
         let req1 = vrf.request(er_region(), or_region());
         let items = pox_items(true, req1.er, &er_bytes, req1.or, &out, None);
+        let mac = honest_mac(&req1.chal.0, &items);
         let resp = PoxResponse {
             exec: true,
             output: out,
             ivt: None,
-            mac: attest(KEY, &req1.chal.0, &items),
+            mac,
         };
         let req2 = vrf.request(er_region(), or_region());
         prop_assert!(vrf.verify_apex(&req1, &resp).is_ok());
