@@ -485,7 +485,7 @@ mod tests {
     /// order* must win, with repeats settling as `NoSession`.
     #[test]
     fn batch_duplicates_resolve_in_input_order() {
-        const DEVICES: u64 = 40; // comfortably past the pool threshold
+        const DEVICES: u64 = crate::registry::POOLED_MIN as u64 + 16; // past the pool floor
         let (fleet, mut fabric) = fleet_of(DEVICES);
         let fleet = std::sync::Arc::new(fleet);
         fleet.set_parallelism(4); // force the pooled path even on 1 cpu

@@ -37,6 +37,14 @@ use std::sync::{Arc, Mutex, Weak};
 /// the device id, so a device never changes shard or reactor.
 pub const SHARD_COUNT: usize = 16;
 
+/// Pool-dispatch floor: a batch fans out over the MAC pool only from
+/// this many frames up. Each dispatched chunk costs two mpsc hops and
+/// a worker wake-up. A conclusion takes ~1 µs (SHA-NI MAC from a
+/// cached key), so 64 frames are the ~60 µs of MAC work a dispatch
+/// needs to pay off; a smaller batch concludes faster, and with less
+/// run-to-run jitter, on the calling thread.
+pub(crate) const POOLED_MIN: usize = 64;
+
 /// One concluded frame: the device it was attributed to (when the
 /// envelope decoded) and the per-device verdict.
 pub type Verdict = (Option<DeviceId>, Result<Attested, FleetError>);
@@ -433,7 +441,7 @@ impl FleetVerifier {
     /// serial conclusion would have produced.
     ///
     /// While a [`FleetRuntime`](crate::FleetRuntime) is attached and the
-    /// batch holds at least 8 frames, MAC verification fans out over
+    /// batch holds at least 64 frames, MAC verification fans out over
     /// the runtime's worker pool (at most
     /// [`parallelism`](FleetVerifier::parallelism) lanes); otherwise the
     /// batch concludes serially on the calling thread. This is where
@@ -478,10 +486,6 @@ impl FleetVerifier {
     /// attached, fewer than two lanes, or too few frames to pay for the
     /// channel hops (each dispatched chunk costs two, ~a few µs).
     fn pool_for(&self, frames: usize, lanes: usize) -> Option<Dispatch> {
-        /// Pool-dispatch floor: two mpsc hops per chunk amortize over
-        /// ~8 MAC recomputations.
-        const POOLED_MIN: usize = 8;
-
         if frames < POOLED_MIN {
             return None;
         }
@@ -773,7 +777,7 @@ mod tests {
         use crate::runtime::{FleetRuntime, NoListener};
         use std::os::unix::net::UnixStream;
 
-        const DEVICES: u64 = 16; // past the pool-dispatch floor
+        const DEVICES: u64 = POOLED_MIN as u64 + 8; // past the pool-dispatch floor
         let image = asap::programs::fig4_authorized().unwrap();
         let spec = Arc::new(VerifierSpec::from_image(&image).unwrap());
         let fleet = Arc::new(FleetVerifier::new());

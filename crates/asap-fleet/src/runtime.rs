@@ -165,8 +165,11 @@ impl<C: GatewayConn> GatewayListener for NoListener<C> {
     }
 }
 
-/// Idle sweeps that merely yield before a wait loop starts sleeping.
+/// Idle sweeps that merely yield before a reactor starts napping.
 const IDLE_YIELDS: u32 = 64;
+/// The longest a napping reactor leaves its sockets unpolled. Mail
+/// ends a nap at once.
+const IDLE_NAP: Duration = Duration::from_millis(1);
 
 /// One epoch's completion, mailed from a reactor to the driver: the
 /// reactor's partial report, its cohort partition for recycling, and a
@@ -760,7 +763,17 @@ fn run_reactor_persistent<C: GatewayConn>(
             if idle_streak <= IDLE_YIELDS {
                 std::thread::yield_now();
             } else {
-                std::thread::sleep(Duration::from_millis(1));
+                // Nap on the inbox, not in a sleep: sockets can only be
+                // polled, but mail (above all the next epoch's `Begin`)
+                // must not wait out the nap.
+                match inbox.recv_timeout(IDLE_NAP) {
+                    Ok(msg) => {
+                        run.absorb(msg);
+                        idle_streak = 0;
+                    }
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                }
             }
         }
     }
