@@ -25,6 +25,7 @@ use crate::protocol::{PoxRequest, PoxResponse};
 use openmsp430::mem::MemRegion;
 use std::error::Error;
 use std::fmt;
+use std::io::{self, Read};
 use vrased::protocol::Challenge;
 use vrased::swatt::{CHAL_LEN, MAC_LEN};
 
@@ -58,6 +59,17 @@ pub const ENVELOPE_OVERHEAD: u32 = 17;
 /// prefix claiming more than this is a protocol violation, not a
 /// request for a 4 GiB allocation.
 pub const MAX_FRAME_LEN: u32 = MAX_PAYLOAD_LEN + ENVELOPE_OVERHEAD;
+
+/// Bytes one [`StreamDeframer::read_from`] offers its source: a fixed
+/// 4 KiB, so a connection's receive buffer stays a few KiB even with
+/// ten thousand connections open. A constant, not a setting; a poller
+/// compares a read's size against it to tell a drained socket.
+pub const READ_CHUNK: usize = 4096;
+
+/// The most a [`StreamDeframer`] drained before every
+/// [`read_from`](StreamDeframer::read_from) ever holds: one partial
+/// maximal frame plus one chunk of room to read into.
+const DEFRAMER_BOUND: usize = MAX_FRAME_LEN as usize + 4 + READ_CHUNK;
 
 /// Why a buffer failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,15 +185,15 @@ impl<'a> Reader<'a> {
     }
 
     fn var_bytes(&mut self, field: &'static str) -> Result<Vec<u8>, WireError> {
-        self.var_bytes_bounded(field, MAX_FIELD_LEN)
+        Ok(self.var_slice(field, MAX_FIELD_LEN)?.to_vec())
     }
 
-    fn var_bytes_bounded(&mut self, field: &'static str, max: u32) -> Result<Vec<u8>, WireError> {
+    fn var_slice(&mut self, field: &'static str, max: u32) -> Result<&'a [u8], WireError> {
         let len = self.u32()?;
         if len > max {
             return Err(WireError::Oversize { field, len });
         }
-        Ok(self.take(len as usize)?.to_vec())
+        self.take(len as usize)
     }
 
     fn finish(self) -> Result<(), WireError> {
@@ -224,13 +236,22 @@ fn get_region(r: &mut Reader<'_>) -> Result<MemRegion, WireError> {
 }
 
 impl PoxRequest {
+    /// Length of every request's wire encoding: header, challenge and
+    /// two regions.
+    pub const WIRE_LEN: usize = 5 + CHAL_LEN + 8;
+
+    /// Appends the request's canonical wire bytes to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        header(out, TYPE_REQUEST);
+        out.extend_from_slice(self.chal.as_bytes());
+        put_region(out, self.er);
+        put_region(out, self.or);
+    }
+
     /// Serializes the request to its canonical wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + CHAL_LEN + 8);
-        header(&mut out, TYPE_REQUEST);
-        out.extend_from_slice(self.chal.as_bytes());
-        put_region(&mut out, self.er);
-        put_region(&mut out, self.or);
+        let mut out = Vec::with_capacity(PoxRequest::WIRE_LEN);
+        self.write_to(&mut out);
         out
     }
 
@@ -333,33 +354,62 @@ impl Envelope {
         Envelope { device_id, payload }
     }
 
+    /// Appends the framing that precedes a `payload_len`-byte payload
+    /// for `device_id` to `out`; the caller appends the payload itself
+    /// (say, with [`PoxRequest::write_to`]) without staging it first.
+    pub fn write_header(out: &mut Vec<u8>, device_id: u64, payload_len: usize) {
+        debug_assert!(payload_len <= MAX_PAYLOAD_LEN as usize);
+        header(out, TYPE_ENVELOPE);
+        out.extend_from_slice(&device_id.to_le_bytes());
+        out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    }
+
+    /// Appends the canonical wire bytes of `payload` enveloped for
+    /// `device_id` to `out`.
+    pub fn write_to(out: &mut Vec<u8>, device_id: u64, payload: &[u8]) {
+        Envelope::write_header(out, device_id, payload.len());
+        out.extend_from_slice(payload);
+    }
+
     /// Serializes the envelope to its canonical wire bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + 8 + 4 + self.payload.len());
-        header(&mut out, TYPE_ENVELOPE);
-        out.extend_from_slice(&self.device_id.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD as usize + self.payload.len());
+        Envelope::write_to(&mut out, self.device_id, &self.payload);
         out
     }
 
-    /// Decodes an envelope from wire bytes. The payload is *not*
-    /// decoded: a bad inner message surfaces when the payload is parsed,
-    /// after the frame has already attributed it to a device.
+    /// Decodes an envelope in place: the device id, and the payload
+    /// borrowed from `bytes`. This is the one envelope decoder —
+    /// [`from_bytes`](Envelope::from_bytes) is `parse` plus a copy of
+    /// the payload. The payload is *not* decoded: a bad inner message
+    /// surfaces when the payload is parsed, after the frame has already
+    /// attributed it to a device.
+    ///
+    /// # Errors
+    ///
+    /// A [`WireError`] describing the first framing defect.
+    pub fn parse(bytes: &[u8]) -> Result<(u64, &[u8]), WireError> {
+        let mut r = Reader::new(bytes);
+        check_header(&mut r, TYPE_ENVELOPE)?;
+        let id = r.take(8)?;
+        let device_id = u64::from_le_bytes(id.try_into().expect("took 8 bytes"));
+        let payload = r.var_slice("payload", MAX_PAYLOAD_LEN)?;
+        r.finish()?;
+        Ok((device_id, payload))
+    }
+
+    /// Decodes an envelope from wire bytes into an owned copy; see
+    /// [`parse`](Envelope::parse).
     ///
     /// # Errors
     ///
     /// A [`WireError`] describing the first framing defect.
     pub fn from_bytes(bytes: &[u8]) -> Result<Envelope, WireError> {
-        let mut r = Reader::new(bytes);
-        check_header(&mut r, TYPE_ENVELOPE)?;
-        let device_id = {
-            let b = r.take(8)?;
-            u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-        };
-        let payload = r.var_bytes_bounded("payload", MAX_PAYLOAD_LEN)?;
-        r.finish()?;
-        Ok(Envelope { device_id, payload })
+        let (device_id, payload) = Envelope::parse(bytes)?;
+        Ok(Envelope {
+            device_id,
+            payload: payload.to_vec(),
+        })
     }
 }
 
@@ -394,20 +444,36 @@ pub fn frame_stream(envelope: &[u8]) -> Vec<u8> {
 
 /// Incremental decoder for [`frame_stream`]-framed byte streams.
 ///
-/// Feed whatever chunks the socket yields with [`extend`]; pull
-/// complete envelope frames with [`next_frame`]. The deframer is
-/// sans-IO: it never reads a socket, so the same type serves a blocking
-/// prover loop and a non-blocking verifier transport.
+/// Feed it bytes with [`read_from`] (one read of at most
+/// [`READ_CHUNK`] bytes straight into the deframer's buffer) or with
+/// [`extend`] (any chunk the caller already holds); pull complete
+/// envelope frames with [`next_frame`]. The deframer never touches a
+/// socket on its own, so the same type serves a blocking prover loop
+/// and a non-blocking verifier transport.
+///
+/// Frames are **borrowed**: [`next_frame`] returns a slice into the
+/// deframer's one buffer and advances a read cursor, so pulling a
+/// frame neither allocates nor moves the bytes behind it. Consumed
+/// bytes are compacted away once per refill. A caller that drains
+/// every complete frame before each [`read_from`] never holds more than
+/// one partial maximal frame plus one chunk —
+/// `MAX_FRAME_LEN + 4 + READ_CHUNK` bytes — however many frames a peer
+/// streams; a hostile peer cannot grow the buffer past that.
 ///
 /// A length prefix over [`MAX_FRAME_LEN`] is unrecoverable — frame
 /// boundaries are lost for good — so [`next_frame`] keeps returning
 /// [`WireError::Oversize`] and the caller must drop the connection.
 ///
 /// [`extend`]: StreamDeframer::extend
+/// [`read_from`]: StreamDeframer::read_from
 /// [`next_frame`]: StreamDeframer::next_frame
 #[derive(Debug, Default)]
 pub struct StreamDeframer {
+    /// Initialized storage; the buffered bytes are `buf[head..end]`,
+    /// and `buf[end..]` is room a read can fill without zeroing it.
     buf: Vec<u8>,
+    head: usize,
+    end: usize,
 }
 
 impl StreamDeframer {
@@ -418,10 +484,45 @@ impl StreamDeframer {
 
     /// Absorbs one received chunk, of any size (including empty).
     pub fn extend(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
+        self.room(chunk.len()).copy_from_slice(chunk);
+        self.end += chunk.len();
     }
 
-    /// The next complete envelope frame, if one is buffered.
+    /// Reads once from `source` straight into the buffer, offering it
+    /// [`READ_CHUNK`] bytes, and returns how many it delivered (`0` is
+    /// end of stream). Errors, `WouldBlock` and `Interrupted` included,
+    /// come back unchanged and leave the buffered bytes as they were.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `source.read` returned.
+    pub fn read_from<R: Read + ?Sized>(&mut self, source: &mut R) -> io::Result<usize> {
+        let n = source.read(self.room(READ_CHUNK))?.min(READ_CHUNK);
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Compacts the consumed bytes away and returns `n` bytes of room
+    /// after the buffered ones, growing the buffer (amortized, but never
+    /// past [`DEFRAMER_BOUND`] unless one call asks for more) when the
+    /// room is short.
+    fn room(&mut self, n: usize) -> &mut [u8] {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.end, 0);
+            self.end -= self.head;
+            self.head = 0;
+        }
+        let need = self.end + n;
+        if self.buf.len() < need {
+            let grown = need.max((2 * self.buf.len()).min(DEFRAMER_BOUND));
+            self.buf.reserve_exact(grown - self.buf.len());
+            self.buf.resize(grown, 0);
+        }
+        &mut self.buf[self.end..need]
+    }
+
+    /// The next complete envelope frame, if one is buffered, borrowed
+    /// from the deframer until the next call that feeds or drains it.
     ///
     /// `Ok(None)` means "need more bytes" — a stream that ends here has
     /// truncated a frame, which the *caller* observes as EOF with
@@ -431,11 +532,12 @@ impl StreamDeframer {
     ///
     /// [`WireError::Oversize`] when the length prefix exceeds
     /// [`MAX_FRAME_LEN`]; the stream is unrecoverable from here.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        if self.buf.len() < 4 {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
+        let buffered = &self.buf[self.head..self.end];
+        let Some(prefix) = buffered.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
+        };
+        let len = u32::from_le_bytes(*prefix);
         if len > MAX_FRAME_LEN {
             return Err(WireError::Oversize {
                 field: "stream frame",
@@ -443,17 +545,17 @@ impl StreamDeframer {
             });
         }
         let total = 4 + len as usize;
-        if self.buf.len() < total {
+        if buffered.len() < total {
             return Ok(None);
         }
-        let frame = self.buf[4..total].to_vec();
-        self.buf.drain(..total);
-        Ok(Some(frame))
+        let start = self.head + 4;
+        self.head += total;
+        Ok(Some(&self.buf[start..self.head]))
     }
 
     /// Bytes buffered but not yet forming a complete frame.
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.end - self.head
     }
 }
 
@@ -637,7 +739,7 @@ mod tests {
         for &b in &stream {
             deframer.extend(&[b]);
             while let Some(frame) = deframer.next_frame().unwrap() {
-                got.push(frame);
+                got.push(frame.to_vec());
             }
         }
         assert_eq!(got, envelopes);
@@ -680,5 +782,181 @@ mod tests {
                 len: u32::MAX
             })
         );
+    }
+
+    /// One scripted `read` outcome.
+    #[derive(Debug, Clone, Copy)]
+    enum ReadStep {
+        /// Deliver at most this many bytes (fewer when the chunk or the
+        /// stream is shorter).
+        Bytes(usize),
+        Interrupted,
+        WouldBlock,
+    }
+
+    /// A reader over `data` whose every `read` follows the next step of
+    /// a script; it reports end of stream once `data` is exhausted.
+    struct Scripted<'a> {
+        data: &'a [u8],
+        step: ReadStep,
+    }
+
+    impl Read for Scripted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match self.step {
+                ReadStep::Interrupted => Err(io::ErrorKind::Interrupted.into()),
+                ReadStep::WouldBlock => Err(io::ErrorKind::WouldBlock.into()),
+                ReadStep::Bytes(n) => {
+                    let n = n.min(buf.len()).min(self.data.len());
+                    buf[..n].copy_from_slice(&self.data[..n]);
+                    self.data = &self.data[n..];
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    /// Drains every complete frame into `got`; returns the framing
+    /// error, if the stream is poisoned.
+    fn drain(deframer: &mut StreamDeframer, got: &mut Vec<Vec<u8>>) -> Option<WireError> {
+        loop {
+            match deframer.next_frame() {
+                Ok(Some(frame)) => got.push(frame.to_vec()),
+                Ok(None) => return None,
+                Err(e) => return Some(e),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `read_from` with random short reads, `Interrupted` and
+        /// `WouldBlock`, interleaved with `extend` at random splits,
+        /// yields exactly the framed envelopes, keeps `pending()` exact,
+        /// stays within its buffer bound, and — when the stream ends in
+        /// an oversized length prefix — stays poisoned however many
+        /// bytes follow.
+        #[test]
+        fn read_from_and_extend_deframe_exactly(
+            lens in proptest::collection::vec(0usize..600, 1..24),
+            ops in proptest::collection::vec((0u8..6, 1usize..6000), 1..120),
+            poison in 0u32..3,
+        ) {
+            let envelopes: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &len)| Envelope::wrap(i as u64, vec![i as u8; len]).to_bytes())
+                .collect();
+            let mut stream: Vec<u8> = envelopes.iter().flat_map(|e| frame_stream(e)).collect();
+            let poisoned_at = stream.len();
+            let oversize = MAX_FRAME_LEN + 1 + poison * 1000;
+            if poison > 0 {
+                stream.extend_from_slice(&oversize.to_le_bytes());
+                stream.extend_from_slice(&[0xEE; 300]);
+            }
+
+            let mut deframer = StreamDeframer::new();
+            let mut got = Vec::new();
+            let mut fed = 0usize;
+            let mut framed_out = 0usize;
+            let mut poisoned = None;
+            // The script, then plain full reads until end of stream.
+            let tail = std::iter::repeat_n((0u8, READ_CHUNK), stream.len());
+            for (op, n) in ops.into_iter().chain(tail) {
+                if fed == stream.len() {
+                    break;
+                }
+                let before = deframer.pending();
+                if op == 5 {
+                    let n = n.min(READ_CHUNK).min(stream.len() - fed);
+                    deframer.extend(&stream[fed..fed + n]);
+                    fed += n;
+                } else {
+                    let step = match op {
+                        3 => ReadStep::Interrupted,
+                        4 => ReadStep::WouldBlock,
+                        _ => ReadStep::Bytes(n),
+                    };
+                    let mut source = Scripted { data: &stream[fed..], step };
+                    match deframer.read_from(&mut source) {
+                        Ok(n) => {
+                            proptest::prop_assert!(n <= READ_CHUNK);
+                            fed += n;
+                        }
+                        Err(_) => proptest::prop_assert_eq!(deframer.pending(), before),
+                    }
+                }
+                let frames_before = got.len();
+                if let Some(e) = drain(&mut deframer, &mut got) {
+                    poisoned = Some(e);
+                }
+                framed_out += got[frames_before..].iter().map(|f| 4 + f.len()).sum::<usize>();
+                proptest::prop_assert_eq!(deframer.pending(), fed - framed_out, "pending is exact");
+                proptest::prop_assert!(deframer.buf.capacity() <= DEFRAMER_BOUND);
+            }
+            proptest::prop_assert_eq!(&got, &envelopes);
+            if poison > 0 {
+                let expect = WireError::Oversize { field: "stream frame", len: oversize };
+                proptest::prop_assert_eq!(poisoned, Some(expect.clone()));
+                proptest::prop_assert_eq!(deframer.pending(), stream.len() - poisoned_at);
+                deframer.extend(&frame_stream(&envelopes[0]));
+                proptest::prop_assert_eq!(deframer.next_frame(), Err(expect), "sticky");
+            } else {
+                proptest::prop_assert_eq!(poisoned, None);
+                proptest::prop_assert_eq!(deframer.pending(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_peers_never_grow_the_buffer_past_its_bound() {
+        // 100k small valid frames, read chunk by chunk and drained
+        // after every read, as a reactor does.
+        let frame = frame_stream(&Envelope::wrap(7, vec![0x5A; 147]).to_bytes());
+        let stream: Vec<u8> = std::iter::repeat_n(&frame[..], 100_000)
+            .flatten()
+            .copied()
+            .collect();
+        let mut deframer = StreamDeframer::new();
+        let mut source = Scripted {
+            data: &stream,
+            step: ReadStep::Bytes(READ_CHUNK),
+        };
+        let mut frames = 0usize;
+        while deframer.read_from(&mut source).unwrap() > 0 {
+            while let Some(f) = deframer.next_frame().unwrap() {
+                assert_eq!(f.len(), frame.len() - 4);
+                frames += 1;
+            }
+            assert!(deframer.buf.capacity() <= DEFRAMER_BOUND);
+        }
+        assert_eq!(frames, 100_000);
+        assert_eq!(deframer.pending(), 0);
+
+        // Maximal frames trickled in odd-sized reads: each sits
+        // partial in the buffer for a long time, and the buffer still
+        // never outgrows one maximal frame plus one chunk.
+        let maximal =
+            frame_stream(&Envelope::wrap(9, vec![0xA5; MAX_PAYLOAD_LEN as usize]).to_bytes());
+        assert_eq!(maximal.len(), MAX_FRAME_LEN as usize + 4);
+        let stream: Vec<u8> = maximal.repeat(3);
+        let mut deframer = StreamDeframer::new();
+        let mut source = Scripted {
+            data: &stream,
+            step: ReadStep::Bytes(1000),
+        };
+        let mut frames = 0usize;
+        while deframer.read_from(&mut source).unwrap() > 0 {
+            while let Some(f) = deframer.next_frame().unwrap() {
+                assert_eq!(f, &maximal[4..]);
+                frames += 1;
+            }
+            assert!(
+                deframer.buf.capacity() <= DEFRAMER_BOUND,
+                "{} > {DEFRAMER_BOUND}",
+                deframer.buf.capacity()
+            );
+        }
+        assert_eq!(frames, 3);
+        assert_eq!(deframer.pending(), 0);
     }
 }

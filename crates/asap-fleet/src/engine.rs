@@ -119,9 +119,12 @@ struct TxSpan {
 ///
 /// Per-device state is kept on a diet for very large cohorts: queued
 /// challenge frames live end-to-end in **one arena allocation**
-/// (released the moment the last frame leaves), the awaited set is a
-/// bare `Vec<DeviceId>` (8 bytes per device), and every awaited device
-/// shares the one round deadline.
+/// (released once the transmit queue drains), the challenge order is a
+/// bare `Vec<DeviceId>` (8 bytes per device), the awaited set costs one
+/// set entry per awaited device, and every awaited device shares the
+/// one round deadline. The set makes every settlement and every "is
+/// this device awaited?" O(1); the order `Vec` keeps expiry
+/// deterministic.
 ///
 /// [`conclude`]: FleetVerifier::conclude
 pub struct RoundEngine<'a> {
@@ -133,9 +136,12 @@ pub struct RoundEngine<'a> {
     /// Devices whose queued challenge must no longer reach the wire
     /// (evicted mid-round). Empty unless membership churned.
     cancelled_tx: HashSet<DeviceId>,
-    /// Challenged devices still owed a response, in challenge order —
-    /// a `Vec`, not a hash map, so expiry order is deterministic.
-    awaiting: Vec<DeviceId>,
+    /// Every device this round challenged, in challenge order — the
+    /// order expiry walks, so it is deterministic. Settled devices stay
+    /// listed; `awaited` says who is still owed.
+    challenged: Vec<DeviceId>,
+    /// Challenged devices still owed a response.
+    awaited: HashSet<DeviceId>,
     /// The round deadline every awaited device shares.
     deadline: LogicalTime,
     /// Every settled verdict, in settlement order, for the final report.
@@ -170,7 +176,8 @@ impl<'a> RoundEngine<'a> {
         let seen_generation = fleet.membership_generation();
         let mut tx_arena = Vec::new();
         let spans = fleet.begin_round_packed(ids, &mut tx_arena)?;
-        let awaiting = spans.iter().map(|&(device, _, _)| device).collect();
+        let challenged: Vec<DeviceId> = spans.iter().map(|&(device, _, _)| device).collect();
+        let awaited = challenged.iter().copied().collect();
         let pending_tx = spans
             .into_iter()
             .map(|(device, start, len)| TxSpan { device, start, len })
@@ -180,7 +187,8 @@ impl<'a> RoundEngine<'a> {
             tx_arena,
             pending_tx,
             cancelled_tx: HashSet::new(),
-            awaiting,
+            challenged,
+            awaited,
             deadline: config.started_at.plus(config.deadline_after),
             outcomes: Vec::new(),
             drained: 0,
@@ -202,18 +210,19 @@ impl<'a> RoundEngine<'a> {
         config: RoundConfig,
     ) -> RoundEngine<'a> {
         let seen_generation = fleet.membership_generation();
-        let mut seen = HashSet::new();
-        let awaiting = challenged
+        let mut awaited = HashSet::new();
+        let challenged = challenged
             .iter()
-            .filter(|&&id| seen.insert(id) && fleet.session_pending(id))
             .copied()
+            .filter(|&id| !awaited.contains(&id) && fleet.session_pending(id) && awaited.insert(id))
             .collect();
         RoundEngine {
             fleet,
             tx_arena: Vec::new(),
             pending_tx: VecDeque::new(),
             cancelled_tx: HashSet::new(),
-            awaiting,
+            challenged,
+            awaited,
             deadline: config.started_at.plus(config.deadline_after),
             outcomes: Vec::new(),
             drained: 0,
@@ -222,20 +231,20 @@ impl<'a> RoundEngine<'a> {
         }
     }
 
-    /// The next request frame to put on the wire, with its destination.
-    /// Challenges cancelled by a mid-round eviction are skipped; once
-    /// the queue drains, the transmit arena is released.
-    pub fn poll_transmit(&mut self) -> Option<(DeviceId, Vec<u8>)> {
+    /// The next request frame to put on the wire, with its destination,
+    /// borrowed from the engine's transmit arena. Challenges cancelled
+    /// by a mid-round eviction are skipped; the poll that finds the
+    /// queue drained releases the arena.
+    pub fn poll_transmit(&mut self) -> Option<(DeviceId, &[u8])> {
         while let Some(span) = self.pending_tx.pop_front() {
             if self.cancelled_tx.contains(&span.device) {
                 continue;
             }
             let start = span.start as usize;
-            let frame = self.tx_arena[start..start + span.len as usize].to_vec();
-            if self.pending_tx.is_empty() {
-                self.tx_arena = Vec::new();
-            }
-            return Some((span.device, frame));
+            return Some((
+                span.device,
+                &self.tx_arena[start..start + span.len as usize],
+            ));
         }
         self.tx_arena = Vec::new();
         None
@@ -280,7 +289,7 @@ impl<'a> RoundEngine<'a> {
         result: Result<Attested, FleetError>,
     ) {
         if let Some(id) = device {
-            self.awaiting.retain(|&d| d != id);
+            self.awaited.remove(&id);
         }
         self.settle(RoundOutcome { device, result });
     }
@@ -316,9 +325,7 @@ impl<'a> RoundEngine<'a> {
     }
 
     fn charge(&mut self, id: DeviceId, verdict: FleetError) -> bool {
-        let before = self.awaiting.len();
-        self.awaiting.retain(|&d| d != id);
-        if self.awaiting.len() == before {
+        if !self.awaited.remove(&id) {
             return false;
         }
         self.cancelled_tx.insert(id);
@@ -347,10 +354,10 @@ impl<'a> RoundEngine<'a> {
         }
         self.seen_generation = generation;
         let gone: Vec<DeviceId> = self
-            .awaiting
+            .challenged
             .iter()
             .copied()
-            .filter(|&id| !self.fleet.is_registered(id))
+            .filter(|id| self.awaited.contains(id) && !self.fleet.is_registered(*id))
             .collect();
         for &id in &gone {
             self.charge_evicted(id);
@@ -377,7 +384,13 @@ impl<'a> RoundEngine<'a> {
     /// Charges [`FleetError::NoResponse`] to every awaited device, in
     /// challenge order, aborting its in-flight session.
     fn expire_awaiting(&mut self) {
-        for id in std::mem::take(&mut self.awaiting) {
+        if self.awaited.is_empty() {
+            return;
+        }
+        for id in std::mem::take(&mut self.challenged) {
+            if !self.awaited.remove(&id) {
+                continue;
+            }
             self.fleet.abort(id);
             self.settle(RoundOutcome {
                 device: Some(id),
@@ -390,7 +403,7 @@ impl<'a> RoundEngine<'a> {
     /// instant the driver must `tick` at, even if the transport stays
     /// silent forever.
     pub fn next_deadline(&self) -> Option<LogicalTime> {
-        (!self.awaiting.is_empty()).then_some(self.deadline)
+        (!self.awaited.is_empty()).then_some(self.deadline)
     }
 
     /// The engine's current logical time.
@@ -400,18 +413,18 @@ impl<'a> RoundEngine<'a> {
 
     /// Number of challenged devices not yet settled.
     pub fn awaiting(&self) -> usize {
-        self.awaiting.len()
+        self.awaited.len()
     }
 
     /// True when `id` was challenged this round and has not settled yet.
     pub fn is_awaiting(&self, id: DeviceId) -> bool {
-        self.awaiting.contains(&id)
+        self.awaited.contains(&id)
     }
 
     /// True when every challenged device has settled (answered or
     /// expired) and nothing remains to transmit.
     pub fn is_settled(&self) -> bool {
-        self.awaiting.is_empty() && self.pending_tx.is_empty()
+        self.awaited.is_empty() && self.pending_tx.is_empty()
     }
 
     /// Consumes the engine into the round's report: every outcome, in
@@ -428,5 +441,216 @@ impl<'a> RoundEngine<'a> {
 
     fn settle(&mut self, outcome: RoundOutcome) {
         self.outcomes.push(outcome);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use apex_pox::wire::WireError;
+    use asap::VerifierSpec;
+    use std::sync::{Arc, OnceLock};
+
+    /// The engine's bookkeeping as it was before the awaited set: one
+    /// challenge-order `Vec`, scanned with `retain` and `contains` on
+    /// every outcome. The set-based engine must match it step for step.
+    struct VecModel<'a> {
+        fleet: &'a FleetVerifier,
+        pending_tx: VecDeque<(DeviceId, Vec<u8>)>,
+        cancelled_tx: HashSet<DeviceId>,
+        awaiting: Vec<DeviceId>,
+        deadline: LogicalTime,
+        outcomes: Vec<RoundOutcome>,
+        now: LogicalTime,
+        seen_generation: u64,
+    }
+
+    impl<'a> VecModel<'a> {
+        fn begin(fleet: &'a FleetVerifier, ids: &[DeviceId], config: RoundConfig) -> Self {
+            let seen_generation = fleet.membership_generation();
+            let frames = fleet.begin_round(ids).unwrap();
+            VecModel {
+                fleet,
+                awaiting: frames.iter().map(|&(id, _)| id).collect(),
+                pending_tx: frames.into_iter().collect(),
+                cancelled_tx: HashSet::new(),
+                deadline: config.started_at.plus(config.deadline_after),
+                outcomes: Vec::new(),
+                now: config.started_at,
+                seen_generation,
+            }
+        }
+
+        fn poll_transmit(&mut self) -> Option<(DeviceId, Vec<u8>)> {
+            while let Some((id, frame)) = self.pending_tx.pop_front() {
+                if !self.cancelled_tx.contains(&id) {
+                    return Some((id, frame));
+                }
+            }
+            None
+        }
+
+        fn outcome_received(
+            &mut self,
+            device: Option<DeviceId>,
+            result: Result<Attested, FleetError>,
+        ) {
+            if let Some(id) = device {
+                self.awaiting.retain(|&d| d != id);
+            }
+            self.outcomes.push(RoundOutcome { device, result });
+        }
+
+        fn charge(&mut self, id: DeviceId, verdict: FleetError) -> bool {
+            let before = self.awaiting.len();
+            self.awaiting.retain(|&d| d != id);
+            if self.awaiting.len() == before {
+                return false;
+            }
+            self.cancelled_tx.insert(id);
+            self.fleet.abort(id);
+            self.outcomes.push(RoundOutcome {
+                device: Some(id),
+                result: Err(verdict),
+            });
+            true
+        }
+
+        fn sync_membership(&mut self) -> usize {
+            let generation = self.fleet.membership_generation();
+            if generation == self.seen_generation {
+                return 0;
+            }
+            self.seen_generation = generation;
+            let gone: Vec<DeviceId> = self
+                .awaiting
+                .iter()
+                .copied()
+                .filter(|&id| !self.fleet.is_registered(id))
+                .collect();
+            for &id in &gone {
+                self.charge(id, FleetError::Evicted(id));
+            }
+            gone.len()
+        }
+
+        fn tick(&mut self, now: LogicalTime) {
+            self.now = self.now.max(now);
+            if self.deadline <= self.now {
+                self.expire();
+            }
+        }
+
+        fn expire(&mut self) {
+            for id in std::mem::take(&mut self.awaiting) {
+                self.fleet.abort(id);
+                self.outcomes.push(RoundOutcome {
+                    device: Some(id),
+                    result: Err(FleetError::NoResponse(id)),
+                });
+            }
+        }
+
+        fn is_settled(&self) -> bool {
+            self.awaiting.is_empty() && self.pending_tx.is_empty()
+        }
+
+        fn next_deadline(&self) -> Option<LogicalTime> {
+            (!self.awaiting.is_empty()).then_some(self.deadline)
+        }
+
+        fn into_report(mut self) -> RoundReport {
+            self.expire();
+            RoundReport {
+                outcomes: self.outcomes,
+            }
+        }
+    }
+
+    /// Enrolled ids; ids past `ENROLLED` are never enrolled.
+    const ENROLLED: u64 = 8;
+
+    fn fleet() -> FleetVerifier {
+        static SPEC: OnceLock<Arc<VerifierSpec>> = OnceLock::new();
+        let spec = SPEC.get_or_init(|| {
+            let image = asap::programs::fig4_authorized().unwrap();
+            Arc::new(VerifierSpec::from_image(&image).unwrap())
+        });
+        let fleet = FleetVerifier::new();
+        for id in 1..=ENROLLED {
+            fleet
+                .register_shared(DeviceId(id), b"k", Arc::clone(spec))
+                .unwrap();
+        }
+        fleet
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of every bookkeeping event — outcomes
+        /// for awaited, already-settled, never-challenged, unknown and
+        /// unattributable devices, hangup charges, evictions swept in
+        /// by `sync_membership`, transmits and ticks — leave the
+        /// set-based engine and the `Vec` model in the same state after
+        /// every step, and with the same report at the end, expiry in
+        /// challenge order included.
+        #[test]
+        fn awaited_set_matches_the_vec_model(
+            cohort in proptest::collection::vec(1..=ENROLLED, 1..12),
+            steps in proptest::collection::vec((0u8..7, 0u64..ENROLLED + 3), 0..40),
+            deadline in 1u64..8,
+        ) {
+            let ids: Vec<DeviceId> = cohort.into_iter().map(DeviceId).collect();
+            let (fleet_e, fleet_m) = (fleet(), fleet());
+            let config = RoundConfig::new(LogicalTime(0), deadline);
+            let mut engine = RoundEngine::begin(&fleet_e, &ids, config).unwrap();
+            let mut model = VecModel::begin(&fleet_m, &ids, config);
+            for (step, &(op, raw)) in steps.iter().enumerate() {
+                let id = DeviceId(raw);
+                // Each outcome carries its step, so any reordering shows.
+                let tag = Err(FleetError::NoSession(DeviceId(1000 + step as u64)));
+                match op {
+                    0 => {
+                        let sent = engine.poll_transmit().map(|(id, f)| (id, f.to_vec()));
+                        proptest::prop_assert_eq!(sent, model.poll_transmit());
+                    }
+                    1 | 2 => {
+                        engine.outcome_received(Some(id), tag.clone());
+                        model.outcome_received(Some(id), tag);
+                    }
+                    3 => {
+                        let frame = Err(FleetError::Frame(WireError::BadMagic));
+                        engine.outcome_received(None, frame.clone());
+                        model.outcome_received(None, frame);
+                    }
+                    4 => {
+                        proptest::prop_assert_eq!(
+                            engine.charge_no_response(id),
+                            model.charge(id, FleetError::NoResponse(id))
+                        );
+                    }
+                    5 => {
+                        proptest::prop_assert_eq!(fleet_e.remove(id), fleet_m.remove(id));
+                        proptest::prop_assert_eq!(engine.sync_membership(), model.sync_membership());
+                    }
+                    _ => {
+                        let now = LogicalTime(raw % (deadline + 2));
+                        engine.tick(now);
+                        model.tick(now);
+                    }
+                }
+                proptest::prop_assert_eq!(engine.awaiting(), model.awaiting.len());
+                for raw in 0..ENROLLED + 3 {
+                    let id = DeviceId(raw);
+                    proptest::prop_assert_eq!(engine.is_awaiting(id), model.awaiting.contains(&id));
+                }
+                proptest::prop_assert_eq!(engine.is_settled(), model.is_settled());
+                proptest::prop_assert_eq!(engine.next_deadline(), model.next_deadline());
+                proptest::prop_assert_eq!(fleet_e.in_flight(), fleet_m.in_flight());
+            }
+            let (report, expected) = (engine.into_report(), model.into_report());
+            proptest::prop_assert_eq!(format!("{report:?}"), format!("{expected:?}"));
+            proptest::prop_assert_eq!(report, expected);
+            proptest::prop_assert_eq!(fleet_e.in_flight(), fleet_m.in_flight());
+        }
     }
 }

@@ -334,7 +334,7 @@ mod tests {
         let mut engine =
             RoundEngine::begin(&fleet, &ids, RoundConfig::new(LogicalTime(0), 5)).unwrap();
         let (id, request) = engine.poll_transmit().unwrap();
-        let response = fabric.exchange(id, &request).unwrap();
+        let response = fabric.exchange(id, request).unwrap();
 
         engine.tick(LogicalTime(4));
         assert_eq!(engine.awaiting(), 1, "deadline not reached yet");
@@ -354,7 +354,7 @@ mod tests {
         let mut engine =
             RoundEngine::begin(&fleet, &[id], RoundConfig::new(LogicalTime(0), 3)).unwrap();
         let (_, request) = engine.poll_transmit().unwrap();
-        let response = fabric.exchange(id, &request).unwrap();
+        let response = fabric.exchange(id, request).unwrap();
 
         engine.tick(LogicalTime(3)); // deadline crossed: NoResponse
         engine.frame_received(&response); // the response limps in
@@ -470,6 +470,7 @@ mod tests {
         )
         .unwrap();
         let (id, request) = engine.poll_transmit().unwrap();
+        let request = request.to_vec();
         // The driver's first sweep happens at elapsed = 0 ms.
         engine.tick(LogicalTime(0));
         assert_eq!(engine.awaiting(), 1, "time zero must not expire anyone");

@@ -18,6 +18,21 @@
 //!   floods the route map past [`MAX_ROUTED_PER_CONN`], or poisons its
 //!   deframer with an oversized frame is dropped.
 //!
+//! # The per-frame datapath
+//!
+//! Each sweep reads every connection until a read comes back shorter
+//! than [`READ_CHUNK`] (the socket is drained; the rest waits for the
+//! next sweep) and decodes each frame's envelope **once**, borrowing it
+//! from the deframer: the payload of owned evidence is appended to one
+//! per-sweep byte arena, which the MAC pool shares by `Arc` and the
+//! reactor reuses; nothing else copies it. Outbound, every epoch's
+//! challenges are borrowed from its engine
+//! ([`RoundEngine::poll_transmit`]), length-prefixed into one reused
+//! staging buffer and queued from there. Only parking a challenge and
+//! mailing one to another reactor allocate. Round bookkeeping is O(1)
+//! per outcome: "which epoch awaits this device" is a set lookup per
+//! in-flight epoch.
+//!
 //! # Routing and hellos
 //!
 //! Devices are **not pinned to a connection**: every inbound
@@ -49,8 +64,9 @@
 //! * the device's owner sends the framed challenge to the connection's
 //!   reactor (`Deliver`), which queues it on the peer's write queue and
 //!   records the delivery for hangup charging;
-//! * the connection's reactor forwards inbound evidence frames to the
-//!   owner (`Evidence`), which concludes them in its own engine;
+//! * the connection's reactor forwards each inbound evidence payload,
+//!   already decoded, to the owner (`Evidence`), which concludes it in
+//!   its own engine;
 //! * a newly revealed route (`Routed`), a failed delivery (`Park`) and
 //!   a dead connection that carried a delivered challenge (`Charge`)
 //!   travel the same way, so parked-challenge delivery and
@@ -78,13 +94,13 @@
 //! clock.
 
 use crate::engine::{LogicalTime, RoundConfig, RoundEngine};
-use crate::registry::FleetVerifier;
+use crate::registry::{EvidenceBatch, FleetVerifier};
 use crate::round::{RoundOutcome, RoundReport};
 use crate::runtime::GatewayConn;
 use crate::stream::{pump_read, ReadPump, WritePump, WriteQueue};
 use crate::DeviceId;
-use apex_pox::wire::{frame_stream, Envelope, StreamDeframer};
-use std::collections::{HashMap, HashSet};
+use apex_pox::wire::{Envelope, StreamDeframer, READ_CHUNK};
+use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -147,9 +163,9 @@ pub(crate) enum ReactorMsg<C> {
     /// Connection reactor → owner: delivery failed; re-park (or chase
     /// the fresher route) if the device is still awaited.
     Park { device: DeviceId, framed: Vec<u8> },
-    /// Connection reactor → owner: an evidence frame for one of the
-    /// owner's devices.
-    Evidence(Vec<u8>),
+    /// Connection reactor → owner: an evidence payload for one of the
+    /// owner's devices, its envelope already decoded.
+    Evidence { device: DeviceId, payload: Vec<u8> },
     /// Connection reactor → owner: the device just revealed (or moved)
     /// its route; a parked challenge can be delivered now.
     Routed(DeviceId),
@@ -266,33 +282,33 @@ pub struct ReactorStats {
 }
 
 /// Folds per-reactor partial reports into one canonical report:
-/// challenged devices in challenge order (each device's outcomes in its
-/// owner's local order), then everything unattributable or unsolicited,
-/// grouped by reactor index.
+/// challenged devices in challenge order (each device's outcomes by
+/// reactor index, then in that reactor's local order), then everything
+/// unattributable or unsolicited, grouped by reactor index.
+///
+/// One id→position map and one stable sort by position, where every
+/// leftover takes the position past the last challenge. The outcomes
+/// enter the sort reactor by reactor, so stability alone keeps equal
+/// positions in (reactor, local) order.
 pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> RoundReport {
-    let challenged: HashSet<DeviceId> = order.iter().copied().collect();
-    let mut buckets: Vec<HashMap<DeviceId, Vec<RoundOutcome>>> = Vec::new();
-    let mut leftovers: Vec<RoundOutcome> = Vec::new();
-    for report in reports {
-        let mut bucket: HashMap<DeviceId, Vec<RoundOutcome>> = HashMap::new();
-        for outcome in report.outcomes {
-            match outcome.device {
-                Some(id) if challenged.contains(&id) => bucket.entry(id).or_default().push(outcome),
-                _ => leftovers.push(outcome),
-            }
-        }
-        buckets.push(bucket);
+    let mut position: HashMap<DeviceId, usize> = HashMap::with_capacity(order.len());
+    for (at, &id) in order.iter().enumerate() {
+        position.entry(id).or_insert(at);
     }
-    let mut outcomes = Vec::new();
-    for id in order {
-        for bucket in &mut buckets {
-            if let Some(settled) = bucket.remove(id) {
-                outcomes.extend(settled);
-            }
-        }
+    let leftover = order.len();
+    let mut keyed: Vec<(usize, RoundOutcome)> =
+        Vec::with_capacity(reports.iter().map(|r| r.outcomes.len()).sum());
+    for outcome in reports.into_iter().flat_map(|r| r.outcomes) {
+        let at = outcome
+            .device
+            .and_then(|id| position.get(&id).copied())
+            .unwrap_or(leftover);
+        keyed.push((at, outcome));
     }
-    outcomes.append(&mut leftovers);
-    RoundReport { outcomes }
+    keyed.sort_by_key(|&(at, _)| at);
+    RoundReport {
+        outcomes: keyed.into_iter().map(|(_, outcome)| outcome).collect(),
+    }
 }
 
 /// One reactor mid-flight: its persistent state plus every in-flight
@@ -311,8 +327,8 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// rounds are not pipelined.
     pub(crate) engines: Vec<EpochRun<'run>>,
     /// Evidence gathered this sweep (local reads + forwarded mail),
-    /// concluded as one batch on the MAC pool.
-    pub(crate) inbound: Vec<Vec<u8>>,
+    /// each frame decoded once, concluded as one batch on the MAC pool.
+    pub(crate) inbound: EvidenceBatch,
     /// Mailed `Charge`s, applied only *after* the sweep's evidence
     /// batch concludes: a mate's channel delivers evidence before the
     /// hangup charge (stream order), and the charge must not outrun the
@@ -323,9 +339,12 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     pub(crate) pending_begins: Vec<RoundStart>,
     /// Set when the runtime mails [`ReactorMsg::Shutdown`].
     pub(crate) shutdown: bool,
-    /// Reused transmit staging: drained engine challenges awaiting
-    /// routing, so pumping allocates nothing in the steady state.
-    tx_scratch: Vec<(DeviceId, Vec<u8>)>,
+    /// Reused transmit staging: drained engine challenges, length
+    /// prefix included, packed end to end and awaiting routing ...
+    tx_bytes: Vec<u8>,
+    /// ... as `(device, start, end)` spans into `tx_bytes`, so pumping
+    /// allocates nothing in the steady state.
+    tx_spans: Vec<(DeviceId, usize, usize)>,
     pub(crate) workers: usize,
     pub(crate) progressed: bool,
 }
@@ -348,11 +367,12 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             route,
             mates,
             engines: Vec::new(),
-            inbound: Vec::new(),
+            inbound: EvidenceBatch::default(),
             pending_charges: Vec::new(),
             pending_begins: Vec::new(),
             shutdown: false,
-            tx_scratch: Vec::new(),
+            tx_bytes: Vec::new(),
+            tx_spans: Vec::new(),
             workers,
             progressed: false,
         }
@@ -476,14 +496,20 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     /// locally when the route is ours, mailed to the owning reactor
     /// when not, parked when the device has no route yet.
     pub(crate) fn pump_transmits(&mut self) {
-        let mut staged = std::mem::take(&mut self.tx_scratch);
+        let mut bytes = std::mem::take(&mut self.tx_bytes);
+        let mut spans = std::mem::take(&mut self.tx_spans);
         for e in &mut self.engines {
             while let Some((device, frame)) = e.engine.poll_transmit() {
-                staged.push((device, frame_stream(&frame)));
+                // The stream framing of `frame_stream`, written in place.
+                let start = bytes.len();
+                bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(frame);
+                spans.push((device, start, bytes.len()));
             }
         }
-        for (device, framed) in staged.drain(..) {
+        for &(device, start, end) in &spans {
             self.progressed = true;
+            let framed = &bytes[start..end];
             match self.current_route(device) {
                 Some(r) if r.reactor == self.me => self.deliver_on(device, r.slot, framed),
                 Some(r) => self.send(
@@ -491,24 +517,27 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                     ReactorMsg::Deliver {
                         device,
                         slot: r.slot,
-                        framed,
+                        framed: framed.to_vec(),
                     },
                 ),
                 None => {
-                    self.state.parked.insert(device, framed);
+                    self.state.parked.insert(device, framed.to_vec());
                 }
             }
         }
-        self.tx_scratch = staged;
+        bytes.clear();
+        spans.clear();
+        self.tx_bytes = bytes;
+        self.tx_spans = spans;
     }
 
     /// Queues a framed challenge on the local connection at `slot`. On
     /// failure the challenge goes back to the device's owner — inline
     /// when that is us, by mail otherwise.
-    fn deliver_on(&mut self, device: DeviceId, slot: usize, framed: Vec<u8>) {
+    fn deliver_on(&mut self, device: DeviceId, slot: usize, framed: &[u8]) {
         let enqueued = match self.state.conns.get_mut(slot).and_then(Option::as_mut) {
             Some(peer) if !peer.dead => {
-                if peer.outbox.enqueue(&framed) {
+                if peer.outbox.enqueue(framed) {
                     true
                 } else {
                     peer.dead = true; // not draining: wedged or hostile
@@ -522,6 +551,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         } else if self.owner_of(device) == self.me {
             self.repark(device, framed);
         } else {
+            let framed = framed.to_vec();
             self.send(self.owner_of(device), ReactorMsg::Park { device, framed });
         }
     }
@@ -531,7 +561,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     /// here closes the race where `Park` (from the old connection's
     /// reactor) arrives after `Routed` (from the new one) — the parked
     /// map alone would strand the challenge until the deadline.
-    fn repark(&mut self, device: DeviceId, framed: Vec<u8>) {
+    fn repark(&mut self, device: DeviceId, framed: &[u8]) {
         debug_assert_eq!(self.owner_of(device), self.me, "repark is owner-side");
         if !self.awaited(device) {
             return; // already settled; the challenge is moot
@@ -543,7 +573,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                     ReactorMsg::Deliver {
                         device,
                         slot: r.slot,
-                        framed,
+                        framed: framed.to_vec(),
                     },
                 );
             }
@@ -562,7 +592,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                 self.deliver_on(device, r.slot, framed);
             }
             _ => {
-                self.state.parked.insert(device, framed);
+                self.state.parked.insert(device, framed.to_vec());
             }
         }
     }
@@ -594,20 +624,20 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                         slot,
                     };
                     if self.current_route(device) == Some(here) {
-                        self.deliver_on(device, slot, framed);
+                        self.deliver_on(device, slot, &framed);
                     } else if self.owner_of(device) == self.me {
                         // Stale: the device re-routed while the
                         // challenge was in the mail.
-                        self.repark(device, framed);
+                        self.repark(device, &framed);
                     } else {
                         self.send(self.owner_of(device), ReactorMsg::Park { device, framed });
                     }
                 }
-                ReactorMsg::Park { device, framed } => self.repark(device, framed),
-                ReactorMsg::Evidence(frame) => self.inbound.push(frame),
+                ReactorMsg::Park { device, framed } => self.repark(device, &framed),
+                ReactorMsg::Evidence { device, payload } => self.inbound.push(device, &payload),
                 ReactorMsg::Routed(device) => {
                     if let Some(framed) = self.state.parked.remove(&device) {
-                        self.repark(device, framed); // chases the fresh route
+                        self.repark(device, &framed); // chases the fresh route
                     }
                 }
                 ReactorMsg::Charge(device) => {
@@ -650,7 +680,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
         if self.owner_of(id) == self.me {
             if let Some(framed) = self.state.parked.remove(&id) {
-                self.deliver_on(id, slot, framed);
+                self.deliver_on(id, slot, &framed);
             }
         } else {
             self.send(self.owner_of(id), ReactorMsg::Routed(id));
@@ -660,53 +690,71 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     /// Pumps every local connection's receive side: drains complete
     /// frames, records routes, and sorts evidence — owned devices into
     /// the local batch, others into the owner's mail, unattributable
-    /// frames judged here.
+    /// frames judged here. Each frame's envelope is decoded once, in
+    /// place. A connection is read until a read comes back short of
+    /// [`READ_CHUNK`]: the socket is drained, so the sweep moves on
+    /// rather than pay for a read that could only say `WouldBlock`.
     pub(crate) fn sweep_reads(&mut self) {
         for slot in 0..self.state.conns.len() {
-            if self.state.conns[slot].is_none() {
-                continue;
-            }
-            loop {
-                let peer = self.state.conns[slot].as_mut().expect("slot checked live");
+            let mut drained = false;
+            while let Some(peer) = self.state.conns[slot].as_mut() {
                 if peer.dead {
                     break;
                 }
-                match peer.deframer.next_frame() {
-                    Ok(Some(frame)) => {
-                        self.progressed = true;
-                        match Envelope::from_bytes(&frame) {
-                            Ok(envelope) => {
-                                let id = DeviceId(envelope.device_id);
-                                self.record_route(id, slot);
-                                // A hello (empty payload) is routing
-                                // information only.
-                                if envelope.payload.is_empty() {
-                                    if !self.fleet.is_registered(id) {
-                                        self.state.unknown_hellos += 1;
-                                    }
-                                } else if self.owner_of(id) == self.me {
-                                    self.inbound.push(frame);
-                                } else {
-                                    self.send(self.owner_of(id), ReactorMsg::Evidence(frame));
-                                }
+                let frame = match peer.deframer.next_frame() {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) if drained => break,
+                    Ok(None) => {
+                        match pump_read(&mut peer.stream, &mut peer.deframer) {
+                            ReadPump::Bytes(n) => {
+                                self.progressed = true;
+                                drained = n < READ_CHUNK;
                             }
-                            // Unattributable: judged by whoever read it.
-                            Err(_) => self.inbound.push(frame),
+                            ReadPump::Idle => break,
+                            ReadPump::Closed | ReadPump::Broken => {
+                                peer.dead = true;
+                                break;
+                            }
                         }
+                        continue;
                     }
-                    Ok(None) => match pump_read(&mut peer.stream, &mut peer.deframer) {
-                        ReadPump::Bytes(_) => self.progressed = true,
-                        ReadPump::Idle => break,
-                        ReadPump::Closed | ReadPump::Broken => {
-                            peer.dead = true;
-                            break;
-                        }
-                    },
                     // Oversized length prefix: framing is lost for good.
                     Err(_) => {
                         peer.dead = true;
                         break;
                     }
+                };
+                self.progressed = true;
+                let (id, payload) = match Envelope::parse(frame) {
+                    Ok((id, payload)) => (DeviceId(id), payload),
+                    // Unattributable: judged by whoever read it.
+                    Err(e) => {
+                        self.inbound.push_unattributable(e);
+                        continue;
+                    }
+                };
+                let owner = self.fleet.reactor_of(id, self.reactors);
+                // A hello (empty payload) is routing information only.
+                let forward = if payload.is_empty() {
+                    if !self.fleet.is_registered(id) {
+                        self.state.unknown_hellos += 1;
+                    }
+                    None
+                } else if owner == self.me {
+                    self.inbound.push(id, payload);
+                    None
+                } else {
+                    Some(payload.to_vec())
+                };
+                self.record_route(id, slot);
+                if let Some(payload) = forward {
+                    self.send(
+                        owner,
+                        ReactorMsg::Evidence {
+                            device: id,
+                            payload,
+                        },
+                    );
                 }
             }
         }
@@ -723,8 +771,8 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             return;
         }
         self.progressed = true;
-        let frames = std::mem::take(&mut self.inbound);
-        let (verdicts, recycled) = self.fleet.conclude_batch_pooled(frames, self.workers);
+        let batch = std::mem::take(&mut self.inbound);
+        let (verdicts, recycled) = self.fleet.conclude_batch_pooled(batch, self.workers);
         self.inbound = recycled;
         for (device, result) in verdicts {
             let target = device.and_then(|id| self.epoch_awaiting(id)).unwrap_or(0);
@@ -869,5 +917,240 @@ mod tests {
         assert_eq!(merged[0].outcomes, expected);
         assert_eq!(merged[0], merged[1], "1 vs 2 reactors");
         assert_eq!(merged[0], merged[2], "1 vs 4 reactors");
+    }
+
+    /// The bucket merge [`merge_reports`] replaced: per-reactor hash
+    /// buckets walked in challenge order. The reference the sort-based
+    /// merge is checked against.
+    fn merge_by_buckets(order: &[DeviceId], reports: Vec<RoundReport>) -> RoundReport {
+        let challenged: std::collections::HashSet<DeviceId> = order.iter().copied().collect();
+        let mut buckets: Vec<HashMap<DeviceId, Vec<RoundOutcome>>> = Vec::new();
+        let mut leftovers: Vec<RoundOutcome> = Vec::new();
+        for report in reports {
+            let mut bucket: HashMap<DeviceId, Vec<RoundOutcome>> = HashMap::new();
+            for outcome in report.outcomes {
+                match outcome.device {
+                    Some(id) if challenged.contains(&id) => {
+                        bucket.entry(id).or_default().push(outcome)
+                    }
+                    _ => leftovers.push(outcome),
+                }
+            }
+            buckets.push(bucket);
+        }
+        let mut outcomes = Vec::new();
+        for id in order {
+            for bucket in &mut buckets {
+                if let Some(settled) = bucket.remove(id) {
+                    outcomes.extend(settled);
+                }
+            }
+        }
+        outcomes.append(&mut leftovers);
+        RoundReport { outcomes }
+    }
+
+    proptest::proptest! {
+        /// Over 1–4 partial reports holding repeated outcomes per
+        /// device, devices settled by several reactors, unchallenged
+        /// devices and unattributable (`None`) outcomes, the sort-based
+        /// merge yields exactly the bucket merge's report.
+        #[test]
+        fn merge_matches_the_bucket_reference(
+            order in proptest::collection::vec(0u64..12, 0..10),
+            partials in proptest::collection::vec(
+                proptest::collection::vec((0u64..16, 0u8..3), 0..12),
+                1..=4,
+            ),
+        ) {
+            let order: Vec<DeviceId> = order.into_iter().map(DeviceId).collect();
+            let mut tag = 0u64;
+            let reports: Vec<RoundReport> = partials
+                .iter()
+                .map(|outcomes| RoundReport {
+                    outcomes: outcomes
+                        .iter()
+                        .map(|&(raw, kind)| {
+                            // Every outcome is distinct, so any
+                            // reordering shows. Ids 12 and 13 are never
+                            // challenged; 14 and up are unattributable.
+                            tag += 1;
+                            let result = match kind {
+                                0 => Err(FleetError::NoResponse(DeviceId(tag))),
+                                1 => Err(FleetError::NoSession(DeviceId(tag))),
+                                _ => Err(FleetError::Frame(
+                                    apex_pox::wire::WireError::TrailingBytes(tag as usize),
+                                )),
+                            };
+                            RoundOutcome {
+                                device: (raw < 14).then_some(DeviceId(raw)),
+                                result,
+                            }
+                        })
+                        .collect(),
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                merge_reports(&order, reports.clone()),
+                merge_by_buckets(&order, reports)
+            );
+        }
+    }
+
+    /// One scripted read outcome of a [`ScriptedConn`].
+    enum Step {
+        Bytes(Vec<u8>),
+        Eof,
+    }
+
+    /// A prover connection that answers each read with the next
+    /// scripted step and `WouldBlock` once the script runs dry, counts
+    /// its reads, and records every byte written to it.
+    #[derive(Default)]
+    struct ScriptedConn {
+        script: std::collections::VecDeque<Step>,
+        reads: usize,
+        written: Vec<u8>,
+    }
+
+    impl std::io::Read for ScriptedConn {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            match self.script.pop_front() {
+                Some(Step::Bytes(bytes)) => {
+                    assert!(bytes.len() < buf.len(), "each scripted read is short");
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(Step::Eof) => Ok(0),
+                None => Err(std::io::ErrorKind::WouldBlock.into()),
+            }
+        }
+    }
+
+    impl std::io::Write for ScriptedConn {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl GatewayConn for ScriptedConn {
+        fn prepare(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A read shorter than a chunk ends that connection's reads for the
+    /// sweep, and the rest arrives on later sweeps: every frame is
+    /// still concluded, and the EOF that follows still reaps the slot
+    /// and charges the device whose challenge it carried `NoResponse`.
+    #[test]
+    fn short_reads_end_the_sweep_and_eof_still_charges_the_carried_devices() {
+        use crate::Loopback;
+        use apex_pox::wire::frame_stream;
+        use asap::{Device, PoxMode};
+
+        let image = asap::programs::fig4_authorized().unwrap();
+        let fleet = FleetVerifier::new();
+        let mut fabric = Loopback::new();
+        let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
+        for &id in &ids {
+            let key = id.0.to_le_bytes();
+            let mut device = Device::builder(&image).key(&key).build().unwrap();
+            assert!(device.run_until_pc(asap::programs::done_pc(), 10_000));
+            fabric.attach(id, device);
+            let spec = VerifierSpec::from_image(&image)
+                .unwrap()
+                .mode(PoxMode::Asap);
+            fleet.register(id, &key, spec).unwrap();
+        }
+        let route = Mutex::new(HashMap::new());
+        let (mates, _inboxes): (Vec<Sender<ReactorMsg<ScriptedConn>>>, Vec<_>) =
+            (0..1).map(|_| std::sync::mpsc::channel()).unzip();
+        let hellos: Vec<u8> = ids
+            .iter()
+            .flat_map(|id| frame_stream(&Envelope::wrap(id.0, Vec::new()).to_bytes()))
+            .collect();
+        let mut state = ReactorState::new();
+        state.adopt(ScriptedConn {
+            script: [Step::Bytes(hellos)].into(),
+            ..ScriptedConn::default()
+        });
+        let mut run = ReactorRun::new(0, 1, &fleet, &mut state, &route, &mates, 1);
+        run.pending_begins.push(RoundStart {
+            epoch: 0,
+            partition: ids.clone(),
+            budget: Duration::from_secs(60),
+            started: Instant::now(),
+        });
+        run.start_pending_epochs();
+        run.pump_transmits();
+        assert_eq!(
+            run.state.parked.len(),
+            3,
+            "no route yet: every challenge parks"
+        );
+
+        // Sweep 1: the hellos route all three devices, and their
+        // challenges go out on the connection.
+        run.sweep_reads();
+        run.sweep_writes_and_reap();
+        let conn = &mut run.state.conns[0].as_mut().unwrap().stream;
+        assert_eq!(conn.reads, 1, "a short read ends the sweep's reads");
+        let mut deframer = StreamDeframer::new();
+        deframer.extend(&conn.written);
+        let mut responses = HashMap::new();
+        while let Some(frame) = deframer.next_frame().unwrap() {
+            let id = DeviceId(Envelope::parse(frame).unwrap().0);
+            responses.insert(id, fabric.exchange(id, frame).unwrap());
+        }
+        assert_eq!(responses.len(), 3, "every challenge was delivered");
+
+        // Device 1 answers now, device 2 one sweep later, and then the
+        // peer hangs up without device 3 ever answering.
+        conn.script.extend([
+            Step::Bytes(frame_stream(&responses[&DeviceId(1)])),
+            Step::Bytes(frame_stream(&responses[&DeviceId(2)])),
+            Step::Eof,
+        ]);
+        for (sweep, awaiting) in [(2, 2), (3, 1)] {
+            run.sweep_reads();
+            run.conclude_inbound();
+            run.sweep_writes_and_reap();
+            let conn = &run.state.conns[0].as_ref().expect("still connected").stream;
+            assert_eq!(conn.reads, sweep, "one read per sweep");
+            assert_eq!(run.engines[0].engine.awaiting(), awaiting);
+        }
+        run.sweep_reads();
+        run.conclude_inbound();
+        run.sweep_writes_and_reap();
+        assert!(run.state.conns[0].is_none(), "EOF reaps the slot");
+        assert_eq!(run.state.dropped_total, 1);
+
+        let mut done = run.harvest_settled();
+        assert_eq!(done.len(), 1, "the epoch settled");
+        let (_, report, _) = done.pop().unwrap();
+        let verdicts: Vec<(Option<DeviceId>, bool)> = report
+            .outcomes
+            .iter()
+            .map(|o| (o.device, o.result.is_ok()))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                (Some(DeviceId(1)), true),
+                (Some(DeviceId(2)), true),
+                (Some(DeviceId(3)), false)
+            ]
+        );
+        assert_eq!(
+            report.outcomes[2].result,
+            Err(FleetError::NoResponse(DeviceId(3)))
+        );
+        assert_eq!(fleet.in_flight(), 0);
     }
 }

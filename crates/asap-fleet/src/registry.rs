@@ -24,7 +24,8 @@ use crate::error::FleetError;
 use crate::round::RoundReport;
 use crate::transport::Transport;
 use crate::DeviceId;
-use apex_pox::wire::Envelope;
+use apex_pox::protocol::PoxRequest;
+use apex_pox::wire::{Envelope, WireError, ENVELOPE_OVERHEAD};
 use asap::session::{Issued, PoxSession};
 use asap::{AsapVerifier, Attested, VerifierSpec};
 use std::collections::{HashMap, HashSet};
@@ -61,8 +62,53 @@ struct Shard {
     devices: HashMap<DeviceId, DeviceEntry>,
 }
 
+/// A batch of evidence frames, each decoded once: the payloads lie end
+/// to end in one byte arena, and each frame is one item — the device
+/// its envelope names (or why the envelope did not decode) plus its
+/// payload's span. A reactor fills one per sweep and reuses it.
+#[derive(Debug, Default)]
+pub(crate) struct EvidenceBatch {
+    bytes: Vec<u8>,
+    items: Vec<(Result<DeviceId, WireError>, usize, usize)>,
+}
+
+impl EvidenceBatch {
+    /// Adds one decoded frame: `payload` under device `id`.
+    pub(crate) fn push(&mut self, id: DeviceId, payload: &[u8]) {
+        self.items.push((Ok(id), self.bytes.len(), payload.len()));
+        self.bytes.extend_from_slice(payload);
+    }
+
+    /// Adds one frame whose envelope did not decode.
+    pub(crate) fn push_unattributable(&mut self, error: WireError) {
+        self.items.push((Err(error), self.bytes.len(), 0));
+    }
+
+    /// Decodes `frame`'s envelope and adds it.
+    fn push_frame(&mut self, frame: &[u8]) {
+        match Envelope::parse(frame) {
+            Ok((id, payload)) => self.push(DeviceId(id), payload),
+            Err(e) => self.push_unattributable(e),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Empties the batch, keeping both allocations for the next sweep.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.items.clear();
+    }
+}
+
 /// One chunk of MAC-conclusion work dispatched to an attached runtime
-/// pool: conclude `frames[indices]` against `fleet` and send the
+/// pool: conclude `batch` items `indices` against `fleet` and send the
 /// `(input index, verdict)` pairs back over `reply`.
 ///
 /// Crate-internal: [`FleetRuntime`](crate::FleetRuntime) owns the
@@ -70,16 +116,9 @@ struct Shard {
 /// (see [`FleetVerifier::conclude_batch`]).
 pub(crate) struct ConcludeJob {
     pub(crate) fleet: Arc<FleetVerifier>,
-    pub(crate) frames: Arc<Vec<Vec<u8>>>,
+    pub(crate) batch: Arc<EvidenceBatch>,
     pub(crate) indices: Vec<usize>,
     pub(crate) reply: Sender<Vec<(usize, Verdict)>>,
-}
-
-/// Clears a frame buffer for reuse by the caller's next sweep: the
-/// allocation survives, the stale frames do not.
-fn recycled(mut frames: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-    frames.clear();
-    frames
 }
 
 /// A runtime-attached conclude pool: where to send [`ConcludeJob`]s,
@@ -329,15 +368,24 @@ impl FleetVerifier {
     ///
     /// [`FleetError::UnknownDevice`] when the id is not enrolled.
     pub fn begin(&self, id: DeviceId) -> Result<Vec<u8>, FleetError> {
+        let mut frame = Vec::with_capacity(ENVELOPE_OVERHEAD as usize + PoxRequest::WIRE_LEN);
+        self.issue(id, &mut frame)?;
+        Ok(frame)
+    }
+
+    /// Issues a fresh challenge to `id` and appends its request frame,
+    /// envelope header first, straight to `out`.
+    fn issue(&self, id: DeviceId, out: &mut Vec<u8>) -> Result<(), FleetError> {
         self.with_shard(id, |shard| {
             let entry = shard
                 .devices
                 .get_mut(&id)
                 .ok_or(FleetError::UnknownDevice(id))?;
             let session = entry.verifier.begin();
-            let frame = Envelope::wrap(id.0, session.request_bytes()).to_bytes();
+            Envelope::write_header(out, id.0, PoxRequest::WIRE_LEN);
+            session.request().write_to(out);
             entry.in_flight = Some(session);
-            Ok(frame)
+            Ok(())
         })
     }
 
@@ -366,7 +414,7 @@ impl FleetVerifier {
     }
 
     /// [`begin_round`](FleetVerifier::begin_round), arena-packed: the
-    /// request frames are appended end-to-end into `arena` and
+    /// request frames are written end-to-end straight into `arena` and
     /// described by returned `(device, start, len)` spans, so a round
     /// over a large cohort holds **one** transmit allocation instead of
     /// one `Vec` per challenge. This is what
@@ -385,13 +433,13 @@ impl FleetVerifier {
             return Err(FleetError::UnknownDevice(id));
         }
         let mut seen = std::collections::HashSet::new();
-        let mut spans = Vec::new();
+        let mut spans = Vec::with_capacity(ids.len());
+        arena.reserve(ids.len() * (ENVELOPE_OVERHEAD as usize + PoxRequest::WIRE_LEN));
         for &id in ids.iter().filter(|&&id| seen.insert(id)) {
-            let frame = self.begin(id)?;
-            let start = u32::try_from(arena.len()).expect("transmit arena stays under 4 GiB");
-            let len = u32::try_from(frame.len()).expect("challenge frames are small");
-            arena.extend_from_slice(&frame);
-            spans.push((id, start, len));
+            let start = arena.len();
+            self.issue(id, arena)?;
+            let span = |n: usize| u32::try_from(n).expect("transmit arena stays under 4 GiB");
+            spans.push((id, span(start), span(arena.len() - start)));
         }
         Ok(spans)
     }
@@ -404,13 +452,32 @@ impl FleetVerifier {
     /// held only while the session is popped; MAC verification runs on
     /// a clone of the device's verifier outside all locks.
     pub fn conclude(&self, frame: &[u8]) -> Verdict {
-        let envelope = match Envelope::from_bytes(frame) {
-            Ok(e) => e,
-            Err(e) => return (None, Err(FleetError::Frame(e))),
-        };
-        let id = DeviceId(envelope.device_id);
+        match Envelope::parse(frame) {
+            Ok((id, payload)) => {
+                let id = DeviceId(id);
+                (Some(id), self.conclude_evidence(id, payload))
+            }
+            Err(e) => (None, Err(FleetError::Frame(e))),
+        }
+    }
 
-        let popped = self.with_shard(id, |shard| {
+    /// Concludes item `i` of an already-decoded batch — the same
+    /// conclusion [`conclude`](FleetVerifier::conclude) makes for the
+    /// frame it came from.
+    pub(crate) fn conclude_at(&self, batch: &EvidenceBatch, i: usize) -> Verdict {
+        match &batch.items[i] {
+            (Ok(id), start, len) => (
+                Some(*id),
+                self.conclude_evidence(*id, &batch.bytes[*start..start + len]),
+            ),
+            (Err(e), ..) => (None, Err(FleetError::Frame(e.clone()))),
+        }
+    }
+
+    /// The one conclusion path: pops `id`'s in-flight session and judges
+    /// the enveloped `payload` against it.
+    fn conclude_evidence(&self, id: DeviceId, payload: &[u8]) -> Result<Attested, FleetError> {
+        let (verifier, session) = self.with_shard(id, |shard| {
             let Some(entry) = shard.devices.get_mut(&id) else {
                 return Err(FleetError::UnknownDevice(id));
             };
@@ -418,21 +485,15 @@ impl FleetVerifier {
                 return Err(FleetError::NoSession(id));
             };
             Ok((entry.verifier.clone(), session))
-        });
-        let (verifier, session) = match popped {
-            Ok(pair) => pair,
-            Err(e) => return (Some(id), Err(e)),
-        };
-
-        let result = session
-            .evidence_bytes(&envelope.payload)
+        })?;
+        session
+            .evidence_bytes(payload)
             .map_err(FleetError::Rejected)
             .and_then(|s| {
                 s.conclude(&verifier)
                     .into_result()
                     .map_err(FleetError::Rejected)
-            });
-        (Some(id), result)
+            })
     }
 
     /// Concludes a whole batch of response frames. Results come back in
@@ -458,25 +519,34 @@ impl FleetVerifier {
     /// schedules its workers.
     pub fn conclude_batch(&self, frames: &[Vec<u8>]) -> Vec<Verdict> {
         match self.pool_for(frames.len(), self.parallelism()) {
-            Some(pool) => self.conclude_on_pool(pool, frames.to_vec()).0,
+            Some(pool) => {
+                let mut batch = EvidenceBatch::default();
+                for frame in frames {
+                    batch.push_frame(frame);
+                }
+                self.conclude_on_pool(pool, batch).0
+            }
             None => frames.iter().map(|f| self.conclude(f)).collect(),
         }
     }
 
     /// [`conclude_batch`](FleetVerifier::conclude_batch) over an
-    /// **owned** batch, fanned over at most `lanes` pool workers. Hands
-    /// the frame buffer back **cleared**, so a reactor reuses its
-    /// inbound `Vec` across sweeps instead of reallocating.
+    /// already-decoded, **owned** batch, fanned over at most `lanes`
+    /// pool workers. Hands the batch back **cleared**, so a reactor
+    /// reuses its inbound arena across sweeps instead of reallocating.
     pub(crate) fn conclude_batch_pooled(
         &self,
-        frames: Vec<Vec<u8>>,
+        mut batch: EvidenceBatch,
         lanes: usize,
-    ) -> (Vec<Verdict>, Vec<Vec<u8>>) {
-        match self.pool_for(frames.len(), lanes) {
-            Some(pool) => self.conclude_on_pool(pool, frames),
+    ) -> (Vec<Verdict>, EvidenceBatch) {
+        match self.pool_for(batch.len(), lanes) {
+            Some(pool) => self.conclude_on_pool(pool, batch),
             None => {
-                let verdicts = frames.iter().map(|f| self.conclude(f)).collect();
-                (verdicts, recycled(frames))
+                let verdicts = (0..batch.len())
+                    .map(|i| self.conclude_at(&batch, i))
+                    .collect();
+                batch.clear();
+                (verdicts, batch)
             }
         }
     }
@@ -502,7 +572,7 @@ impl FleetVerifier {
         })
     }
 
-    /// Fans `frames` over the pool: the first frame per device (in
+    /// Fans `batch` over the pool: the first frame per device (in
     /// input order) races on the workers, repeats are deferred until
     /// the pool drains and then observe what a serial pass would —
     /// `NoSession` (or `UnknownDevice`). Undecodable frames carry no
@@ -510,20 +580,20 @@ impl FleetVerifier {
     fn conclude_on_pool(
         &self,
         pool: Dispatch,
-        frames: Vec<Vec<u8>>,
-    ) -> (Vec<Verdict>, Vec<Vec<u8>>) {
+        batch: EvidenceBatch,
+    ) -> (Vec<Verdict>, EvidenceBatch) {
         let mut seen = HashSet::new();
-        let mut pooled: Vec<usize> = Vec::with_capacity(frames.len());
+        let mut pooled: Vec<usize> = Vec::with_capacity(batch.len());
         let mut deferred: Vec<usize> = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            match Envelope::from_bytes(frame) {
-                Ok(e) if !seen.insert(DeviceId(e.device_id)) => deferred.push(i),
+        for (i, (parsed, ..)) in batch.items.iter().enumerate() {
+            match parsed {
+                Ok(id) if !seen.insert(*id) => deferred.push(i),
                 _ => pooled.push(i),
             }
         }
 
-        let mut results: Vec<Option<Verdict>> = frames.iter().map(|_| None).collect();
-        let frames = Arc::new(frames);
+        let mut results: Vec<Option<Verdict>> = (0..batch.len()).map(|_| None).collect();
+        let batch = Arc::new(batch);
         let per_lane = Self::chunk_len(pooled.len(), pool.lanes);
         let (reply_tx, reply_rx) = mpsc::channel();
         let mut outstanding = 0usize;
@@ -531,7 +601,7 @@ impl FleetVerifier {
             pool.tx
                 .send(ConcludeJob {
                     fleet: Arc::clone(&pool.me),
-                    frames: Arc::clone(&frames),
+                    batch: Arc::clone(&batch),
                     indices: chunk.to_vec(),
                     reply: reply_tx.clone(),
                 })
@@ -548,18 +618,24 @@ impl FleetVerifier {
             }
         }
         for i in deferred {
-            results[i] = Some(self.conclude(&frames[i]));
+            results[i] = Some(self.conclude_at(&batch, i));
         }
         let verdicts = results
             .into_iter()
             .map(|r| r.expect("every input index concluded exactly once"))
             .collect();
         // Workers drop their `Arc` clones before replying, so by now we
-        // hold the only reference and get the buffer back for reuse; if
-        // the unwrap ever loses the race, a fresh Vec merely costs the
+        // hold the only reference and get the arena back for reuse; if
+        // the unwrap ever loses the race, a fresh batch merely costs the
         // caller its recycled capacity.
-        let frames = Arc::try_unwrap(frames).map_or_else(|_| Vec::new(), recycled);
-        (verdicts, frames)
+        let batch = Arc::try_unwrap(batch).map_or_else(
+            |_| EvidenceBatch::default(),
+            |mut batch| {
+                batch.clear();
+                batch
+            },
+        );
+        (verdicts, batch)
     }
 
     /// Frames per pool lane: the batch split as evenly as possible
@@ -655,7 +731,7 @@ impl FleetVerifier {
     ) -> Result<RoundReport, FleetError> {
         let mut engine = RoundEngine::begin(self, ids, RoundConfig::lockstep())?;
         while let Some((device, frame)) = engine.poll_transmit() {
-            transport.send(device, &frame);
+            transport.send(device, frame);
         }
         while let Some(frame) = transport.try_recv() {
             engine.frame_received(&frame);
@@ -792,18 +868,22 @@ mod tests {
         // buffer comes back cleared with its capacity intact — serially
         // with no runtime attached, and on the pool with one.
         let check = |fleet: &FleetVerifier| {
-            let frames: Vec<Vec<u8>> = (0..DEVICES)
-                .map(|id| fleet.begin(DeviceId(id)).unwrap())
-                .collect();
-            let capacity = frames.capacity();
-            let (verdicts, recycled) = fleet.conclude_batch_pooled(frames, 2);
+            let mut batch = EvidenceBatch::default();
+            for id in 0..DEVICES {
+                batch.push_frame(&fleet.begin(DeviceId(id)).unwrap());
+            }
+            let capacity = (batch.bytes.capacity(), batch.items.capacity());
+            let (verdicts, recycled) = fleet.conclude_batch_pooled(batch, 2);
             assert_eq!(verdicts.len(), DEVICES as usize);
             for (i, (device, outcome)) in verdicts.iter().enumerate() {
                 assert_eq!(*device, Some(DeviceId(i as u64)));
                 assert!(outcome.is_err());
             }
             assert!(recycled.is_empty());
-            assert_eq!(recycled.capacity(), capacity);
+            assert_eq!(
+                (recycled.bytes.capacity(), recycled.items.capacity()),
+                capacity
+            );
         };
         assert!(!fleet.has_conclude_pool());
         check(&fleet);

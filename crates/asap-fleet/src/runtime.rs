@@ -665,8 +665,8 @@ where
 }
 
 /// One shared-pool worker: drain conclude jobs until every sender is
-/// gone. The frame and registry handles are dropped *before* the reply
-/// is sent so the dispatching reactor can reclaim its frame buffer
+/// gone. The batch and registry handles are dropped *before* the reply
+/// is sent so the dispatching reactor can reclaim its evidence arena
 /// (`Arc::try_unwrap`) the moment the last reply lands.
 fn run_pool_worker(jobs: &Arc<Mutex<Receiver<ConcludeJob>>>) {
     loop {
@@ -676,15 +676,15 @@ fn run_pool_worker(jobs: &Arc<Mutex<Receiver<ConcludeJob>>>) {
         };
         let ConcludeJob {
             fleet,
-            frames,
+            batch,
             indices,
             reply,
         } = job;
         let verdicts: Vec<_> = indices
             .into_iter()
-            .map(|i| (i, fleet.conclude(&frames[i])))
+            .map(|i| (i, fleet.conclude_at(&batch, i)))
             .collect();
-        drop(frames);
+        drop(batch);
         drop(fleet);
         let _ = reply.send(verdicts);
     }

@@ -2,17 +2,25 @@
 //! is built from, plus the prover-side glue for hosting simulated
 //! devices behind a socket.
 //!
-//! * **The halves** — [`pump_read`] (one non-blocking read attempt into
-//!   a [`StreamDeframer`], every outcome named by [`ReadPump`]) and
-//!   [`WriteQueue`] (a bounded byte queue flushed with partial-write
-//!   backpressure, outcomes named by [`WritePump`]). These are the
-//!   *only* places raw socket reads and writes happen: the
-//!   [`FleetRuntime`](crate::FleetRuntime) reactors and the prover loop
-//!   share them, so framing behaviour cannot drift between the two
+//! * **The halves** — [`pump_read`] (one non-blocking read attempt
+//!   straight into a [`StreamDeframer`]'s buffer, every outcome named
+//!   by [`ReadPump`]) and [`WriteQueue`] (a bounded byte queue flushed
+//!   with partial-write backpressure, outcomes named by [`WritePump`]).
+//!   The [`FleetRuntime`](crate::FleetRuntime) reactors do all their
+//!   socket I/O through these two, and the prover loop reads through
+//!   [`pump_read`] too, so receive framing cannot drift between the two
 //!   ends.
 //! * **The prover side** — [`announce_devices`] and [`serve_frames`]
 //!   are what examples, tests and benches run simulated devices behind
-//!   when they play an out-of-process prover host.
+//!   when they play an out-of-process prover host. Both write with a
+//!   plain blocking `write_all`, one frame at a time, not through a
+//!   [`WriteQueue`]. That is deliberate for responses: routing each
+//!   read's responses through one queued flush cut the verifier's CPU
+//!   per session (4.11 → 3.31 µs over 6 A/B pairs of the `fleet-steady`
+//!   benchmark on a 2-vCPU host) but raised the median round latency (2.20 → 2.41 ms)
+//!   and lowered sessions/s (214k → 205k), because the reactor then
+//!   waited on ~80-frame bursts instead of concluding evidence as it
+//!   trickled in.
 
 use crate::DeviceId;
 use apex_pox::wire::{frame_stream, Envelope, StreamDeframer, MAX_FRAME_LEN};
@@ -39,19 +47,18 @@ pub enum ReadPump {
 }
 
 /// One read attempt from `stream` into `deframer` — the shared receive
-/// half. Never loops waiting for data: a non-blocking socket yields
-/// [`ReadPump::Idle`] immediately, a timeout-configured one after at
-/// most its read timeout. `Interrupted` is retried, since it carries no
-/// information about the stream.
+/// half. The bytes land directly in the deframer's buffer
+/// ([`StreamDeframer::read_from`]), at most
+/// [`READ_CHUNK`](apex_pox::wire::READ_CHUNK) of them. Never loops
+/// waiting for data: a non-blocking socket yields [`ReadPump::Idle`]
+/// immediately, a timeout-configured one after at most its read
+/// timeout. `Interrupted` is retried, since it carries no information
+/// about the stream.
 pub fn pump_read<S: Read + ?Sized>(stream: &mut S, deframer: &mut StreamDeframer) -> ReadPump {
-    let mut chunk = [0u8; 4096];
     loop {
-        match stream.read(&mut chunk) {
+        match deframer.read_from(stream) {
             Ok(0) => return ReadPump::Closed,
-            Ok(n) => {
-                deframer.extend(&chunk[..n]);
-                return ReadPump::Bytes(n);
-            }
+            Ok(n) => return ReadPump::Bytes(n),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) if is_not_ready(e.kind()) => return ReadPump::Idle,
             Err(_) => return ReadPump::Broken,
@@ -197,7 +204,7 @@ pub fn serve_frames<S: Read + Write>(
     loop {
         match deframer.next_frame() {
             Ok(Some(frame)) => {
-                let Ok(envelope) = Envelope::from_bytes(&frame) else {
+                let Ok(envelope) = Envelope::from_bytes(frame) else {
                     continue; // A prover ignores garbled frames.
                 };
                 let id = DeviceId(envelope.device_id);
@@ -340,7 +347,7 @@ mod tests {
                 .next_frame()
                 .expect("framing intact")
                 .expect("frame complete");
-            assert_eq!(&frame_stream(&got), frame, "frame {d} round-trips");
+            assert_eq!(&frame_stream(got), frame, "frame {d} round-trips");
         }
         assert!(matches!(deframer.next_frame(), Ok(None)), "no residue");
     }

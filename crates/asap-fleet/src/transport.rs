@@ -84,13 +84,13 @@ impl Loopback {
     /// tests and scenario priming that need a specific device's frame
     /// in hand; round driving goes through [`Transport`].
     pub fn exchange(&mut self, device: DeviceId, frame: &[u8]) -> Option<Vec<u8>> {
-        let envelope = Envelope::from_bytes(frame).ok()?;
+        let (addressee, payload) = Envelope::parse(frame).ok()?;
         // A prover ignores frames addressed to somebody else.
-        if envelope.device_id != device.0 {
+        if addressee != device.0 {
             return None;
         }
         let prover = self.devices.get_mut(&device)?;
-        let response = prover.attest_bytes(&envelope.payload).ok()?;
+        let response = prover.attest_bytes(payload).ok()?;
         Some(Envelope::wrap(device.0, response).to_bytes())
     }
 }

@@ -376,8 +376,8 @@ impl ScenarioHarness {
         // Drain the engine's request frames (challenge order == plan
         // order) and script each device's response frame, if any.
         let mut requests: Vec<(DeviceId, Vec<u8>)> = Vec::with_capacity(self.plans.len());
-        while let Some(tx) = engine.poll_transmit() {
-            requests.push(tx);
+        while let Some((id, request)) = engine.poll_transmit() {
+            requests.push((id, request.to_vec()));
         }
         let mut frames: Vec<Option<Vec<u8>>> = Vec::with_capacity(requests.len());
         let mut swap_pending: Option<usize> = None;
@@ -796,6 +796,7 @@ impl<C: GatewayConn> ProverPool<C> {
                 };
                 match prover.deframer.next_frame() {
                     Ok(Some(request)) => {
+                        let request = request.to_vec();
                         let id = prover.id;
                         match prover.scenario {
                             Scenario::Honest => {

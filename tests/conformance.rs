@@ -231,7 +231,7 @@ mod envelope_golden {
         let mut deframer = StreamDeframer::new();
         deframer.extend(&pox_crypto::hex::decode(&fixture).unwrap());
         let frame = deframer.next_frame().unwrap().expect("one whole frame");
-        assert_eq!(&Envelope::from_bytes(&frame).unwrap(), envelope);
+        assert_eq!(&Envelope::from_bytes(frame).unwrap(), envelope);
         assert_eq!(deframer.next_frame(), Ok(None));
         assert_eq!(deframer.pending(), 0, "nothing left over");
     }

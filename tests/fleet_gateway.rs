@@ -344,7 +344,7 @@ fn foreign_hello_hijack_cannot_falsify_a_verdict() {
     device.run_steps(6);
     device.set_button(0, true);
     assert!(device.run_until_pc(programs::done_pc(), 10_000));
-    let payload = Envelope::from_bytes(&challenge).unwrap().payload;
+    let payload = Envelope::from_bytes(challenge).unwrap().payload;
     let response = device.attest_bytes(&payload).unwrap();
     b_prover
         .write_all(&frame_stream(&Envelope::wrap(1, response).to_bytes()))

@@ -175,7 +175,7 @@ proptest! {
             let mut i = 0usize;
             while let Some((id, request)) = engine.poll_transmit() {
                 if answer_bits >> i & 1 == 1 {
-                    let frame = fabric.exchange(id, &request).unwrap();
+                    let frame = fabric.exchange(id, request).unwrap();
                     events.push((rng.next_u64() % DEADLINE, frame));
                 }
                 i += 1;

@@ -314,7 +314,7 @@ fn reversed_delivery_order_verifies_every_device() {
         RoundEngine::begin(&fleet, &ids, RoundConfig::new(LogicalTime(0), 10)).unwrap();
     let mut responses = Vec::new();
     while let Some((id, request)) = engine.poll_transmit() {
-        responses.push(fabric.exchange(id, &request).unwrap());
+        responses.push(fabric.exchange(id, request).unwrap());
     }
     // Device 6 answers first, device 1 last, one tick apart.
     for (t, frame) in responses.iter().rev().enumerate() {

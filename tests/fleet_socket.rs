@@ -152,7 +152,7 @@ proptest! {
             deframer.extend(&stream[offset..offset + n]);
             offset += n;
             while let Some(frame) = deframer.next_frame().unwrap() {
-                got.push(frame);
+                got.push(frame.to_vec());
             }
         }
         prop_assert_eq!(got, frames);
