@@ -99,7 +99,7 @@ use crate::round::{RoundOutcome, RoundReport};
 use crate::runtime::GatewayConn;
 use crate::stream::{pump_read, ReadPump, WritePump, WriteQueue};
 use crate::DeviceId;
-use apex_pox::wire::{Envelope, StreamDeframer, READ_CHUNK};
+use apex_pox::wire::{frame_stream_into, Envelope, StreamDeframer, READ_CHUNK};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
@@ -500,10 +500,8 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         let mut spans = std::mem::take(&mut self.tx_spans);
         for e in &mut self.engines {
             while let Some((device, frame)) = e.engine.poll_transmit() {
-                // The stream framing of `frame_stream`, written in place.
                 let start = bytes.len();
-                bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(frame);
+                frame_stream_into(&mut bytes, frame);
                 spans.push((device, start, bytes.len()));
             }
         }

@@ -165,10 +165,13 @@ impl<C: GatewayConn> GatewayListener for NoListener<C> {
     }
 }
 
-/// Idle sweeps that merely yield before a reactor starts napping.
-const IDLE_YIELDS: u32 = 64;
-/// The longest a napping reactor leaves its sockets unpolled. Mail
-/// ends a nap at once.
+/// The one idle-pacing constant. A reactor with epochs in flight
+/// sweeps and yields while its last progress is less than `IDLE_NAP`
+/// old, so a prover's burst of responses never finds it asleep; once
+/// it has gone `IDLE_NAP` without progress, it naps on its inbox for
+/// up to `IDLE_NAP` between sweeps. Mail ends a nap at once; sockets
+/// cannot, so a silent prover costs at most `IDLE_NAP` of spinning
+/// after the last byte.
 const IDLE_NAP: Duration = Duration::from_millis(1);
 
 /// One epoch's completion, mailed from a reactor to the driver: the
@@ -714,7 +717,7 @@ fn run_reactor_persistent<C: GatewayConn>(
     let mut state: ReactorState<C> = ReactorState::new();
     let mut run = ReactorRun::new(me, reactors, fleet, &mut state, route, mates, workers);
 
-    let mut idle_streak = 0u32;
+    let mut last_progress = Instant::now();
     loop {
         if run.engines.is_empty()
             && run.pending_begins.is_empty()
@@ -729,7 +732,7 @@ fn run_reactor_persistent<C: GatewayConn>(
                 Ok(msg) => run.absorb(msg),
                 Err(_) => return, // the runtime is gone
             }
-            idle_streak = 0;
+            last_progress = Instant::now();
         }
         run.progressed = false;
         run.drain_inbox(inbox);
@@ -753,27 +756,24 @@ fn run_reactor_persistent<C: GatewayConn>(
                 stats: run.state.stats(),
             });
         }
+        // Pace even with no local engines: the fleet is live (otherwise
+        // we would have parked above), so this reactor is only lending
+        // its sockets to siblings.
         if run.progressed {
-            idle_streak = 0;
+            last_progress = Instant::now();
+        } else if last_progress.elapsed() < IDLE_NAP {
+            std::thread::yield_now();
         } else {
-            // Pace even with no local engines: the fleet is live
-            // (otherwise we would have parked above), so this reactor
-            // is only lending its sockets to siblings.
-            idle_streak += 1;
-            if idle_streak <= IDLE_YIELDS {
-                std::thread::yield_now();
-            } else {
-                // Nap on the inbox, not in a sleep: sockets can only be
-                // polled, but mail (above all the next epoch's `Begin`)
-                // must not wait out the nap.
-                match inbox.recv_timeout(IDLE_NAP) {
-                    Ok(msg) => {
-                        run.absorb(msg);
-                        idle_streak = 0;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
+            // Nap on the inbox, not in a sleep: sockets can only be
+            // polled, but mail (above all the next epoch's `Begin`)
+            // must not wait out the nap.
+            match inbox.recv_timeout(IDLE_NAP) {
+                Ok(msg) => {
+                    run.absorb(msg);
+                    last_progress = Instant::now();
                 }
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => return,
             }
         }
     }

@@ -13,17 +13,31 @@
 //! * **The prover side** — [`announce_devices`] and [`serve_frames`]
 //!   are what examples, tests and benches run simulated devices behind
 //!   when they play an out-of-process prover host. Both write with a
-//!   plain blocking `write_all`, one frame at a time, not through a
-//!   [`WriteQueue`]. That is deliberate for responses: routing each
-//!   read's responses through one queued flush cut the verifier's CPU
-//!   per session (4.11 → 3.31 µs over 6 A/B pairs of the `fleet-steady`
-//!   benchmark on a 2-vCPU host) but raised the median round latency (2.20 → 2.41 ms)
-//!   and lowered sessions/s (214k → 205k), because the reactor then
-//!   waited on ~80-frame bursts instead of concluding evidence as it
-//!   trickled in.
+//!   plain blocking `write_all`, not through a [`WriteQueue`], and both
+//!   write in bursts: an announcement's hellos in one write, and the
+//!   responses to every frame one read delivered (at most
+//!   [`READ_CHUNK`](apex_pox::wire::READ_CHUNK) bytes, about 90 fig4
+//!   challenges) in one write before the next read. The bytes on the
+//!   wire are those of one [`frame_stream`](apex_pox::wire::frame_stream)
+//!   per frame.
+//!
+//!   One write per response cost the prover a syscall per session, and
+//!   the reactor read the responses a few frames at a time. Bursts
+//!   alone did not pay: a reactor then napped 1 ms after 64 idle
+//!   yields, no socket can end that nap, and so it slept through the
+//!   very bursts it was waiting for (6 A/B pairs of 10 s on the
+//!   `fleet-steady` benchmark, 2-vCPU host: sessions/s 220k → 209k,
+//!   median round 1.99 → 2.12 ms). With the reactor paced by time since
+//!   its last progress (`IDLE_NAP` in the runtime), bursts cut the
+//!   verifier's CPU per session 3.53 → 2.78 µs and raised sessions/s
+//!   222k → 282k (medians of 10 interleaved 30 s pairs of
+//!   `fleet-steady`, same host); traced runs put the prover's CPU per
+//!   session at 1.5–2.2 µs instead of 2.7–3.9 µs.
 
 use crate::DeviceId;
-use apex_pox::wire::{frame_stream, Envelope, StreamDeframer, MAX_FRAME_LEN};
+use apex_pox::wire::{
+    frame_stream_into, Envelope, StreamDeframer, ENVELOPE_OVERHEAD, MAX_FRAME_LEN,
+};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 
@@ -173,7 +187,8 @@ impl WriteQueue {
 
 /// Announces the devices hosted behind `stream` to a
 /// [`FleetRuntime`](crate::FleetRuntime): one *hello* frame — an
-/// [`Envelope`] with an empty payload — per id. The runtime never
+/// [`Envelope`] with an empty payload — per id, all of them gathered
+/// into one buffer and sent with one `write_all`. The runtime never
 /// judges a hello; it only learns "frames for this device go to this
 /// connection", which is how challenges find provers that dialed in.
 ///
@@ -181,16 +196,26 @@ impl WriteQueue {
 ///
 /// Any write error from the stream.
 pub fn announce_devices<S: Write>(stream: &mut S, ids: &[DeviceId]) -> std::io::Result<()> {
+    let mut hellos = Vec::with_capacity(ids.len() * (4 + ENVELOPE_OVERHEAD as usize));
     for &id in ids {
-        stream.write_all(&frame_stream(&Envelope::wrap(id.0, Vec::new()).to_bytes()))?;
+        frame_stream_into(&mut hellos, &Envelope::wrap(id.0, Vec::new()).to_bytes());
     }
+    stream.write_all(&hellos)?;
     stream.flush()
 }
 
-/// Prover-side frame loop: reads [`frame_stream`]-framed envelopes off
+/// Prover-side frame loop: reads
+/// [`frame_stream`](apex_pox::wire::frame_stream)-framed envelopes off
 /// `stream`, hands each to `respond`, and writes back every frame the
 /// handler returns (`None` models a device that stays silent). Returns
 /// when the peer hangs up or the framing breaks.
+///
+/// Responses go out one burst per read: every complete frame one read
+/// delivered is answered first, the framed responses are gathered into
+/// one reused buffer, and that buffer goes out with one `write_all`
+/// before the next read. A lone challenge is thus still answered at
+/// once, and responses gathered before an oversized frame are written
+/// before the loop gives up on the stream.
 ///
 /// This is the glue an out-of-process prover host needs: the examples,
 /// the socket integration tests and the benches all run simulated
@@ -201,22 +226,30 @@ pub fn serve_frames<S: Read + Write>(
     mut respond: impl FnMut(DeviceId, &Envelope) -> Option<Vec<u8>>,
 ) {
     let mut deframer = StreamDeframer::new();
+    let mut burst = Vec::new();
     loop {
-        match deframer.next_frame() {
-            Ok(Some(frame)) => {
-                let Ok(envelope) = Envelope::from_bytes(frame) else {
-                    continue; // A prover ignores garbled frames.
-                };
-                let id = DeviceId(envelope.device_id);
-                if let Some(response) = respond(id, &envelope) {
-                    if stream.write_all(&frame_stream(&response)).is_err() {
-                        return;
+        let framing_broken = loop {
+            match deframer.next_frame() {
+                Ok(Some(frame)) => {
+                    let Ok(envelope) = Envelope::from_bytes(frame) else {
+                        continue; // A prover ignores garbled frames.
+                    };
+                    if let Some(response) = respond(DeviceId(envelope.device_id), &envelope) {
+                        frame_stream_into(&mut burst, &response);
                     }
                 }
-                continue;
+                Ok(None) => break false,
+                Err(_) => break true, // Oversized frame: boundaries are lost.
             }
-            Ok(None) => {}
-            Err(_) => return, // Oversized frame: boundaries are lost.
+        };
+        if !burst.is_empty() {
+            if stream.write_all(&burst).is_err() {
+                return;
+            }
+            burst.clear();
+        }
+        if framing_broken {
+            return;
         }
         match pump_read(&mut stream, &mut deframer) {
             ReadPump::Bytes(_) | ReadPump::Idle => {}
@@ -228,6 +261,7 @@ pub fn serve_frames<S: Read + Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apex_pox::wire::frame_stream;
 
     /// A stream scripted to accept `accept` bytes per write call, then
     /// report `WouldBlock`.
@@ -350,6 +384,198 @@ mod tests {
             assert_eq!(&frame_stream(got), frame, "frame {d} round-trips");
         }
         assert!(matches!(deframer.next_frame(), Ok(None)), "no residue");
+    }
+
+    #[test]
+    fn announce_devices_sends_every_hello_in_one_write() {
+        let ids: Vec<DeviceId> = (1u64..=40).map(DeviceId).collect();
+        let mut stream = Greedy {
+            writes: 0,
+            written: Vec::new(),
+        };
+        announce_devices(&mut stream, &ids).expect("a greedy stream takes every byte");
+        assert_eq!(stream.writes, 1, "one write for every hello");
+        let expected: Vec<u8> = ids
+            .iter()
+            .flat_map(|id| frame_stream(&Envelope::wrap(id.0, Vec::new()).to_bytes()))
+            .collect();
+        assert_eq!(
+            stream.written, expected,
+            "the same bytes as one frame per hello"
+        );
+    }
+
+    /// One scripted read: bytes delivered at once, or nothing yet.
+    enum Step {
+        Bytes(Vec<u8>),
+        NotReady,
+    }
+
+    /// A prover's socket: reads follow a script (EOF once it runs out),
+    /// writes go to a [`Greedy`] stream, and each read notes how many
+    /// bytes had been written by then.
+    struct Scripted {
+        reads: VecDeque<Step>,
+        out: Greedy,
+        written_at_read: Vec<usize>,
+    }
+
+    impl Scripted {
+        fn new(reads: impl IntoIterator<Item = Step>) -> Scripted {
+            Scripted {
+                reads: reads.into_iter().collect(),
+                out: Greedy {
+                    writes: 0,
+                    written: Vec::new(),
+                },
+                written_at_read: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.written_at_read.push(self.out.written.len());
+            match self.reads.pop_front() {
+                None => Ok(0),
+                Some(Step::NotReady) => Err(ErrorKind::WouldBlock.into()),
+                Some(Step::Bytes(bytes)) => {
+                    assert!(
+                        bytes.len() <= buf.len(),
+                        "script a read the deframer can take"
+                    );
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+            }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.out.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The challenge envelope the tests send `id`.
+    fn envelope_for(id: u64) -> Envelope {
+        Envelope::wrap(id, vec![id as u8; 8 + id as usize])
+    }
+
+    /// A challenge frame for `id`, as the runtime puts it on the wire.
+    fn challenge(id: u64) -> Vec<u8> {
+        frame_stream(&envelope_for(id).to_bytes())
+    }
+
+    /// The test prover's answer to `envelope`; devices 3 and 7 are silent.
+    fn answer(id: DeviceId, envelope: &Envelope) -> Option<Vec<u8>> {
+        if id.0 == 3 || id.0 == 7 {
+            return None;
+        }
+        let payload = envelope.payload.iter().map(|b| b ^ 0xFF).collect();
+        Some(Envelope::wrap(id.0, payload).to_bytes())
+    }
+
+    /// What the wire must carry for `ids`: one framed answer each, in
+    /// order, nothing for a silent device.
+    fn answers(ids: impl IntoIterator<Item = u64>) -> Vec<u8> {
+        ids.into_iter()
+            .filter_map(|id| answer(DeviceId(id), &envelope_for(id)))
+            .flat_map(|response| frame_stream(&response))
+            .collect()
+    }
+
+    fn concat(frames: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
+        frames.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn serve_frames_writes_one_burst_per_read() {
+        // Bursts of 3 and 1 whole frames, a read with nothing to say,
+        // and a frame split across two reads.
+        let split = challenge(6);
+        let mut stream = Scripted::new([
+            Step::Bytes(concat([challenge(1), challenge(2), challenge(4)])),
+            Step::Bytes(challenge(5)),
+            Step::NotReady,
+            Step::Bytes(concat([challenge(8), split[..9].to_vec()])),
+            Step::Bytes(concat([split[9..].to_vec(), challenge(9)])),
+        ]);
+        serve_frames(&mut stream, answer);
+
+        assert_eq!(
+            stream.out.writes, 4,
+            "one write per read that completed frames"
+        );
+        assert_eq!(stream.out.written, answers([1, 2, 4, 5, 8, 6, 9]));
+        // Each burst is on the wire before the next read: a lone
+        // challenge is answered at once, not held for company.
+        let after = |ids: &[u64]| answers(ids.iter().copied()).len();
+        assert_eq!(
+            stream.written_at_read,
+            vec![
+                0,
+                after(&[1, 2, 4]),
+                after(&[1, 2, 4, 5]),
+                after(&[1, 2, 4, 5]),
+                after(&[1, 2, 4, 5, 8]),
+                after(&[1, 2, 4, 5, 8, 6, 9]),
+            ],
+        );
+    }
+
+    #[test]
+    fn serve_frames_writes_nothing_for_silent_or_garbled_frames() {
+        let mut garbled = challenge(5);
+        garbled[4] ^= 0xFF; // a well-framed envelope with a broken magic
+        let mut stream = Scripted::new([
+            Step::Bytes(concat([challenge(1), challenge(3), garbled, challenge(2)])),
+            Step::Bytes(challenge(7)),
+        ]);
+        serve_frames(&mut stream, answer);
+
+        assert_eq!(
+            stream.out.writes, 1,
+            "one write for the burst; silence adds none"
+        );
+        assert_eq!(stream.out.written, answers([1, 2]));
+    }
+
+    #[test]
+    fn serve_frames_writes_the_burst_before_an_oversized_frame() {
+        let oversized = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
+        let mut stream = Scripted::new([
+            Step::Bytes(concat([challenge(1), challenge(2), oversized, vec![0; 32]])),
+            Step::Bytes(challenge(4)),
+        ]);
+        serve_frames(&mut stream, answer);
+
+        assert_eq!(stream.out.writes, 1);
+        assert_eq!(
+            stream.out.written,
+            answers([1, 2]),
+            "answers before the bad frame still go out"
+        );
+        assert_eq!(stream.reads.len(), 1, "no read after framing breaks");
+    }
+
+    #[test]
+    fn serve_frames_returns_on_eof() {
+        let mut silent = Scripted::new([]);
+        serve_frames(&mut silent, answer);
+        assert_eq!((silent.out.writes, silent.written_at_read.len()), (0, 1));
+
+        // EOF right after a burst, and mid-frame: what was whole is answered.
+        let mut stream = Scripted::new([Step::Bytes(concat([
+            challenge(1),
+            challenge(2)[..5].to_vec(),
+        ]))]);
+        serve_frames(&mut stream, answer);
+        assert_eq!(stream.out.writes, 1);
+        assert_eq!(stream.out.written, answers([1]));
     }
 
     #[test]
