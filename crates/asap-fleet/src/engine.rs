@@ -87,7 +87,7 @@ impl RoundConfig {
     /// sub-millisecond budget into a zero-tick deadline, and the
     /// driver's very first `tick` — before a single frame has been
     /// read — would charge every device
-    /// [`FleetError::NoResponse`](crate::FleetError::NoResponse).
+    /// [`FleetError::NoResponse`].
     pub fn realtime(budget: std::time::Duration) -> RoundConfig {
         let ticks = budget.as_micros().div_ceil(1_000).max(1);
         RoundConfig::new(LogicalTime(0), u64::try_from(ticks).unwrap_or(u64::MAX))
@@ -280,7 +280,7 @@ impl<'a> RoundEngine<'a> {
     /// Absorbs one *already-concluded* verdict — the half of
     /// [`frame_received`](RoundEngine::frame_received) below the
     /// [`FleetVerifier::conclude`] call. Drivers that conclude frames
-    /// elsewhere (say, a batch on a worker pool via
+    /// elsewhere (say, a whole batch via
     /// [`FleetVerifier::conclude_batch`]) inject the results here, in
     /// whatever order the report should record them.
     pub fn outcome_received(

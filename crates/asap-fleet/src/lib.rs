@@ -9,9 +9,8 @@
 //!   wire by the [`apex_pox::wire::Envelope`] frame;
 //! * [`FleetVerifier`] — one [`asap::AsapVerifier`] per device behind a
 //!   fixed array of independently locked shards, so sessions on
-//!   different devices never contend; large frame batches verify their
-//!   MACs on the runtime's worker pool
-//!   ([`FleetVerifier::conclude_batch`], [`registry`]);
+//!   different devices never contend; a batch of frames concludes in
+//!   input order ([`FleetVerifier::conclude_batch`], [`registry`]);
 //! * [`RoundEngine`] — the whole round protocol as a **sans-IO state
 //!   machine** ([`engine`]): feed it events (`frame_received`, `tick`
 //!   on injected [`LogicalTime`]), drain actions (`poll_transmit`,
@@ -39,8 +38,8 @@
 //! pinned to a connection; a hangup or poisoned connection charges its
 //! still-awaited devices [`FleetError::NoResponse`] immediately. Each
 //! reactor owns a disjoint partition of every round over the sharded
-//! registry ([`FleetVerifier::reactor_of`]), a shared pool verifies the
-//! MACs, and the per-reactor partials merge into one canonical
+//! registry ([`FleetVerifier::reactor_of`]) and verifies those devices'
+//! MACs itself, and the per-reactor partials merge into one canonical
 //! [`RoundReport`] independent of thread interleaving.
 //! [`run_round`](FleetRuntime::run_round) drives one round;
 //! [`submit_round`](FleetRuntime::submit_round) /
@@ -481,17 +480,13 @@ mod tests {
     }
 
     /// Regression: when one batch carries several frames for the same
-    /// device, the worker pool used to let thread scheduling pick
-    /// which frame claimed the session. The *first frame in input
-    /// order* must win, with repeats settling as `NoSession`.
+    /// device, a worker pool once let thread scheduling pick which
+    /// frame claimed the session. The *first frame in input order*
+    /// must win, with repeats settling as `NoSession`.
     #[test]
     fn batch_duplicates_resolve_in_input_order() {
-        const DEVICES: u64 = crate::registry::POOLED_MIN as u64 + 16; // past the pool floor
+        const DEVICES: u64 = 80;
         let (fleet, mut fabric) = fleet_of(DEVICES);
-        let fleet = std::sync::Arc::new(fleet);
-        fleet.set_parallelism(4); // force the pooled path even on 1 cpu
-        let _pool: FleetRuntime<NoListener<std::os::unix::net::UnixStream>> =
-            FleetRuntime::detached(std::sync::Arc::clone(&fleet), 1, 1);
         let ids: Vec<DeviceId> = (1..=DEVICES).map(DeviceId).collect();
 
         for _ in 0..3 {

@@ -11,7 +11,7 @@
 //!   registry shard hash ([`FleetVerifier::reactor_of`]), so two
 //!   reactors never conclude into the same registry shard.
 //! * **Connections.** Every accepted prover connection gets its own
-//!   deframer and bounded [`WriteQueue`](crate::WriteQueue), and is
+//!   deframer and bounded [`WriteQueue`], and is
 //!   serviced strictly without blocking: a partial write leaves bytes
 //!   queued (`WouldBlock` is backpressure, never a wedged loop), and a
 //!   connection that hangs up, breaks, overflows its write queue,
@@ -24,8 +24,10 @@
 //! than [`READ_CHUNK`] (the socket is drained; the rest waits for the
 //! next sweep) and decodes each frame's envelope **once**, borrowing it
 //! from the deframer: the payload of owned evidence is appended to one
-//! per-sweep byte arena, which the MAC pool shares by `Arc` and the
-//! reactor reuses; nothing else copies it. Outbound, every epoch's
+//! per-sweep byte arena, which the reactor reuses; nothing else copies
+//! it. After the reads, the reactor concludes the sweep's evidence
+//! itself, frame by frame in input order, straight into the epoch
+//! awaiting each device. Outbound, every epoch's
 //! challenges are borrowed from its engine
 //! ([`RoundEngine::poll_transmit`]), length-prefixed into one reused
 //! staging buffer and queued from there. Only parking a challenge and
@@ -327,7 +329,8 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// rounds are not pipelined.
     pub(crate) engines: Vec<EpochRun<'run>>,
     /// Evidence gathered this sweep (local reads + forwarded mail),
-    /// each frame decoded once, concluded as one batch on the MAC pool.
+    /// each frame decoded once, concluded in input order after the
+    /// reads.
     pub(crate) inbound: EvidenceBatch,
     /// Mailed `Charge`s, applied only *after* the sweep's evidence
     /// batch concludes: a mate's channel delivers evidence before the
@@ -345,7 +348,6 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// ... as `(device, start, end)` spans into `tx_bytes`, so pumping
     /// allocates nothing in the steady state.
     tx_spans: Vec<(DeviceId, usize, usize)>,
-    pub(crate) workers: usize,
     pub(crate) progressed: bool,
 }
 
@@ -357,7 +359,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         state: &'run mut ReactorState<C>,
         route: &'run Mutex<HashMap<DeviceId, Route>>,
         mates: &'run [Sender<ReactorMsg<C>>],
-        workers: usize,
     ) -> ReactorRun<'run, C> {
         ReactorRun {
             me,
@@ -373,7 +374,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             shutdown: false,
             tx_bytes: Vec::new(),
             tx_spans: Vec::new(),
-            workers,
             progressed: false,
         }
     }
@@ -758,26 +758,24 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
     }
 
-    /// Concludes the sweep's gathered evidence as one batch (on the
-    /// runtime's MAC pool when it is big enough) and feeds each verdict
-    /// to the epoch awaiting its device. Verdicts that belong to no
-    /// awaited device (unsolicited evidence, unattributable frames)
-    /// land in the oldest in-flight epoch. The inbound buffer comes
-    /// back cleared for the next sweep.
+    /// Concludes the sweep's gathered evidence on this thread, in input
+    /// order, and feeds each verdict straight to the epoch awaiting its
+    /// device. Verdicts that belong to no awaited device (unsolicited
+    /// evidence, unattributable frames) land in the oldest in-flight
+    /// epoch. The inbound buffer is left cleared for the next sweep.
     pub(crate) fn conclude_inbound(&mut self) {
         if self.inbound.is_empty() {
             return;
         }
         self.progressed = true;
-        let batch = std::mem::take(&mut self.inbound);
-        let (verdicts, recycled) = self.fleet.conclude_batch_pooled(batch, self.workers);
-        self.inbound = recycled;
-        for (device, result) in verdicts {
+        for i in 0..self.inbound.len() {
+            let (device, result) = self.fleet.conclude_at(&self.inbound, i);
             let target = device.and_then(|id| self.epoch_awaiting(id)).unwrap_or(0);
             if let Some(e) = self.engines.get_mut(target) {
                 e.engine.outcome_received(device, result);
             }
         }
+        self.inbound.clear();
     }
 
     /// Applies the sweep's mailed hangup charges. Runs after
@@ -877,7 +875,7 @@ mod tests {
                     .map(|me| {
                         let mut state = ReactorState::new();
                         let mut run =
-                            ReactorRun::new(me, reactors, &fleet, &mut state, &route, &mates, 1);
+                            ReactorRun::new(me, reactors, &fleet, &mut state, &route, &mates);
                         run.pending_begins.push(RoundStart {
                             epoch: 0,
                             partition: order
@@ -1078,7 +1076,7 @@ mod tests {
             script: [Step::Bytes(hellos)].into(),
             ..ScriptedConn::default()
         });
-        let mut run = ReactorRun::new(0, 1, &fleet, &mut state, &route, &mates, 1);
+        let mut run = ReactorRun::new(0, 1, &fleet, &mut state, &route, &mates);
         run.pending_begins.push(RoundStart {
             epoch: 0,
             partition: ids.clone(),

@@ -13,6 +13,11 @@
 //! reactor ([`FleetVerifier::reactor_of`]) are fixed for the registry's
 //! whole life: no enrollment, however large, reroutes a round in flight.
 //!
+//! Conclusion always runs on the calling thread. Inside a
+//! [`FleetRuntime`](crate::FleetRuntime), each reactor concludes its
+//! own devices, whose shards no other reactor touches, so the reactors
+//! are the parallelism: there is no separate MAC pool to hand work to.
+//!
 //! Membership can churn while rounds are in flight:
 //! [`remove`](FleetVerifier::remove) bumps a fleet-wide *membership
 //! generation* that [`RoundEngine::sync_membership`] watches, so an
@@ -28,23 +33,14 @@ use apex_pox::protocol::PoxRequest;
 use apex_pox::wire::{Envelope, WireError, ENVELOPE_OVERHEAD};
 use asap::session::{Issued, PoxSession};
 use asap::{AsapVerifier, Attested, VerifierSpec};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 
 /// Number of registry shards, fixed for the registry's whole life:
 /// shard selection ([`FleetVerifier::shard_of`]) is a pure function of
 /// the device id, so a device never changes shard or reactor.
 pub const SHARD_COUNT: usize = 16;
-
-/// Pool-dispatch floor: a batch fans out over the MAC pool only from
-/// this many frames up. Each dispatched chunk costs two mpsc hops and
-/// a worker wake-up. A conclusion takes ~1 µs (SHA-NI MAC from a
-/// cached key), so 64 frames are the ~60 µs of MAC work a dispatch
-/// needs to pay off; a smaller batch concludes faster, and with less
-/// run-to-run jitter, on the calling thread.
-pub(crate) const POOLED_MIN: usize = 64;
 
 /// One concluded frame: the device it was attributed to (when the
 /// envelope decoded) and the per-device verdict.
@@ -84,14 +80,6 @@ impl EvidenceBatch {
         self.items.push((Err(error), self.bytes.len(), 0));
     }
 
-    /// Decodes `frame`'s envelope and adds it.
-    fn push_frame(&mut self, frame: &[u8]) {
-        match Envelope::parse(frame) {
-            Ok((id, payload)) => self.push(DeviceId(id), payload),
-            Err(e) => self.push_unattributable(e),
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
@@ -101,41 +89,10 @@ impl EvidenceBatch {
     }
 
     /// Empties the batch, keeping both allocations for the next sweep.
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bytes.clear();
         self.items.clear();
     }
-}
-
-/// One chunk of MAC-conclusion work dispatched to an attached runtime
-/// pool: conclude `batch` items `indices` against `fleet` and send the
-/// `(input index, verdict)` pairs back over `reply`.
-///
-/// Crate-internal: [`FleetRuntime`](crate::FleetRuntime) owns the
-/// worker threads that consume these; the registry only produces them
-/// (see [`FleetVerifier::conclude_batch`]).
-pub(crate) struct ConcludeJob {
-    pub(crate) fleet: Arc<FleetVerifier>,
-    pub(crate) batch: Arc<EvidenceBatch>,
-    pub(crate) indices: Vec<usize>,
-    pub(crate) reply: Sender<Vec<(usize, Verdict)>>,
-}
-
-/// A runtime-attached conclude pool: where to send [`ConcludeJob`]s,
-/// how many workers drain them, and a weak self-reference so jobs can
-/// carry an owning handle to this very registry.
-struct AttachedPool {
-    tx: Sender<ConcludeJob>,
-    me: Weak<FleetVerifier>,
-    workers: usize,
-}
-
-/// One batch's claim on the attached pool: where to send its jobs, an
-/// owning handle the jobs carry, and how many lanes it may fan over.
-struct Dispatch {
-    tx: Sender<ConcludeJob>,
-    me: Arc<FleetVerifier>,
-    lanes: usize,
 }
 
 /// A verifier for a whole fleet of provers, keyed by [`DeviceId`].
@@ -147,18 +104,14 @@ struct Dispatch {
 pub struct FleetVerifier {
     /// The shard table, fixed at [`SHARD_COUNT`] entries.
     shards: Box<[Mutex<Shard>]>,
-    /// Sizes a runtime's MAC pool; `0` means "follow
-    /// [`std::thread::available_parallelism`]".
+    /// The [`parallelism`](FleetVerifier::parallelism) knob; `0` means
+    /// "follow [`std::thread::available_parallelism`]".
     conclude_workers: AtomicUsize,
     /// Bumped on every [`remove`](FleetVerifier::remove):
     /// [`RoundEngine::sync_membership`] rescans its awaited devices only
     /// when this moved, so churn detection is one atomic load per sweep
     /// in the steady state.
     churn_generation: AtomicU64,
-    /// The shared MAC-conclusion pool a [`FleetRuntime`](crate::FleetRuntime)
-    /// attaches for the lifetime of the runtime; `None` for standalone
-    /// registries, which conclude serially.
-    pool: Mutex<Option<AttachedPool>>,
 }
 
 impl Default for FleetVerifier {
@@ -174,7 +127,6 @@ impl FleetVerifier {
             shards: (0..SHARD_COUNT).map(|_| Mutex::default()).collect(),
             conclude_workers: AtomicUsize::new(0),
             churn_generation: AtomicU64::new(0),
-            pool: Mutex::new(None),
         }
     }
 
@@ -211,19 +163,19 @@ impl FleetVerifier {
         f(&mut self.shards[self.shard_of(id)].lock().unwrap())
     }
 
-    /// Sizes the MAC-conclusion pool of a
-    /// [`FleetRuntime`](crate::FleetRuntime) built over this registry
-    /// afterwards at `workers` threads; `0` restores the default of
-    /// following [`std::thread::available_parallelism`]. Shared with
-    /// the reactor count: each reactor fans a batch over at most
-    /// `parallelism / reactors` lanes, so reactors and MAC workers
-    /// together never oversubscribe the machine.
+    /// Sets the [`parallelism`](FleetVerifier::parallelism) knob; `0`
+    /// restores the default of following
+    /// [`std::thread::available_parallelism`]. The knob sizes no
+    /// thread: every reactor of a [`FleetRuntime`](crate::FleetRuntime)
+    /// concludes its own evidence inline, so a runtime's parallelism is
+    /// its reactor count.
     pub fn set_parallelism(&self, workers: usize) {
         self.conclude_workers.store(workers, Ordering::Relaxed);
     }
 
-    /// The effective MAC-pool size: the configured knob, or
-    /// [`std::thread::available_parallelism`] when unset.
+    /// The knob set by [`set_parallelism`](FleetVerifier::set_parallelism),
+    /// or [`std::thread::available_parallelism`] when unset. Read by
+    /// callers that report it; nothing in this crate sizes work by it.
     pub fn parallelism(&self) -> usize {
         match self.conclude_workers.load(Ordering::Relaxed) {
             0 => std::thread::available_parallelism().map_or(1, usize::from),
@@ -496,182 +448,17 @@ impl FleetVerifier {
             })
     }
 
-    /// Concludes a whole batch of response frames. Results come back in
-    /// **input order**, so callers can feed them to
-    /// [`RoundEngine::outcome_received`] and get the same report a
-    /// serial conclusion would have produced.
+    /// Concludes a whole batch of response frames, serially and in
+    /// **input order**, so callers can feed the results to
+    /// [`RoundEngine::outcome_received`] and get the same report as
+    /// one [`conclude`](FleetVerifier::conclude) per frame.
     ///
-    /// While a [`FleetRuntime`](crate::FleetRuntime) is attached and the
-    /// batch holds at least 64 frames, MAC verification fans out over
-    /// the runtime's worker pool (at most
-    /// [`parallelism`](FleetVerifier::parallelism) lanes); otherwise the
-    /// batch concludes serially on the calling thread. This is where
-    /// the sharded registry earns its sharding: each worker's
-    /// [`conclude`](FleetVerifier::conclude) holds a shard lock only for
-    /// the session pop, and the MAC recomputation — the actual work —
-    /// runs outside all locks.
-    ///
-    /// Duplicates are resolved deterministically: when a batch carries
+    /// Duplicates are therefore deterministic: when a batch carries
     /// *several* frames for the same device, the **first frame in input
-    /// order** contends for the in-flight session, and every later one
-    /// settles as [`FleetError::NoSession`] — exactly what a serial
-    /// pass over the batch would produce, regardless of how the pool
-    /// schedules its workers.
+    /// order** concludes the in-flight session, and every later one
+    /// settles as [`FleetError::NoSession`].
     pub fn conclude_batch(&self, frames: &[Vec<u8>]) -> Vec<Verdict> {
-        match self.pool_for(frames.len(), self.parallelism()) {
-            Some(pool) => {
-                let mut batch = EvidenceBatch::default();
-                for frame in frames {
-                    batch.push_frame(frame);
-                }
-                self.conclude_on_pool(pool, batch).0
-            }
-            None => frames.iter().map(|f| self.conclude(f)).collect(),
-        }
-    }
-
-    /// [`conclude_batch`](FleetVerifier::conclude_batch) over an
-    /// already-decoded, **owned** batch, fanned over at most `lanes`
-    /// pool workers. Hands the batch back **cleared**, so a reactor
-    /// reuses its inbound arena across sweeps instead of reallocating.
-    pub(crate) fn conclude_batch_pooled(
-        &self,
-        mut batch: EvidenceBatch,
-        lanes: usize,
-    ) -> (Vec<Verdict>, EvidenceBatch) {
-        match self.pool_for(batch.len(), lanes) {
-            Some(pool) => self.conclude_on_pool(pool, batch),
-            None => {
-                let verdicts = (0..batch.len())
-                    .map(|i| self.conclude_at(&batch, i))
-                    .collect();
-                batch.clear();
-                (verdicts, batch)
-            }
-        }
-    }
-
-    /// The attached pool and lane count for a batch of `frames`, or
-    /// `None` when the batch should conclude serially: no runtime pool
-    /// attached, fewer than two lanes, or too few frames to pay for the
-    /// channel hops (each dispatched chunk costs two, ~a few µs).
-    fn pool_for(&self, frames: usize, lanes: usize) -> Option<Dispatch> {
-        if frames < POOLED_MIN {
-            return None;
-        }
-        let pool = self.pool.lock().unwrap();
-        let p = pool.as_ref()?;
-        let lanes = lanes.min(p.workers);
-        if lanes < 2 {
-            return None;
-        }
-        Some(Dispatch {
-            tx: p.tx.clone(),
-            me: p.me.upgrade()?,
-            lanes,
-        })
-    }
-
-    /// Fans `batch` over the pool: the first frame per device (in
-    /// input order) races on the workers, repeats are deferred until
-    /// the pool drains and then observe what a serial pass would —
-    /// `NoSession` (or `UnknownDevice`). Undecodable frames carry no
-    /// device id and cannot collide, so they pool freely.
-    fn conclude_on_pool(
-        &self,
-        pool: Dispatch,
-        batch: EvidenceBatch,
-    ) -> (Vec<Verdict>, EvidenceBatch) {
-        let mut seen = HashSet::new();
-        let mut pooled: Vec<usize> = Vec::with_capacity(batch.len());
-        let mut deferred: Vec<usize> = Vec::new();
-        for (i, (parsed, ..)) in batch.items.iter().enumerate() {
-            match parsed {
-                Ok(id) if !seen.insert(*id) => deferred.push(i),
-                _ => pooled.push(i),
-            }
-        }
-
-        let mut results: Vec<Option<Verdict>> = (0..batch.len()).map(|_| None).collect();
-        let batch = Arc::new(batch);
-        let per_lane = Self::chunk_len(pooled.len(), pool.lanes);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        for chunk in pooled.chunks(per_lane) {
-            pool.tx
-                .send(ConcludeJob {
-                    fleet: Arc::clone(&pool.me),
-                    batch: Arc::clone(&batch),
-                    indices: chunk.to_vec(),
-                    reply: reply_tx.clone(),
-                })
-                .expect("runtime pool outlives every attached batch");
-            outstanding += 1;
-        }
-        drop(reply_tx);
-        for _ in 0..outstanding {
-            let batch = reply_rx
-                .recv()
-                .expect("pool workers always reply before exiting");
-            for (i, verdict) in batch {
-                results[i] = Some(verdict);
-            }
-        }
-        for i in deferred {
-            results[i] = Some(self.conclude_at(&batch, i));
-        }
-        let verdicts = results
-            .into_iter()
-            .map(|r| r.expect("every input index concluded exactly once"))
-            .collect();
-        // Workers drop their `Arc` clones before replying, so by now we
-        // hold the only reference and get the arena back for reuse; if
-        // the unwrap ever loses the race, a fresh batch merely costs the
-        // caller its recycled capacity.
-        let batch = Arc::try_unwrap(batch).map_or_else(
-            |_| EvidenceBatch::default(),
-            |mut batch| {
-                batch.clear();
-                batch
-            },
-        );
-        (verdicts, batch)
-    }
-
-    /// Frames per pool lane: the batch split as evenly as possible
-    /// across `lanes` chunks. Never zero, and never capped below the
-    /// requested width, so `chunks(chunk_len(n, w))` yields `min(w, n)`
-    /// chunks.
-    fn chunk_len(frames: usize, lanes: usize) -> usize {
-        frames.div_ceil(lanes.max(1)).max(1)
-    }
-
-    /// Attaches a long-lived MAC-conclusion worker pool: batches big
-    /// enough to fan out dispatch to `tx`. `me` must be a weak handle
-    /// to the very `Arc` wrapping this registry — jobs carry an
-    /// upgraded clone so workers can conclude against it without
-    /// borrowing. Called by [`FleetRuntime`](crate::FleetRuntime) at
-    /// construction.
-    pub(crate) fn attach_conclude_pool(
-        &self,
-        tx: Sender<ConcludeJob>,
-        me: Weak<FleetVerifier>,
-        workers: usize,
-    ) {
-        *self.pool.lock().unwrap() = Some(AttachedPool { tx, me, workers });
-    }
-
-    /// Detaches the runtime pool; subsequent batches conclude serially.
-    /// Called before the runtime shuts its workers down so no batch can
-    /// race a dying pool.
-    pub(crate) fn detach_conclude_pool(&self) {
-        *self.pool.lock().unwrap() = None;
-    }
-
-    /// True when a [`FleetRuntime`](crate::FleetRuntime) pool is
-    /// currently attached.
-    pub fn has_conclude_pool(&self) -> bool {
-        self.pool.lock().unwrap().is_some()
+        frames.iter().map(|f| self.conclude(f)).collect()
     }
 
     /// Concludes a whole round: absorbs every response frame, then
@@ -745,50 +532,6 @@ impl FleetVerifier {
 mod tests {
     use super::*;
 
-    fn chunks_of(frames: usize, workers: usize) -> usize {
-        if frames == 0 {
-            return 0;
-        }
-        frames.div_ceil(FleetVerifier::chunk_len(frames, workers))
-    }
-
-    #[test]
-    fn chunking_uses_every_requested_worker() {
-        // The regression: `workers.min(8)` used to split 64 frames on
-        // a 16-way box into 8 chunks of 8 — half the pool idle.
-        assert_eq!(FleetVerifier::chunk_len(64, 16), 4);
-        assert_eq!(chunks_of(64, 16), 16);
-        assert_eq!(chunks_of(1024, 32), 32);
-    }
-
-    #[test]
-    fn chunking_never_yields_empty_or_excess_chunks() {
-        for frames in [1, 2, 31, 32, 33, 64, 100, 1000] {
-            for workers in [1, 2, 7, 8, 9, 16, 64, 1000] {
-                let len = FleetVerifier::chunk_len(frames, workers);
-                assert!(len >= 1, "chunks must be non-empty");
-                let chunks = chunks_of(frames, workers);
-                assert!(
-                    chunks <= workers.min(frames),
-                    "never more chunks than workers"
-                );
-                // No hard-wired cap (the old `workers.min(8)`): with
-                // enough frames to feed the pool, ceil-chunking keeps
-                // at least half the requested workers busy, however
-                // wide the pool.
-                if frames >= workers {
-                    assert!(
-                        chunks * 2 >= workers,
-                        "{frames} frames / {workers} workers → {chunks}"
-                    );
-                }
-            }
-        }
-        // Degenerate inputs stay sane rather than dividing by zero.
-        assert_eq!(FleetVerifier::chunk_len(0, 8), 1);
-        assert_eq!(FleetVerifier::chunk_len(5, 0), 5);
-    }
-
     #[test]
     fn parallelism_knob_round_trips_and_zero_means_auto() {
         let fleet = FleetVerifier::new();
@@ -846,53 +589,6 @@ mod tests {
         // Removing an unknown id is a no-op, generation included.
         assert!(!fleet.remove(id));
         assert_eq!(fleet.membership_generation(), before + 1);
-    }
-
-    #[test]
-    fn pooled_batch_without_runtime_falls_back_to_scoped() {
-        use crate::runtime::{FleetRuntime, NoListener};
-        use std::os::unix::net::UnixStream;
-
-        const DEVICES: u64 = POOLED_MIN as u64 + 8; // past the pool-dispatch floor
-        let image = asap::programs::fig4_authorized().unwrap();
-        let spec = Arc::new(VerifierSpec::from_image(&image).unwrap());
-        let fleet = Arc::new(FleetVerifier::new());
-        fleet.set_parallelism(2); // two pool lanes even on one cpu
-        for id in 0..DEVICES {
-            fleet
-                .register_shared(DeviceId(id), b"k", Arc::clone(&spec))
-                .unwrap();
-        }
-        // Challenge frames are not evidence: every verdict is a
-        // rejection, but each is *attributed*, in input order, and the
-        // buffer comes back cleared with its capacity intact — serially
-        // with no runtime attached, and on the pool with one.
-        let check = |fleet: &FleetVerifier| {
-            let mut batch = EvidenceBatch::default();
-            for id in 0..DEVICES {
-                batch.push_frame(&fleet.begin(DeviceId(id)).unwrap());
-            }
-            let capacity = (batch.bytes.capacity(), batch.items.capacity());
-            let (verdicts, recycled) = fleet.conclude_batch_pooled(batch, 2);
-            assert_eq!(verdicts.len(), DEVICES as usize);
-            for (i, (device, outcome)) in verdicts.iter().enumerate() {
-                assert_eq!(*device, Some(DeviceId(i as u64)));
-                assert!(outcome.is_err());
-            }
-            assert!(recycled.is_empty());
-            assert_eq!(
-                (recycled.bytes.capacity(), recycled.items.capacity()),
-                capacity
-            );
-        };
-        assert!(!fleet.has_conclude_pool());
-        check(&fleet);
-        let runtime: FleetRuntime<NoListener<UnixStream>> =
-            FleetRuntime::detached(Arc::clone(&fleet), 1, 1);
-        assert!(fleet.has_conclude_pool());
-        check(&fleet);
-        drop(runtime);
-        assert!(!fleet.has_conclude_pool());
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The fleet runtime: the one socket driver. Reactor threads, the
-//! accept supervisor and the MAC-conclusion worker pool, owned
-//! **across** rounds.
+//! The fleet runtime: the one socket driver. Reactor threads and the
+//! accept supervisor, owned **across** rounds.
 //!
 //! A [`FleetRuntime`] owns a listening socket (or none, for socketpair
 //! fabrics fed through [`adopt`](FleetRuntime::adopt)) plus every
@@ -10,13 +9,24 @@
 //! * **Persistent reactors.** Each reactor thread ([`crate::reactor`])
 //!   is spawned at construction, owns its connection slab for life, and
 //!   *parks* on its mail inbox between rounds. A round arrives as a
-//!   [`ReactorMsg::Begin`] descriptor over the same channel that
-//!   carries cross-reactor mail; per-round scratch — deframers, write
-//!   queues, the inbound evidence batch, the transmit staging buffer,
-//!   the cohort partition vectors — is reused, not reallocated.
-//! * **Shared conclude pool.** A fixed pool of MAC workers serves
-//!   every reactor's batches for the lifetime of the runtime; no round
-//!   spawns a thread.
+//!   `Begin` descriptor over the same channel that carries cross-reactor
+//!   mail; per-round scratch — deframers, write queues, the inbound
+//!   evidence batch, the transmit staging buffer, the cohort partition
+//!   vectors — is reused, not reallocated.
+//! * **Inline conclusion.** Each reactor concludes the evidence its
+//!   sweep gathered itself, in input order, straight into the awaiting
+//!   engine. Its devices live in registry shards no other reactor
+//!   touches, so the runtime's parallelism is its reactor count, and no
+//!   round spawns or wakes another thread.
+//! * **Pacing.** While epochs are in flight, a sweep that made no
+//!   progress is followed by a nap on the reactor's inbox, as long as
+//!   the reactor has already been idle, clamped to 10–250 µs
+//!   (`NAP_MIN`, `NAP_MAX`). A reactor that just saw progress thus
+//!   re-sweeps within tens of microseconds, overshooting the end of a
+//!   prover's burst by at most one short nap, while a silent fleet
+//!   costs a few sweeps per millisecond instead of a spinning core.
+//!   Mail ends a nap at once; sockets cannot, because a
+//!   [`GatewayConn`] exposes no readiness to wait on.
 //! * **Accept supervision.** The runtime owns the listener; the driver
 //!   thread accepts and hands off connections round-robin whenever it
 //!   waits on epoch completions.
@@ -50,7 +60,7 @@ use crate::error::FleetError;
 use crate::reactor::{
     merge_reports, ReactorMsg, ReactorRun, ReactorState, ReactorStats, RoundStart, Route,
 };
-use crate::registry::{ConcludeJob, FleetVerifier};
+use crate::registry::FleetVerifier;
 use crate::round::RoundReport;
 use crate::DeviceId;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -165,14 +175,13 @@ impl<C: GatewayConn> GatewayListener for NoListener<C> {
     }
 }
 
-/// The one idle-pacing constant. A reactor with epochs in flight
-/// sweeps and yields while its last progress is less than `IDLE_NAP`
-/// old, so a prover's burst of responses never finds it asleep; once
-/// it has gone `IDLE_NAP` without progress, it naps on its inbox for
-/// up to `IDLE_NAP` between sweeps. Mail ends a nap at once; sockets
-/// cannot, so a silent prover costs at most `IDLE_NAP` of spinning
-/// after the last byte.
-const IDLE_NAP: Duration = Duration::from_millis(1);
+/// The shortest idle nap: a reactor that just saw progress re-sweeps
+/// this soon.
+const NAP_MIN: Duration = Duration::from_micros(10);
+
+/// The longest idle nap, and so the most a silent socket's first bytes
+/// wait for a sweep.
+const NAP_MAX: Duration = Duration::from_micros(250);
 
 /// One epoch's completion, mailed from a reactor to the driver: the
 /// reactor's partial report, its cohort partition for recycling, and a
@@ -209,8 +218,7 @@ impl PendingEpoch {
 /// [`wait_round`](FleetRuntime::wait_round) for pipelined epochs.
 ///
 /// Dropping the runtime shuts everything down: reactors are told to
-/// exit, the conclude pool is detached from the registry and drained,
-/// and every thread is joined.
+/// exit and every thread is joined.
 pub struct FleetRuntime<L: GatewayListener>
 where
     L::Conn: Send + 'static,
@@ -219,7 +227,6 @@ where
     listener: Option<L>,
     mates: Vec<Sender<ReactorMsg<L::Conn>>>,
     reactor_handles: Vec<JoinHandle<()>>,
-    pool_handles: Vec<JoinHandle<()>>,
     done_rx: Receiver<EpochDone>,
     route: Arc<Mutex<HashMap<DeviceId, Route>>>,
     next_reactor: usize,
@@ -307,23 +314,6 @@ where
         let (mates, inboxes): (Vec<Sender<ReactorMsg<L::Conn>>>, Vec<_>) =
             (0..reactors).map(|_| mpsc::channel()).unzip();
 
-        // The shared MAC pool: sized to the registry's parallelism
-        // knob, attached to the registry so conclude batches route to
-        // it for the runtime's whole lifetime.
-        let pool_size = fleet.parallelism();
-        let (job_tx, job_rx) = mpsc::channel::<ConcludeJob>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let pool_handles = (0..pool_size)
-            .map(|_| {
-                let job_rx = Arc::clone(&job_rx);
-                std::thread::spawn(move || run_pool_worker(&job_rx))
-            })
-            .collect();
-        fleet.attach_conclude_pool(job_tx, Arc::downgrade(&fleet), pool_size);
-
-        // Each reactor's conclude batches fan out over its share of
-        // the machine: reactors and MAC lanes divide the same cores.
-        let workers = (fleet.parallelism() / reactors).max(1);
         let live_epochs = Arc::new(AtomicUsize::new(0));
         let reactor_handles = inboxes
             .into_iter()
@@ -336,7 +326,7 @@ where
                 let live = Arc::clone(&live_epochs);
                 std::thread::spawn(move || {
                     run_reactor_persistent(
-                        me, reactors, &fleet, &route, &mates, &inbox, &done, &live, workers,
+                        me, reactors, &fleet, &route, &mates, &inbox, &done, &live,
                     );
                 })
             })
@@ -347,7 +337,6 @@ where
             listener,
             mates,
             reactor_handles,
-            pool_handles,
             done_rx,
             route,
             next_reactor: 0,
@@ -648,10 +637,6 @@ where
     L::Conn: Send + 'static,
 {
     fn drop(&mut self) {
-        // Detach first so no new batch can race the dying pool, then
-        // shut the reactors down; their inboxes keep working until the
-        // senders drop.
-        self.fleet.detach_conclude_pool();
         for mate in &self.mates {
             let _ = mate.send(ReactorMsg::Shutdown);
         }
@@ -659,37 +644,6 @@ where
         for handle in self.reactor_handles.drain(..) {
             let _ = handle.join();
         }
-        // With the registry detached and every reactor joined, no
-        // sender remains; the workers' recv fails and they exit.
-        for handle in self.pool_handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One shared-pool worker: drain conclude jobs until every sender is
-/// gone. The batch and registry handles are dropped *before* the reply
-/// is sent so the dispatching reactor can reclaim its evidence arena
-/// (`Arc::try_unwrap`) the moment the last reply lands.
-fn run_pool_worker(jobs: &Arc<Mutex<Receiver<ConcludeJob>>>) {
-    loop {
-        let job = match jobs.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
-        let ConcludeJob {
-            fleet,
-            batch,
-            indices,
-            reply,
-        } = job;
-        let verdicts: Vec<_> = indices
-            .into_iter()
-            .map(|i| (i, fleet.conclude_at(&batch, i)))
-            .collect();
-        drop(batch);
-        drop(fleet);
-        let _ = reply.send(verdicts);
     }
 }
 
@@ -712,10 +666,9 @@ fn run_reactor_persistent<C: GatewayConn>(
     inbox: &Receiver<ReactorMsg<C>>,
     done: &Sender<EpochDone>,
     live: &Arc<AtomicUsize>,
-    workers: usize,
 ) {
     let mut state: ReactorState<C> = ReactorState::new();
-    let mut run = ReactorRun::new(me, reactors, fleet, &mut state, route, mates, workers);
+    let mut run = ReactorRun::new(me, reactors, fleet, &mut state, route, mates);
 
     let mut last_progress = Instant::now();
     loop {
@@ -761,13 +714,13 @@ fn run_reactor_persistent<C: GatewayConn>(
         // its sockets to siblings.
         if run.progressed {
             last_progress = Instant::now();
-        } else if last_progress.elapsed() < IDLE_NAP {
-            std::thread::yield_now();
         } else {
-            // Nap on the inbox, not in a sleep: sockets can only be
-            // polled, but mail (above all the next epoch's `Begin`)
-            // must not wait out the nap.
-            match inbox.recv_timeout(IDLE_NAP) {
+            // Nap as long as we have been idle, on the inbox rather
+            // than in a sleep: sockets can only be polled, but mail
+            // (above all the next epoch's `Begin`) must not wait out
+            // the nap.
+            let nap = last_progress.elapsed().clamp(NAP_MIN, NAP_MAX);
+            match inbox.recv_timeout(nap) {
                 Ok(msg) => {
                     run.absorb(msg);
                     last_progress = Instant::now();

@@ -22,17 +22,13 @@
 //!   per frame.
 //!
 //!   One write per response cost the prover a syscall per session, and
-//!   the reactor read the responses a few frames at a time. Bursts
-//!   alone did not pay: a reactor then napped 1 ms after 64 idle
-//!   yields, no socket can end that nap, and so it slept through the
-//!   very bursts it was waiting for (6 A/B pairs of 10 s on the
-//!   `fleet-steady` benchmark, 2-vCPU host: sessions/s 220k → 209k,
-//!   median round 1.99 → 2.12 ms). With the reactor paced by time since
-//!   its last progress (`IDLE_NAP` in the runtime), bursts cut the
-//!   verifier's CPU per session 3.53 → 2.78 µs and raised sessions/s
-//!   222k → 282k (medians of 10 interleaved 30 s pairs of
-//!   `fleet-steady`, same host); traced runs put the prover's CPU per
-//!   session at 1.5–2.2 µs instead of 2.7–3.9 µs.
+//!   the reactor read the responses a few frames at a time. Bursts only
+//!   pay with a reactor that is awake when they land: the runtime's
+//!   reactors re-sweep within tens of microseconds of their last
+//!   progress and nap longer only as their idleness grows (see the
+//!   pacing notes in [`runtime`](crate::runtime)), so a burst is
+//!   overshot by at most one short nap. The prover reuses one scratch
+//!   [`Envelope`] for every challenge it decodes.
 
 use crate::DeviceId;
 use apex_pox::wire::{
@@ -215,7 +211,9 @@ pub fn announce_devices<S: Write>(stream: &mut S, ids: &[DeviceId]) -> std::io::
 /// one reused buffer, and that buffer goes out with one `write_all`
 /// before the next read. A lone challenge is thus still answered at
 /// once, and responses gathered before an oversized frame are written
-/// before the loop gives up on the stream.
+/// before the loop gives up on the stream. Each frame is decoded with
+/// [`Envelope::parse`] into one scratch [`Envelope`] that the loop
+/// refills, so a challenge costs no allocation of its own.
 ///
 /// This is the glue an out-of-process prover host needs: the examples,
 /// the socket integration tests and the benches all run simulated
@@ -227,14 +225,18 @@ pub fn serve_frames<S: Read + Write>(
 ) {
     let mut deframer = StreamDeframer::new();
     let mut burst = Vec::new();
+    let mut envelope = Envelope::wrap(0, Vec::new());
     loop {
         let framing_broken = loop {
             match deframer.next_frame() {
                 Ok(Some(frame)) => {
-                    let Ok(envelope) = Envelope::from_bytes(frame) else {
+                    let Ok((device_id, payload)) = Envelope::parse(frame) else {
                         continue; // A prover ignores garbled frames.
                     };
-                    if let Some(response) = respond(DeviceId(envelope.device_id), &envelope) {
+                    envelope.device_id = device_id;
+                    envelope.payload.clear();
+                    envelope.payload.extend_from_slice(payload);
+                    if let Some(response) = respond(DeviceId(device_id), &envelope) {
                         frame_stream_into(&mut burst, &response);
                     }
                 }
@@ -576,6 +578,108 @@ mod tests {
         serve_frames(&mut stream, answer);
         assert_eq!(stream.out.writes, 1);
         assert_eq!(stream.out.written, answers([1]));
+    }
+
+    /// `serve_frames` as it was before the scratch envelope: one owned
+    /// [`Envelope::from_bytes`] per frame. The reference the
+    /// allocation-free loop is checked against.
+    fn serve_frames_by_copy<S: Read + Write>(
+        mut stream: S,
+        mut respond: impl FnMut(DeviceId, &Envelope) -> Option<Vec<u8>>,
+    ) {
+        let mut deframer = StreamDeframer::new();
+        let mut burst = Vec::new();
+        loop {
+            let framing_broken = loop {
+                match deframer.next_frame() {
+                    Ok(Some(frame)) => {
+                        let Ok(envelope) = Envelope::from_bytes(frame) else {
+                            continue;
+                        };
+                        if let Some(response) = respond(DeviceId(envelope.device_id), &envelope) {
+                            frame_stream_into(&mut burst, &response);
+                        }
+                    }
+                    Ok(None) => break false,
+                    Err(_) => break true,
+                }
+            };
+            if !burst.is_empty() {
+                if stream.write_all(&burst).is_err() {
+                    return;
+                }
+                burst.clear();
+            }
+            if framing_broken {
+                return;
+            }
+            match pump_read(&mut stream, &mut deframer) {
+                ReadPump::Bytes(_) | ReadPump::Idle => {}
+                ReadPump::Closed | ReadPump::Broken => return,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random frame sequences — challenges of varying size,
+        /// silent devices, garbled envelopes, envelopes with trailing
+        /// bytes and an occasional oversized prefix — cut into reads at
+        /// random points, the scratch-envelope loop writes exactly the
+        /// bytes of the copying reference, in the same writes, and
+        /// hands `respond` the same envelopes.
+        #[test]
+        fn serve_frames_writes_what_the_copying_loop_wrote(
+            frames in proptest::collection::vec((0u64..10, 0u8..6, 0usize..40), 0..24),
+            cuts in proptest::collection::vec(1usize..120, 1..16),
+        ) {
+            let mut wire = Vec::new();
+            for &(id, kind, len) in &frames {
+                let mut envelope = Envelope::wrap(id, vec![id as u8 ^ len as u8; len]).to_bytes();
+                match kind {
+                    0 => envelope[1] ^= 0x5A,      // garbled header
+                    1 => envelope.push(0),          // trailing byte
+                    2 if len == 39 => {
+                        // Oversized prefix: framing is lost for good.
+                        wire.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
+                        continue;
+                    }
+                    _ => {}
+                }
+                wire.extend(frame_stream(&envelope));
+            }
+            let mut reads = Vec::new();
+            let mut rest = wire.as_slice();
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                reads.push(Step::Bytes(head.to_vec()));
+                if cut % 5 == 0 {
+                    reads.push(Step::NotReady);
+                }
+                rest = tail;
+            }
+            let script = || reads.iter().map(|step| match step {
+                Step::Bytes(bytes) => Step::Bytes(bytes.clone()),
+                Step::NotReady => Step::NotReady,
+            });
+            let mut seen = (Vec::new(), Vec::new());
+            let mut scratch = Scripted::new(script());
+            serve_frames(&mut scratch, |id, envelope| {
+                seen.0.push(envelope.clone());
+                answer(id, envelope)
+            });
+            let mut copying = Scripted::new(script());
+            serve_frames_by_copy(&mut copying, |id, envelope| {
+                seen.1.push(envelope.clone());
+                answer(id, envelope)
+            });
+            proptest::prop_assert_eq!(&seen.0, &seen.1);
+            proptest::prop_assert_eq!(&scratch.out.written, &copying.out.written);
+            proptest::prop_assert_eq!(scratch.out.writes, copying.out.writes);
+            proptest::prop_assert_eq!(scratch.written_at_read, copying.written_at_read);
+        }
     }
 
     #[test]

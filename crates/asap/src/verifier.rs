@@ -223,6 +223,21 @@ impl AsapVerifier {
             .collect()
     }
 
+    /// Fails with the first IVT entry, in vector order, that points into
+    /// `er` but is not the trusted ISR entry point of its vector. Walks
+    /// the IVT bytes in place, decoding entries as
+    /// [`parse_ivt`](AsapVerifier::parse_ivt) does.
+    fn check_isr_entries(spec: &VerifierSpec, er: MemRegion, ivt: &[u8]) -> Result<(), AsapError> {
+        for (vector, entry) in ivt.chunks(2).take(IVT_VECTORS as usize).enumerate() {
+            let target = u16::from_le_bytes([entry[0], entry.get(1).copied().unwrap_or(0)]);
+            let vector = vector as u8;
+            if er.contains(target) && spec.trusted_isrs.get(&vector) != Some(&target) {
+                return Err(AsapError::UnexpectedIsrEntry { vector, target });
+            }
+        }
+        Ok(())
+    }
+
     /// Renders vector → target pairs back into an IVT byte image of
     /// `IVT_VECTORS` entries (the inverse of [`AsapVerifier::parse_ivt`]
     /// for in-range vectors).
@@ -251,11 +266,7 @@ impl AsapVerifier {
         }
         let ivt = match (spec.mode, resp.ivt.as_ref()) {
             (PoxMode::Asap, Some(bytes)) => {
-                for (vector, target) in Self::parse_ivt(bytes) {
-                    if req.er.contains(target) && spec.trusted_isrs.get(&vector) != Some(&target) {
-                        return Err(AsapError::UnexpectedIsrEntry { vector, target });
-                    }
-                }
+                Self::check_isr_entries(spec, req.er, bytes)?;
                 Some((spec.ivt_region, bytes.as_slice()))
             }
             (PoxMode::Asap, None) => return Err(AsapError::MissingIvt),
@@ -475,6 +486,58 @@ mod tests {
         assert_eq!(entries[15], (15, 0xE000));
         assert_eq!(entries[0], (0, 0x0000));
         assert_eq!(AsapVerifier::render_ivt(&entries), bytes);
+    }
+
+    /// The reference the in-place walk replaced: collect
+    /// [`AsapVerifier::parse_ivt`], then scan it.
+    fn first_unexpected_by_parse(
+        spec: &VerifierSpec,
+        er: MemRegion,
+        ivt: &[u8],
+    ) -> Result<(), AsapError> {
+        for (vector, target) in AsapVerifier::parse_ivt(ivt) {
+            if er.contains(target) && spec.trusted_isrs.get(&vector) != Some(&target) {
+                return Err(AsapError::UnexpectedIsrEntry { vector, target });
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// For random IVTs — odd lengths, lengths past `IVT_VECTORS`
+        /// entries, targets in and out of `ER`, trusted and untrusted —
+        /// the in-place walk reports the same first
+        /// `UnexpectedIsrEntry` as the `parse_ivt` reference.
+        #[test]
+        fn ivt_walk_matches_parse_ivt(
+            entries in proptest::collection::vec((0u8..4, 0u16..=u16::MAX), 0..20),
+            odd in 0u8..=255,
+            trusted in proptest::collection::vec((0u8..20, 0u8..4), 0..6),
+        ) {
+            // Targets drawn from a few classes so both verdicts occur.
+            let target = |class: u8, raw: u16| match class {
+                0 => 0xE000 + raw % 0x100, // inside ER
+                1 => 0xE020,               // inside ER, often trusted
+                2 => 0xE0FF + raw % 2,     // ER's last byte and one past
+                _ => raw,
+            };
+            let mut ivt: Vec<u8> = entries
+                .iter()
+                .flat_map(|&(class, raw)| target(class, raw).to_le_bytes())
+                .collect();
+            if odd % 2 == 1 {
+                ivt.push(odd);
+            }
+            let trusted: Vec<(u8, u16)> = trusted
+                .iter()
+                .map(|&(vector, class)| (vector, target(class, u16::from(vector))))
+                .collect();
+            let spec = spec(PoxMode::Asap, &trusted);
+            proptest::prop_assert_eq!(
+                AsapVerifier::check_isr_entries(&spec, spec.er, &ivt),
+                first_unexpected_by_parse(&spec, spec.er, &ivt)
+            );
+        }
     }
 
     #[test]

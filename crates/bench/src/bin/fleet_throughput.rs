@@ -245,7 +245,7 @@ fn spawn_hosts(
 
 /// The sustained series: `rounds` consecutive full-fleet rounds driven
 /// through **one** [`FleetRuntime`] — reactors parked between rounds,
-/// connections adopted once, the MAC pool attached for the whole span:
+/// connections adopted once, every reactor concluding its own evidence:
 /// the number a continuous-attestation deployment actually sustains.
 ///
 /// With `churn`, every round is preceded by one seeded leave (the

@@ -1,18 +1,20 @@
 //! The persistent fleet runtime end to end: reactors that park between
-//! rounds instead of being re-spawned, the shared MAC-conclusion pool,
-//! pipelined epochs with byte-identical per-epoch reports across every
-//! reactor count *and* pipeline depth, and verdict attribution under
-//! churn with several epochs in flight.
+//! rounds instead of being re-spawned and nap instead of spinning while
+//! a round is idle, pipelined epochs with byte-identical per-epoch
+//! reports across every reactor count *and* pipeline depth, and verdict
+//! attribution under churn with several epochs in flight.
 
+use apex_pox::wire::{frame_stream, Envelope};
 use asap::{programs, PoxMode, VerifierSpec};
 use asap_bench::fleet::host_gateway_provers;
 use asap_fleet::{
-    DeviceId, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier, LifecycleConfig,
-    NoListener, RoundReport,
+    DeviceId, EpochPlan, FleetDirectory, FleetError, FleetRuntime, FleetVerifier, GatewayConn,
+    LifecycleConfig, NoListener, RoundReport,
 };
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -72,21 +74,15 @@ fn wait_session_pending(fleet: &FleetVerifier, id: DeviceId) {
 }
 
 /// The headline shape: one runtime, one connection, many rounds. The
-/// reactors park between rounds, the adopted connection survives them
-/// all, and the conclude pool stays attached for the runtime's whole
-/// life.
+/// reactors park between rounds and the adopted connection survives
+/// them all.
 #[test]
 fn persistent_runtime_reuses_connections_across_rounds() {
     let ids: Vec<DeviceId> = (1..=6).map(DeviceId).collect();
     let fleet = fleet_of(&ids);
-    fleet.set_parallelism(4);
 
     let mut runtime: FleetRuntime<NoListener<UnixStream>> =
         FleetRuntime::detached(Arc::clone(&fleet), 2, 1);
-    assert!(
-        fleet.has_conclude_pool(),
-        "building the runtime attaches the shared MAC pool"
-    );
     assert_eq!(runtime.reactors(), 2);
     assert_eq!(runtime.depth(), 1);
 
@@ -107,11 +103,83 @@ fn persistent_runtime_reuses_connections_across_rounds() {
     assert_eq!(fleet.in_flight(), 0, "sessions leaked");
 
     drop(runtime);
-    assert!(
-        !fleet.has_conclude_pool(),
-        "dropping the runtime detaches the pool"
-    );
     host.join().unwrap();
+}
+
+/// A prover connection that announces its devices once and then stays
+/// silent: every later read finds nothing. Counts every read.
+struct SilentConn {
+    hellos: Vec<u8>,
+    reads: Arc<AtomicUsize>,
+}
+
+impl std::io::Read for SilentConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        if self.hellos.is_empty() {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = self.hellos.len().min(buf.len());
+        buf[..n].copy_from_slice(&self.hellos[..n]);
+        self.hellos.drain(..n);
+        Ok(n)
+    }
+}
+
+impl std::io::Write for SilentConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl GatewayConn for SilentConn {
+    fn prepare(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Pacing regression: with an epoch in flight against a prover that
+/// never answers, a reactor naps for as long as it has been idle, up
+/// to 250 µs, instead of yielding and re-reading the socket in a loop.
+/// Over the round's 50 ms window that is at most a few reads per
+/// millisecond. The bound is only an upper limit, so a slow host reads
+/// less and passes; a reactor that spins through its first idle
+/// millisecond reads the socket thousands of times and fails.
+#[test]
+fn an_idle_reactor_naps_instead_of_rereading_its_sockets() {
+    let ids = [DeviceId(1)];
+    let fleet = fleet_of(&ids);
+    let mut runtime: FleetRuntime<NoListener<SilentConn>> =
+        FleetRuntime::detached(Arc::clone(&fleet), 1, 1);
+    let reads = Arc::new(AtomicUsize::new(0));
+    runtime
+        .adopt(SilentConn {
+            hellos: frame_stream(&Envelope::wrap(ids[0].0, Vec::new()).to_bytes()),
+            reads: Arc::clone(&reads),
+        })
+        .unwrap();
+
+    let started = Instant::now();
+    let report = runtime.run_round(&ids, Duration::from_millis(50)).unwrap();
+    let window = started.elapsed();
+    let reads = reads.load(Ordering::Relaxed);
+    assert_eq!(report.outcomes.len(), 1);
+    assert_eq!(
+        report.outcomes[0].result,
+        Err(FleetError::NoResponse(ids[0]))
+    );
+    // Naps double from 10 µs up to 250 µs: a handful of short ones,
+    // then at most one sweep (one read of the silent socket) per
+    // 250 µs. Allow one per 200 µs plus slack for the hello and the
+    // sweeps around the round's start and end.
+    let bound = 16 + window.as_micros() as usize / 200;
+    assert!(
+        reads <= bound,
+        "{reads} reads in {window:?} (bound {bound}): the reactor spins instead of napping"
+    );
 }
 
 /// Submitting an unknown device issues nothing, and a ticket that was
