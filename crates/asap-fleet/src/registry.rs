@@ -16,7 +16,7 @@
 //! Conclusion always runs on the calling thread. Inside a
 //! [`FleetRuntime`](crate::FleetRuntime), each reactor concludes its
 //! own devices, whose shards no other reactor touches, so the reactors
-//! are the parallelism: there is no separate MAC pool to hand work to.
+//! are the parallelism.
 //!
 //! Membership can churn while rounds are in flight:
 //! [`remove`](FleetVerifier::remove) bumps a fleet-wide *membership
