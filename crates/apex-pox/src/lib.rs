@@ -38,5 +38,5 @@ pub mod protocol;
 pub mod wire;
 
 pub use monitor::{exec_kernel, ApexMonitor, ExecIn, ExecState};
-pub use protocol::{labels, pox_items, PoxError, PoxRequest, PoxResponse, PoxVerifier};
+pub use protocol::{labels, pox_items, PoxError, PoxItems, PoxRequest, PoxResponse, PoxVerifier};
 pub use wire::WireError;

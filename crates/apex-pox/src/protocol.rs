@@ -11,6 +11,7 @@ use openmsp430::mem::MemRegion;
 use pox_crypto::hmac::{ct_eq, HmacKey};
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use vrased::protocol::Challenge;
 use vrased::swatt::{attest, MeasuredItem, MAC_LEN};
 
@@ -50,10 +51,27 @@ pub struct PoxResponse {
     pub mac: [u8; MAC_LEN],
 }
 
+/// The measured items of one PoX transcript — `EXEC`, `ER`, `OR` and,
+/// under ASAP, the IVT — held inline, so building them allocates
+/// nothing. Dereferences to the item slice [`attest`] takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PoxItems<'a> {
+    items: [MeasuredItem<'a>; 4],
+    len: usize,
+}
+
+impl<'a> Deref for PoxItems<'a> {
+    type Target = [MeasuredItem<'a>];
+
+    fn deref(&self) -> &[MeasuredItem<'a>] {
+        &self.items[..self.len]
+    }
+}
+
 /// Builds the measured-item list for a PoX measurement. Both the prover
 /// (over device memory) and the verifier (over expected contents) use
 /// this to guarantee transcript agreement. The items borrow the region
-/// bytes; nothing is copied.
+/// bytes; nothing is copied, and the list itself lives on the stack.
 pub fn pox_items<'a>(
     exec: bool,
     er: MemRegion,
@@ -61,30 +79,36 @@ pub fn pox_items<'a>(
     or: MemRegion,
     or_bytes: &'a [u8],
     ivt: Option<(MemRegion, &'a [u8])>,
-) -> Vec<MeasuredItem<'a>> {
-    let mut items = Vec::with_capacity(4);
-    items.push(MeasuredItem::value(
-        labels::EXEC,
-        if exec { &[1] } else { &[0] },
-    ));
-    items.push(MeasuredItem {
-        label: labels::ER,
-        start: er.start(),
-        bytes: er_bytes,
-    });
-    items.push(MeasuredItem {
-        label: labels::OR,
-        start: or.start(),
-        bytes: or_bytes,
-    });
-    if let Some((region, bytes)) = ivt {
-        items.push(MeasuredItem {
-            label: labels::IVT,
-            start: region.start(),
-            bytes,
-        });
+) -> PoxItems<'a> {
+    let (ivt, len) = match ivt {
+        Some((region, bytes)) => (
+            MeasuredItem {
+                label: labels::IVT,
+                start: region.start(),
+                bytes,
+            },
+            4,
+        ),
+        // An unused slot, past `len`: never measured.
+        None => (MeasuredItem::value(labels::IVT, &[]), 3),
+    };
+    PoxItems {
+        items: [
+            MeasuredItem::value(labels::EXEC, if exec { &[1] } else { &[0] }),
+            MeasuredItem {
+                label: labels::ER,
+                start: er.start(),
+                bytes: er_bytes,
+            },
+            MeasuredItem {
+                label: labels::OR,
+                start: or.start(),
+                bytes: or_bytes,
+            },
+            ivt,
+        ],
+        len,
     }
-    items
 }
 
 /// Why PoX verification failed.
@@ -271,5 +295,10 @@ mod tests {
         assert_eq!(items.len(), 4);
         assert_eq!(items[3].label, labels::IVT);
         assert_eq!(items[3].start, 0xFFE0);
+
+        let apex = pox_items(false, region_er(), &[1], region_or(), &[2], None);
+        let measured: Vec<&str> = apex.iter().map(|i| i.label).collect();
+        assert_eq!(measured, [labels::EXEC, labels::ER, labels::OR]);
+        assert_eq!(apex[0].bytes, [0]);
     }
 }

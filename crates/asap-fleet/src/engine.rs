@@ -29,11 +29,12 @@
 //! [`FleetVerifier::run_round`]: crate::FleetVerifier::run_round
 
 use crate::error::FleetError;
+use crate::idhash::IdSet;
 use crate::registry::FleetVerifier;
 use crate::round::{RoundOutcome, RoundReport};
 use crate::DeviceId;
 use asap::Attested;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A point in injected, driver-defined time.
 ///
@@ -135,13 +136,13 @@ pub struct RoundEngine<'a> {
     pending_tx: VecDeque<TxSpan>,
     /// Devices whose queued challenge must no longer reach the wire
     /// (evicted mid-round). Empty unless membership churned.
-    cancelled_tx: HashSet<DeviceId>,
+    cancelled_tx: IdSet<DeviceId>,
     /// Every device this round challenged, in challenge order — the
     /// order expiry walks, so it is deterministic. Settled devices stay
     /// listed; `awaited` says who is still owed.
     challenged: Vec<DeviceId>,
     /// Challenged devices still owed a response.
-    awaited: HashSet<DeviceId>,
+    awaited: IdSet<DeviceId>,
     /// The round deadline every awaited device shares.
     deadline: LogicalTime,
     /// Every settled verdict, in settlement order, for the final report.
@@ -158,7 +159,9 @@ impl<'a> RoundEngine<'a> {
     /// Starts a round: issues one fresh challenge per device (first
     /// occurrence wins, as in [`FleetVerifier::begin_round`]) and
     /// queues the request frames for [`poll_transmit`]. Every device's
-    /// deadline is `config.started_at + config.deadline_after`.
+    /// deadline is `config.started_at + config.deadline_after`. A
+    /// device removed from the fleet while the call runs settles as
+    /// [`FleetError::Evicted`].
     ///
     /// # Errors
     ///
@@ -170,23 +173,42 @@ impl<'a> RoundEngine<'a> {
         ids: &[DeviceId],
         config: RoundConfig,
     ) -> Result<RoundEngine<'a>, FleetError> {
+        if let Some(&id) = ids.iter().find(|&&id| !fleet.is_registered(id)) {
+            return Err(FleetError::UnknownDevice(id));
+        }
+        Ok(RoundEngine::begin_settling_leavers(fleet, ids, config))
+    }
+
+    /// [`begin`](RoundEngine::begin) in one pass over ids validated
+    /// earlier (by [`FleetRuntime::submit_round`]): each device is issued
+    /// with one shard visit and deduplicated straight into the awaited
+    /// set, and a device that left the fleet since its validation is
+    /// settled as [`FleetError::Evicted`] in this round — the verdict a
+    /// leave landing one sweep later draws from membership sync.
+    ///
+    /// [`FleetRuntime::submit_round`]: crate::FleetRuntime::submit_round
+    pub(crate) fn begin_settling_leavers(
+        fleet: &'a FleetVerifier,
+        ids: &[DeviceId],
+        config: RoundConfig,
+    ) -> RoundEngine<'a> {
         // Snapshot the membership generation *before* issuing, so an
         // eviction racing the challenge issuance is caught by the first
         // `sync_membership` sweep rather than slipping between the two.
         let seen_generation = fleet.membership_generation();
         let mut tx_arena = Vec::new();
-        let spans = fleet.begin_round_packed(ids, &mut tx_arena)?;
+        let mut awaited = IdSet::with_capacity_and_hasher(ids.len(), Default::default());
+        let (spans, left) = fleet.begin_round_packed(ids, &mut tx_arena, &mut awaited);
         let challenged: Vec<DeviceId> = spans.iter().map(|&(device, _, _)| device).collect();
-        let awaited = challenged.iter().copied().collect();
         let pending_tx = spans
             .into_iter()
             .map(|(device, start, len)| TxSpan { device, start, len })
             .collect();
-        Ok(RoundEngine {
+        let mut engine = RoundEngine {
             fleet,
             tx_arena,
             pending_tx,
-            cancelled_tx: HashSet::new(),
+            cancelled_tx: IdSet::default(),
             challenged,
             awaited,
             deadline: config.started_at.plus(config.deadline_after),
@@ -194,7 +216,14 @@ impl<'a> RoundEngine<'a> {
             drained: 0,
             now: config.started_at,
             seen_generation,
-        })
+        };
+        for id in left {
+            engine.settle(RoundOutcome {
+                device: Some(id),
+                result: Err(FleetError::Evicted(id)),
+            });
+        }
+        engine
     }
 
     /// Adopts a round whose challenges were already issued (via
@@ -210,7 +239,7 @@ impl<'a> RoundEngine<'a> {
         config: RoundConfig,
     ) -> RoundEngine<'a> {
         let seen_generation = fleet.membership_generation();
-        let mut awaited = HashSet::new();
+        let mut awaited = IdSet::default();
         let challenged = challenged
             .iter()
             .copied()
@@ -220,7 +249,7 @@ impl<'a> RoundEngine<'a> {
             fleet,
             tx_arena: Vec::new(),
             pending_tx: VecDeque::new(),
-            cancelled_tx: HashSet::new(),
+            cancelled_tx: IdSet::default(),
             challenged,
             awaited,
             deadline: config.started_at.plus(config.deadline_after),
@@ -312,16 +341,6 @@ impl<'a> RoundEngine<'a> {
     /// Returns whether the device was actually awaited.
     pub fn charge_evicted(&mut self, id: DeviceId) -> bool {
         self.charge(id, FleetError::Evicted(id))
-    }
-
-    /// Records [`FleetError::Evicted`] for a device this engine never
-    /// challenged because it left the fleet before the round began —
-    /// so the epoch still carries one verdict per cohort device.
-    pub(crate) fn settle_evicted(&mut self, id: DeviceId) {
-        self.settle(RoundOutcome {
-            device: Some(id),
-            result: Err(FleetError::Evicted(id)),
-        });
     }
 
     fn charge(&mut self, id: DeviceId, verdict: FleetError) -> bool {
@@ -457,7 +476,7 @@ mod tests {
     struct VecModel<'a> {
         fleet: &'a FleetVerifier,
         pending_tx: VecDeque<(DeviceId, Vec<u8>)>,
-        cancelled_tx: HashSet<DeviceId>,
+        cancelled_tx: IdSet<DeviceId>,
         awaiting: Vec<DeviceId>,
         deadline: LogicalTime,
         outcomes: Vec<RoundOutcome>,
@@ -473,7 +492,7 @@ mod tests {
                 fleet,
                 awaiting: frames.iter().map(|&(id, _)| id).collect(),
                 pending_tx: frames.into_iter().collect(),
-                cancelled_tx: HashSet::new(),
+                cancelled_tx: IdSet::default(),
                 deadline: config.started_at.plus(config.deadline_after),
                 outcomes: Vec::new(),
                 now: config.started_at,
@@ -570,6 +589,100 @@ mod tests {
     /// Enrolled ids; ids past `ENROLLED` are never enrolled.
     const ENROLLED: u64 = 8;
 
+    /// `RoundEngine::begin` before the single-pass begin: every id
+    /// validated up front, deduplicated into a `seen` set and issued
+    /// (what [`FleetVerifier::begin_round`] still does), then the
+    /// awaited set built from the challenge order.
+    fn begin_two_pass<'a>(
+        fleet: &'a FleetVerifier,
+        ids: &[DeviceId],
+        config: RoundConfig,
+    ) -> Result<RoundEngine<'a>, FleetError> {
+        let seen_generation = fleet.membership_generation();
+        let frames = fleet.begin_round(ids)?;
+        let mut tx_arena = Vec::new();
+        let mut pending_tx = VecDeque::new();
+        for (device, frame) in &frames {
+            let (start, len) = (tx_arena.len() as u32, frame.len() as u32);
+            pending_tx.push_back(TxSpan {
+                device: *device,
+                start,
+                len,
+            });
+            tx_arena.extend_from_slice(frame);
+        }
+        let challenged: Vec<DeviceId> = frames.iter().map(|&(id, _)| id).collect();
+        Ok(RoundEngine {
+            fleet,
+            tx_arena,
+            pending_tx,
+            cancelled_tx: IdSet::default(),
+            awaited: challenged.iter().copied().collect(),
+            challenged,
+            deadline: config.started_at.plus(config.deadline_after),
+            outcomes: Vec::new(),
+            drained: 0,
+            now: config.started_at,
+            seen_generation,
+        })
+    }
+
+    /// The reactor's begin before the single-pass begin: the two-pass
+    /// begin, and when a device had left since validation, the
+    /// `begin_without_leavers` retry — begin the devices still enrolled,
+    /// then settle each leaver as `Evicted`.
+    fn begin_with_retry<'a>(
+        fleet: &'a FleetVerifier,
+        partition: &[DeviceId],
+        config: RoundConfig,
+    ) -> RoundEngine<'a> {
+        if let Ok(engine) = begin_two_pass(fleet, partition, config) {
+            return engine;
+        }
+        loop {
+            let (enrolled, left): (Vec<DeviceId>, Vec<DeviceId>) =
+                partition.iter().partition(|&&id| fleet.is_registered(id));
+            if let Ok(mut engine) = begin_two_pass(fleet, &enrolled, config) {
+                for id in left {
+                    engine.settle(RoundOutcome {
+                        device: Some(id),
+                        result: Err(FleetError::Evicted(id)),
+                    });
+                }
+                return engine;
+            }
+        }
+    }
+
+    /// What a begun round shows from outside: the registry's in-flight
+    /// and the engine's awaiting counts after the begin, after half the
+    /// transmits, after a mid-round eviction sweep (with the sweep's own
+    /// count) and after the report; every transmitted frame; and the
+    /// report once the deadline passes.
+    type Observed = (Vec<usize>, Vec<(DeviceId, Vec<u8>)>, RoundReport);
+
+    fn drive(mut engine: RoundEngine<'_>, evict: &[DeviceId]) -> Observed {
+        let fleet = engine.fleet();
+        let mut in_flight = vec![fleet.in_flight(), engine.awaiting()];
+        let mut sent = Vec::new();
+        for _ in 0..engine.pending_tx.len() / 2 {
+            sent.extend(engine.poll_transmit().map(|(id, f)| (id, f.to_vec())));
+        }
+        in_flight.push(fleet.in_flight());
+        for &id in evict {
+            fleet.remove(id);
+        }
+        in_flight.push(engine.sync_membership());
+        while let Some((id, frame)) = engine.poll_transmit() {
+            sent.push((id, frame.to_vec()));
+        }
+        in_flight.extend([fleet.in_flight(), engine.awaiting()]);
+        engine.tick(LogicalTime(u64::MAX));
+        let report = engine.into_report();
+        in_flight.push(fleet.in_flight());
+        (in_flight, sent, report)
+    }
+
     fn fleet() -> FleetVerifier {
         static SPEC: OnceLock<Arc<VerifierSpec>> = OnceLock::new();
         let spec = SPEC.get_or_init(|| {
@@ -586,6 +699,47 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// Over random partitions with duplicates, some of whose devices
+        /// leave after validation and before the begin, and more during
+        /// the round: the reactor's single-pass begin and the two-pass
+        /// begin plus its retry loop give the same in-flight counts,
+        /// the same transmits and the same report. The public `begin`
+        /// still refuses such a partition exactly as the two-pass begin
+        /// did, and matches it on one with no leavers.
+        #[test]
+        fn single_pass_begin_matches_the_two_pass_begin_and_retry(
+            partition in proptest::collection::vec(1..=ENROLLED, 1..16),
+            left in proptest::collection::vec(1..=ENROLLED, 0..4),
+            evict in proptest::collection::vec(1..=ENROLLED, 0..3),
+        ) {
+            let ids: Vec<DeviceId> = partition.into_iter().map(DeviceId).collect();
+            let left: Vec<DeviceId> = left.into_iter().map(DeviceId).collect();
+            let evict: Vec<DeviceId> = evict.into_iter().map(DeviceId).collect();
+            let config = RoundConfig::new(LogicalTime(0), 5);
+            let fleets: [FleetVerifier; 4] = std::array::from_fn(|_| fleet());
+            for fleet in &fleets {
+                for &id in &left {
+                    fleet.remove(id);
+                }
+            }
+            let single = RoundEngine::begin_settling_leavers(&fleets[0], &ids, config);
+            let reference = begin_with_retry(&fleets[1], &ids, config);
+            proptest::prop_assert_eq!(drive(single, &evict), drive(reference, &evict));
+
+            match (
+                RoundEngine::begin(&fleets[2], &ids, config),
+                begin_two_pass(&fleets[3], &ids, config),
+            ) {
+                (Ok(public), Ok(reference)) => {
+                    proptest::prop_assert_eq!(drive(public, &evict), drive(reference, &evict));
+                }
+                (public, reference) => {
+                    proptest::prop_assert_eq!(public.err(), reference.err());
+                    proptest::prop_assert_eq!(fleets[2].in_flight(), 0);
+                }
+            }
+        }
+
         /// Random interleavings of every bookkeeping event — outcomes
         /// for awaited, already-settled, never-challenged, unknown and
         /// unattributable devices, hangup charges, evictions swept in

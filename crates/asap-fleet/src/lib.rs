@@ -137,6 +137,7 @@
 
 pub mod engine;
 pub mod error;
+mod idhash;
 pub mod lifecycle;
 pub mod reactor;
 pub mod registry;

@@ -61,13 +61,14 @@
 //! next epoch's challenge finds the route waiting.
 
 use crate::error::FleetError;
+use crate::idhash::{IdMap, IdSet};
 use crate::registry::FleetVerifier;
 use crate::rng::XorShift64;
 use crate::round::RoundReport;
 use crate::runtime::{FleetRuntime, GatewayListener};
 use crate::DeviceId;
 use asap::VerifierSpec;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -230,10 +231,10 @@ pub struct LifecycleCensus {
 /// Everything behind the directory's one lock. Mutators touch single
 /// entries; only epoch boundaries (and the census) walk the fleet.
 struct DirectoryState {
-    states: HashMap<DeviceId, DeviceState>,
+    states: IdMap<DeviceId, DeviceState>,
     /// Keys staged by [`rekey`](FleetDirectory::rekey), applied at the
     /// next epoch boundary.
-    staged_keys: HashMap<DeviceId, Vec<u8>>,
+    staged_keys: IdMap<DeviceId, Vec<u8>>,
     /// Devices activated at the latest boundary, owed a slot ahead of
     /// the rotation remainder — the "challenged in the next epoch"
     /// guarantee.
@@ -273,8 +274,8 @@ impl FleetDirectory {
                 ..config
             },
             state: Mutex::new(DirectoryState {
-                states: HashMap::new(),
-                staged_keys: HashMap::new(),
+                states: IdMap::default(),
+                staged_keys: IdMap::default(),
                 fresh: VecDeque::new(),
                 queue: VecDeque::new(),
                 recent: VecDeque::new(),
@@ -467,6 +468,12 @@ impl FleetDirectory {
     ///    the rotation queue, reshuffled (seeded) whenever it runs dry.
     ///    Every active device is drawn exactly once per rotation cycle.
     pub fn begin_epoch(&self) -> EpochPlan {
+        self.begin_epoch_with::<IdSet<DeviceId>>()
+    }
+
+    /// [`begin_epoch`](FleetDirectory::begin_epoch), asking `D` whether
+    /// a rotation draw is already in the cohort.
+    fn begin_epoch_with<D: Drawn>(&self) -> EpochPlan {
         let mut state = self.state.lock().unwrap();
         let state = &mut *state;
         state.epoch += 1;
@@ -475,7 +482,7 @@ impl FleetDirectory {
         // runtime may still hold their sessions in flight, so they are
         // excluded from this draw and their rekeys stay staged. Empty
         // at the default window of 1.
-        let recent: HashSet<DeviceId> = state.recent.iter().flatten().copied().collect();
+        let recent: IdSet<DeviceId> = state.recent.iter().flatten().copied().collect();
 
         // 1. Tombstone the drained.
         for s in state.states.values_mut() {
@@ -524,6 +531,7 @@ impl FleetDirectory {
         // Devices in the pipeline window are set aside, not consumed:
         // they keep their place at the head of the next draw.
         let mut cohort = Vec::with_capacity(self.config.cohort.min(64));
+        let mut drawn = D::default();
         let mut deferred_fresh: Vec<DeviceId> = Vec::new();
         let mut skipped: Vec<DeviceId> = Vec::new();
         let mut refilled = false;
@@ -536,6 +544,7 @@ impl FleetDirectory {
                     deferred_fresh.push(id);
                     continue;
                 }
+                drawn.note(id);
                 cohort.push(id);
                 continue;
             }
@@ -560,11 +569,12 @@ impl FleetDirectory {
                 // consumed from the cycle without a second challenge.
                 Some(id)
                     if state.states.get(&id) == Some(&DeviceState::Active)
-                        && !cohort.contains(&id) =>
+                        && !drawn.holds(&cohort, id) =>
                 {
                     if recent.contains(&id) {
                         skipped.push(id);
                     } else {
+                        drawn.note(id);
                         cohort.push(id);
                     }
                 }
@@ -645,6 +655,26 @@ impl FleetDirectory {
     }
 }
 
+/// How a cohort draw asks "is this device in the cohort already?" —
+/// the set the draw keeps, so each rotation draw costs one lookup
+/// rather than a scan of the cohort.
+trait Drawn: Default {
+    /// Records that `id` joined the cohort.
+    fn note(&mut self, id: DeviceId);
+    /// Whether `id` is in `cohort`, the draw so far.
+    fn holds(&self, cohort: &[DeviceId], id: DeviceId) -> bool;
+}
+
+impl Drawn for IdSet<DeviceId> {
+    fn note(&mut self, id: DeviceId) {
+        self.insert(id);
+    }
+
+    fn holds(&self, _cohort: &[DeviceId], id: DeviceId) -> bool {
+        self.contains(&id)
+    }
+}
+
 /// Seeded Fisher–Yates.
 fn shuffle(ids: &mut [DeviceId], rng: &mut XorShift64) {
     for i in (1..ids.len()).rev() {
@@ -656,6 +686,62 @@ fn shuffle(ids: &mut [DeviceId], rng: &mut XorShift64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The draw's old membership test: a linear scan of the cohort on
+    /// every rotation draw. The reference the set is checked against.
+    #[derive(Default)]
+    struct CohortScan;
+
+    impl Drawn for CohortScan {
+        fn note(&mut self, _id: DeviceId) {}
+
+        fn holds(&self, cohort: &[DeviceId], id: DeviceId) -> bool {
+            cohort.contains(&id)
+        }
+    }
+
+    /// Over 60 epochs of seeded churn — joins that draw fresh devices
+    /// ahead of a rotation that holds them too, leaves and rekeys — the
+    /// set-based draw and the cohort scan schedule identical epochs, at
+    /// pipeline windows 1 and 2.
+    #[test]
+    fn drawn_set_schedules_like_the_cohort_scan() {
+        let spec = spec();
+        for window in [1, 2] {
+            let config = LifecycleConfig::new()
+                .cohort(16)
+                .seed(11)
+                .pipeline_window(window);
+            let (by_set, by_scan) = (FleetDirectory::new(config), FleetDirectory::new(config));
+            let mut churn = XorShift64::new(0xC0FFEE + window as u64);
+            let mut next_id = 1u64;
+            for epoch in 0..60 {
+                let joins = if epoch == 0 { 40 } else { churn.below(4) };
+                for _ in 0..joins {
+                    for dir in [&by_set, &by_scan] {
+                        dir.join_shared(DeviceId(next_id), b"k", Arc::clone(&spec))
+                            .unwrap();
+                    }
+                    next_id += 1;
+                }
+                for _ in 0..churn.below(3) {
+                    let id = DeviceId(1 + churn.below(next_id));
+                    assert_eq!(by_set.leave(id), by_scan.leave(id));
+                }
+                for _ in 0..churn.below(3) {
+                    let id = DeviceId(1 + churn.below(next_id));
+                    let key = churn.next_u64().to_le_bytes();
+                    assert_eq!(by_set.rekey(id, &key), by_scan.rekey(id, &key));
+                }
+                assert_eq!(
+                    by_set.begin_epoch_with::<IdSet<DeviceId>>(),
+                    by_scan.begin_epoch_with::<CohortScan>(),
+                    "window {window}, epoch {epoch}"
+                );
+            }
+            assert_eq!(by_set.census(), by_scan.census());
+        }
+    }
 
     fn spec() -> Arc<VerifierSpec> {
         let image = asap::programs::fig4_authorized().unwrap();
@@ -710,7 +796,7 @@ mod tests {
         let dir = directory_of(n, cohort);
         // Two full cycles: every device drawn exactly twice, and no
         // cohort exceeds the bound.
-        let mut drawn: HashMap<DeviceId, usize> = HashMap::new();
+        let mut drawn: IdMap<DeviceId, usize> = IdMap::default();
         for _ in 0..(2 * n as usize / cohort) {
             let plan = dir.begin_epoch();
             assert!(plan.cohort.len() <= cohort);

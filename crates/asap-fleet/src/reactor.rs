@@ -30,7 +30,8 @@
 //! awaiting each device. Outbound, every epoch's
 //! challenges are borrowed from its engine
 //! ([`RoundEngine::poll_transmit`]), length-prefixed into one reused
-//! staging buffer and queued from there. Only parking a challenge and
+//! staging buffer, their routes read under one route-map lock per
+//! sweep, and queued from there. Only parking a challenge and
 //! mailing one to another reactor allocate. Round bookkeeping is O(1)
 //! per outcome: "which epoch awaits this device" is a set lookup per
 //! in-flight epoch.
@@ -96,13 +97,13 @@
 //! clock.
 
 use crate::engine::{LogicalTime, RoundConfig, RoundEngine};
+use crate::idhash::IdMap;
 use crate::registry::{EvidenceBatch, FleetVerifier};
 use crate::round::{RoundOutcome, RoundReport};
 use crate::runtime::GatewayConn;
 use crate::stream::{pump_read, ReadPump, WritePump, WriteQueue};
 use crate::DeviceId;
 use apex_pox::wire::{frame_stream_into, Envelope, StreamDeframer, READ_CHUNK};
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -147,6 +148,13 @@ pub(crate) struct Route {
     pub(crate) reactor: usize,
     pub(crate) slot: usize,
 }
+
+/// The route map every reactor shares: device → where it was last
+/// heard. Unlike the maps keyed by enrolled or challenged ids, its keys
+/// come from hellos that any peer can send, so it keeps std's keyed
+/// SipHash, whose bucket spread holds against chosen keys.
+#[allow(clippy::disallowed_types)] // peer-chosen keys: SipHash on purpose
+pub(crate) type RouteMap = std::collections::HashMap<DeviceId, Route>;
 
 /// Cross-reactor mail. Every variant is fire-and-forget: a message to a
 /// reactor that already stopped is simply dropped.
@@ -216,11 +224,11 @@ pub(crate) struct ReactorState<C> {
     /// Framed challenges for owned devices with no usable route yet,
     /// at most one per device (a re-challenge supersedes the session),
     /// pruned when the epoch that parked them finishes.
-    pub(crate) parked: HashMap<DeviceId, Vec<u8>>,
+    pub(crate) parked: IdMap<DeviceId, Vec<u8>>,
     /// Which local slot each device's challenge was actually sent on —
     /// hangup charging keys on this, never on the (hello-controlled,
     /// last-wins) route map. Pruned like `parked`.
-    pub(crate) delivered: HashMap<DeviceId, usize>,
+    pub(crate) delivered: IdMap<DeviceId, usize>,
     pub(crate) dropped_total: u64,
     /// Hello frames this reactor read for devices the registry has
     /// never enrolled ([`ReactorStats::unknown_device_hellos`]).
@@ -233,8 +241,8 @@ impl<C: GatewayConn> ReactorState<C> {
     pub(crate) fn new() -> ReactorState<C> {
         ReactorState {
             conns: Vec::new(),
-            parked: HashMap::new(),
-            delivered: HashMap::new(),
+            parked: IdMap::default(),
+            delivered: IdMap::default(),
             dropped_total: 0,
             unknown_hellos: 0,
             last_outcomes: 0,
@@ -293,7 +301,8 @@ pub struct ReactorStats {
 /// enter the sort reactor by reactor, so stability alone keeps equal
 /// positions in (reactor, local) order.
 pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> RoundReport {
-    let mut position: HashMap<DeviceId, usize> = HashMap::with_capacity(order.len());
+    let mut position: IdMap<DeviceId, usize> =
+        IdMap::with_capacity_and_hasher(order.len(), Default::default());
     for (at, &id) in order.iter().enumerate() {
         position.entry(id).or_insert(at);
     }
@@ -321,7 +330,7 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     pub(crate) reactors: usize,
     pub(crate) fleet: &'run FleetVerifier,
     pub(crate) state: &'run mut ReactorState<C>,
-    pub(crate) route: &'run Mutex<HashMap<DeviceId, Route>>,
+    pub(crate) route: &'run Mutex<RouteMap>,
     pub(crate) mates: &'run [Sender<ReactorMsg<C>>],
     /// In-flight epochs, oldest first. Verdicts that belong to no
     /// awaited device (unsolicited evidence, unattributable frames)
@@ -345,9 +354,9 @@ pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     /// Reused transmit staging: drained engine challenges, length
     /// prefix included, packed end to end and awaiting routing ...
     tx_bytes: Vec<u8>,
-    /// ... as `(device, start, end)` spans into `tx_bytes`, so pumping
-    /// allocates nothing in the steady state.
-    tx_spans: Vec<(DeviceId, usize, usize)>,
+    /// ... as `(device, route, start, end)` spans into `tx_bytes`, so
+    /// pumping allocates nothing in the steady state.
+    tx_spans: Vec<(DeviceId, Option<Route>, usize, usize)>,
     pub(crate) progressed: bool,
 }
 
@@ -357,7 +366,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         reactors: usize,
         fleet: &'run FleetVerifier,
         state: &'run mut ReactorState<C>,
-        route: &'run Mutex<HashMap<DeviceId, Route>>,
+        route: &'run Mutex<RouteMap>,
         mates: &'run [Sender<ReactorMsg<C>>],
     ) -> ReactorRun<'run, C> {
         ReactorRun {
@@ -399,42 +408,15 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         for start in std::mem::take(&mut self.pending_begins) {
             self.progressed = true;
             let config = RoundConfig::realtime(start.budget);
-            let engine = match RoundEngine::begin(self.fleet, &start.partition, config) {
-                Ok(engine) => engine,
-                // `begin` only fails on an unenrolled id: a cohort
-                // device left between submission and this begin.
-                Err(_) => self.begin_without_leavers(&start.partition, config),
-            };
+            // `submit_round` validated the partition; a device that left
+            // since settles as `Evicted` in this epoch.
+            let engine = RoundEngine::begin_settling_leavers(self.fleet, &start.partition, config);
             self.engines.push(EpochRun {
                 epoch: start.epoch,
                 engine,
                 started: start.started,
                 cohort: start.partition,
             });
-        }
-    }
-
-    /// Begins `partition` minus the devices no longer enrolled, and
-    /// settles each of those as
-    /// [`FleetError::Evicted`](crate::FleetError::Evicted) in this
-    /// epoch — the verdict a leave landing one sweep later would have
-    /// drawn from membership sync. Retries while leaves keep racing the
-    /// begin; each retry sees at least one more leaver, so it ends.
-    fn begin_without_leavers(
-        &self,
-        partition: &[DeviceId],
-        config: RoundConfig,
-    ) -> RoundEngine<'run> {
-        loop {
-            let (enrolled, left): (Vec<DeviceId>, Vec<DeviceId>) = partition
-                .iter()
-                .partition(|&&id| self.fleet.is_registered(id));
-            if let Ok(mut engine) = RoundEngine::begin(self.fleet, &enrolled, config) {
-                for id in left {
-                    engine.settle_evicted(id);
-                }
-                return engine;
-            }
         }
     }
 
@@ -494,21 +476,26 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
 
     /// Drains every in-flight epoch's outbound challenges: queued
     /// locally when the route is ours, mailed to the owning reactor
-    /// when not, parked when the device has no route yet.
+    /// when not, parked when the device has no route yet. Every
+    /// challenge's route is read under one route-map lock, taken at the
+    /// first challenge and released before any is delivered.
     pub(crate) fn pump_transmits(&mut self) {
         let mut bytes = std::mem::take(&mut self.tx_bytes);
         let mut spans = std::mem::take(&mut self.tx_spans);
+        let mut routes = None;
         for e in &mut self.engines {
             while let Some((device, frame)) = e.engine.poll_transmit() {
+                let routes = routes.get_or_insert_with(|| self.route.lock().unwrap());
                 let start = bytes.len();
                 frame_stream_into(&mut bytes, frame);
-                spans.push((device, start, bytes.len()));
+                spans.push((device, routes.get(&device).copied(), start, bytes.len()));
             }
         }
-        for &(device, start, end) in &spans {
+        drop(routes);
+        for &(device, route, start, end) in &spans {
             self.progressed = true;
             let framed = &bytes[start..end];
-            match self.current_route(device) {
+            match route {
                 Some(r) if r.reactor == self.me => self.deliver_on(device, r.slot, framed),
                 Some(r) => self.send(
                     r.reactor,
@@ -841,6 +828,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idhash::IdSet;
     use crate::FleetError;
     use asap::VerifierSpec;
     use std::os::unix::net::UnixStream;
@@ -868,7 +856,7 @@ mod tests {
                 // The cohort passed submission; then one device left.
                 assert!(fleet.remove(gone));
 
-                let route = Mutex::new(HashMap::new());
+                let route = Mutex::new(RouteMap::new());
                 let (mates, _inboxes): (Vec<Sender<ReactorMsg<UnixStream>>>, Vec<_>) =
                     (0..reactors).map(|_| std::sync::mpsc::channel()).unzip();
                 let partials = (0..reactors)
@@ -919,11 +907,11 @@ mod tests {
     /// buckets walked in challenge order. The reference the sort-based
     /// merge is checked against.
     fn merge_by_buckets(order: &[DeviceId], reports: Vec<RoundReport>) -> RoundReport {
-        let challenged: std::collections::HashSet<DeviceId> = order.iter().copied().collect();
-        let mut buckets: Vec<HashMap<DeviceId, Vec<RoundOutcome>>> = Vec::new();
+        let challenged: IdSet<DeviceId> = order.iter().copied().collect();
+        let mut buckets: Vec<IdMap<DeviceId, Vec<RoundOutcome>>> = Vec::new();
         let mut leftovers: Vec<RoundOutcome> = Vec::new();
         for report in reports {
-            let mut bucket: HashMap<DeviceId, Vec<RoundOutcome>> = HashMap::new();
+            let mut bucket: IdMap<DeviceId, Vec<RoundOutcome>> = IdMap::default();
             for outcome in report.outcomes {
                 match outcome.device {
                     Some(id) if challenged.contains(&id) => {
@@ -1064,7 +1052,7 @@ mod tests {
                 .mode(PoxMode::Asap);
             fleet.register(id, &key, spec).unwrap();
         }
-        let route = Mutex::new(HashMap::new());
+        let route = Mutex::new(RouteMap::new());
         let (mates, _inboxes): (Vec<Sender<ReactorMsg<ScriptedConn>>>, Vec<_>) =
             (0..1).map(|_| std::sync::mpsc::channel()).unzip();
         let hellos: Vec<u8> = ids
@@ -1099,7 +1087,7 @@ mod tests {
         assert_eq!(conn.reads, 1, "a short read ends the sweep's reads");
         let mut deframer = StreamDeframer::new();
         deframer.extend(&conn.written);
-        let mut responses = HashMap::new();
+        let mut responses = IdMap::default();
         while let Some(frame) = deframer.next_frame().unwrap() {
             let id = DeviceId(Envelope::parse(frame).unwrap().0);
             responses.insert(id, fabric.exchange(id, frame).unwrap());

@@ -57,13 +57,14 @@
 //! began the epoch.
 
 use crate::error::FleetError;
+use crate::idhash::{IdMap, IdSet};
 use crate::reactor::{
-    merge_reports, ReactorMsg, ReactorRun, ReactorState, ReactorStats, RoundStart, Route,
+    merge_reports, ReactorMsg, ReactorRun, ReactorState, ReactorStats, RoundStart, RouteMap,
 };
 use crate::registry::FleetVerifier;
 use crate::round::RoundReport;
 use crate::DeviceId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
 use std::marker::PhantomData;
 use std::net::{TcpListener, TcpStream};
@@ -228,7 +229,7 @@ where
     mates: Vec<Sender<ReactorMsg<L::Conn>>>,
     reactor_handles: Vec<JoinHandle<()>>,
     done_rx: Receiver<EpochDone>,
-    route: Arc<Mutex<HashMap<DeviceId, Route>>>,
+    route: Arc<Mutex<RouteMap>>,
     next_reactor: usize,
     accepted_total: u64,
     accept_errors: u64,
@@ -243,7 +244,7 @@ where
     /// license to stop servicing sockets.
     live_epochs: Arc<AtomicUsize>,
     pending: VecDeque<PendingEpoch>,
-    merged: HashMap<u64, RoundReport>,
+    merged: IdMap<u64, RoundReport>,
     stats: Vec<ReactorStats>,
     /// Cohort partition vectors handed back by finished epochs, reused
     /// by the next submission.
@@ -309,7 +310,7 @@ where
     ) -> FleetRuntime<L> {
         let reactors = reactors.max(1);
         let depth = depth.max(1);
-        let route = Arc::new(Mutex::new(HashMap::new()));
+        let route = Arc::new(Mutex::new(RouteMap::new()));
         let (done_tx, done_rx) = mpsc::channel();
         let (mates, inboxes): (Vec<Sender<ReactorMsg<L::Conn>>>, Vec<_>) =
             (0..reactors).map(|_| mpsc::channel()).unzip();
@@ -346,7 +347,7 @@ where
             next_epoch: 0,
             live_epochs,
             pending: VecDeque::new(),
-            merged: HashMap::new(),
+            merged: IdMap::default(),
             stats: vec![ReactorStats::default(); reactors],
             partition_pool: Vec::new(),
         }
@@ -455,8 +456,8 @@ where
     /// challenge is issued, nothing is submitted).
     pub fn submit_round(&mut self, ids: &[DeviceId], budget: Duration) -> Result<u64, FleetError> {
         // Validate and dedupe globally before any challenge is issued.
-        let mut seen = HashSet::new();
-        let mut order = Vec::new();
+        let mut seen = IdSet::with_capacity_and_hasher(ids.len(), Default::default());
+        let mut order = Vec::with_capacity(ids.len());
         for &id in ids {
             if !self.fleet.is_registered(id) {
                 return Err(FleetError::UnknownDevice(id));
@@ -661,7 +662,7 @@ fn run_reactor_persistent<C: GatewayConn>(
     me: usize,
     reactors: usize,
     fleet: &Arc<FleetVerifier>,
-    route: &Arc<Mutex<HashMap<DeviceId, Route>>>,
+    route: &Arc<Mutex<RouteMap>>,
     mates: &[Sender<ReactorMsg<C>>],
     inbox: &Receiver<ReactorMsg<C>>,
     done: &Sender<EpochDone>,

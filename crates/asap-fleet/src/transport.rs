@@ -17,10 +17,11 @@
 //! [`send`]: Transport::send
 //! [`try_recv`]: Transport::try_recv
 
+use crate::idhash::IdMap;
 use crate::DeviceId;
 use apex_pox::wire::Envelope;
 use asap::Device;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A non-blocking frame pump between the verifier and its provers.
 pub trait Transport {
@@ -48,7 +49,7 @@ pub trait Transport {
 /// would do, minus the latency.
 #[derive(Default)]
 pub struct Loopback {
-    devices: HashMap<DeviceId, Device>,
+    devices: IdMap<DeviceId, Device>,
     inbox: VecDeque<Vec<u8>>,
 }
 
