@@ -12,15 +12,15 @@
 //! purely because a `tick` crossed the device's deadline, never because
 //! a socket blocked or a timer fired.
 //!
-//! Any driver can feed the engine:
+//! Three drivers feed the engine:
 //!
-//! * lock-step in-memory delivery ([`FleetVerifier::run_round`] over
-//!   [`Loopback`](crate::Loopback));
+//! * [`FleetVerifier::run_round`], the lock-step reference over an
+//!   in-memory [`Loopback`](crate::Loopback);
 //! * the socket reactors of [`FleetRuntime`](crate::FleetRuntime),
 //!   which map elapsed wall-clock milliseconds onto ticks;
-//! * a scripted event schedule (the scenario harness in `asap-bench`),
-//!   where late and out-of-order deliveries are just events at chosen
-//!   ticks.
+//! * a scripted event schedule (the scenario harness in `asap-bench`,
+//!   and the tests), where late and out-of-order deliveries are just
+//!   events at chosen ticks.
 //!
 //! [`frame_received`]: RoundEngine::frame_received
 //! [`tick`]: RoundEngine::tick
@@ -75,8 +75,8 @@ impl RoundConfig {
 
     /// The lock-step policy: the round starts at time zero and the
     /// *first* tick expires every unanswered device — "judge what has
-    /// arrived, charge the rest", which is exactly the old blocking
-    /// `conclude_round` semantics.
+    /// arrived, charge the rest", the policy of
+    /// [`FleetVerifier::run_round`].
     pub fn lockstep() -> RoundConfig {
         RoundConfig::new(LogicalTime(0), 0)
     }
@@ -226,40 +226,6 @@ impl<'a> RoundEngine<'a> {
         engine
     }
 
-    /// Adopts a round whose challenges were already issued (via
-    /// [`FleetVerifier::begin`] or [`begin_round`]): every listed
-    /// device with a session in flight is awaited under `config`'s
-    /// deadline; devices without one are ignored, and nothing is queued
-    /// for transmission.
-    ///
-    /// [`begin_round`]: FleetVerifier::begin_round
-    pub fn resume(
-        fleet: &'a FleetVerifier,
-        challenged: &[DeviceId],
-        config: RoundConfig,
-    ) -> RoundEngine<'a> {
-        let seen_generation = fleet.membership_generation();
-        let mut awaited = IdSet::default();
-        let challenged = challenged
-            .iter()
-            .copied()
-            .filter(|&id| !awaited.contains(&id) && fleet.session_pending(id) && awaited.insert(id))
-            .collect();
-        RoundEngine {
-            fleet,
-            tx_arena: Vec::new(),
-            pending_tx: VecDeque::new(),
-            cancelled_tx: IdSet::default(),
-            challenged,
-            awaited,
-            deadline: config.started_at.plus(config.deadline_after),
-            outcomes: Vec::new(),
-            drained: 0,
-            now: config.started_at,
-            seen_generation,
-        }
-    }
-
     /// The next request frame to put on the wire, with its destination,
     /// borrowed from the engine's transmit arena. Challenges cancelled
     /// by a mid-round eviction are skipped; the poll that finds the
@@ -333,16 +299,6 @@ impl<'a> RoundEngine<'a> {
         self.charge(id, FleetError::NoResponse(id))
     }
 
-    /// Settles one still-awaited device as [`FleetError::Evicted`]
-    /// *now*: the verdict for a device removed from the fleet mid-round
-    /// ([`FleetVerifier::remove`]). Usually invoked for the caller by
-    /// [`sync_membership`](RoundEngine::sync_membership); call it
-    /// directly when the driver already knows exactly who was evicted.
-    /// Returns whether the device was actually awaited.
-    pub fn charge_evicted(&mut self, id: DeviceId) -> bool {
-        self.charge(id, FleetError::Evicted(id))
-    }
-
     fn charge(&mut self, id: DeviceId, verdict: FleetError) -> bool {
         if !self.awaited.remove(&id) {
             return false;
@@ -379,7 +335,7 @@ impl<'a> RoundEngine<'a> {
             .filter(|id| self.awaited.contains(id) && !self.fleet.is_registered(*id))
             .collect();
         for &id in &gone {
-            self.charge_evicted(id);
+            self.charge(id, FleetError::Evicted(id));
         }
         gone.len()
     }

@@ -34,6 +34,10 @@ pub enum FleetError {
     /// leaving it to dangle to a `NoResponse` deadline — via
     /// [`RoundEngine::sync_membership`](crate::RoundEngine::sync_membership).
     Evicted(DeviceId),
+    /// [`FleetRuntime::wait_round`](crate::FleetRuntime::wait_round)
+    /// was handed a ticket that was never issued, or whose report was
+    /// already collected.
+    UnknownTicket(u64),
     /// The envelope itself failed to decode, so the frame cannot be
     /// attributed to any device.
     Frame(WireError),
@@ -67,6 +71,9 @@ impl fmt::Display for FleetError {
             FleetError::Evicted(id) => {
                 write!(f, "device {id} was evicted before its round resolved")
             }
+            FleetError::UnknownTicket(ticket) => {
+                write!(f, "round ticket {ticket} is not in flight")
+            }
             FleetError::Frame(e) => write!(f, "unattributable frame: {e}"),
             FleetError::Rejected(e) => write!(f, "evidence rejected: {e}"),
         }
@@ -99,6 +106,12 @@ mod tests {
         ] {
             assert!(e.to_string().contains("42"), "{e}");
         }
+    }
+
+    #[test]
+    fn unknown_ticket_names_the_ticket_not_a_device() {
+        let e = FleetError::UnknownTicket(7);
+        assert_eq!(e.to_string(), "round ticket 7 is not in flight");
     }
 
     #[test]

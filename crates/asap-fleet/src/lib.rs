@@ -17,15 +17,11 @@
 //!   `poll_outcome`). No I/O, no threads, no clocks — identical event
 //!   schedules give identical [`RoundReport`]s, and a slow prover never
 //!   stalls the round: its deadline just expires;
-//! * batched rounds — [`FleetVerifier::begin_round`] /
-//!   [`FleetVerifier::conclude_round`] / [`FleetVerifier::run_round`]
-//!   are thin lock-step drivers over the engine, judging every response
-//!   with per-device isolation: one garbled or forged frame rejects
-//!   that device alone, never the round ([`round`]);
-//! * [`Transport`] — the non-blocking byte pump (`send` / `try_recv`)
-//!   behind the lock-step reference driver, implemented by the
-//!   in-memory [`Loopback`] wired to real simulated devices
-//!   ([`transport`]).
+//! * lock-step rounds — [`FleetVerifier::run_round`] drives the engine
+//!   over the in-memory [`Loopback`], wired to real simulated devices
+//!   ([`transport`]), judging every response with per-device isolation:
+//!   one garbled or forged frame rejects that device alone, never the
+//!   round ([`round`]).
 //!
 //! # One socket driver, one reference
 //!
@@ -135,6 +131,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(missing_docs)]
+
 pub mod engine;
 pub mod error;
 mod idhash;
@@ -149,16 +147,14 @@ pub mod transport;
 
 pub use engine::{LogicalTime, RoundConfig, RoundEngine};
 pub use error::FleetError;
-pub use lifecycle::{
-    ChurnEvent, DeviceState, EpochPlan, FleetDirectory, LifecycleCensus, LifecycleConfig,
-};
+pub use lifecycle::{DeviceState, EpochPlan, FleetDirectory, LifecycleConfig};
 pub use reactor::{ReactorStats, MAX_ROUTED_PER_CONN};
 pub use registry::{FleetVerifier, Verdict, SHARD_COUNT};
 pub use rng::XorShift64;
 pub use round::{RoundOutcome, RoundReport};
 pub use runtime::{FleetRuntime, GatewayConn, GatewayListener, NoListener};
 pub use stream::{announce_devices, pump_read, serve_frames, ReadPump, WritePump, WriteQueue};
-pub use transport::{Loopback, Transport};
+pub use transport::Loopback;
 
 use std::fmt;
 
@@ -281,13 +277,17 @@ mod tests {
     fn one_bad_frame_never_poisons_the_round() {
         let (fleet, mut fabric) = fleet_of(3);
         let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
-        let requests = fleet.begin_round(&ids).unwrap();
-        let mut frames: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|(id, req)| fabric.exchange(*id, req).unwrap())
-            .collect();
+        let mut engine = RoundEngine::begin(&fleet, &ids, RoundConfig::lockstep()).unwrap();
+        let mut frames = Vec::new();
+        while let Some((id, request)) = engine.poll_transmit() {
+            frames.push(fabric.exchange(id, request).unwrap());
+        }
         frames[1][0] ^= 0xFF; // destroy device 2's envelope magic
-        let report = fleet.conclude_round(&ids, &frames);
+        for frame in &frames {
+            engine.frame_received(frame);
+        }
+        engine.tick(engine.now());
+        let report = engine.into_report();
         assert_eq!(report.verified(), 2, "devices 1 and 3 still verify");
         // The broken frame is unattributable; device 2's dangling
         // session is charged as NoResponse.
@@ -311,20 +311,32 @@ mod tests {
         assert_eq!(result, Err(FleetError::Rejected(AsapError::BadMac)));
     }
 
+    /// The lock-step reference settles every answer in first-occurrence
+    /// challenge order, whatever order the ids came in and however often
+    /// one repeats. An enrolled device with no prover on the fabric
+    /// follows at the deadline tick, charged `NoResponse`.
     #[test]
-    fn loopback_pumps_responses_in_send_order() {
-        let (fleet, mut fabric) = fleet_of(3);
-        let ids: Vec<DeviceId> = (1..=3).map(DeviceId).collect();
-        let requests = fleet.begin_round(&ids).unwrap();
-        for (id, frame) in &requests {
-            fabric.send(*id, frame);
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| fabric.try_recv())
-            .map(|f| apex_pox::wire::Envelope::from_bytes(&f).unwrap().device_id)
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        // Drain the sessions cleanly.
-        fleet.conclude_round(&ids, &[]);
+    fn run_round_settles_answers_in_challenge_order() {
+        let (fleet, mut fabric) = fleet_of(4);
+        let unattached = DeviceId(5);
+        let image = programs::fig4_authorized().unwrap();
+        let spec = VerifierSpec::from_image(&image)
+            .unwrap()
+            .mode(PoxMode::Asap);
+        fleet
+            .register(unattached, &key_for(unattached), spec)
+            .unwrap();
+
+        let ids = [3, 1, 5, 4, 1, 2].map(DeviceId);
+        let report = fleet.run_round(&ids, &mut fabric).unwrap();
+        let order: Vec<Option<DeviceId>> = report.outcomes.iter().map(|o| o.device).collect();
+        assert_eq!(order, [3, 1, 4, 2, 5].map(|raw| Some(DeviceId(raw))));
+        assert_eq!(report.verified(), 4, "every attached device verifies");
+        assert_eq!(
+            report.of(unattached),
+            Some(&Err(FleetError::NoResponse(unattached)))
+        );
+        assert_eq!(fleet.in_flight(), 0);
     }
 
     #[test]

@@ -41,11 +41,9 @@
 //!   mid-round gets challenged in the next epoch" is a scheduler
 //!   invariant, not an accident of queue position.
 //!
-//! * **Churn ingestion.** [`join`](FleetDirectory::join) /
+//! * **Churn at any time.** [`join`](FleetDirectory::join) /
 //!   [`leave`](FleetDirectory::leave) /
-//!   [`rekey`](FleetDirectory::rekey) /
-//!   [`reconnect`](FleetDirectory::reconnect) (or the event form,
-//!   [`apply`](FleetDirectory::apply)) may be called from any thread at
+//!   [`rekey`](FleetDirectory::rekey) may be called from any thread at
 //!   any time, mid-round included. Rekeys are *staged*: the new key
 //!   takes effect at the next epoch boundary, so an in-flight round
 //!   concludes under the key its challenge was MACed with. Joins never
@@ -54,11 +52,13 @@
 //!
 //! Epochs run one of two ways: hand the cohort of
 //! [`begin_epoch`](FleetDirectory::begin_epoch) to
-//! [`FleetVerifier::run_round`] (the lock-step reference over any
-//! `Transport`), or run them pipelined through a persistent runtime with
-//! [`run_epochs_runtime`](FleetDirectory::run_epochs_runtime). The runtime's hello-routing needs no lifecycle
-//! awareness: a joining device's hello records its route today, and the
-//! next epoch's challenge finds the route waiting.
+//! [`FleetVerifier::run_round`] (the lock-step reference over a
+//! [`Loopback`](crate::Loopback)), or run them pipelined through a
+//! persistent runtime with
+//! [`run_epochs_runtime`](FleetDirectory::run_epochs_runtime). The
+//! runtime's hello-routing needs no lifecycle awareness: a joining
+//! device's hello records its route today, and the next epoch's
+//! challenge finds the route waiting.
 
 use crate::error::FleetError;
 use crate::idhash::{IdMap, IdSet};
@@ -103,39 +103,6 @@ impl std::fmt::Display for DeviceState {
         };
         f.write_str(name)
     }
-}
-
-/// One membership churn event, the message form of the
-/// [`FleetDirectory`] mutators — for drivers that ingest churn from a
-/// feed rather than call sites.
-#[derive(Debug, Clone)]
-pub enum ChurnEvent {
-    /// Enroll a device ([`FleetDirectory::join`]).
-    Join {
-        /// The fleet-wide identity to enroll.
-        id: DeviceId,
-        /// The device's shared attestation key.
-        key: Vec<u8>,
-        /// The image-derived spec, shared across same-image devices.
-        spec: Arc<VerifierSpec>,
-    },
-    /// Unenroll a device ([`FleetDirectory::leave`]).
-    Leave {
-        /// The device leaving the fleet.
-        id: DeviceId,
-    },
-    /// Stage a key replacement ([`FleetDirectory::rekey`]).
-    Rekey {
-        /// The device being re-keyed.
-        id: DeviceId,
-        /// The key that takes effect at the next epoch boundary.
-        key: Vec<u8>,
-    },
-    /// Note a device reconnecting ([`FleetDirectory::reconnect`]).
-    Reconnect {
-        /// The device that re-dialed.
-        id: DeviceId,
-    },
 }
 
 /// Construction knobs for a [`FleetDirectory`].
@@ -212,24 +179,8 @@ pub struct EpochPlan {
     pub cohort: Vec<DeviceId>,
 }
 
-/// A point-in-time population count by [`DeviceState`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LifecycleCensus {
-    /// Devices enrolled but not yet activated.
-    pub joining: usize,
-    /// Devices in rotation.
-    pub active: usize,
-    /// Devices with a staged key.
-    pub rekeying: usize,
-    /// Devices that left, awaiting their tombstone.
-    pub draining: usize,
-    /// Tombstoned devices ([`FleetDirectory::purge_evicted`] drops
-    /// them).
-    pub evicted: usize,
-}
-
 /// Everything behind the directory's one lock. Mutators touch single
-/// entries; only epoch boundaries (and the census) walk the fleet.
+/// entries; only epoch boundaries walk the fleet.
 struct DirectoryState {
     states: IdMap<DeviceId, DeviceState>,
     /// Keys staged by [`rekey`](FleetDirectory::rekey), applied at the
@@ -248,7 +199,6 @@ struct DirectoryState {
     recent: VecDeque<Vec<DeviceId>>,
     epoch: u64,
     rng: XorShift64,
-    reconnects: u64,
 }
 
 /// Fleet membership and epoch scheduling over a [`FleetVerifier`].
@@ -281,7 +231,6 @@ impl FleetDirectory {
                 recent: VecDeque::new(),
                 epoch: 0,
                 rng: XorShift64::new(config.seed.max(1)),
-                reconnects: 0,
             }),
         }
     }
@@ -309,56 +258,9 @@ impl FleetDirectory {
         self.state.lock().unwrap().epoch
     }
 
-    /// Reconnects noted so far ([`reconnect`](FleetDirectory::reconnect)).
-    pub fn reconnects(&self) -> u64 {
-        self.state.lock().unwrap().reconnects
-    }
-
     /// One device's lifecycle state, if the directory has ever seen it.
     pub fn state_of(&self, id: DeviceId) -> Option<DeviceState> {
         self.state.lock().unwrap().states.get(&id).copied()
-    }
-
-    /// Population counts by state. Walks the fleet — an operator call,
-    /// not a per-sweep one.
-    pub fn census(&self) -> LifecycleCensus {
-        let state = self.state.lock().unwrap();
-        let mut census = LifecycleCensus::default();
-        for s in state.states.values() {
-            match s {
-                DeviceState::Joining => census.joining += 1,
-                DeviceState::Active => census.active += 1,
-                DeviceState::Rekeying => census.rekeying += 1,
-                DeviceState::Draining => census.draining += 1,
-                DeviceState::Evicted => census.evicted += 1,
-            }
-        }
-        census
-    }
-
-    /// Ingests one churn event — the message form of the four mutators.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::DuplicateDevice`] for a join of a live device;
-    /// [`FleetError::UnknownDevice`] for leave/rekey/reconnect of a
-    /// device not in a state that admits the transition.
-    pub fn apply(&self, event: ChurnEvent) -> Result<(), FleetError> {
-        match event {
-            ChurnEvent::Join { id, key, spec } => self.join_shared(id, &key, spec),
-            ChurnEvent::Leave { id } => self
-                .leave(id)
-                .then_some(())
-                .ok_or(FleetError::UnknownDevice(id)),
-            ChurnEvent::Rekey { id, key } => self
-                .rekey(id, &key)
-                .then_some(())
-                .ok_or(FleetError::UnknownDevice(id)),
-            ChurnEvent::Reconnect { id } => self
-                .reconnect(id)
-                .then_some(())
-                .ok_or(FleetError::UnknownDevice(id)),
-        }
     }
 
     /// Enrolls a device: registered immediately (hellos route, evidence
@@ -424,21 +326,6 @@ impl FleetDirectory {
             Some(s @ (DeviceState::Active | DeviceState::Rekeying)) => {
                 *s = DeviceState::Rekeying;
                 state.staged_keys.insert(id, key.to_vec());
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Notes a device re-dialing in. Pure bookkeeping — routing is the
-    /// runtime's job (the device's next hello moves its route) — but
-    /// the count is the operator's reconnect-storm signal. Returns
-    /// whether the device is live.
-    pub fn reconnect(&self, id: DeviceId) -> bool {
-        let mut state = self.state.lock().unwrap();
-        match state.states.get(&id) {
-            Some(DeviceState::Joining | DeviceState::Active | DeviceState::Rekeying) => {
-                state.reconnects += 1;
                 true
             }
             _ => false,
@@ -739,7 +626,13 @@ mod tests {
                     "window {window}, epoch {epoch}"
                 );
             }
-            assert_eq!(by_set.census(), by_scan.census());
+            for id in (1..next_id).map(DeviceId) {
+                assert_eq!(
+                    by_set.state_of(id),
+                    by_scan.state_of(id),
+                    "window {window}, {id}"
+                );
+            }
         }
     }
 
@@ -863,33 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn reconnects_count_only_live_devices() {
-        let dir = directory_of(2, 8);
-        assert!(dir.reconnect(DeviceId(1)));
-        assert!(!dir.reconnect(DeviceId(99)));
-        dir.leave(DeviceId(2));
-        assert!(!dir.reconnect(DeviceId(2)));
-        assert_eq!(dir.reconnects(), 1);
-    }
-
-    #[test]
-    fn census_counts_every_state() {
-        let dir = directory_of(5, 8);
-        dir.begin_epoch(); // all active
-        dir.join_shared(DeviceId(10), b"j", spec()).unwrap();
-        dir.rekey(DeviceId(1), b"r");
-        dir.leave(DeviceId(2));
-        let census = dir.census();
-        assert_eq!(census.joining, 1);
-        assert_eq!(census.active, 3);
-        assert_eq!(census.rekeying, 1);
-        assert_eq!(census.draining, 1);
-        assert_eq!(census.evicted, 0);
-        dir.begin_epoch();
-        assert_eq!(dir.census().evicted, 1);
-    }
-
-    #[test]
     fn evicted_ids_may_rejoin_fresh() {
         let dir = directory_of(1, 8);
         dir.begin_epoch();
@@ -904,29 +770,5 @@ mod tests {
         assert_eq!(dir.state_of(DeviceId(1)), Some(DeviceState::Joining));
         let plan = dir.begin_epoch();
         assert_eq!(plan.cohort, vec![DeviceId(1)]);
-    }
-
-    #[test]
-    fn apply_maps_events_to_mutators() {
-        let dir = directory_of(0, 8);
-        dir.apply(ChurnEvent::Join {
-            id: DeviceId(1),
-            key: b"k".to_vec(),
-            spec: spec(),
-        })
-        .unwrap();
-        dir.begin_epoch();
-        dir.apply(ChurnEvent::Rekey {
-            id: DeviceId(1),
-            key: b"k2".to_vec(),
-        })
-        .unwrap();
-        dir.apply(ChurnEvent::Reconnect { id: DeviceId(1) })
-            .unwrap();
-        dir.apply(ChurnEvent::Leave { id: DeviceId(1) }).unwrap();
-        assert_eq!(
-            dir.apply(ChurnEvent::Leave { id: DeviceId(1) }),
-            Err(FleetError::UnknownDevice(DeviceId(1)))
-        );
     }
 }

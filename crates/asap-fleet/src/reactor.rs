@@ -217,64 +217,6 @@ pub(crate) struct EpochRun<'run> {
     pub(crate) cohort: Vec<DeviceId>,
 }
 
-/// One reactor's persistent half: its connection slab and per-epoch
-/// routing residue, owned by the reactor thread for life.
-pub(crate) struct ReactorState<C> {
-    pub(crate) conns: Vec<Option<Peer<C>>>,
-    /// Framed challenges for owned devices with no usable route yet,
-    /// at most one per device (a re-challenge supersedes the session),
-    /// pruned when the epoch that parked them finishes.
-    pub(crate) parked: IdMap<DeviceId, Vec<u8>>,
-    /// Which local slot each device's challenge was actually sent on —
-    /// hangup charging keys on this, never on the (hello-controlled,
-    /// last-wins) route map. Pruned like `parked`.
-    pub(crate) delivered: IdMap<DeviceId, usize>,
-    pub(crate) dropped_total: u64,
-    /// Hello frames this reactor read for devices the registry has
-    /// never enrolled ([`ReactorStats::unknown_device_hellos`]).
-    pub(crate) unknown_hellos: u64,
-    /// Outcomes this reactor's partial report contributed last round.
-    pub(crate) last_outcomes: usize,
-}
-
-impl<C: GatewayConn> ReactorState<C> {
-    pub(crate) fn new() -> ReactorState<C> {
-        ReactorState {
-            conns: Vec::new(),
-            parked: IdMap::default(),
-            delivered: IdMap::default(),
-            dropped_total: 0,
-            unknown_hellos: 0,
-            last_outcomes: 0,
-        }
-    }
-
-    /// Slots a prepared connection into the slab, reusing holes.
-    pub(crate) fn adopt(&mut self, conn: C) {
-        let peer = Peer::new(conn);
-        match self.conns.iter().position(Option::is_none) {
-            Some(slot) => self.conns[slot] = Some(peer),
-            None => self.conns.push(Some(peer)),
-        }
-    }
-
-    fn connections(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// Point-in-time counters, snapshotted into every epoch completion
-    /// message so the runtime driver can serve
-    /// [`ReactorStats`] without reaching into reactor threads.
-    pub(crate) fn stats(&self) -> ReactorStats {
-        ReactorStats {
-            connections: self.connections(),
-            dropped_connections: self.dropped_total,
-            unknown_device_hellos: self.unknown_hellos,
-            last_round_outcomes: self.last_outcomes,
-        }
-    }
-}
-
 /// A point-in-time view of one reactor, for operators and benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorStats {
@@ -322,16 +264,31 @@ pub(crate) fn merge_reports(order: &[DeviceId], reports: Vec<RoundReport>) -> Ro
     }
 }
 
-/// One reactor mid-flight: its persistent state plus every in-flight
-/// epoch's engine (up to the runtime's pipeline depth), the shared
-/// inbound batch and channel ends.
+/// One reactor, owned by its thread for life: the connection slab,
+/// every in-flight epoch's engine (up to the runtime's pipeline depth),
+/// the routing residue those epochs leave, the shared inbound batch and
+/// the channel ends.
 pub(crate) struct ReactorRun<'run, C: GatewayConn> {
     pub(crate) me: usize,
     pub(crate) reactors: usize,
     pub(crate) fleet: &'run FleetVerifier,
-    pub(crate) state: &'run mut ReactorState<C>,
     pub(crate) route: &'run Mutex<RouteMap>,
     pub(crate) mates: &'run [Sender<ReactorMsg<C>>],
+    pub(crate) conns: Vec<Option<Peer<C>>>,
+    /// Framed challenges for owned devices with no usable route yet,
+    /// at most one per device (a re-challenge supersedes the session),
+    /// pruned when the epoch that parked them finishes.
+    pub(crate) parked: IdMap<DeviceId, Vec<u8>>,
+    /// Which local slot each device's challenge was actually sent on —
+    /// hangup charging keys on this, never on the (hello-controlled,
+    /// last-wins) route map. Pruned like `parked`.
+    pub(crate) delivered: IdMap<DeviceId, usize>,
+    pub(crate) dropped_total: u64,
+    /// Hello frames this reactor read for devices the registry has
+    /// never enrolled ([`ReactorStats::unknown_device_hellos`]).
+    pub(crate) unknown_hellos: u64,
+    /// Outcomes this reactor's partial report contributed last round.
+    pub(crate) last_outcomes: usize,
     /// In-flight epochs, oldest first. Verdicts that belong to no
     /// awaited device (unsolicited evidence, unattributable frames)
     /// are charged to the oldest epoch, which is the only epoch when
@@ -365,7 +322,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         me: usize,
         reactors: usize,
         fleet: &'run FleetVerifier,
-        state: &'run mut ReactorState<C>,
         route: &'run Mutex<RouteMap>,
         mates: &'run [Sender<ReactorMsg<C>>],
     ) -> ReactorRun<'run, C> {
@@ -373,9 +329,14 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             me,
             reactors,
             fleet,
-            state,
             route,
             mates,
+            conns: Vec::new(),
+            parked: IdMap::default(),
+            delivered: IdMap::default(),
+            dropped_total: 0,
+            unknown_hellos: 0,
+            last_outcomes: 0,
             engines: Vec::new(),
             inbound: EvidenceBatch::default(),
             pending_charges: Vec::new(),
@@ -384,6 +345,27 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             tx_bytes: Vec::new(),
             tx_spans: Vec::new(),
             progressed: false,
+        }
+    }
+
+    /// Slots a prepared connection into the slab, reusing holes.
+    pub(crate) fn adopt(&mut self, conn: C) {
+        let peer = Peer::new(conn);
+        match self.conns.iter().position(Option::is_none) {
+            Some(slot) => self.conns[slot] = Some(peer),
+            None => self.conns.push(Some(peer)),
+        }
+    }
+
+    /// Point-in-time counters, snapshotted into every epoch completion
+    /// message so the runtime driver can serve
+    /// [`ReactorStats`] without reaching into reactor threads.
+    pub(crate) fn stats(&self) -> ReactorStats {
+        ReactorStats {
+            connections: self.conns.iter().filter(|c| c.is_some()).count(),
+            dropped_connections: self.dropped_total,
+            unknown_device_hellos: self.unknown_hellos,
+            last_round_outcomes: self.last_outcomes,
         }
     }
 
@@ -450,7 +432,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             if self.engines[i].engine.is_settled() {
                 let e = self.engines.remove(i);
                 let report = e.engine.into_report();
-                self.state.last_outcomes = report.outcomes.len();
+                self.last_outcomes = report.outcomes.len();
                 done.push((e.epoch, report, e.cohort));
             } else {
                 i += 1;
@@ -458,8 +440,8 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
         let engines = &self.engines;
         let still_awaited = |id: &DeviceId| engines.iter().any(|e| e.engine.is_awaiting(*id));
-        self.state.parked.retain(|id, _| still_awaited(id));
-        self.state.delivered.retain(|id, _| still_awaited(id));
+        self.parked.retain(|id, _| still_awaited(id));
+        self.delivered.retain(|id, _| still_awaited(id));
         self.progressed = true;
         done
     }
@@ -506,7 +488,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                     },
                 ),
                 None => {
-                    self.state.parked.insert(device, framed.to_vec());
+                    self.parked.insert(device, framed.to_vec());
                 }
             }
         }
@@ -517,10 +499,10 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     }
 
     /// Queues a framed challenge on the local connection at `slot`. On
-    /// failure the challenge goes back to the device's owner — inline
-    /// when that is us, by mail otherwise.
+    /// failure the challenge [bounces](Self::bounce) to the device's
+    /// owner.
     fn deliver_on(&mut self, device: DeviceId, slot: usize, framed: &[u8]) {
-        let enqueued = match self.state.conns.get_mut(slot).and_then(Option::as_mut) {
+        let enqueued = match self.conns.get_mut(slot).and_then(Option::as_mut) {
             Some(peer) if !peer.dead => {
                 if peer.outbox.enqueue(framed) {
                     true
@@ -532,12 +514,23 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             _ => false,
         };
         if enqueued {
-            self.state.delivered.insert(device, slot);
-        } else if self.owner_of(device) == self.me {
-            self.repark(device, framed);
+            self.delivered.insert(device, slot);
         } else {
-            let framed = framed.to_vec();
-            self.send(self.owner_of(device), ReactorMsg::Park { device, framed });
+            self.bounce(device, framed);
+        }
+    }
+
+    /// Hands a challenge that could not be delivered here back to its
+    /// device's owner: [`repark`](Self::repark)ed inline when that is
+    /// us, mailed as `Park` otherwise. A challenge that arrived owned
+    /// by mail is mailed on without a copy.
+    fn bounce<F: AsRef<[u8]> + Into<Vec<u8>>>(&mut self, device: DeviceId, framed: F) {
+        let owner = self.owner_of(device);
+        if owner == self.me {
+            self.repark(device, framed.as_ref());
+        } else {
+            let framed = framed.into();
+            self.send(owner, ReactorMsg::Park { device, framed });
         }
     }
 
@@ -564,7 +557,6 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             }
             Some(r)
                 if self
-                    .state
                     .conns
                     .get(r.slot)
                     .and_then(Option::as_ref)
@@ -577,7 +569,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                 self.deliver_on(device, r.slot, framed);
             }
             _ => {
-                self.state.parked.insert(device, framed.to_vec());
+                self.parked.insert(device, framed.to_vec());
             }
         }
     }
@@ -593,45 +585,41 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     /// loop can block on its inbox while parked between epochs and feed
     /// the wake-up message through the same path.
     pub(crate) fn absorb(&mut self, msg: ReactorMsg<C>) {
-        {
-            self.progressed = true;
-            match msg {
-                ReactorMsg::Conn(conn) => self.state.adopt(conn),
-                ReactorMsg::Begin(start) => self.pending_begins.push(start),
-                ReactorMsg::Shutdown => self.shutdown = true,
-                ReactorMsg::Deliver {
-                    device,
+        self.progressed = true;
+        match msg {
+            ReactorMsg::Conn(conn) => self.adopt(conn),
+            ReactorMsg::Begin(start) => self.pending_begins.push(start),
+            ReactorMsg::Shutdown => self.shutdown = true,
+            ReactorMsg::Deliver {
+                device,
+                slot,
+                framed,
+            } => {
+                let here = Route {
+                    reactor: self.me,
                     slot,
-                    framed,
-                } => {
-                    let here = Route {
-                        reactor: self.me,
-                        slot,
-                    };
-                    if self.current_route(device) == Some(here) {
-                        self.deliver_on(device, slot, &framed);
-                    } else if self.owner_of(device) == self.me {
-                        // Stale: the device re-routed while the
-                        // challenge was in the mail.
-                        self.repark(device, &framed);
-                    } else {
-                        self.send(self.owner_of(device), ReactorMsg::Park { device, framed });
-                    }
+                };
+                if self.current_route(device) == Some(here) {
+                    self.deliver_on(device, slot, &framed);
+                } else {
+                    // Stale: the device re-routed while the
+                    // challenge was in the mail.
+                    self.bounce(device, framed);
                 }
-                ReactorMsg::Park { device, framed } => self.repark(device, &framed),
-                ReactorMsg::Evidence { device, payload } => self.inbound.push(device, &payload),
-                ReactorMsg::Routed(device) => {
-                    if let Some(framed) = self.state.parked.remove(&device) {
-                        self.repark(device, &framed); // chases the fresh route
-                    }
+            }
+            ReactorMsg::Park { device, framed } => self.repark(device, &framed),
+            ReactorMsg::Evidence { device, payload } => self.inbound.push(device, &payload),
+            ReactorMsg::Routed(device) => {
+                if let Some(framed) = self.parked.remove(&device) {
+                    self.repark(device, &framed); // chases the fresh route
                 }
-                ReactorMsg::Charge(device) => {
-                    self.pending_charges.push(device);
-                }
-                ReactorMsg::Unroute { slot } => {
-                    if let Some(peer) = self.state.conns.get_mut(slot).and_then(Option::as_mut) {
-                        peer.routed = peer.routed.saturating_sub(1);
-                    }
+            }
+            ReactorMsg::Charge(device) => {
+                self.pending_charges.push(device);
+            }
+            ReactorMsg::Unroute { slot } => {
+                if let Some(peer) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+                    peer.routed = peer.routed.saturating_sub(1);
                 }
             }
         }
@@ -651,20 +639,20 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
         }
         match previous {
             Some(prev) if prev.reactor == self.me => {
-                if let Some(peer) = self.state.conns.get_mut(prev.slot).and_then(Option::as_mut) {
+                if let Some(peer) = self.conns.get_mut(prev.slot).and_then(Option::as_mut) {
                     peer.routed = peer.routed.saturating_sub(1);
                 }
             }
             Some(prev) => self.send(prev.reactor, ReactorMsg::Unroute { slot: prev.slot }),
             None => {}
         }
-        let peer = self.state.conns[slot].as_mut().expect("live peer");
+        let peer = self.conns[slot].as_mut().expect("live peer");
         peer.routed += 1;
         if peer.routed > MAX_ROUTED_PER_CONN {
             peer.dead = true;
         }
         if self.owner_of(id) == self.me {
-            if let Some(framed) = self.state.parked.remove(&id) {
+            if let Some(framed) = self.parked.remove(&id) {
                 self.deliver_on(id, slot, &framed);
             }
         } else {
@@ -680,9 +668,9 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     /// [`READ_CHUNK`]: the socket is drained, so the sweep moves on
     /// rather than pay for a read that could only say `WouldBlock`.
     pub(crate) fn sweep_reads(&mut self) {
-        for slot in 0..self.state.conns.len() {
+        for slot in 0..self.conns.len() {
             let mut drained = false;
-            while let Some(peer) = self.state.conns[slot].as_mut() {
+            while let Some(peer) = self.conns[slot].as_mut() {
                 if peer.dead {
                     break;
                 }
@@ -722,7 +710,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                 // A hello (empty payload) is routing information only.
                 let forward = if payload.is_empty() {
                     if !self.fleet.is_registered(id) {
-                        self.state.unknown_hellos += 1;
+                        self.unknown_hellos += 1;
                     }
                     None
                 } else if owner == self.me {
@@ -782,8 +770,8 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
     /// challenge was *delivered* on them is charged `NoResponse` — at
     /// its owner, by mail when the owner is another reactor.
     pub(crate) fn sweep_writes_and_reap(&mut self) {
-        for slot in 0..self.state.conns.len() {
-            let Some(peer) = self.state.conns[slot].as_mut() else {
+        for slot in 0..self.conns.len() {
+            let Some(peer) = self.conns[slot].as_mut() else {
                 continue;
             };
             if !peer.dead {
@@ -795,14 +783,13 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
             }
             if peer.dead {
                 self.progressed = true;
-                self.state.conns[slot] = None;
-                self.state.dropped_total += 1;
+                self.conns[slot] = None;
+                self.dropped_total += 1;
                 self.route
                     .lock()
                     .unwrap()
                     .retain(|_, r| !(r.reactor == self.me && r.slot == slot));
                 let mut carried: Vec<DeviceId> = self
-                    .state
                     .delivered
                     .iter()
                     .filter(|&(_, &s)| s == slot)
@@ -811,7 +798,7 @@ impl<'run, C: GatewayConn> ReactorRun<'run, C> {
                 // Stable charge order regardless of map iteration.
                 carried.sort_unstable();
                 for id in carried {
-                    self.state.delivered.remove(&id);
+                    self.delivered.remove(&id);
                     if self.owner_of(id) == self.me {
                         if let Some(i) = self.epoch_awaiting(id) {
                             self.engines[i].engine.charge_no_response(id);
@@ -861,9 +848,7 @@ mod tests {
                     (0..reactors).map(|_| std::sync::mpsc::channel()).unzip();
                 let partials = (0..reactors)
                     .map(|me| {
-                        let mut state = ReactorState::new();
-                        let mut run =
-                            ReactorRun::new(me, reactors, &fleet, &mut state, &route, &mates);
+                        let mut run = ReactorRun::new(me, reactors, &fleet, &route, &mates);
                         run.pending_begins.push(RoundStart {
                             epoch: 0,
                             partition: order
@@ -1059,12 +1044,11 @@ mod tests {
             .iter()
             .flat_map(|id| frame_stream(&Envelope::wrap(id.0, Vec::new()).to_bytes()))
             .collect();
-        let mut state = ReactorState::new();
-        state.adopt(ScriptedConn {
+        let mut run = ReactorRun::new(0, 1, &fleet, &route, &mates);
+        run.adopt(ScriptedConn {
             script: [Step::Bytes(hellos)].into(),
             ..ScriptedConn::default()
         });
-        let mut run = ReactorRun::new(0, 1, &fleet, &mut state, &route, &mates);
         run.pending_begins.push(RoundStart {
             epoch: 0,
             partition: ids.clone(),
@@ -1073,17 +1057,13 @@ mod tests {
         });
         run.start_pending_epochs();
         run.pump_transmits();
-        assert_eq!(
-            run.state.parked.len(),
-            3,
-            "no route yet: every challenge parks"
-        );
+        assert_eq!(run.parked.len(), 3, "no route yet: every challenge parks");
 
         // Sweep 1: the hellos route all three devices, and their
         // challenges go out on the connection.
         run.sweep_reads();
         run.sweep_writes_and_reap();
-        let conn = &mut run.state.conns[0].as_mut().unwrap().stream;
+        let conn = &mut run.conns[0].as_mut().unwrap().stream;
         assert_eq!(conn.reads, 1, "a short read ends the sweep's reads");
         let mut deframer = StreamDeframer::new();
         deframer.extend(&conn.written);
@@ -1105,15 +1085,15 @@ mod tests {
             run.sweep_reads();
             run.conclude_inbound();
             run.sweep_writes_and_reap();
-            let conn = &run.state.conns[0].as_ref().expect("still connected").stream;
+            let conn = &run.conns[0].as_ref().expect("still connected").stream;
             assert_eq!(conn.reads, sweep, "one read per sweep");
             assert_eq!(run.engines[0].engine.awaiting(), awaiting);
         }
         run.sweep_reads();
         run.conclude_inbound();
         run.sweep_writes_and_reap();
-        assert!(run.state.conns[0].is_none(), "EOF reaps the slot");
-        assert_eq!(run.state.dropped_total, 1);
+        assert!(run.conns[0].is_none(), "EOF reaps the slot");
+        assert_eq!(run.dropped_total, 1);
 
         let mut done = run.harvest_settled();
         assert_eq!(done.len(), 1, "the epoch settled");

@@ -37,7 +37,7 @@ use crate::engine::{RoundConfig, RoundEngine};
 use crate::error::FleetError;
 use crate::idhash::{IdMap, IdSet};
 use crate::round::RoundReport;
-use crate::transport::Transport;
+use crate::transport::Loopback;
 use crate::DeviceId;
 use apex_pox::protocol::PoxRequest;
 use apex_pox::wire::{Envelope, WireError, ENVELOPE_OVERHEAD};
@@ -474,28 +474,6 @@ impl FleetVerifier {
         frames.iter().map(|f| self.conclude(f)).collect()
     }
 
-    /// Concludes a whole round: absorbs every response frame, then
-    /// charges [`FleetError::NoResponse`] to each challenged device
-    /// whose session is still dangling — aborting it, so the registry
-    /// ends the round with zero sessions in flight for `challenged`.
-    ///
-    /// Per-device isolation: a frame that fails to decode, or evidence
-    /// that fails its check, yields a rejected outcome for that device
-    /// only; every other frame in the round is still judged.
-    ///
-    /// A thin lock-step driver over [`RoundEngine`]: the frames are
-    /// concluded as one [`conclude_batch`](FleetVerifier::conclude_batch),
-    /// their verdicts injected in frame order, and one tick at the
-    /// lock-step deadline settles the silent devices.
-    pub fn conclude_round(&self, challenged: &[DeviceId], frames: &[Vec<u8>]) -> RoundReport {
-        let mut engine = RoundEngine::resume(self, challenged, RoundConfig::lockstep());
-        for (device, result) in self.conclude_batch(frames) {
-            engine.outcome_received(device, result);
-        }
-        engine.tick(engine.now());
-        engine.into_report()
-    }
-
     /// Drops the in-flight session for `id`, if any. Returns whether a
     /// session was actually aborted.
     pub fn abort(&self, id: DeviceId) -> bool {
@@ -508,33 +486,33 @@ impl FleetVerifier {
         })
     }
 
-    /// Drives one full lock-step round over a [`Transport`]:
-    /// challenges every device in `ids`, pumps every request frame out
-    /// and every immediately-available response frame back in, and
-    /// settles. Devices whose response is not available by then are
-    /// reported as [`FleetError::NoResponse`].
+    /// Drives one full lock-step round over a [`Loopback`]: challenges
+    /// every device in `ids` and hands each request frame straight to
+    /// its device, concluding the response (if any) before the next
+    /// request goes out, so answers settle in challenge order (first
+    /// occurrence of each id). One tick at the lock-step deadline then
+    /// charges every device that did not answer
+    /// [`FleetError::NoResponse`], again in challenge order.
     ///
-    /// This is the zero-latency reference driver over [`RoundEngine`] —
-    /// right for [`Loopback`](crate::Loopback), where responses appear
-    /// the moment a request is sent. Provers behind real sockets are
-    /// driven by [`FleetRuntime`](crate::FleetRuntime), which maps a
-    /// response budget onto engine ticks.
+    /// This is the zero-latency reference driver over [`RoundEngine`].
+    /// Provers behind real sockets are driven by
+    /// [`FleetRuntime`](crate::FleetRuntime), which maps a response
+    /// budget onto engine ticks.
     ///
     /// # Errors
     ///
     /// [`FleetError::UnknownDevice`] when an id is not enrolled (no
     /// challenge is issued in that case).
-    pub fn run_round<T: Transport + ?Sized>(
+    pub fn run_round(
         &self,
         ids: &[DeviceId],
-        transport: &mut T,
+        loopback: &mut Loopback,
     ) -> Result<RoundReport, FleetError> {
         let mut engine = RoundEngine::begin(self, ids, RoundConfig::lockstep())?;
         while let Some((device, frame)) = engine.poll_transmit() {
-            transport.send(device, frame);
-        }
-        while let Some(frame) = transport.try_recv() {
-            engine.frame_received(&frame);
+            if let Some(response) = loopback.exchange(device, frame) {
+                engine.frame_received(&response);
+            }
         }
         engine.tick(engine.now());
         Ok(engine.into_report())

@@ -2,7 +2,7 @@
 
 use crate::error::FleetError;
 use crate::DeviceId;
-use asap::{AsapError, Attested};
+use asap::Attested;
 use std::fmt;
 
 /// The verdict for one device (or one unattributable frame) in a round.
@@ -15,9 +15,9 @@ pub struct RoundOutcome {
     pub result: Result<Attested, FleetError>,
 }
 
-/// Everything a [`FleetVerifier::conclude_round`] produced.
-///
-/// [`FleetVerifier::conclude_round`]: crate::FleetVerifier::conclude_round
+/// Everything a round produced: the report of
+/// [`RoundEngine::into_report`](crate::RoundEngine::into_report), and so
+/// of every driver over the engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundReport {
     /// One entry per response frame, plus one `NoResponse` entry per
@@ -34,14 +34,6 @@ impl RoundReport {
     /// Number of outcomes that did not verify, for any reason.
     pub fn rejected(&self) -> usize {
         self.outcomes.len() - self.verified()
-    }
-
-    /// Number of outcomes rejected with exactly this per-session reason.
-    pub fn rejected_with(&self, reason: &AsapError) -> usize {
-        self.outcomes
-            .iter()
-            .filter(|o| o.result.as_ref().err().and_then(FleetError::rejection) == Some(reason))
-            .count()
     }
 
     /// Number of challenged devices that never answered — charged
@@ -91,6 +83,7 @@ impl fmt::Display for RoundReport {
 mod tests {
     use super::*;
     use apex_pox::wire::WireError;
+    use asap::AsapError;
 
     fn verified(id: u64) -> RoundOutcome {
         RoundOutcome {
@@ -128,7 +121,6 @@ mod tests {
         };
         assert_eq!(report.verified(), 1);
         assert_eq!(report.rejected(), 4);
-        assert_eq!(report.rejected_with(&AsapError::BadMac), 1);
         assert_eq!(report.no_response(), 1);
         assert_eq!(report.verified() + report.rejected(), report.outcomes.len());
         assert!(report.of(DeviceId(1)).unwrap().is_ok());

@@ -58,9 +58,7 @@
 
 use crate::error::FleetError;
 use crate::idhash::{IdMap, IdSet};
-use crate::reactor::{
-    merge_reports, ReactorMsg, ReactorRun, ReactorState, ReactorStats, RoundStart, RouteMap,
-};
+use crate::reactor::{merge_reports, ReactorMsg, ReactorRun, ReactorStats, RoundStart, RouteMap};
 use crate::registry::FleetVerifier;
 use crate::round::RoundReport;
 use crate::DeviceId;
@@ -516,7 +514,7 @@ where
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownDevice`] for a ticket never submitted (or
+    /// [`FleetError::UnknownTicket`] for a ticket never submitted (or
     /// already collected).
     pub fn wait_round(&mut self, ticket: u64) -> Result<RoundReport, FleetError> {
         loop {
@@ -524,7 +522,7 @@ where
                 return Ok(report);
             }
             if !self.pending.iter().any(|p| p.epoch == ticket) {
-                return Err(FleetError::UnknownDevice(DeviceId(ticket)));
+                return Err(FleetError::UnknownTicket(ticket));
             }
             self.pump(true);
         }
@@ -668,8 +666,7 @@ fn run_reactor_persistent<C: GatewayConn>(
     done: &Sender<EpochDone>,
     live: &Arc<AtomicUsize>,
 ) {
-    let mut state: ReactorState<C> = ReactorState::new();
-    let mut run = ReactorRun::new(me, reactors, fleet, &mut state, route, mates);
+    let mut run = ReactorRun::new(me, reactors, fleet, route, mates);
 
     let mut last_progress = Instant::now();
     loop {
@@ -707,7 +704,7 @@ fn run_reactor_persistent<C: GatewayConn>(
                 epoch,
                 report,
                 cohort,
-                stats: run.state.stats(),
+                stats: run.stats(),
             });
         }
         // Pace even with no local engines: the fleet is live (otherwise

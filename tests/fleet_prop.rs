@@ -80,15 +80,19 @@ proptest! {
             subset = ids.clone();
         }
 
-        let requests = fleet.begin_round(&subset).unwrap();
+        let mut engine = RoundEngine::begin(&fleet, &subset, RoundConfig::lockstep()).unwrap();
         prop_assert_eq!(fleet.in_flight(), subset.len());
-        let mut responses: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|(id, req)| fabric.exchange(*id, req).unwrap())
-            .collect();
+        let mut responses = Vec::new();
+        while let Some((id, request)) = engine.poll_transmit() {
+            responses.push(fabric.exchange(id, request).unwrap());
+        }
         shuffle(&mut responses, order_seed);
 
-        let report = fleet.conclude_round(&subset, &responses);
+        for frame in &responses {
+            engine.frame_received(frame);
+        }
+        engine.tick(engine.now());
+        let report = engine.into_report();
         prop_assert_eq!(report.verified(), subset.len());
         prop_assert_eq!(report.rejected(), 0);
         prop_assert_eq!(fleet.in_flight(), 0, "registry leaked a session");
@@ -103,18 +107,22 @@ proptest! {
         order_seed in any::<u64>(),
     ) {
         let (fleet, mut fabric, ids) = fleet_of(n);
-        let requests = fleet.begin_round(&ids).unwrap();
-        let honest: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|(id, req)| fabric.exchange(*id, req).unwrap())
-            .collect();
+        let mut engine = RoundEngine::begin(&fleet, &ids, RoundConfig::lockstep()).unwrap();
+        let mut honest = Vec::new();
+        while let Some((id, request)) = engine.poll_transmit() {
+            honest.push(fabric.exchange(id, request).unwrap());
+        }
         // Device i's session receives device (i+1)'s evidence.
         let mut forged: Vec<Vec<u8>> = (0..honest.len())
             .map(|i| cross_address(&honest[i], &honest[(i + 1) % honest.len()]))
             .collect();
         shuffle(&mut forged, order_seed);
 
-        let report = fleet.conclude_round(&ids, &forged);
+        for frame in &forged {
+            engine.frame_received(frame);
+        }
+        engine.tick(engine.now());
+        let report = engine.into_report();
         prop_assert_eq!(report.verified(), 0, "evidence crossed devices");
         for id in ids {
             prop_assert_eq!(
@@ -134,15 +142,21 @@ proptest! {
         loss_bits in any::<u32>(),
     ) {
         let (fleet, mut fabric, ids) = fleet_of(n);
-        let requests = fleet.begin_round(&ids).unwrap();
-        let delivered: Vec<Vec<u8>> = requests
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| loss_bits >> i & 1 == 0)
-            .map(|(_, (id, req))| fabric.exchange(*id, req).unwrap())
-            .collect();
+        let mut engine = RoundEngine::begin(&fleet, &ids, RoundConfig::lockstep()).unwrap();
+        let mut delivered = Vec::new();
+        let mut i = 0usize;
+        while let Some((id, request)) = engine.poll_transmit() {
+            if loss_bits >> i & 1 == 0 {
+                delivered.push(fabric.exchange(id, request).unwrap());
+            }
+            i += 1;
+        }
 
-        let report = fleet.conclude_round(&ids, &delivered);
+        for frame in &delivered {
+            engine.frame_received(frame);
+        }
+        engine.tick(engine.now());
+        let report = engine.into_report();
         prop_assert_eq!(report.verified(), delivered.len());
         prop_assert_eq!(report.no_response(), ids.len() - delivered.len());
         prop_assert_eq!(fleet.in_flight(), 0, "dropped sessions leaked");
@@ -218,19 +232,30 @@ proptest! {
     #[test]
     fn successive_rounds_use_fresh_challenges(n in 2usize..5) {
         let (fleet, mut fabric, ids) = fleet_of(n);
-        let first = fleet.begin_round(&ids).unwrap();
-        let responses: Vec<Vec<u8>> = first
-            .iter()
-            .map(|(id, req)| fabric.exchange(*id, req).unwrap())
-            .collect();
-        prop_assert_eq!(fleet.conclude_round(&ids, &responses).verified(), n);
+        let mut engine = RoundEngine::begin(&fleet, &ids, RoundConfig::lockstep()).unwrap();
+        let mut first = Vec::new();
+        let mut responses = Vec::new();
+        while let Some((id, request)) = engine.poll_transmit() {
+            first.push((id, request.to_vec()));
+            responses.push(fabric.exchange(id, request).unwrap());
+        }
+        for frame in &responses {
+            engine.frame_received(frame);
+        }
+        engine.tick(engine.now());
+        prop_assert_eq!(engine.into_report().verified(), n);
 
-        let second = fleet.begin_round(&ids).unwrap();
+        let mut engine = RoundEngine::begin(&fleet, &ids, RoundConfig::lockstep()).unwrap();
+        let mut second = Vec::new();
+        while let Some((id, request)) = engine.poll_transmit() {
+            second.push((id, request.to_vec()));
+        }
         for ((id, old), (_, new)) in first.iter().zip(second.iter()) {
             prop_assert_ne!(old, new, "device {} got a recycled challenge", id);
         }
         // Abandon round two cleanly.
-        let report = fleet.conclude_round(&ids, &[]);
+        engine.tick(engine.now());
+        let report = engine.into_report();
         prop_assert_eq!(report.no_response(), n);
         prop_assert_eq!(fleet.in_flight(), 0);
     }

@@ -197,7 +197,11 @@ fn unknown_devices_and_tickets_are_rejected() {
         Err(FleetError::UnknownDevice(stranger))
     );
     assert_eq!(runtime.in_flight_epochs(), 0, "no partial submission");
-    assert!(runtime.wait_round(7).is_err(), "ticket 7 was never issued");
+    assert_eq!(
+        runtime.wait_round(7),
+        Err(FleetError::UnknownTicket(7)),
+        "ticket 7 was never issued"
+    );
     assert_eq!(
         fleet.in_flight(),
         0,
