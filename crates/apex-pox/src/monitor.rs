@@ -19,7 +19,6 @@
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::hwmod::{ObservesWires, WireSet};
 use vrased::hw::WireStep;
 use vrased::props::{names, WireImage};
 
@@ -294,20 +293,6 @@ pub fn shared_exec_properties() -> Vec<Property> {
             p(names::EXEC).implies(p(names::PC_AT_ERMIN)),
         ),
     ]
-}
-
-impl ObservesWires for ApexMonitor {
-    // Exactly the `ExecIn` wires `step_wires` samples (APEX checks irq).
-    const OBSERVES: WireSet = WireSet::PC_IN_ER
-        .union(WireSet::PC_AT_ERMIN)
-        .union(WireSet::PC_AT_EREXIT)
-        .union(WireSet::IRQ)
-        .union(WireSet::WEN_ER)
-        .union(WireSet::DMA_ER)
-        .union(WireSet::WEN_OR)
-        .union(WireSet::DMA_OR)
-        .union(WireSet::DMA_ACTIVE)
-        .union(WireSet::FAULT);
 }
 
 impl MonitorFsm for ApexMonitor {

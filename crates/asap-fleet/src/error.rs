@@ -47,16 +47,6 @@ pub enum FleetError {
     Rejected(AsapError),
 }
 
-impl FleetError {
-    /// The per-session rejection reason, when there is one.
-    pub fn rejection(&self) -> Option<&AsapError> {
-        match self {
-            FleetError::Rejected(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -112,14 +102,5 @@ mod tests {
     fn unknown_ticket_names_the_ticket_not_a_device() {
         let e = FleetError::UnknownTicket(7);
         assert_eq!(e.to_string(), "round ticket 7 is not in flight");
-    }
-
-    #[test]
-    fn rejection_unwraps_only_session_verdicts() {
-        assert_eq!(
-            FleetError::Rejected(AsapError::BadMac).rejection(),
-            Some(&AsapError::BadMac)
-        );
-        assert_eq!(FleetError::NoSession(DeviceId(1)).rejection(), None);
     }
 }

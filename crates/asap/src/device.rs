@@ -14,7 +14,7 @@ use apex_pox::protocol::{pox_items, PoxRequest, PoxResponse};
 use ltl_mc::trace::Trace;
 use msp430_tools::link::Image;
 use openmsp430::bus::{Master, MemAccess};
-use openmsp430::hwmod::{Compose, ObservesWires, WireSet};
+use openmsp430::hwmod::Compose;
 use openmsp430::layout::MemLayout;
 use openmsp430::mcu::Mcu;
 use openmsp430::periph::DmaOp;
@@ -34,7 +34,7 @@ pub type WaveSink = Box<dyn FnMut(WaveSample) + Send>;
 
 /// A streaming consumer of every step's full [`Signals`] bundle.
 /// Installing one sends the run loops down the per-step pipeline
-/// (superblock elision would hide signals the tap must see).
+/// (superblock bursts report wires, not the signals the tap must see).
 pub type SignalTap = Box<dyn FnMut(&Signals) + Send>;
 
 /// Which PoX architecture the hardware implements.
@@ -291,7 +291,7 @@ impl MonitorStack {
     /// hardware picture exactly: all modules sample the same wires on
     /// the same clock edge, and the outputs conjoin. The per-step path
     /// extracts the image from full [`Signals`], the superblock path
-    /// from an elided [`WireSummary`].
+    /// from a [`WireSummary`].
     fn step_image(&mut self, w: &WireImage) -> StackOut {
         let (guards, exec) = match self {
             MonitorStack::Apex(Compose(guards, monitor)) => (guards, monitor.step_wires(w)),
@@ -305,15 +305,6 @@ impl MonitorStack {
             key_raised: key.raised,
             atomicity_raised: atomicity.raised,
             exec_fell: exec.raised,
-        }
-    }
-
-    /// The build-time union of every wire the stack for `mode` samples —
-    /// what the superblock executor may elide is exactly the complement.
-    fn observed_wires(mode: PoxMode) -> WireSet {
-        match mode {
-            PoxMode::Apex => <Compose<VrasedGuards, ApexMonitor>>::OBSERVES,
-            PoxMode::Asap => <Compose<VrasedGuards, AsapMonitor>>::OBSERVES,
         }
     }
 
@@ -654,16 +645,14 @@ impl Device {
     }
 
     /// One superblock burst of at most `budget` steps, clocking the
-    /// monitor stack once per interior step from an elided
-    /// [`WireSummary`]: only the wires the composed stack declares via
-    /// `ObservesWires` are computed. A guard's reset request ends the
-    /// burst and is applied once it returns.
+    /// monitor stack once per interior step from its [`WireSummary`]. A
+    /// guard's reset request ends the burst and is applied once it
+    /// returns.
     fn burst(&mut self, stop_pc: Option<u16>, budget: u64) -> (u64, SbExit) {
         let cfg = SbConfig {
             budget,
             stop_pc,
             exec_cell: Some(self.ctx.layout.exec_flag_addr),
-            observed: MonitorStack::observed_wires(self.mode),
         };
         let mut reset_pending = false;
         // Monitor clock gating: once clocking the stack with a given

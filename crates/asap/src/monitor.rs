@@ -25,7 +25,6 @@ use apex_pox::monitor::{exec_kernel, ExecState};
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::hwmod::{ObservesWires, WireSet};
 use vrased::hw::WireStep;
 use vrased::props::{names, WireImage};
 
@@ -100,12 +99,6 @@ impl IvtGuard {
             ),
         ]
     }
-}
-
-impl ObservesWires for IvtGuard {
-    const OBSERVES: WireSet = WireSet::WEN_IVT
-        .union(WireSet::DMA_IVT)
-        .union(WireSet::PC_AT_ERMIN);
 }
 
 impl MonitorFsm for IvtGuard {
@@ -251,22 +244,6 @@ impl AsapMonitor {
                 .globally(),
         )]
     }
-}
-
-impl ObservesWires for AsapMonitor {
-    // The EXEC kernel wires minus `irq` (ASAP provably ignores it — see
-    // `input_names`) plus the IVT-guard wires.
-    const OBSERVES: WireSet = WireSet::PC_IN_ER
-        .union(WireSet::PC_AT_ERMIN)
-        .union(WireSet::PC_AT_EREXIT)
-        .union(WireSet::WEN_ER)
-        .union(WireSet::DMA_ER)
-        .union(WireSet::WEN_OR)
-        .union(WireSet::DMA_OR)
-        .union(WireSet::DMA_ACTIVE)
-        .union(WireSet::FAULT)
-        .union(WireSet::WEN_IVT)
-        .union(WireSet::DMA_IVT);
 }
 
 impl MonitorFsm for AsapMonitor {

@@ -15,9 +15,9 @@
 //!   instructions, sorted MMIO lookup and the statically composed
 //!   monitor stack.
 //! * **superblock** — the burst pipeline: `Device::run_steps` over the
-//!   superblock trace cache, with monitor-aware dead-signal elision on
-//!   interior steps (only the wires the composed stack declares via
-//!   `ObservesWires` are computed).
+//!   superblock trace cache; interior steps build no `Signals`, only a
+//!   `WireSummary` of the wires folded from their bus accesses, and the
+//!   monitor stack is clock-gated.
 //!
 //! All arms step identically prepared machines through the same monitor
 //! stack, so the ablation compares pipeline cost, not behaviour.
@@ -84,7 +84,7 @@ fn measure_predecoded(steps: u64) -> f64 {
 }
 
 /// Bursts the superblock pipeline (`Device::run_steps`: cached
-/// straight-line traces, elided interior wires). Returns steps/sec.
+/// straight-line traces, folded interior wires). Returns steps/sec.
 fn measure_superblock(steps: u64) -> f64 {
     let mut device = steady_device();
     let t0 = Instant::now();

@@ -21,10 +21,13 @@
 //!   zero-allocation fast path fed by the generation-checked predecode
 //!   cache);
 //! * a superblock executor ([`superblock`], [`mcu::Mcu::run_superblock`])
-//!   that runs cached straight-line traces and reports only the wires
-//!   the attached monitors sample, declared through [`hwmod`] — the
-//!   `HW-Mod` attachment of the paper's Fig. 2. Full [`signals::Signals`]
-//!   come only from the per-step pipeline.
+//!   that runs cached straight-line traces and reports each step as a
+//!   [`superblock::WireSummary`] of the monitor wires, folded from the
+//!   bus accesses by the same [`superblock::WireSummary::fold`] that
+//!   extracts them from full [`signals::Signals`], which come only
+//!   from the per-step pipeline;
+//! * the static monitor composition [`hwmod::Compose`] — the `HW-Mod`
+//!   attachment of the paper's Fig. 2.
 //!
 //! # Quick start
 //!
@@ -62,7 +65,7 @@ pub mod superblock;
 
 pub use bus::{Bus, Master, MemAccess};
 pub use cpu::{Cpu, CpuFault, StepOut, IVT_BASE, IVT_VECTORS, RESET_VECTOR};
-pub use hwmod::{Compose, ObservesWires, WireSet};
+pub use hwmod::Compose;
 pub use isa::{Cond, Instr, OneOp, Operand, TwoOp};
 pub use layout::MemLayout;
 pub use mcu::{Mcu, NMI_VECTOR};

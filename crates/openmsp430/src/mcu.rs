@@ -4,7 +4,6 @@
 
 use crate::bus::{Bus, Master, MemAccess};
 use crate::cpu::{Cpu, IVT_VECTORS};
-use crate::hwmod::WireSet;
 use crate::layout::MemLayout;
 use crate::mem::{MemRegion, Memory};
 use crate::periph::{DmaOp, Peripheral};
@@ -105,147 +104,83 @@ impl std::fmt::Debug for Mcu {
 /// The non-maskable interrupt vector (serviced regardless of `GIE`).
 pub const NMI_VECTOR: u8 = 14;
 
-struct McuBus<'a> {
+/// Where a routed bus access is reported: the per-step access log, or
+/// a superblock step's wire fold. Statically dispatched through
+/// [`McuBus`] and [`Mcu::end_step`].
+trait Recorder {
+    fn record(&mut self, layout: &MemLayout, a: MemAccess);
+}
+
+impl Recorder for Vec<MemAccess> {
+    fn record(&mut self, _: &MemLayout, a: MemAccess) {
+        self.push(a);
+    }
+}
+
+/// A superblock step's access wires, folded as the accesses happen,
+/// against the layout's `ER`.
+#[derive(Default)]
+struct WireFold {
+    wires: WireSummary,
+    /// Anything was written (superblock dirtiness, not a monitor wire).
+    wrote: bool,
+}
+
+impl Recorder for WireFold {
+    fn record(&mut self, layout: &MemLayout, a: MemAccess) {
+        self.wrote |= a.write;
+        self.wires.fold(layout, Some(layout.er), &a);
+    }
+}
+
+/// The CPU's bus: hardware cell, then peripheral, then flat memory, with
+/// hardware-cell writes dropped. Every access — a dropped write
+/// included, so monitors still observe the attempt — goes to `rec`.
+struct McuBus<'a, R> {
     mem: &'a mut Memory,
     periphs: &'a mut [Box<dyn Peripheral>],
     periph_ranges: &'a [PeriphRange],
     hw_cells: &'a [HwCell],
-    log: &'a mut Vec<MemAccess>,
+    layout: &'a MemLayout,
+    rec: &'a mut R,
 }
 
-impl McuBus<'_> {
-    fn hw_cell_value(&self, addr: u16) -> Option<u16> {
-        hw_cell_lookup(self.hw_cells, addr).map(|i| self.hw_cells[i].value)
-    }
-
-    fn periph_index(&self, addr: u16) -> Option<usize> {
-        periph_lookup(self.periph_ranges, addr)
-    }
-}
-
-impl Bus for McuBus<'_> {
+impl<R: Recorder> Bus for McuBus<'_, R> {
     fn read(&mut self, addr: u16, byte: bool, fetch: bool) -> u16 {
-        let value = if let Some(word) = self.hw_cell_value(addr) {
-            if byte {
-                if addr & 1 == 0 {
-                    word & 0xFF
-                } else {
-                    word >> 8
-                }
-            } else {
-                word
+        let value = if let Some(i) = hw_cell_lookup(self.hw_cells, addr) {
+            let word = self.hw_cells[i].value;
+            match (byte, addr & 1) {
+                (false, _) => word,
+                (true, 0) => word & 0xFF,
+                (true, _) => word >> 8,
             }
-        } else if let Some(i) = self.periph_index(addr) {
+        } else if let Some(i) = periph_lookup(self.periph_ranges, addr) {
             self.periphs[i].read(addr, byte)
         } else {
             self.mem.read(addr, byte)
         };
-        self.log.push(MemAccess {
+        let access = MemAccess {
             addr,
             value,
             byte,
             write: false,
             fetch,
             master: Master::Cpu,
-        });
-        value
-    }
-
-    fn write(&mut self, addr: u16, val: u16, byte: bool) {
-        if self.hw_cell_value(addr).is_some() {
-            // Hardware-owned: software writes are dropped (but logged, so
-            // monitors can still observe the attempt).
-        } else if let Some(i) = self.periph_index(addr) {
-            self.periphs[i].write(addr, val, byte);
-        } else {
-            self.mem.write(addr, val, byte);
-        }
-        self.log.push(MemAccess {
-            addr,
-            value: val,
-            byte,
-            write: true,
-            fetch: false,
-            master: Master::Cpu,
-        });
-    }
-}
-
-/// Wire booleans accumulated by [`WireBus`] over one elided step.
-#[derive(Debug, Default, Clone, Copy)]
-struct WireAcc {
-    ren_key: bool,
-    wen_ivt: bool,
-    wen_or: bool,
-    wen_er: bool,
-    /// Any CPU write happened (superblock dirtiness, not a monitor wire).
-    wrote: bool,
-}
-
-/// The elided-step bus: routes exactly like [`McuBus`] (hardware cell >
-/// peripheral > flat memory; hardware-cell writes dropped) but instead
-/// of logging `MemAccess` entries it folds each access into the handful
-/// of wire booleans the composed monitor stack actually samples.
-struct WireBus<'a> {
-    mem: &'a mut Memory,
-    periphs: &'a mut [Box<dyn Peripheral>],
-    periph_ranges: &'a [PeriphRange],
-    hw_cells: &'a [HwCell],
-    key: MemRegion,
-    ivt: MemRegion,
-    or_: MemRegion,
-    er: MemRegion,
-    acc: &'a mut WireAcc,
-    want_ren_key: bool,
-    want_wen_ivt: bool,
-    want_wen_or: bool,
-    want_wen_er: bool,
-}
-
-impl Bus for WireBus<'_> {
-    fn read(&mut self, addr: u16, byte: bool, _fetch: bool) -> u16 {
-        let value = if let Some(i) = hw_cell_lookup(self.hw_cells, addr) {
-            let word = self.hw_cells[i].value;
-            if byte {
-                if addr & 1 == 0 {
-                    word & 0xFF
-                } else {
-                    word >> 8
-                }
-            } else {
-                word
-            }
-        } else if let Some(i) = periph_lookup(self.periph_ranges, addr) {
-            self.periphs[i].read(addr, byte)
-        } else {
-            self.mem.read(addr, byte)
         };
-        if self.want_ren_key {
-            self.acc.ren_key |= self.key.touches(addr, byte);
-        }
+        self.rec.record(self.layout, access);
         value
     }
 
     fn write(&mut self, addr: u16, val: u16, byte: bool) {
         if hw_cell_lookup(self.hw_cells, addr).is_some() {
-            // Hardware-owned: dropped, but the attempt stays observable
-            // through the wen_* wires below (like the logged attempt on
-            // the per-step path).
+            // Hardware-owned: software writes are dropped.
         } else if let Some(i) = periph_lookup(self.periph_ranges, addr) {
             self.periphs[i].write(addr, val, byte);
         } else {
             self.mem.write(addr, val, byte);
         }
-        self.acc.wrote = true;
-        if self.want_wen_ivt {
-            self.acc.wen_ivt |= self.ivt.touches(addr, byte);
-        }
-        if self.want_wen_or {
-            self.acc.wen_or |= self.or_.touches(addr, byte);
-        }
-        if self.want_wen_er {
-            self.acc.wen_er |= self.er.touches(addr, byte);
-        }
+        self.rec
+            .record(self.layout, MemAccess::write(addr, val, byte));
     }
 }
 
@@ -434,20 +369,40 @@ impl Mcu {
     /// pending interrupt state. Memory and cycle counters are preserved.
     pub fn reset(&mut self) {
         let mut log = Vec::new();
-        let mut bus = McuBus {
-            mem: &mut self.mem,
-            periphs: &mut self.periphs,
-            periph_ranges: &self.periph_ranges,
-            hw_cells: &self.hw_cells,
-            log: &mut log,
-        };
-        self.cpu.reset(&mut bus);
+        let (cpu, mut bus) = self.cpu_and_bus(&mut log);
+        cpu.reset(&mut bus);
         self.cpu.regs.set_sp(self.layout.stack_top);
         for p in &mut self.periphs {
             p.reset();
         }
         self.pending_irq = 0;
         self.injected_dma.clear();
+    }
+
+    /// The CPU and its bus over this MCU's memory map, reporting every
+    /// access to `rec`.
+    fn cpu_and_bus<'a, R>(&'a mut self, rec: &'a mut R) -> (&'a mut Cpu, McuBus<'a, R>) {
+        let bus = McuBus {
+            mem: &mut self.mem,
+            periphs: &mut self.periphs,
+            periph_ranges: &self.periph_ranges,
+            hw_cells: &self.hw_cells,
+            layout: &self.layout,
+            rec,
+        };
+        (&mut self.cpu, bus)
+    }
+
+    /// Interrupt lines: peripheral flags are level signals re-evaluated
+    /// each step (the latch lives in each peripheral's IFG register, as
+    /// on real silicon); externally raised lines stay pending until
+    /// serviced.
+    fn irq_lines(&self) -> u16 {
+        let mut lines = self.pending_irq;
+        for &i in &self.irq_periphs {
+            lines |= self.periphs[i].irq_lines();
+        }
+        lines
     }
 
     fn select_vector(&self, lines: u16) -> Option<u8> {
@@ -488,14 +443,7 @@ impl Mcu {
     /// [`Mcu::step`]'s (which is this method plus an allocation), whether
     /// the instruction came from the predecode cache or a live fetch.
     pub fn step_into(&mut self, out: &mut Signals) {
-        // Interrupt lines: peripheral flags are level signals re-evaluated
-        // each step (the latch lives in each peripheral's IFG register, as
-        // on real silicon); externally raised lines stay pending until
-        // serviced.
-        let mut lines = self.pending_irq;
-        for &i in &self.irq_periphs {
-            lines |= self.periphs[i].irq_lines();
-        }
+        let lines = self.irq_lines();
         let irq_pending = lines != 0;
         let vector = self.select_vector(lines);
 
@@ -525,16 +473,10 @@ impl Mcu {
         }
 
         let step_out = {
-            let mut bus = McuBus {
-                mem: &mut self.mem,
-                periphs: &mut self.periphs,
-                periph_ranges: &self.periph_ranges,
-                hw_cells: &self.hw_cells,
-                log: &mut out.accesses,
-            };
+            let (cpu, mut bus) = self.cpu_and_bus(&mut out.accesses);
             match predecoded {
-                Some(e) => self.cpu.step_predecoded(&mut bus, vector, e.instr, e.size),
-                None => self.cpu.step(&mut bus, vector),
+                Some(e) => cpu.step_predecoded(&mut bus, vector, e.instr, e.size),
+                None => cpu.step(&mut bus, vector),
             }
         };
 
@@ -545,39 +487,7 @@ impl Mcu {
             }
         }
 
-        // DMA: peripheral-programmed channels plus injected operations.
-        self.dma_scratch.clear();
-        self.dma_scratch.append(&mut self.injected_dma);
-        for i in 0..self.dma_periphs.len() {
-            let ops = self.periphs[self.dma_periphs[i]].dma_ops();
-            self.dma_scratch.extend(ops);
-        }
-        for op in self.dma_scratch.drain(..) {
-            let value = self.mem.read(op.src, op.byte);
-            self.mem.write(op.dst, value, op.byte);
-            out.accesses.push(MemAccess {
-                addr: op.src,
-                value,
-                byte: op.byte,
-                write: false,
-                fetch: false,
-                master: Master::Dma,
-            });
-            out.accesses.push(MemAccess {
-                addr: op.dst,
-                value,
-                byte: op.byte,
-                write: true,
-                fetch: false,
-                master: Master::Dma,
-            });
-        }
-
-        for &i in &self.tick_periphs {
-            self.periphs[i].tick(step_out.cycles);
-        }
-        self.cycle += step_out.cycles;
-        self.step_idx += 1;
+        self.end_step(step_out.cycles, &mut out.accesses);
 
         out.cycle = self.cycle;
         out.step = self.step_idx;
@@ -602,14 +512,61 @@ impl Mcu {
         self.decode_cache.stats().merge(self.block_cache.stats())
     }
 
-    /// True when some pending/peripheral line would actually be serviced
-    /// on the next step (post-GIE/NMI gating).
-    fn serviceable_irq(&self) -> bool {
-        let mut lines = self.pending_irq;
-        for &i in &self.irq_periphs {
-            lines |= self.periphs[i].irq_lines();
+    /// Ends a step: drains its DMA — injected operations first, then
+    /// each DMA-mastering peripheral's, each performed on flat memory and
+    /// reported to `rec` as its read and its write — then advances the
+    /// peripherals and counters by the step's `cycles`.
+    fn end_step(&mut self, cycles: u64, rec: &mut impl Recorder) {
+        self.dma_scratch.clear();
+        self.dma_scratch.append(&mut self.injected_dma);
+        for &i in &self.dma_periphs {
+            self.dma_scratch.extend(self.periphs[i].dma_ops());
         }
-        lines != 0 && self.select_vector(lines).is_some()
+        // Most steps move no DMA, and an empty `Drain` still costs a
+        // burst step a few percent.
+        if !self.dma_scratch.is_empty() {
+            for op in self.dma_scratch.drain(..) {
+                let value = self.mem.read(op.src, op.byte);
+                self.mem.write(op.dst, value, op.byte);
+                for (addr, write) in [(op.src, false), (op.dst, true)] {
+                    let access = MemAccess {
+                        addr,
+                        value,
+                        byte: op.byte,
+                        write,
+                        fetch: false,
+                        master: Master::Dma,
+                    };
+                    rec.record(&self.layout, access);
+                }
+            }
+        }
+        for &i in &self.tick_periphs {
+            self.periphs[i].tick(cycles);
+        }
+        self.cycle += cycles;
+        self.step_idx += 1;
+    }
+
+    /// Why a burst must return before the step at the current PC, if it
+    /// must: budget spent, stop PC reached, or a step no trace can run
+    /// (predecoding off, halted or sleeping CPU, serviceable interrupt —
+    /// post-GIE/NMI gating).
+    // Inline: `run_superblock` is generic, so it is compiled in the
+    // caller's crate, where this would otherwise stay a call per step.
+    #[inline]
+    fn boundary_exit(&self, cfg: &SbConfig, done: u64) -> Option<SbExit> {
+        if done >= cfg.budget {
+            return Some(SbExit::Budget);
+        }
+        if cfg.stop_pc == Some(self.cpu.regs.pc()) {
+            return Some(SbExit::StopPc);
+        }
+        if !self.predecode_enabled || self.cpu.is_halted() || self.cpu.regs.cpu_off() {
+            return Some(SbExit::NeedStep);
+        }
+        let lines = self.irq_lines();
+        (lines != 0 && self.select_vector(lines).is_some()).then_some(SbExit::NeedStep)
     }
 
     /// The superblock entered at `pc`, built (and cached) on a miss.
@@ -635,13 +592,16 @@ impl Mcu {
                 break;
             };
             Superblock::cover(&mut pages, &self.mem, pc, e.size);
-            let fetch_ren_key =
-                (0..e.size / 2).any(|i| self.layout.key.touches(pc.wrapping_add(2 * i), false));
+            let mut fetch = WireFold::default();
+            for i in 0..e.size / 2 {
+                let word = MemAccess::fetch(pc.wrapping_add(2 * i), e.words[i as usize]);
+                fetch.record(&self.layout, word);
+            }
             steps.push(TraceStep {
                 pc,
                 instr: e.instr,
                 size: e.size,
-                fetch_ren_key,
+                fetch_ren_key: fetch.wires.ren_key,
             });
             if terminates_block(&e.instr) {
                 break;
@@ -658,10 +618,10 @@ impl Mcu {
     }
 
     /// Executes up to `cfg.budget` steps through the superblock tier,
-    /// calling `obs` once per executed step with an elided
-    /// [`WireSummary`]: only the wires in `cfg.observed` are computed.
-    /// Callers that need full [`Signals`] (trace or waveform capture)
-    /// step with [`Mcu::step_into`] instead.
+    /// calling `obs` once per executed step with its [`WireSummary`]:
+    /// every access wire, folded as the accesses happen. Callers that
+    /// need full [`Signals`] (trace or waveform capture) step with
+    /// [`Mcu::step_into`] instead.
     ///
     /// Interior steps never service interrupts: the executor polls the
     /// interrupt lines at every step boundary and returns
@@ -684,17 +644,8 @@ impl Mcu {
         // binary search from the burst loop.
         let mut exec_level: Option<u16> = None;
         'outer: loop {
-            if done >= cfg.budget {
-                return (done, SbExit::Budget);
-            }
-            if cfg.stop_pc == Some(self.cpu.regs.pc()) {
-                return (done, SbExit::StopPc);
-            }
-            if !self.predecode_enabled || self.cpu.is_halted() || self.cpu.regs.cpu_off() {
-                return (done, SbExit::NeedStep);
-            }
-            if self.serviceable_irq() {
-                return (done, SbExit::NeedStep);
+            if let Some(exit) = self.boundary_exit(cfg, done) {
+                return (done, exit);
             }
             let entry = self.cpu.regs.pc();
             let block = self.superblock_at(entry);
@@ -702,32 +653,14 @@ impl Mcu {
                 return (done, SbExit::NeedStep);
             }
             let mut idx = 0usize;
-            let mut fresh = true;
             loop {
-                // Step-boundary checks; on the first trace step they
-                // already ran above (before the block lookup).
-                if !fresh {
-                    if done >= cfg.budget {
-                        return (done, SbExit::Budget);
-                    }
-                    if cfg.stop_pc == Some(self.cpu.regs.pc()) {
-                        return (done, SbExit::StopPc);
-                    }
-                    if self.cpu.regs.cpu_off() {
-                        return (done, SbExit::NeedStep);
-                    }
-                    if self.serviceable_irq() {
-                        return (done, SbExit::NeedStep);
-                    }
-                }
-                fresh = false;
                 let ts = &block.steps[idx];
                 if ts.pc != self.cpu.regs.pc() {
                     // Defensive: the trace no longer matches reality
                     // (should be unreachable; terminators end blocks).
                     continue 'outer;
                 }
-                let (ctl, faulted, dirty) = self.sb_step_elide(ts, cfg, &mut obs);
+                let (ctl, faulted, dirty) = self.sb_step(ts, &mut obs);
                 done += 1;
                 if let Some(cell) = cfg.exec_cell {
                     let level = ctl.exec as u16;
@@ -753,103 +686,44 @@ impl Mcu {
                 }
                 idx += 1;
                 if idx == block.steps.len() {
-                    if self.cpu.regs.pc() == entry {
-                        // Tight loop back to the entry (e.g. `jmp $`):
-                        // re-run the trace without another cache lookup.
-                        idx = 0;
-                    } else {
+                    if self.cpu.regs.pc() != entry {
                         continue 'outer;
                     }
+                    // Tight loop back to the entry (e.g. `jmp $`):
+                    // re-run the trace without another cache lookup.
+                    idx = 0;
+                }
+                if let Some(exit) = self.boundary_exit(cfg, done) {
+                    return (done, exit);
                 }
             }
         }
     }
 
-    /// One elided interior step: execute through [`WireBus`], drain DMA,
-    /// tick peripherals, and hand the observer a [`WireSummary`] of the
-    /// observed wires only.
-    fn sb_step_elide(
+    /// One superblock-interior step: execute through the bus with the
+    /// wire fold behind it, end the step (DMA, peripherals, counters),
+    /// and hand the observer the step's [`WireSummary`]. Returns the
+    /// observer's verdict, whether the CPU faulted, and whether anything
+    /// was written.
+    fn sb_step(
         &mut self,
         ts: &TraceStep,
-        cfg: &SbConfig,
         obs: &mut impl FnMut(&WireSummary) -> StepCtl,
     ) -> (StepCtl, bool, bool) {
-        let want = cfg.observed;
-        let mut acc = WireAcc::default();
+        let mut fold = WireFold::default();
         let step_out = {
-            let mut bus = WireBus {
-                mem: &mut self.mem,
-                periphs: &mut self.periphs,
-                periph_ranges: &self.periph_ranges,
-                hw_cells: &self.hw_cells,
-                key: self.layout.key,
-                ivt: self.layout.ivt,
-                or_: self.layout.or,
-                er: self.layout.er,
-                acc: &mut acc,
-                want_ren_key: want.contains(WireSet::REN_KEY),
-                want_wen_ivt: want.contains(WireSet::WEN_IVT),
-                want_wen_or: want.contains(WireSet::WEN_OR),
-                want_wen_er: want.contains(WireSet::WEN_ER),
-            };
-            self.cpu.step_predecoded(&mut bus, None, ts.instr, ts.size)
+            let (cpu, mut bus) = self.cpu_and_bus(&mut fold);
+            cpu.step_predecoded(&mut bus, None, ts.instr, ts.size)
         };
-
-        let mut summary = WireSummary {
+        self.end_step(step_out.cycles, &mut fold);
+        let wires = WireSummary {
+            step: self.step_idx,
             pc: ts.pc,
             fault: step_out.fault.is_some(),
-            ren_key: want.contains(WireSet::REN_KEY) && (acc.ren_key || ts.fetch_ren_key),
-            wen_ivt: acc.wen_ivt,
-            wen_or: acc.wen_or,
-            wen_er: acc.wen_er,
-            ..WireSummary::default()
+            ren_key: fold.wires.ren_key || ts.fetch_ren_key,
+            ..fold.wires
         };
-        let mut dirty = acc.wrote;
-
-        // DMA: peripheral-programmed channels plus injected operations,
-        // identical routing to `step_into` — only the logging differs.
-        self.dma_scratch.clear();
-        self.dma_scratch.append(&mut self.injected_dma);
-        for i in 0..self.dma_periphs.len() {
-            let ops = self.periphs[self.dma_periphs[i]].dma_ops();
-            self.dma_scratch.extend(ops);
-        }
-        if !self.dma_scratch.is_empty() {
-            let want_key = want.contains(WireSet::DMA_KEY);
-            let want_ivt = want.contains(WireSet::DMA_IVT);
-            let want_or = want.contains(WireSet::DMA_OR);
-            let want_er = want.contains(WireSet::DMA_ER);
-            summary.dma_active = want.contains(WireSet::DMA_ACTIVE);
-            dirty = true;
-            for op in self.dma_scratch.drain(..) {
-                let value = self.mem.read(op.src, op.byte);
-                self.mem.write(op.dst, value, op.byte);
-                for addr in [op.src, op.dst] {
-                    if want_key {
-                        summary.dma_key |= self.layout.key.touches(addr, op.byte);
-                    }
-                    if want_ivt {
-                        summary.dma_ivt |= self.layout.ivt.touches(addr, op.byte);
-                    }
-                    if want_or {
-                        summary.dma_or |= self.layout.or.touches(addr, op.byte);
-                    }
-                    if want_er {
-                        summary.dma_er |= self.layout.er.touches(addr, op.byte);
-                    }
-                }
-            }
-        }
-
-        for &i in &self.tick_periphs {
-            self.periphs[i].tick(step_out.cycles);
-        }
-        self.cycle += step_out.cycles;
-        self.step_idx += 1;
-        summary.step = self.step_idx;
-
-        let ctl = obs(&summary);
-        (ctl, step_out.fault.is_some(), dirty)
+        (obs(&wires), wires.fault, fold.wrote)
     }
 }
 
@@ -858,6 +732,7 @@ mod tests {
     use super::*;
     use crate::cpu::vector_addr;
     use crate::mem::MemRegion;
+    use proptest::prelude::*;
 
     fn program(mcu: &mut Mcu, org: u16, words: &[u16]) {
         let mut addr = org;
@@ -1162,8 +1037,9 @@ mod tests {
         assert_eq!(mcu.cycles(), 4);
     }
 
-    /// The wires the superblock executor must report for one step with
-    /// every wire observed, derived from that step's per-step `Signals`.
+    /// The wires the superblock executor must report for one step,
+    /// derived from that step's per-step `Signals` through the
+    /// per-predicate `Signals` queries, independently of the fold.
     fn reference_wires(layout: &MemLayout, s: &Signals) -> WireSummary {
         WireSummary {
             step: s.step,
@@ -1181,6 +1057,51 @@ mod tests {
         }
     }
 
+    /// Accesses of every kind (CPU read, fetch and write, DMA read and
+    /// write; byte and word) whose address is, most of the time, on an
+    /// edge of the key, IVT, `OR` or `ER` region of `layout`: its first
+    /// or last byte, or the byte just outside either end (a word there
+    /// straddles the edge).
+    fn edge_access(layout: MemLayout) -> impl Strategy<Value = MemAccess> {
+        let mut edges = Vec::new();
+        for r in [layout.key, layout.ivt, layout.or, layout.er] {
+            let (start, end) = (r.start(), r.end());
+            edges.extend([start.wrapping_sub(1), start, end, end.wrapping_add(1)]);
+        }
+        let picks = 0..edges.len() + 4;
+        (picks, any::<u16>(), 0u8..5, any::<bool>()).prop_map(move |(pick, addr, kind, byte)| {
+            MemAccess {
+                addr: edges.get(pick).copied().unwrap_or(addr),
+                value: 0,
+                byte,
+                write: kind == 2 || kind == 4,
+                fetch: kind == 1,
+                master: if kind >= 3 { Master::Dma } else { Master::Cpu },
+            }
+        })
+    }
+
+    proptest! {
+        /// The one access-wire fold against the per-predicate reference,
+        /// over random access logs, with and without an `ER`.
+        #[test]
+        fn wire_fold_matches_the_signal_predicates(
+            accesses in proptest::collection::vec(edge_access(MemLayout::default()), 0..6),
+        ) {
+            let layout = MemLayout::default();
+            let signals = Signals { accesses, ..Signals::default() };
+            let (mut with_er, mut without_er) = (WireSummary::default(), WireSummary::default());
+            for a in &signals.accesses {
+                with_er.fold(&layout, Some(layout.er), a);
+                without_er.fold(&layout, None, a);
+            }
+            let expect = reference_wires(&layout, &signals);
+            prop_assert_eq!(with_er, expect);
+            let no_er = WireSummary { wen_er: false, dma_er: false, ..expect };
+            prop_assert_eq!(without_er, no_er);
+        }
+    }
+
     /// Runs `steps` steps through the per-step pipeline, returning each
     /// step's reference wires.
     fn run_per_step(mcu: &mut Mcu, steps: u64) -> Vec<WireSummary> {
@@ -1192,9 +1113,9 @@ mod tests {
             .collect()
     }
 
-    /// Drives `mcu` for `steps` steps through the superblock tier with
-    /// every wire observed, collecting each interior step's summary and
-    /// the reference wires of every `NeedStep` fallback step.
+    /// Drives `mcu` for `steps` steps through the superblock tier,
+    /// collecting each interior step's summary and the reference wires
+    /// of every `NeedStep` fallback step.
     fn run_superblocked(mcu: &mut Mcu, steps: u64) -> Vec<WireSummary> {
         let mut collected = Vec::new();
         let mut remaining = steps;
@@ -1203,7 +1124,6 @@ mod tests {
                 budget: remaining,
                 stop_pc: None,
                 exec_cell: None,
-                observed: WireSet::ALL,
             };
             let (done, exit) = mcu.run_superblock(&cfg, |w| {
                 collected.push(*w);
@@ -1275,62 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn elided_and_materialized_runs_agree_on_machine_state() {
-        // Nothing observed: the elided burst computes no wire at all, and
-        // must still leave the machine where the per-step pipeline (full
-        // `Signals` per step) leaves it.
-        let words = [0x4034u16, 0x1234, 0x4482, 0x0200, 0x4315, 0x3FFF];
-        let mut elided = Mcu::new(MemLayout::default());
-        let mut full = Mcu::new(MemLayout::default());
-        program(&mut elided, 0xE000, &words);
-        program(&mut full, 0xE000, &words);
-        let _ = run_per_step(&mut full, 40);
-        let cfg = SbConfig {
-            budget: 40,
-            stop_pc: None,
-            exec_cell: None,
-            observed: WireSet::NONE,
-        };
-        let mut summaries = 0u64;
-        let (done, exit) = elided.run_superblock(&cfg, |_| {
-            summaries += 1;
-            StepCtl::default()
-        });
-        assert_eq!(exit, SbExit::Budget);
-        assert_eq!(done, 40);
-        assert_eq!(summaries, 40);
-        assert_eq!(elided.cpu.regs, full.cpu.regs);
-        assert_eq!(elided.cycles(), full.cycles());
-        assert_eq!(elided.mem.read_word(0x0200), 0x1234);
-    }
-
-    #[test]
-    fn wire_set_gates_summary_wires() {
-        // A store into the IVT region: with WEN_IVT observed the summary
-        // raises the wire; with an empty set it stays silent (the wire
-        // was never computed), but the write itself still lands.
-        let ivt_addr = MemLayout::default().ivt.start();
-        let words = [0x40B2u16, 0xAAAA, ivt_addr, 0x3FFF];
-        for (observed, expect_wire) in [(WireSet::WEN_IVT, true), (WireSet::NONE, false)] {
-            let mut mcu = Mcu::new(MemLayout::default());
-            program(&mut mcu, 0xE000, &words);
-            let mut saw = false;
-            let cfg = SbConfig {
-                budget: 2,
-                stop_pc: None,
-                exec_cell: None,
-                observed,
-            };
-            let (done, _) = mcu.run_superblock(&cfg, |w| {
-                saw |= w.wen_ivt;
-                StepCtl::default()
-            });
-            assert_eq!(done, 2);
-            assert_eq!(saw, expect_wire);
-        }
-    }
-
-    #[test]
     fn stop_pc_and_exec_cell_are_honoured() {
         let words = [0x4034u16, 0x1234, 0x4315, 0x3FFF];
         let mut mcu = Mcu::new(MemLayout::default());
@@ -1340,7 +1204,6 @@ mod tests {
             budget: 100,
             stop_pc: Some(0xE006),
             exec_cell: Some(0x0190),
-            observed: WireSet::NONE,
         };
         let (done, exit) = mcu.run_superblock(&cfg, |_| StepCtl {
             exec: true,

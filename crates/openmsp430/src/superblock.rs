@@ -15,8 +15,10 @@
 //! every step boundary and bails out to the per-step path whenever a
 //! serviceable vector appears.
 
+use crate::bus::{Master, MemAccess};
 use crate::isa::{Instr, OneOp, Operand};
-use crate::mem::{Memory, PAGE_SHIFT};
+use crate::layout::MemLayout;
+use crate::mem::{MemRegion, Memory, PAGE_SHIFT};
 use crate::regs::Reg;
 use std::sync::Arc;
 
@@ -38,7 +40,8 @@ pub struct TraceStep {
     /// Encoded size in bytes (2, 4, or 6).
     pub size: u16,
     /// True when any fetch word of this instruction touches the key
-    /// region (precomputed so elided steps never re-test the layout).
+    /// region (folded once when the trace is built: interior steps
+    /// replay no fetch traffic).
     pub fetch_ren_key: bool,
 }
 
@@ -223,9 +226,6 @@ pub struct SbConfig {
     /// Hardware cell rewritten with the observer's `exec` level after
     /// every interior step (the device's EXEC flag).
     pub exec_cell: Option<u16>,
-    /// Union of every wire the composed monitor stack samples; wires
-    /// outside the set are never computed on interior steps.
-    pub observed: crate::hwmod::WireSet,
 }
 
 /// Observer verdict for one interior step.
@@ -254,10 +254,11 @@ pub enum SbExit {
     Fault,
 }
 
-/// The monitor-observable wires of one elided interior step. Interrupt
-/// servicing never happens inside a trace, so there is no `irq` field;
-/// the PC-comparison wires are derived from `pc` by the observer
-/// (which owns the ER layout).
+/// The monitor-observable wires of one superblock-interior step, and
+/// the accumulator of [`WireSummary::fold`]. Interrupt servicing never
+/// happens inside a trace, so there is no `irq` field; the
+/// PC-comparison wires are derived from `pc` by the observer (which
+/// owns the ER layout).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireSummary {
     /// Step index (after the step executed), for violation logs.
@@ -284,6 +285,35 @@ pub struct WireSummary {
     pub wen_er: bool,
     /// A DMA access touched the execution region.
     pub dma_er: bool,
+}
+
+impl WireSummary {
+    /// Folds one bus access into the access wires — the one fold behind
+    /// the superblock bus, the DMA drain and the per-step wire
+    /// extraction. CPU reads and fetches raise `ren_key`; CPU writes the
+    /// `wen_*` wires; any DMA access `dma_active` and the `dma_*` wires.
+    /// A word access touches a region through either byte. With `er`
+    /// `None` (no execution region configured) the ER wires stay low.
+    // Inline across crates: `WireImage::of` folds every logged access.
+    #[inline]
+    pub fn fold(&mut self, layout: &MemLayout, er: Option<MemRegion>, a: &MemAccess) {
+        let touches = |r: MemRegion| r.touches(a.addr, a.byte);
+        match a.master {
+            Master::Cpu if a.write => {
+                self.wen_ivt |= touches(layout.ivt);
+                self.wen_or |= touches(layout.or);
+                self.wen_er |= er.is_some_and(touches);
+            }
+            Master::Cpu => self.ren_key |= touches(layout.key),
+            Master::Dma => {
+                self.dma_active = true;
+                self.dma_key |= touches(layout.key);
+                self.dma_ivt |= touches(layout.ivt);
+                self.dma_or |= touches(layout.or);
+                self.dma_er |= er.is_some_and(touches);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use crate::props::{names, PropCtx, WireImage};
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::hwmod::{ObservesWires, WireSet};
 use openmsp430::signals::Signals;
 use std::collections::BTreeSet;
 
@@ -110,13 +109,6 @@ impl KeyGuard {
             ),
         ]
     }
-}
-
-impl ObservesWires for KeyGuard {
-    // Exactly the wires `KeyGuardIn::from_wires` samples.
-    const OBSERVES: WireSet = WireSet::REN_KEY
-        .union(WireSet::DMA_KEY)
-        .union(WireSet::PC_IN_SWATT);
 }
 
 impl MonitorFsm for KeyGuard {
@@ -285,15 +277,6 @@ impl SwAttAtomicity {
 /// region (where the routine's final `ret` conceptually lives).
 pub fn swatt_exit_addr(layout: &openmsp430::layout::MemLayout) -> u16 {
     layout.swatt.end() & !1
-}
-
-impl ObservesWires for SwAttAtomicity {
-    // Exactly the wires the atomicity `step_wires` samples.
-    const OBSERVES: WireSet = WireSet::PC_IN_SWATT
-        .union(WireSet::PC_AT_SWATT_MIN)
-        .union(WireSet::PC_AT_SWATT_MAX)
-        .union(WireSet::IRQ)
-        .union(WireSet::DMA_ACTIVE);
 }
 
 impl MonitorFsm for SwAttAtomicity {

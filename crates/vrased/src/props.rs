@@ -7,7 +7,6 @@
 //! name per proposition and provides the conversion from a simulation
 //! step's [`Signals`] to the set of names that hold in it.
 
-use openmsp430::bus::Master;
 use openmsp430::layout::MemLayout;
 use openmsp430::mem::MemRegion;
 use openmsp430::signals::Signals;
@@ -182,59 +181,29 @@ pub struct WireImage {
 }
 
 impl WireImage {
-    /// Extracts the wires for one step.
+    /// Extracts the wires for one step: one pass of
+    /// [`WireSummary::fold`] over the access log, against `ctx.er`.
     pub fn of(ctx: &PropCtx, s: &Signals) -> WireImage {
-        let l = &ctx.layout;
-        let mut w = WireImage {
-            irq: s.irq,
+        let mut wires = WireSummary {
+            step: s.step,
+            pc: s.pc,
             fault: s.fault.is_some(),
-            pc_in_swatt: l.swatt.contains(s.pc),
-            pc_at_swatt_min: s.pc == l.swatt.start(),
-            pc_at_swatt_max: s.pc == l.swatt.end() & !1,
-            ..WireImage::default()
+            ..WireSummary::default()
         };
-        if let Some(er) = &ctx.er {
-            w.pc_in_er = er.region.contains(s.pc);
-            w.pc_at_ermin = s.pc == er.min;
-            w.pc_at_erexit = s.pc == er.exit;
-        }
-        let er = ctx.er.as_ref().map(|e| e.region);
+        let er = ctx.er.map(|e| e.region);
         for a in &s.accesses {
-            match a.master {
-                Master::Cpu => {
-                    if a.write {
-                        w.wen_ivt |= l.ivt.touches(a.addr, a.byte);
-                        w.wen_or |= l.or.touches(a.addr, a.byte);
-                        if let Some(er) = er {
-                            w.wen_er |= er.touches(a.addr, a.byte);
-                        }
-                    } else {
-                        // Data reads and instruction fetches both count
-                        // as `Ren` on the key region.
-                        w.ren_key |= l.key.touches(a.addr, a.byte);
-                    }
-                }
-                Master::Dma => {
-                    w.dma_active = true;
-                    w.dma_key |= l.key.touches(a.addr, a.byte);
-                    w.dma_ivt |= l.ivt.touches(a.addr, a.byte);
-                    w.dma_or |= l.or.touches(a.addr, a.byte);
-                    if let Some(er) = er {
-                        w.dma_er |= er.touches(a.addr, a.byte);
-                    }
-                }
-            }
+            wires.fold(&ctx.layout, er, a);
         }
-        w
+        WireImage {
+            irq: s.irq,
+            ..WireImage::of_summary(ctx, &wires)
+        }
     }
 
-    /// Extracts the wires from an elided superblock-interior step.
-    ///
-    /// The access-derived wires come straight from the summary (the
-    /// executor computed exactly those in the composed observable set);
-    /// the PC-comparison wires are derived here, identically to
-    /// [`WireImage::of`]. Interior steps never service interrupts, so
-    /// `irq` is constant false.
+    /// Extracts the wires from a superblock-interior step: the access
+    /// wires come straight from the summary, the PC-comparison wires are
+    /// derived from its `pc` (the ER ones only when `ctx` has an `ER`).
+    /// Interior steps never service interrupts, so `irq` is false.
     pub fn of_summary(ctx: &PropCtx, s: &WireSummary) -> WireImage {
         let l = &ctx.layout;
         let mut w = WireImage {
@@ -266,7 +235,7 @@ impl WireImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openmsp430::bus::MemAccess;
+    use openmsp430::bus::{Master, MemAccess};
 
     fn base_signals() -> Signals {
         Signals {

@@ -223,14 +223,14 @@ fn superblock_signal_stream_is_bit_identical() {
     assert_eq!(devices[0].violations(), devices[1].violations());
 }
 
-/// Dead-signal elision (no tap, wires only) reaches the same machine
-/// state and verdicts as a tapped device, which runs per step and
-/// materializes full `Signals` — the elided wires really are the only
-/// ones the monitor stack can see.
+/// A tap-free device, whose bursts hand the monitor stack only folded
+/// wires, reaches the same machine state and verdicts as a tapped
+/// device, which runs per step and materializes full `Signals` — the
+/// folded wires really are all the monitor stack can see.
 #[test]
 fn elided_and_materialized_device_runs_agree() {
     let image = programs::fig4_authorized().expect("image links");
-    let mut elided = Device::builder(&image)
+    let mut bursting = Device::builder(&image)
         .key(b"pipeline-key")
         .superblocks(true)
         .build()
@@ -241,19 +241,56 @@ fn elided_and_materialized_device_runs_agree() {
         .stream_signals(|_| {})
         .build()
         .unwrap();
-    for d in [&mut elided, &mut full] {
+    for d in [&mut bursting, &mut full] {
         d.run_steps(6);
         d.set_button(0, true);
         d.run_steps(800);
         d.attacker_cpu_write(0xFFE4, 0xBEEF);
         d.run_steps(100);
     }
-    assert_eq!(elided.exec(), full.exec());
-    assert_eq!(elided.resets(), full.resets());
-    assert_eq!(elided.violations(), full.violations());
-    assert_eq!(elided.mcu.cpu.regs, full.mcu.cpu.regs);
-    assert_eq!(elided.mcu.cycles(), full.mcu.cycles());
-    assert_eq!(elided.mcu.steps(), full.mcu.steps());
+    assert_eq!(bursting.exec(), full.exec());
+    assert_eq!(bursting.resets(), full.resets());
+    assert_eq!(bursting.violations(), full.violations());
+    assert_eq!(bursting.mcu.cpu.regs, full.mcu.cpu.regs);
+    assert_eq!(bursting.mcu.cycles(), full.mcu.cycles());
+    assert_eq!(bursting.mcu.steps(), full.mcu.steps());
+}
+
+/// APEX bursts compute the IVT wires too. An APEX device has its IVT
+/// written mid-run, once by a CPU store executed inside a burst (the
+/// `ivt-rewrite` program's post-run vector write) and once by DMA; the
+/// superblock and per-step devices must agree after every burst.
+#[test]
+fn apex_ivt_writes_agree_across_pipelines() {
+    let source = include_str!("../programs/attacks/ivt-rewrite.s.md");
+    let image = programs::build_literate(source, &[]).expect("image links");
+    let mut devices = [true, false].map(|on| {
+        Device::builder(&image)
+            .mode(PoxMode::Apex)
+            .key(b"pipeline-key")
+            .superblocks(on)
+            .build()
+            .unwrap()
+    });
+    for burst in 0..48u64 {
+        for d in &mut devices {
+            if burst == 30 {
+                d.attacker_dma_write(0xFFE6, 0xBEEF);
+            }
+            d.run_steps(burst % 5 + 1);
+        }
+        let [fast, slow] = &devices;
+        assert_eq!(fast.exec(), slow.exec(), "burst {burst}: EXEC");
+        assert_eq!(fast.violations(), slow.violations(), "burst {burst}");
+        assert_eq!(fast.resets(), slow.resets(), "burst {burst}: resets");
+        assert_eq!(fast.mcu.cpu.regs, slow.mcu.cpu.regs, "burst {burst}");
+        assert_eq!(fast.mcu.cycles(), slow.mcu.cycles(), "burst {burst}");
+    }
+    for d in &devices {
+        let ivt = d.ivt_bytes();
+        assert_eq!(&ivt[4..8], &[0xAD, 0xDE, 0xEF, 0xBE], "both writes landed");
+        assert!(d.exec(), "APEX does not guard the IVT");
+    }
 }
 
 /// Satellite: the merged predecode + superblock cache counters are

@@ -6,9 +6,10 @@
 //!
 //! The first sweep installs a signal tap on both devices, and a tapped
 //! device runs per step whatever its superblock setting: it pins the
-//! capture path to the per-step reference. The elided path is covered
-//! by the machine-state comparison at the end, and with interrupt timing
-//! swept by `tests/superblock_sweep.rs`.
+//! capture path to the per-step reference. The tap-free burst path,
+//! which hands the monitors folded wires instead of `Signals`, is
+//! covered by the machine-state comparison at the end, and with
+//! interrupt timing swept by `tests/superblock_sweep.rs`.
 
 use asap::device::Device;
 use asap_corpus::{default_programs_dir, discover, CorpusProgram};
@@ -108,10 +109,10 @@ fn every_corpus_program_is_bit_identical_under_superblocks() {
     }
 }
 
-/// The elided (wire-summary) path against the per-step pipeline: no
-/// taps, so the superblocked run uses dead-signal elision. Machine
-/// state and monitor verdicts must still match exactly, for both PoX
-/// architectures wherever the manifest allows.
+/// The burst (wire-summary) path against the per-step pipeline: no
+/// taps, so the superblocked run clocks its monitors from folded wires.
+/// Machine state and monitor verdicts must still match exactly, for
+/// both PoX architectures wherever the manifest allows.
 #[test]
 fn every_corpus_program_agrees_under_elision() {
     let programs = discover(&default_programs_dir()).expect("corpus discovers");
