@@ -23,13 +23,14 @@
 //! # Examples
 //!
 //! ```
-//! use apex_pox::monitor::{exec_kernel, ExecIn, ExecState};
+//! use apex_pox::monitor::{exec_kernel, ExecState};
+//! use openmsp430::Wires;
 //!
 //! // Honest atomic execution: enter at ERmin, run, exit at ERmax.
 //! let s = ExecState::default();
-//! let s = exec_kernel(s, ExecIn { pc_in_er: true, pc_at_ermin: true, ..Default::default() }, true);
-//! let s = exec_kernel(s, ExecIn { pc_in_er: true, pc_at_erexit: true, ..Default::default() }, true);
-//! let s = exec_kernel(s, ExecIn::default(), true);
+//! let s = exec_kernel(s, Wires::PC_IN_ER | Wires::PC_AT_ERMIN, true);
+//! let s = exec_kernel(s, Wires::PC_IN_ER | Wires::PC_AT_EREXIT, true);
+//! let s = exec_kernel(s, Wires::default(), true);
 //! assert!(s.exec);
 //! ```
 
@@ -37,6 +38,6 @@ pub mod monitor;
 pub mod protocol;
 pub mod wire;
 
-pub use monitor::{exec_kernel, ApexMonitor, ExecIn, ExecState};
+pub use monitor::{exec_kernel, ApexMonitor, ExecState};
 pub use protocol::{labels, pox_items, PoxError, PoxItems, PoxRequest, PoxResponse, PoxVerifier};
 pub use wire::WireError;

@@ -12,43 +12,20 @@
 //! * a write to `OR` by anything but the executing `ER` code;
 //! * DMA activity or a CPU fault during execution.
 //!
-//! The kernel is pure. [`ApexMonitor`] clocks it for the device through
-//! `step_wires`, and the same value is a model-checkable
-//! [`ltl_mc::MonitorFsm`] (the same transition code in both roles).
+//! The kernel is a pure function of the state and one step's [`Wires`].
+//! [`ApexMonitor`] clocks it for the device through `step_wires`, and
+//! the same value is a model-checkable [`ltl_mc::MonitorFsm`] (the same
+//! transition code in both roles).
 
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
+use openmsp430::superblock::Wires;
 use vrased::hw::WireStep;
-use vrased::props::{names, WireImage};
+use vrased::props::{names, wire_names};
 
 fn p(name: &str) -> Ltl {
     Ltl::prop(name)
-}
-
-/// Inputs of the `EXEC` kernel for one step.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecIn {
-    /// `PC ∈ ER`.
-    pub pc_in_er: bool,
-    /// `PC = ERmin`.
-    pub pc_at_ermin: bool,
-    /// `PC = ERmax` (legal exit instruction).
-    pub pc_at_erexit: bool,
-    /// Interrupt service began this step.
-    pub irq: bool,
-    /// CPU write into `ER`.
-    pub wen_er: bool,
-    /// DMA touched `ER`.
-    pub dma_er: bool,
-    /// CPU write into `OR`.
-    pub wen_or: bool,
-    /// DMA touched `OR`.
-    pub dma_or: bool,
-    /// Any DMA activity.
-    pub dma_active: bool,
-    /// CPU fault this step.
-    pub fault: bool,
 }
 
 /// Register state of the `EXEC` monitor.
@@ -68,24 +45,26 @@ pub struct ExecState {
 ///
 /// `check_irq` selects APEX behaviour (LTL 3 enforced) vs ASAP behaviour
 /// (interrupts allowed as long as the PC stays inside `ER`).
-pub fn exec_kernel(s: ExecState, i: ExecIn, check_irq: bool) -> ExecState {
+pub fn exec_kernel(s: ExecState, w: Wires, check_irq: bool) -> ExecState {
     let mut exec = s.exec;
     let mut active = s.active;
+    let in_er = w.contains(Wires::PC_IN_ER);
+    let at_ermin = w.contains(Wires::PC_AT_ERMIN);
 
     // (Re)entry at ERmin from outside the region opens a fresh proof
     // window and raises EXEC.
-    if i.pc_at_ermin && !s.prev_in_er {
+    if at_ermin && !s.prev_in_er {
         exec = true;
         active = true;
     }
 
     // Boundary rules (LTL 1 / LTL 2).
-    if i.pc_in_er && !s.prev_in_er && !i.pc_at_ermin {
+    if in_er && !s.prev_in_er && !at_ermin {
         // Entered ER in the middle.
         exec = false;
         active = false;
     }
-    if !i.pc_in_er && s.prev_in_er {
+    if !in_er && s.prev_in_er {
         if s.prev_at_exit {
             // Legal completion: window closes, EXEC keeps its value.
             active = false;
@@ -96,49 +75,31 @@ pub fn exec_kernel(s: ExecState, i: ExecIn, check_irq: bool) -> ExecState {
     }
 
     // Rules during the execution window.
-    if active && i.pc_in_er {
-        if check_irq && i.irq {
+    if active && in_er {
+        if check_irq && w.contains(Wires::IRQ) {
             exec = false; // LTL 3 (APEX only)
         }
-        if i.dma_active {
+        if w.contains(Wires::DMA_ACTIVE) {
             exec = false;
         }
-        if i.fault {
+        if w.contains(Wires::FAULT) {
             exec = false;
         }
     }
 
     // Memory immutability (from execution start until attestation).
-    if i.wen_er || i.dma_er {
+    if w.contains(Wires::WEN_ER) || w.contains(Wires::DMA_ER) {
         exec = false;
     }
-    if (i.wen_or && !i.pc_in_er) || i.dma_or {
+    if (w.contains(Wires::WEN_OR) && !in_er) || w.contains(Wires::DMA_OR) {
         exec = false;
     }
 
     ExecState {
         exec,
         active,
-        prev_in_er: i.pc_in_er,
-        prev_at_exit: i.pc_at_erexit,
-    }
-}
-
-impl ExecIn {
-    /// The kernel inputs from an already-extracted [`WireImage`].
-    pub fn from_wires(w: &WireImage) -> ExecIn {
-        ExecIn {
-            pc_in_er: w.pc_in_er,
-            pc_at_ermin: w.pc_at_ermin,
-            pc_at_erexit: w.pc_at_erexit,
-            irq: w.irq,
-            wen_er: w.wen_er,
-            dma_er: w.dma_er,
-            wen_or: w.wen_or,
-            dma_or: w.dma_or,
-            dma_active: w.dma_active,
-            fault: w.fault,
-        }
+        prev_in_er: in_er,
+        prev_at_exit: w.contains(Wires::PC_AT_EREXIT),
     }
 }
 
@@ -152,6 +113,20 @@ pub struct ApexMonitor {
 }
 
 impl ApexMonitor {
+    /// The wires the kernel reads: its model-checking alphabet.
+    pub const INPUTS: Wires = Wires::union(&[
+        Wires::IRQ,
+        Wires::FAULT,
+        Wires::DMA_ACTIVE,
+        Wires::WEN_OR,
+        Wires::DMA_OR,
+        Wires::WEN_ER,
+        Wires::DMA_ER,
+        Wires::PC_IN_ER,
+        Wires::PC_AT_ERMIN,
+        Wires::PC_AT_EREXIT,
+    ]);
+
     /// Current `EXEC` level.
     pub fn exec(&self) -> bool {
         self.state.exec
@@ -160,47 +135,15 @@ impl ApexMonitor {
     /// The violation message the device records when `EXEC` falls.
     pub const EXEC_CLEARED: &'static str = "APEX: EXEC cleared";
 
-    /// One clock of the `EXEC` kernel (LTL 3 enforced) against
-    /// a pre-extracted [`WireImage`]. The returned wire is `EXEC`; the
-    /// edge reports `EXEC` falling this step.
-    pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
+    /// One clock of the `EXEC` kernel (LTL 3 enforced) on one step's
+    /// wires. The returned wire is `EXEC`; the edge reports `EXEC`
+    /// falling this step.
+    pub fn step_wires(&mut self, w: Wires) -> WireStep {
         let before = self.state.exec;
-        self.state = exec_kernel(self.state, ExecIn::from_wires(w), true);
+        self.state = exec_kernel(self.state, w, true);
         WireStep {
             wire: self.state.exec,
             raised: before && !self.state.exec,
-        }
-    }
-
-    /// The input wire names shared by APEX- and ASAP-mode monitors.
-    pub fn input_names() -> Vec<String> {
-        vec![
-            names::PC_IN_ER.into(),
-            names::PC_AT_ERMIN.into(),
-            names::PC_AT_EREXIT.into(),
-            names::IRQ.into(),
-            names::WEN_ER.into(),
-            names::DMA_ER.into(),
-            names::WEN_OR.into(),
-            names::DMA_OR.into(),
-            names::DMA_ACTIVE.into(),
-            names::FAULT.into(),
-        ]
-    }
-
-    /// Decodes kernel inputs from a model-checking valuation.
-    pub fn inputs_from_val(v: &InputVal<'_>) -> ExecIn {
-        ExecIn {
-            pc_in_er: v.get(names::PC_IN_ER),
-            pc_at_ermin: v.get(names::PC_AT_ERMIN),
-            pc_at_erexit: v.get(names::PC_AT_EREXIT),
-            irq: v.get(names::IRQ),
-            wen_er: v.get(names::WEN_ER),
-            dma_er: v.get(names::DMA_ER),
-            wen_or: v.get(names::WEN_OR),
-            dma_or: v.get(names::DMA_OR),
-            dma_active: v.get(names::DMA_ACTIVE),
-            fault: v.get(names::FAULT),
         }
     }
 
@@ -303,7 +246,7 @@ impl MonitorFsm for ApexMonitor {
     }
 
     fn inputs(&self) -> Vec<String> {
-        ApexMonitor::input_names()
+        wire_names(ApexMonitor::INPUTS)
     }
 
     fn outputs(&self) -> Vec<String> {
@@ -311,12 +254,12 @@ impl MonitorFsm for ApexMonitor {
     }
 
     fn step(&self, state: &ExecState, inputs: &InputVal<'_>) -> ExecState {
-        exec_kernel(*state, ApexMonitor::inputs_from_val(inputs), true)
+        exec_kernel(*state, ApexMonitor::INPUTS.deposit(inputs.bits()), true)
     }
 
     fn output(&self, state: &ExecState, inputs: &InputVal<'_>, name: &str) -> bool {
         assert_eq!(name, names::EXEC);
-        exec_kernel(*state, ApexMonitor::inputs_from_val(inputs), true).exec
+        <ApexMonitor as MonitorFsm>::step(self, state, inputs).exec
     }
 }
 
@@ -326,44 +269,24 @@ mod tests {
     use ltl_mc::fsm::kripke_of_constrained;
     use ltl_mc::mc::check_suite;
 
-    fn step(s: ExecState, i: ExecIn) -> ExecState {
-        exec_kernel(s, i, true)
+    fn step(s: ExecState, w: Wires) -> ExecState {
+        exec_kernel(s, w, true)
     }
 
     #[test]
     fn honest_execution_sets_and_keeps_exec() {
         let s0 = ExecState::default();
         // Enter at ERmin.
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
         assert!(s1.exec && s1.active);
         // Run inside ER.
-        let s2 = step(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                ..Default::default()
-            },
-        );
+        let s2 = step(s1, Wires::PC_IN_ER);
         assert!(s2.exec);
         // Reach the exit instruction.
-        let s3 = step(
-            s2,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_erexit: true,
-                ..Default::default()
-            },
-        );
+        let s3 = step(s2, Wires::PC_IN_ER | Wires::PC_AT_EREXIT);
         assert!(s3.exec);
         // Leave from the exit.
-        let s4 = step(s3, ExecIn::default());
+        let s4 = step(s3, Wires::default());
         assert!(s4.exec, "legal completion preserves EXEC");
         assert!(!s4.active);
     }
@@ -371,149 +294,59 @@ mod tests {
     #[test]
     fn early_exit_clears_exec() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
-        let s2 = step(s1, ExecIn::default()); // left without touching ERmax
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = step(s1, Wires::default()); // left without touching ERmax
         assert!(!s2.exec);
     }
 
     #[test]
     fn mid_entry_clears_exec() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                ..Default::default()
-            },
-        );
+        let s1 = step(s0, Wires::PC_IN_ER);
         assert!(!s1.exec);
     }
 
     #[test]
     fn irq_during_execution_clears_exec_in_apex_mode() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
-        let s2 = step(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                irq: true,
-                ..Default::default()
-            },
-        );
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = step(s1, Wires::PC_IN_ER | Wires::IRQ);
         assert!(!s2.exec, "Fig. 5(c): any irq kills EXEC under APEX");
     }
 
     #[test]
     fn irq_preserved_in_asap_mode_when_pc_stays() {
         let s0 = ExecState::default();
-        let s1 = exec_kernel(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-            false,
-        );
-        let s2 = exec_kernel(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                irq: true,
-                ..Default::default()
-            },
-            false,
-        );
+        let s1 = exec_kernel(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN, false);
+        let s2 = exec_kernel(s1, Wires::PC_IN_ER | Wires::IRQ, false);
         assert!(s2.exec, "Fig. 5(a): in-ER ISR keeps EXEC under ASAP");
         // ISR located outside ER: the next step shows PC outside.
-        let s3 = exec_kernel(s2, ExecIn::default(), false);
+        let s3 = exec_kernel(s2, Wires::default(), false);
         assert!(!s3.exec, "Fig. 5(b): PC leaving ER kills EXEC under ASAP");
     }
 
     #[test]
     fn er_write_clears_exec_even_after_completion() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
-        let s2 = step(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_erexit: true,
-                ..Default::default()
-            },
-        );
-        let s3 = step(s2, ExecIn::default());
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = step(s1, Wires::PC_IN_ER | Wires::PC_AT_EREXIT);
+        let s3 = step(s2, Wires::default());
         assert!(s3.exec);
-        let s4 = step(
-            s3,
-            ExecIn {
-                wen_er: true,
-                ..Default::default()
-            },
-        );
+        let s4 = step(s3, Wires::WEN_ER);
         assert!(!s4.exec, "post-execution ER tamper invalidates the proof");
     }
 
     #[test]
     fn or_write_by_er_code_is_legal() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
-        let s2 = step(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                wen_or: true,
-                ..Default::default()
-            },
-        );
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = step(s1, Wires::PC_IN_ER | Wires::WEN_OR);
         assert!(
             s2.exec,
             "ER code writing its own output region is the point of OR"
         );
-        let s3 = step(
-            s2,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_erexit: true,
-                ..Default::default()
-            },
-        );
-        let s4 = step(
-            s3,
-            ExecIn {
-                wen_or: true,
-                ..Default::default()
-            },
-        );
+        let s3 = step(s2, Wires::PC_IN_ER | Wires::PC_AT_EREXIT);
+        let s4 = step(s3, Wires::WEN_OR);
         assert!(
             !s4.exec,
             "untrusted code writing OR afterwards is a violation"
@@ -523,54 +356,19 @@ mod tests {
     #[test]
     fn dma_during_execution_clears_exec() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
-        let s2 = step(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                dma_active: true,
-                ..Default::default()
-            },
-        );
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = step(s1, Wires::PC_IN_ER | Wires::DMA_ACTIVE);
         assert!(!s2.exec);
     }
 
     #[test]
     fn reentry_at_ermin_rearms() {
         let s0 = ExecState::default();
-        let s1 = step(
-            s0,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
-        let s2 = step(
-            s1,
-            ExecIn {
-                pc_in_er: true,
-                irq: true,
-                ..Default::default()
-            },
-        );
+        let s1 = step(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = step(s1, Wires::PC_IN_ER | Wires::IRQ);
         assert!(!s2.exec);
-        let s3 = step(s2, ExecIn::default()); // pc leaves (already invalid)
-        let s4 = step(
-            s3,
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        );
+        let s3 = step(s2, Wires::default()); // pc leaves (already invalid)
+        let s4 = step(s3, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
         assert!(s4.exec, "restarting from ERmin re-arms the proof");
     }
 

@@ -2,9 +2,10 @@
 //! backends — a single in-process device, a loopback fleet round, and
 //! a socket-backed runtime round — judged against its manifest.
 //!
-//! Failures are isolated per program (the [`RoundReport`] idiom): one
-//! broken program produces one failing [`ProgramResult`], never a
-//! panic that hides the rest of the corpus.
+//! Failures are isolated per program (the
+//! [`RoundReport`](asap_fleet::RoundReport) idiom): one broken program
+//! produces one failing [`ProgramResult`], never a panic that hides the
+//! rest of the corpus.
 
 use crate::corpus::CorpusProgram;
 use crate::manifest::{StimulusKind, Verdict};

@@ -19,13 +19,13 @@ use openmsp430::layout::MemLayout;
 use openmsp430::mcu::Mcu;
 use openmsp430::periph::DmaOp;
 use openmsp430::signals::Signals;
-use openmsp430::superblock::{SbConfig, SbExit, StepCtl, WireSummary};
+use openmsp430::superblock::{SbConfig, SbExit, StepCtl, Wires};
 use periph::gpio::{Gpio, PORT1_VECTOR, PORT2_VECTOR};
 use periph::{DmaController, Timer, Uart};
 use pox_crypto::hmac::HmacKey;
 use std::fmt;
 use vrased::hw::{swatt_exit_addr, KeyGuard, SwAttAtomicity};
-use vrased::props::{names, ErInfo, PropCtx, WireImage};
+use vrased::props::{names, ErInfo, PropCtx};
 use vrased::swatt::{attest, swatt_cycle_cost, CHAL_LEN};
 
 /// A streaming consumer of per-step waveform samples — the opt-in
@@ -287,12 +287,12 @@ impl MonitorStack {
         }
     }
 
-    /// Clocks every monitor against one shared [`WireImage`] — the
-    /// hardware picture exactly: all modules sample the same wires on
-    /// the same clock edge, and the outputs conjoin. The per-step path
-    /// extracts the image from full [`Signals`], the superblock path
-    /// from a [`WireSummary`].
-    fn step_image(&mut self, w: &WireImage) -> StackOut {
+    /// Clocks every monitor on one shared [`Wires`] word — the hardware
+    /// picture exactly: all modules sample the same wires on the same
+    /// clock edge, and the outputs conjoin. The per-step path extracts
+    /// the word from full [`Signals`], the superblock path from a
+    /// `WireSummary`.
+    fn step_wires(&mut self, w: Wires) -> StackOut {
         let (guards, exec) = match self {
             MonitorStack::Apex(Compose(guards, monitor)) => (guards, monitor.step_wires(w)),
             MonitorStack::Asap(Compose(guards, monitor)) => (guards, monitor.step_wires(w)),
@@ -492,7 +492,7 @@ impl Device {
     /// output wires. The clean path (no violation, no capture sink)
     /// performs no heap allocation.
     fn observe(&mut self, signals: &Signals) -> StepVerdict {
-        let out = self.stack.step_image(&WireImage::of(&self.ctx, signals));
+        let out = self.stack.step_wires(self.ctx.wires_of(signals));
         let exec = out.exec;
         self.mcu
             .set_hw_cell(self.ctx.layout.exec_flag_addr, exec as u16);
@@ -645,7 +645,7 @@ impl Device {
     }
 
     /// One superblock burst of at most `budget` steps, clocking the
-    /// monitor stack once per interior step from its [`WireSummary`]. A
+    /// monitor stack once per interior step from its `WireSummary`. A
     /// guard's reset request ends the burst and is applied once it
     /// returns.
     fn burst(&mut self, stop_pc: Option<u16>, budget: u64) -> (u64, SbExit) {
@@ -661,7 +661,7 @@ impl Device {
         // repeat the same output, so the kernels are skipped until the
         // wires change. Scoped to one burst: any out-of-band clocking
         // (per-step fallback, hard reset) starts the next burst ungated.
-        let mut gate: Option<(WireSummary, StackOut)> = None;
+        let mut gate: Option<(u16, Wires, StackOut)> = None;
         let mut gate_stable = false;
         // Disjoint field borrows: the executor owns `mcu`, the observer
         // closure the monitor stack and the violation log.
@@ -675,14 +675,13 @@ impl Device {
         } = self;
         let result = mcu.run_superblock(&cfg, |s| {
             // The wire picture: PC and wires, without the step index.
-            let key = WireSummary { step: 0, ..*s };
             let out = match gate {
-                Some((gated, out)) if gate_stable && gated == key => out,
+                Some((pc, wires, out)) if gate_stable && (pc, wires) == (s.pc, s.wires) => out,
                 _ => {
                     let before = stack.clone();
-                    let out = stack.step_image(&WireImage::of_summary(ctx, s));
+                    let out = stack.step_wires(ctx.summary_wires(s));
                     gate_stable = *stack == before;
-                    gate = Some((key, out));
+                    gate = Some((s.pc, s.wires, out));
                     out
                 }
             };

@@ -104,7 +104,7 @@ pub mod verifier;
 
 pub use device::{Device, DeviceBuilder, PoxMode, StepReport, StepVerdict, WaveSample, WaveSink};
 pub use error::AsapError;
-pub use monitor::{ivt_kernel, AsapMonitor, AsapState, IvtGuard, IvtIn};
+pub use monitor::{ivt_kernel, AsapMonitor, AsapState, IvtGuard};
 pub use properties::{verify_all, PropertyRow, SuiteReport};
 pub use session::{Attested, Evidence, Issued, PoxSession, SessionOutcome};
 pub use verifier::{AsapVerifier, VerifierSpec};

@@ -21,38 +21,30 @@
 //! [`IvtGuard`] is the Fig. 3 FSM on its own, model-checked against
 //! \[AP1\]'s properties (P18–P20).
 
-use apex_pox::monitor::{exec_kernel, ExecState};
+use apex_pox::monitor::{exec_kernel, ApexMonitor, ExecState};
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
+use openmsp430::superblock::Wires;
 use vrased::hw::WireStep;
-use vrased::props::{names, WireImage};
+use vrased::props::{names, wire_names};
 
 fn p(name: &str) -> Ltl {
     Ltl::prop(name)
 }
 
-/// Inputs of the IVT-guard kernel (LTL 4 / Fig. 3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IvtIn {
-    /// CPU write into the IVT (`Wen ∧ Daddr ∈ IVT`).
-    pub wen_ivt: bool,
-    /// DMA into the IVT (`DMAen ∧ DMAaddr ∈ IVT`).
-    pub dma_ivt: bool,
-    /// `PC = ERmin` (restart re-arms the guard).
-    pub pc_at_ermin: bool,
-}
-
-/// The Fig. 3 FSM: `Run` ⇄ `NotExec`.
+/// The Fig. 3 FSM: `Run` ⇄ `NotExec`. A CPU or DMA write into the IVT
+/// (`Wen ∧ Daddr ∈ IVT`, `DMAen ∧ DMAaddr ∈ IVT`) leaves `Run`; `PC =
+/// ERmin` with no such write re-arms it.
 ///
 /// `true` is the `Run` state. The output is the guard's contribution to
 /// the `EXEC` wire — `0` while in `NotExec`.
-pub fn ivt_kernel(run: bool, i: IvtIn) -> bool {
-    let write = i.wen_ivt || i.dma_ivt;
+pub fn ivt_kernel(run: bool, w: Wires) -> bool {
+    let write = w.contains(Wires::WEN_IVT) || w.contains(Wires::DMA_IVT);
     if run {
         !write
     } else {
-        i.pc_at_ermin && !write
+        w.contains(Wires::PC_AT_ERMIN) && !write
     }
 }
 
@@ -66,6 +58,9 @@ pub struct IvtGuard {
 }
 
 impl IvtGuard {
+    /// The wires the kernel reads: its model-checking alphabet.
+    pub const INPUTS: Wires = Wires::union(&[Wires::WEN_IVT, Wires::DMA_IVT, Wires::PC_AT_ERMIN]);
+
     /// Current state (`true` = `Run`).
     pub fn running(&self) -> bool {
         self.run
@@ -109,11 +104,7 @@ impl MonitorFsm for IvtGuard {
     }
 
     fn inputs(&self) -> Vec<String> {
-        vec![
-            names::WEN_IVT.into(),
-            names::DMA_IVT.into(),
-            names::PC_AT_ERMIN.into(),
-        ]
+        wire_names(IvtGuard::INPUTS)
     }
 
     fn outputs(&self) -> Vec<String> {
@@ -121,14 +112,7 @@ impl MonitorFsm for IvtGuard {
     }
 
     fn step(&self, state: &bool, inputs: &InputVal<'_>) -> bool {
-        ivt_kernel(
-            *state,
-            IvtIn {
-                wen_ivt: inputs.get(names::WEN_IVT),
-                dma_ivt: inputs.get(names::DMA_IVT),
-                pc_at_ermin: inputs.get(names::PC_AT_ERMIN),
-            },
-        )
+        ivt_kernel(*state, IvtGuard::INPUTS.deposit(inputs.bits()))
     }
 
     fn output(&self, state: &bool, inputs: &InputVal<'_>, name: &str) -> bool {
@@ -157,16 +141,21 @@ pub struct AsapMonitor {
 }
 
 impl AsapMonitor {
+    /// The wires the composite reads: its model-checking alphabet. The
+    /// APEX kernel's wires minus `irq`, which the relaxed kernel provably
+    /// ignores (that is the point of the paper), plus the IVT guard's.
+    pub const INPUTS: Wires = Wires((ApexMonitor::INPUTS.0 & !Wires::IRQ.0) | IvtGuard::INPUTS.0);
+
     /// The composite `EXEC` level.
     pub fn exec(&self) -> bool {
         self.state.exec.exec && self.state.ivt_run
     }
 
     /// One composite kernel step.
-    pub fn kernel(s: AsapState, exec_in: apex_pox::ExecIn, ivt_in: IvtIn) -> AsapState {
+    pub fn kernel(s: AsapState, w: Wires) -> AsapState {
         AsapState {
-            exec: exec_kernel(s.exec, exec_in, false),
-            ivt_run: ivt_kernel(s.ivt_run, ivt_in),
+            exec: exec_kernel(s.exec, w, false),
+            ivt_run: ivt_kernel(s.ivt_run, w),
         }
     }
 
@@ -175,39 +164,15 @@ impl AsapMonitor {
     pub const EXEC_CLEARED: &'static str = "ASAP: EXEC cleared";
 
     /// One clock of the composite (relaxed `EXEC` kernel +
-    /// \[AP1\] guard) against a pre-extracted [`WireImage`]. The returned
-    /// wire is the composite `EXEC`; the edge reports it falling.
-    pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
-        let ivt_in = IvtIn {
-            wen_ivt: w.wen_ivt,
-            dma_ivt: w.dma_ivt,
-            pc_at_ermin: w.pc_at_ermin,
-        };
+    /// \[AP1\] guard) on one step's wires. The returned wire is the
+    /// composite `EXEC`; the edge reports it falling.
+    pub fn step_wires(&mut self, w: Wires) -> WireStep {
         let before = self.exec();
-        self.state = AsapMonitor::kernel(self.state, apex_pox::ExecIn::from_wires(w), ivt_in);
+        self.state = AsapMonitor::kernel(self.state, w);
         WireStep {
             wire: self.exec(),
             raised: before && !self.exec(),
         }
-    }
-
-    /// Input wires of the composite monitor. `irq` is omitted: the ASAP
-    /// kernel provably ignores it (that is the point of the paper), so
-    /// the quotient is exact.
-    pub fn input_names() -> Vec<String> {
-        vec![
-            names::PC_IN_ER.into(),
-            names::PC_AT_ERMIN.into(),
-            names::PC_AT_EREXIT.into(),
-            names::WEN_ER.into(),
-            names::DMA_ER.into(),
-            names::WEN_OR.into(),
-            names::DMA_OR.into(),
-            names::DMA_ACTIVE.into(),
-            names::FAULT.into(),
-            names::WEN_IVT.into(),
-            names::DMA_IVT.into(),
-        ]
     }
 
     /// Static environment invariants (region membership and DMA
@@ -254,7 +219,7 @@ impl MonitorFsm for AsapMonitor {
     }
 
     fn inputs(&self) -> Vec<String> {
-        AsapMonitor::input_names()
+        wire_names(AsapMonitor::INPUTS)
     }
 
     fn outputs(&self) -> Vec<String> {
@@ -262,24 +227,7 @@ impl MonitorFsm for AsapMonitor {
     }
 
     fn step(&self, state: &AsapState, inputs: &InputVal<'_>) -> AsapState {
-        let exec_in = apex_pox::ExecIn {
-            pc_in_er: inputs.get(names::PC_IN_ER),
-            pc_at_ermin: inputs.get(names::PC_AT_ERMIN),
-            pc_at_erexit: inputs.get(names::PC_AT_EREXIT),
-            irq: false,
-            wen_er: inputs.get(names::WEN_ER),
-            dma_er: inputs.get(names::DMA_ER),
-            wen_or: inputs.get(names::WEN_OR),
-            dma_or: inputs.get(names::DMA_OR),
-            dma_active: inputs.get(names::DMA_ACTIVE),
-            fault: inputs.get(names::FAULT),
-        };
-        let ivt_in = IvtIn {
-            wen_ivt: inputs.get(names::WEN_IVT),
-            dma_ivt: inputs.get(names::DMA_IVT),
-            pc_at_ermin: inputs.get(names::PC_AT_ERMIN),
-        };
-        AsapMonitor::kernel(*state, exec_in, ivt_in)
+        AsapMonitor::kernel(*state, AsapMonitor::INPUTS.deposit(inputs.bits()))
     }
 
     fn output(&self, state: &AsapState, inputs: &InputVal<'_>, name: &str) -> bool {
@@ -298,41 +246,16 @@ mod tests {
     #[test]
     fn fig3_fsm_transitions() {
         // Run --write--> NotExec
-        assert!(!ivt_kernel(
-            true,
-            IvtIn {
-                wen_ivt: true,
-                ..Default::default()
-            }
-        ));
-        assert!(!ivt_kernel(
-            true,
-            IvtIn {
-                dma_ivt: true,
-                ..Default::default()
-            }
-        ));
+        assert!(!ivt_kernel(true, Wires::WEN_IVT));
+        assert!(!ivt_kernel(true, Wires::DMA_IVT));
         // Run --otherwise--> Run
-        assert!(ivt_kernel(true, IvtIn::default()));
+        assert!(ivt_kernel(true, Wires::default()));
         // NotExec --ERmin & no write--> Run
-        assert!(ivt_kernel(
-            false,
-            IvtIn {
-                pc_at_ermin: true,
-                ..Default::default()
-            }
-        ));
+        assert!(ivt_kernel(false, Wires::PC_AT_ERMIN));
         // NotExec --ERmin & write--> NotExec (write wins)
-        assert!(!ivt_kernel(
-            false,
-            IvtIn {
-                pc_at_ermin: true,
-                wen_ivt: true,
-                ..Default::default()
-            }
-        ));
+        assert!(!ivt_kernel(false, Wires::PC_AT_ERMIN | Wires::WEN_IVT));
         // NotExec --otherwise--> NotExec
-        assert!(!ivt_kernel(false, IvtIn::default()));
+        assert!(!ivt_kernel(false, Wires::default()));
     }
 
     #[test]
@@ -353,24 +276,10 @@ mod tests {
     fn composite_preserves_exec_across_interrupts() {
         // The Fig. 5(a) story at kernel level.
         let s0 = AsapState::default();
-        let enter = apex_pox::ExecIn {
-            pc_in_er: true,
-            pc_at_ermin: true,
-            ..Default::default()
-        };
-        let arm = IvtIn {
-            pc_at_ermin: true,
-            ..Default::default()
-        };
-        let s1 = AsapMonitor::kernel(s0, enter, arm);
+        let s1 = AsapMonitor::kernel(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
         assert!(s1.exec.exec && s1.ivt_run);
         // Interrupt: PC jumps to the in-ER ISR (pc stays in ER).
-        let isr = apex_pox::ExecIn {
-            pc_in_er: true,
-            irq: true,
-            ..Default::default()
-        };
-        let s2 = AsapMonitor::kernel(s1, isr, IvtIn::default());
+        let s2 = AsapMonitor::kernel(s1, Wires::PC_IN_ER | Wires::IRQ);
         assert!(
             s2.exec.exec && s2.ivt_run,
             "authorized interrupt preserves EXEC"
@@ -380,27 +289,8 @@ mod tests {
     #[test]
     fn composite_kills_exec_on_ivt_write() {
         let s0 = AsapState::default();
-        let enter = apex_pox::ExecIn {
-            pc_in_er: true,
-            pc_at_ermin: true,
-            ..Default::default()
-        };
-        let arm = IvtIn {
-            pc_at_ermin: true,
-            ..Default::default()
-        };
-        let s1 = AsapMonitor::kernel(s0, enter, arm);
-        let s2 = AsapMonitor::kernel(
-            s1,
-            apex_pox::ExecIn {
-                pc_in_er: true,
-                ..Default::default()
-            },
-            IvtIn {
-                wen_ivt: true,
-                ..Default::default()
-            },
-        );
+        let s1 = AsapMonitor::kernel(s0, Wires::PC_IN_ER | Wires::PC_AT_ERMIN);
+        let s2 = AsapMonitor::kernel(s1, Wires::PC_IN_ER | Wires::WEN_IVT);
         assert!(s2.exec.exec, "the APEX part does not see IVT writes");
         assert!(!s2.ivt_run, "but [AP1] does");
     }

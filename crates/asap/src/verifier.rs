@@ -76,8 +76,8 @@ impl VerifierSpec {
     }
 
     /// [`VerifierSpec::from_image`] with a custom layout — use when the
-    /// device is built with [`DeviceBuilder::layout`]
-    /// (`crate::device::DeviceBuilder::layout`).
+    /// device is built with
+    /// [`DeviceBuilder::layout`](crate::device::DeviceBuilder::layout).
     ///
     /// # Errors
     ///
@@ -201,7 +201,7 @@ impl AsapVerifier {
     ///   conclude the session whose challenge it was computed under;
     /// * evidence bound to a superseded (stale) challenge fails the
     ///   fresh session's MAC check and is rejected with
-    ///   [`AsapError::BadMac`](crate::AsapError::BadMac).
+    ///   [`AsapError::BadMac`].
     ///
     /// [`asap_fleet`'s registry]: https://docs.rs/asap-fleet
     pub fn begin(&mut self) -> PoxSession<Issued> {

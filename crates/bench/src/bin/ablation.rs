@@ -10,10 +10,11 @@
 //!
 //! Run: `cargo run -p asap-bench --release --bin ablation`
 
-use apex_pox::monitor::{exec_kernel, ExecIn, ExecState};
+use apex_pox::monitor::{exec_kernel, ExecState};
 use asap::device::{Device, PoxMode};
-use asap::monitor::{ivt_kernel, IvtIn};
+use asap::monitor::ivt_kernel;
 use asap::programs;
+use openmsp430::Wires;
 
 /// Replays an "honest run, then IVT rewrite" wire history against two
 /// hardware variants: the full ASAP monitor (exec kernel + IVT guard)
@@ -21,52 +22,22 @@ use asap::programs;
 fn ablate_ap1() {
     // Wire history: enter at ERmin, run, take an in-ER interrupt, exit
     // legally, then the attacker writes the IVT.
-    let history: Vec<(ExecIn, IvtIn)> = vec![
-        (
-            ExecIn {
-                pc_in_er: true,
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-            IvtIn {
-                pc_at_ermin: true,
-                ..Default::default()
-            },
-        ),
-        (
-            ExecIn {
-                pc_in_er: true,
-                irq: true,
-                ..Default::default()
-            },
-            IvtIn::default(),
-        ),
-        (
-            ExecIn {
-                pc_in_er: true,
-                pc_at_erexit: true,
-                ..Default::default()
-            },
-            IvtIn::default(),
-        ),
-        (ExecIn::default(), IvtIn::default()),
+    let history = [
+        Wires::PC_IN_ER | Wires::PC_AT_ERMIN,
+        Wires::PC_IN_ER | Wires::IRQ,
+        Wires::PC_IN_ER | Wires::PC_AT_EREXIT,
+        Wires::default(),
         // The attack: CPU write into the IVT.
-        (
-            ExecIn::default(),
-            IvtIn {
-                wen_ivt: true,
-                ..Default::default()
-            },
-        ),
+        Wires::WEN_IVT,
     ];
 
     let mut full_exec = ExecState::default();
     let mut full_ivt = false;
     let mut ablated = ExecState::default();
-    for (e, i) in &history {
-        full_exec = exec_kernel(full_exec, *e, false);
-        full_ivt = ivt_kernel(full_ivt, *i);
-        ablated = exec_kernel(ablated, *e, false);
+    for w in history {
+        full_exec = exec_kernel(full_exec, w, false);
+        full_ivt = ivt_kernel(full_ivt, w);
+        ablated = exec_kernel(ablated, w, false);
     }
     let full = full_exec.exec && full_ivt;
     println!("  full ASAP   : EXEC = {} (attack detected)", full as u8);

@@ -6,13 +6,12 @@
 //! responses — against one [`FleetVerifier`], under a mixed APEX/ASAP
 //! fleet.
 //!
-//! A round is an **event schedule** over the sans-IO
-//! [`RoundEngine`](asap_fleet::RoundEngine): every response frame is
-//! assigned a delivery tick drawn from the seed, deliveries interleave
-//! out of challenge order, late devices answer on the last tick before
-//! the round deadline, and silent devices expire purely via `tick` —
-//! shapes the old blocking one-exchange-per-device API could not
-//! represent at all.
+//! A round is an **event schedule** over the sans-IO [`RoundEngine`]:
+//! every response frame is assigned a delivery tick drawn from the
+//! seed, deliveries interleave out of challenge order, late devices
+//! answer on the last tick before the round deadline, and silent
+//! devices expire purely via `tick` — shapes the old blocking
+//! one-exchange-per-device API could not represent at all.
 //!
 //! Everything is derived from a caller-supplied seed through the
 //! workspace's xorshift generator: device keys, mode assignment, the scenario
@@ -484,11 +483,11 @@ impl ScenarioHarness {
     /// The runtime's round runs on a scoped verifier thread while
     /// *this* thread services every prover-side socket — announcing
     /// hellos, answering challenges per the script, hanging up where
-    /// scripted (the loopback fabric holds simulated
-    /// [`Device`](apex_pox::Device)s, which are not `Send`). Late
-    /// devices answer after a quarter of `budget`; dropped devices stay
-    /// silently connected and expire when `budget` runs out, so a mix
-    /// with dropped devices makes the round last the full budget. The
+    /// scripted (the loopback fabric holds simulated [`Device`]s,
+    /// which are not `Send`). Late devices answer after a quarter of
+    /// `budget`; dropped devices stay silently connected and expire when
+    /// `budget` runs out, so a mix with dropped devices makes the round
+    /// last the full budget. The
     /// raw [`RoundReport`]'s outcome order is canonical — the
     /// determinism tests compare raw reports across reactor counts.
     ///

@@ -22,10 +22,10 @@
 //!   cache);
 //! * a superblock executor ([`superblock`], [`mcu::Mcu::run_superblock`])
 //!   that runs cached straight-line traces and reports each step as a
-//!   [`superblock::WireSummary`] of the monitor wires, folded from the
-//!   bus accesses by the same [`superblock::WireSummary::fold`] that
-//!   extracts them from full [`signals::Signals`], which come only
-//!   from the per-step pipeline;
+//!   [`superblock::WireSummary`]: its PC and a [`superblock::Wires`]
+//!   bitset of the monitor wires, folded from the bus accesses by the
+//!   same [`superblock::WireSummary::fold`] that extracts them from full
+//!   [`signals::Signals`], which come only from the per-step pipeline;
 //! * the static monitor composition [`hwmod::Compose`] — the `HW-Mod`
 //!   attachment of the paper's Fig. 2.
 //!
@@ -73,4 +73,4 @@ pub use mem::{MemRegion, Memory};
 pub use periph::{DmaOp, Peripheral};
 pub use regs::{sr_bits, Reg, RegFile};
 pub use signals::Signals;
-pub use superblock::{CacheStats, SbConfig, SbExit, StepCtl, WireSummary};
+pub use superblock::{CacheStats, SbConfig, SbExit, StepCtl, WireSummary, Wires};

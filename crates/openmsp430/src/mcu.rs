@@ -11,7 +11,7 @@ use crate::predecode::DecodeCache;
 use crate::signals::Signals;
 use crate::superblock::{
     terminates_block, BlockCache, CacheStats, SbConfig, SbExit, StepCtl, Superblock, TraceStep,
-    WireSummary, MAX_BLOCK_LEN,
+    WireSummary, Wires, MAX_BLOCK_LEN,
 };
 use std::sync::Arc;
 
@@ -127,6 +127,10 @@ struct WireFold {
 }
 
 impl Recorder for WireFold {
+    // A burst reports every bus access here, and the generic
+    // `run_superblock` is compiled in the observer's crate: with a plain
+    // `#[inline]` hint the call stayed out of line there.
+    #[inline(always)]
     fn record(&mut self, layout: &MemLayout, a: MemAccess) {
         self.wrote |= a.write;
         self.wires.fold(layout, Some(layout.er), &a);
@@ -601,7 +605,7 @@ impl Mcu {
                 pc,
                 instr: e.instr,
                 size: e.size,
-                fetch_ren_key: fetch.wires.ren_key,
+                fetch_ren_key: fetch.wires.wires.contains(Wires::REN_KEY),
             });
             if terminates_block(&e.instr) {
                 break;
@@ -716,14 +720,15 @@ impl Mcu {
             cpu.step_predecoded(&mut bus, None, ts.instr, ts.size)
         };
         self.end_step(step_out.cycles, &mut fold);
+        let faulted = step_out.fault.is_some();
         let wires = WireSummary {
             step: self.step_idx,
             pc: ts.pc,
-            fault: step_out.fault.is_some(),
-            ren_key: fold.wires.ren_key || ts.fetch_ren_key,
-            ..fold.wires
+            wires: fold.wires.wires
+                | Wires::FAULT.when(faulted)
+                | Wires::REN_KEY.when(ts.fetch_ren_key),
         };
-        (obs(&wires), wires.fault, fold.wrote)
+        (obs(&wires), faulted, fold.wrote)
     }
 }
 
@@ -1041,19 +1046,27 @@ mod tests {
     /// derived from that step's per-step `Signals` through the
     /// per-predicate `Signals` queries, independently of the fold.
     fn reference_wires(layout: &MemLayout, s: &Signals) -> WireSummary {
+        let wires = [
+            (Wires::FAULT, s.fault.is_some()),
+            (Wires::DMA_ACTIVE, s.dma_active()),
+            (
+                Wires::REN_KEY,
+                s.cpu_read_in(layout.key) || s.fetch_in(layout.key),
+            ),
+            (Wires::DMA_KEY, s.dma_in(layout.key)),
+            (Wires::WEN_IVT, s.cpu_write_in(layout.ivt)),
+            (Wires::DMA_IVT, s.dma_in(layout.ivt)),
+            (Wires::WEN_OR, s.cpu_write_in(layout.or)),
+            (Wires::DMA_OR, s.dma_in(layout.or)),
+            (Wires::WEN_ER, s.cpu_write_in(layout.er)),
+            (Wires::DMA_ER, s.dma_in(layout.er)),
+        ];
         WireSummary {
             step: s.step,
             pc: s.pc,
-            fault: s.fault.is_some(),
-            dma_active: s.dma_active(),
-            ren_key: s.cpu_read_in(layout.key) || s.fetch_in(layout.key),
-            dma_key: s.dma_in(layout.key),
-            wen_ivt: s.cpu_write_in(layout.ivt),
-            dma_ivt: s.dma_in(layout.ivt),
-            wen_or: s.cpu_write_in(layout.or),
-            dma_or: s.dma_in(layout.or),
-            wen_er: s.cpu_write_in(layout.er),
-            dma_er: s.dma_in(layout.er),
+            wires: wires
+                .iter()
+                .fold(Wires::default(), |acc, &(w, on)| acc | w.when(on)),
         }
     }
 
@@ -1097,7 +1110,8 @@ mod tests {
             }
             let expect = reference_wires(&layout, &signals);
             prop_assert_eq!(with_er, expect);
-            let no_er = WireSummary { wen_er: false, dma_er: false, ..expect };
+            let er_wires = Wires::WEN_ER | Wires::DMA_ER;
+            let no_er = WireSummary { wires: Wires(expect.wires.0 & !er_wires.0), ..expect };
             prop_assert_eq!(without_er, no_er);
         }
     }
@@ -1268,7 +1282,10 @@ mod tests {
         let a = run_per_step(&mut stepped, 8);
         let b = run_superblocked(&mut blocked, 8);
         assert_eq!(a, b);
-        assert!(a.iter().any(|w| w.dma_active), "the DMA step is observed");
+        assert!(
+            a.iter().any(|w| w.wires.contains(Wires::DMA_ACTIVE)),
+            "the DMA step is observed"
+        );
         assert_eq!(stepped.cpu.regs.get(crate::regs::Reg::r(5)), 0xFFFF);
         assert_eq!(blocked.cpu.regs.get(crate::regs::Reg::r(5)), 0xFFFF);
         assert_eq!(stepped.mem.read_word(0xE000), blocked.mem.read_word(0xE000));

@@ -254,65 +254,144 @@ pub enum SbExit {
     Fault,
 }
 
-/// The monitor-observable wires of one superblock-interior step, and
-/// the accumulator of [`WireSummary::fold`]. Interrupt servicing never
-/// happens inside a trace, so there is no `irq` field; the
-/// PC-comparison wires are derived from `pc` by the observer (which
-/// owns the ER layout).
+/// The monitor-observable wires of one step as one bitset: the
+/// vocabulary the security monitors are written and model-checked over,
+/// one bit per wire (`vrased::props` pairs each bit with its
+/// proposition name). [`WireSummary::fold`] raises the access wires;
+/// the PC-comparison wires are derived from the PC by the observer,
+/// which owns the `ER` and SW-Att geometry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Wires(pub u32);
+
+impl Wires {
+    /// Interrupt service began this step.
+    pub const IRQ: Wires = Wires(1 << 0);
+    /// The step latched a CPU fault.
+    pub const FAULT: Wires = Wires(1 << 1);
+    /// At least one DMA operation landed (`DMAen`).
+    pub const DMA_ACTIVE: Wires = Wires(1 << 2);
+    /// A CPU read or fetch touched the key region.
+    pub const REN_KEY: Wires = Wires(1 << 3);
+    /// A DMA access touched the key region.
+    pub const DMA_KEY: Wires = Wires(1 << 4);
+    /// A CPU write touched the IVT (`Wen ∧ Daddr ∈ IVT`).
+    pub const WEN_IVT: Wires = Wires(1 << 5);
+    /// A DMA access touched the IVT (`DMAen ∧ DMAaddr ∈ IVT`).
+    pub const DMA_IVT: Wires = Wires(1 << 6);
+    /// A CPU write touched the output region.
+    pub const WEN_OR: Wires = Wires(1 << 7);
+    /// A DMA access touched the output region.
+    pub const DMA_OR: Wires = Wires(1 << 8);
+    /// A CPU write touched the execution region.
+    pub const WEN_ER: Wires = Wires(1 << 9);
+    /// A DMA access touched the execution region.
+    pub const DMA_ER: Wires = Wires(1 << 10);
+    /// `PC ∈ SW-Att`.
+    pub const PC_IN_SWATT: Wires = Wires(1 << 11);
+    /// `PC` at the SW-Att entry point.
+    pub const PC_AT_SWATT_MIN: Wires = Wires(1 << 12);
+    /// `PC` at the SW-Att exit point.
+    pub const PC_AT_SWATT_MAX: Wires = Wires(1 << 13);
+    /// `PC ∈ ER`.
+    pub const PC_IN_ER: Wires = Wires(1 << 14);
+    /// `PC = ERmin` (the legal entry).
+    pub const PC_AT_ERMIN: Wires = Wires(1 << 15);
+    /// `PC = ERmax` (the legal exit instruction).
+    pub const PC_AT_EREXIT: Wires = Wires(1 << 16);
+
+    /// The union of `wires`, usable in a `const`.
+    pub const fn union(wires: &[Wires]) -> Wires {
+        let (mut bits, mut i) = (0, 0);
+        while i < wires.len() {
+            bits |= wires[i].0;
+            i += 1;
+        }
+        Wires(bits)
+    }
+
+    /// True when every wire of `w` is set.
+    #[inline]
+    pub const fn contains(self, w: Wires) -> bool {
+        self.0 & w.0 == w.0
+    }
+
+    /// `self` when `on`, no wire otherwise.
+    #[inline]
+    pub const fn when(self, on: bool) -> Wires {
+        Wires(self.0 * on as u32)
+    }
+
+    /// Deposits the low bits of `bits` into the wires of this mask,
+    /// lowest first: bit `k` of `bits` drives the mask's `k`-th lowest
+    /// wire. A model-checking valuation over a mask's wire names, listed
+    /// in bit order, decodes to its wires this way.
+    pub fn deposit(self, bits: u32) -> Wires {
+        let (mut mask, mut out) = (self.0, 0);
+        for k in 0..self.0.count_ones() {
+            let low = mask & mask.wrapping_neg();
+            out |= low * (bits >> k & 1);
+            mask ^= low;
+        }
+        Wires(out)
+    }
+}
+
+impl std::ops::BitOr for Wires {
+    type Output = Wires;
+
+    #[inline]
+    fn bitor(self, other: Wires) -> Wires {
+        Wires(self.0 | other.0)
+    }
+}
+
+impl std::ops::BitOrAssign for Wires {
+    #[inline]
+    fn bitor_assign(&mut self, other: Wires) {
+        self.0 |= other.0;
+    }
+}
+
+/// One superblock-interior step as the observer sees it, and the
+/// accumulator of [`WireSummary::fold`]. Interrupt servicing never
+/// happens inside a trace, so [`Wires::IRQ`] stays low; the
+/// PC-comparison wires are derived from `pc` by the observer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireSummary {
     /// Step index (after the step executed), for violation logs.
     pub step: u64,
     /// PC the step executed at.
     pub pc: u16,
-    /// The step latched a CPU fault.
-    pub fault: bool,
-    /// At least one DMA operation landed.
-    pub dma_active: bool,
-    /// A CPU read or fetch touched the key region.
-    pub ren_key: bool,
-    /// A DMA access touched the key region.
-    pub dma_key: bool,
-    /// A CPU write touched the IVT.
-    pub wen_ivt: bool,
-    /// A DMA access touched the IVT.
-    pub dma_ivt: bool,
-    /// A CPU write touched the output region.
-    pub wen_or: bool,
-    /// A DMA access touched the output region.
-    pub dma_or: bool,
-    /// A CPU write touched the execution region.
-    pub wen_er: bool,
-    /// A DMA access touched the execution region.
-    pub dma_er: bool,
+    /// The fault and access wires.
+    pub wires: Wires,
 }
 
 impl WireSummary {
     /// Folds one bus access into the access wires — the one fold behind
     /// the superblock bus, the DMA drain and the per-step wire
-    /// extraction. CPU reads and fetches raise `ren_key`; CPU writes the
-    /// `wen_*` wires; any DMA access `dma_active` and the `dma_*` wires.
+    /// extraction. CPU reads and fetches raise `REN_KEY`; CPU writes the
+    /// `WEN_*` wires; any DMA access `DMA_ACTIVE` and the `DMA_*` wires.
     /// A word access touches a region through either byte. With `er`
     /// `None` (no execution region configured) the ER wires stay low.
-    // Inline across crates: `WireImage::of` folds every logged access.
+    // Inline across crates: `PropCtx::wires_of` folds every logged access.
     #[inline]
     pub fn fold(&mut self, layout: &MemLayout, er: Option<MemRegion>, a: &MemAccess) {
         let touches = |r: MemRegion| r.touches(a.addr, a.byte);
-        match a.master {
+        self.wires |= match a.master {
             Master::Cpu if a.write => {
-                self.wen_ivt |= touches(layout.ivt);
-                self.wen_or |= touches(layout.or);
-                self.wen_er |= er.is_some_and(touches);
+                Wires::WEN_IVT.when(touches(layout.ivt))
+                    | Wires::WEN_OR.when(touches(layout.or))
+                    | Wires::WEN_ER.when(er.is_some_and(touches))
             }
-            Master::Cpu => self.ren_key |= touches(layout.key),
+            Master::Cpu => Wires::REN_KEY.when(touches(layout.key)),
             Master::Dma => {
-                self.dma_active = true;
-                self.dma_key |= touches(layout.key);
-                self.dma_ivt |= touches(layout.ivt);
-                self.dma_or |= touches(layout.or);
-                self.dma_er |= er.is_some_and(touches);
+                Wires::DMA_ACTIVE
+                    | Wires::DMA_KEY.when(touches(layout.key))
+                    | Wires::DMA_IVT.when(touches(layout.ivt))
+                    | Wires::DMA_OR.when(touches(layout.or))
+                    | Wires::DMA_ER.when(er.is_some_and(touches))
             }
-        }
+        };
     }
 }
 
@@ -371,6 +450,15 @@ mod tests {
             byte: false,
             opnd: Operand::Reg(Reg::r(15)),
         }));
+    }
+
+    #[test]
+    fn deposit_fills_the_mask_lowest_wire_first() {
+        let mask = Wires::union(&[Wires::FAULT, Wires::WEN_IVT, Wires::PC_AT_EREXIT]);
+        assert_eq!(mask.deposit(0b000), Wires::default());
+        assert_eq!(mask.deposit(0b001), Wires::FAULT);
+        assert_eq!(mask.deposit(0b110), Wires::WEN_IVT | Wires::PC_AT_EREXIT);
+        assert_eq!(mask.deposit(!0), mask);
     }
 
     #[test]

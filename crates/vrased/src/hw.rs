@@ -2,19 +2,19 @@
 //! the DMA guard.
 //!
 //! Each monitor is written as a pure *kernel* — a transition function
-//! over boolean wires — with two faces on the same value: `step_wires`,
-//! which the device clocks with each step's [`WireImage`], and an
+//! over one step's [`Wires`] — with two faces on the same value:
+//! `step_wires`, which the device clocks with each step's wires, and an
 //! [`ltl_mc::MonitorFsm`] impl closed with a free environment for model
-//! checking. Both call the same kernel, and the model checker is handed
-//! the very value the device runs, so it verifies the code that
-//! actually runs — the Rust analogue of VRASED's verified Verilog.
+//! checking, whose alphabet is the monitor's `INPUTS` mask. Both call
+//! the same kernel, and the model checker is handed the very value the
+//! device runs, so it verifies the code that actually runs — the Rust
+//! analogue of VRASED's verified Verilog.
 
-use crate::props::{names, PropCtx, WireImage};
+use crate::props::{names, wire_names};
 use ltl_mc::formula::Ltl;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
 use ltl_mc::mc::Property;
-use openmsp430::signals::Signals;
-use std::collections::BTreeSet;
+use openmsp430::superblock::Wires;
 
 fn p(name: &str) -> Ltl {
     Ltl::prop(name)
@@ -23,17 +23,6 @@ fn p(name: &str) -> Ltl {
 // ---------------------------------------------------------------------
 // Key access control
 // ---------------------------------------------------------------------
-
-/// Inputs of the key-guard kernel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct KeyGuardIn {
-    /// CPU read or fetch touching the key region.
-    pub ren_key: bool,
-    /// DMA touching the key region.
-    pub dma_key: bool,
-    /// `PC` inside the SW-Att ROM.
-    pub pc_in_swatt: bool,
-}
 
 /// VRASED's key access control: the attestation key is readable only
 /// while the (trusted, immutable) SW-Att code is executing; DMA may never
@@ -44,17 +33,6 @@ pub struct KeyGuardIn {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KeyGuard {
     violated: bool,
-}
-
-impl KeyGuardIn {
-    /// The kernel inputs from an already-extracted [`WireImage`].
-    pub fn from_wires(w: &WireImage) -> KeyGuardIn {
-        KeyGuardIn {
-            ren_key: w.ren_key,
-            dma_key: w.dma_key,
-            pc_in_swatt: w.pc_in_swatt,
-        }
-    }
 }
 
 /// The `(output wire, rising violation edge)` pair of one monitor clock.
@@ -69,19 +47,24 @@ pub struct WireStep {
 }
 
 impl KeyGuard {
+    /// The wires the kernel reads: its model-checking alphabet.
+    pub const INPUTS: Wires = Wires::union(&[Wires::REN_KEY, Wires::DMA_KEY, Wires::PC_IN_SWATT]);
+
     /// The kernel: one clock of the monitor.
-    pub fn kernel(violated: bool, i: KeyGuardIn) -> bool {
-        violated || i.dma_key || (i.ren_key && !i.pc_in_swatt)
+    pub fn kernel(violated: bool, w: Wires) -> bool {
+        violated
+            || w.contains(Wires::DMA_KEY)
+            || (w.contains(Wires::REN_KEY) && !w.contains(Wires::PC_IN_SWATT))
     }
 
     /// The violation message the device records when this monitor trips.
     pub const VIOLATION: &'static str = "key region accessed outside SW-Att";
 
-    /// One clock of the kernel, fed from a pre-extracted [`WireImage`].
-    /// The returned wire is the reset request.
-    pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
+    /// One clock of the kernel on one step's wires. The returned wire is
+    /// the reset request.
+    pub fn step_wires(&mut self, w: Wires) -> WireStep {
         let was = self.violated;
-        self.violated = KeyGuard::kernel(self.violated, KeyGuardIn::from_wires(w));
+        self.violated = KeyGuard::kernel(self.violated, w);
         WireStep {
             wire: self.violated,
             raised: self.violated && !was,
@@ -119,11 +102,7 @@ impl MonitorFsm for KeyGuard {
     }
 
     fn inputs(&self) -> Vec<String> {
-        vec![
-            names::REN_KEY.into(),
-            names::DMA_KEY.into(),
-            names::PC_IN_SWATT.into(),
-        ]
+        wire_names(KeyGuard::INPUTS)
     }
 
     fn outputs(&self) -> Vec<String> {
@@ -131,14 +110,7 @@ impl MonitorFsm for KeyGuard {
     }
 
     fn step(&self, state: &bool, inputs: &InputVal<'_>) -> bool {
-        KeyGuard::kernel(
-            *state,
-            KeyGuardIn {
-                ren_key: inputs.get(names::REN_KEY),
-                dma_key: inputs.get(names::DMA_KEY),
-                pc_in_swatt: inputs.get(names::PC_IN_SWATT),
-            },
-        )
+        KeyGuard::kernel(*state, KeyGuard::INPUTS.deposit(inputs.bits()))
     }
 
     fn output(&self, state: &bool, inputs: &InputVal<'_>, name: &str) -> bool {
@@ -150,21 +122,6 @@ impl MonitorFsm for KeyGuard {
 // ---------------------------------------------------------------------
 // SW-Att atomicity
 // ---------------------------------------------------------------------
-
-/// Inputs of the atomicity kernel.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AtomicityIn {
-    /// `PC` inside the SW-Att ROM.
-    pub pc_in_swatt: bool,
-    /// `PC` at the SW-Att entry point.
-    pub pc_at_min: bool,
-    /// `PC` at the SW-Att exit point.
-    pub pc_at_max: bool,
-    /// Interrupt service began this step.
-    pub irq: bool,
-    /// Any DMA activity this step.
-    pub dma_active: bool,
-}
 
 /// Register state of the atomicity monitor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -189,34 +146,37 @@ pub struct SwAttAtomicity {
 }
 
 impl SwAttAtomicity {
+    /// The wires the kernel reads: its model-checking alphabet.
+    pub const INPUTS: Wires = Wires::union(&[
+        Wires::IRQ,
+        Wires::DMA_ACTIVE,
+        Wires::PC_IN_SWATT,
+        Wires::PC_AT_SWATT_MIN,
+        Wires::PC_AT_SWATT_MAX,
+    ]);
+
     /// The kernel: one clock of the monitor.
-    pub fn kernel(s: AtomicityState, i: AtomicityIn) -> AtomicityState {
-        let illegal_entry = i.pc_in_swatt && !s.prev_in_swatt && !i.pc_at_min;
-        let illegal_exit = !i.pc_in_swatt && s.prev_in_swatt && !s.prev_at_max;
-        let interrupted = i.pc_in_swatt && i.irq;
-        let dma_raced = i.pc_in_swatt && i.dma_active;
+    pub fn kernel(s: AtomicityState, w: Wires) -> AtomicityState {
+        let in_swatt = w.contains(Wires::PC_IN_SWATT);
+        let illegal_entry = in_swatt && !s.prev_in_swatt && !w.contains(Wires::PC_AT_SWATT_MIN);
+        let illegal_exit = !in_swatt && s.prev_in_swatt && !s.prev_at_max;
+        let interrupted = in_swatt && w.contains(Wires::IRQ);
+        let dma_raced = in_swatt && w.contains(Wires::DMA_ACTIVE);
         AtomicityState {
             violated: s.violated || illegal_entry || illegal_exit || interrupted || dma_raced,
-            prev_in_swatt: i.pc_in_swatt,
-            prev_at_max: i.pc_at_max,
+            prev_in_swatt: in_swatt,
+            prev_at_max: w.contains(Wires::PC_AT_SWATT_MAX),
         }
     }
 
     /// The violation message the device records when this monitor trips.
     pub const VIOLATION: &'static str = "SW-Att atomicity violated";
 
-    /// One clock of the atomicity FSM against a pre-extracted
-    /// [`WireImage`]. The returned wire is the reset request.
-    pub fn step_wires(&mut self, w: &WireImage) -> WireStep {
-        let i = AtomicityIn {
-            pc_in_swatt: w.pc_in_swatt,
-            pc_at_min: w.pc_at_swatt_min,
-            pc_at_max: w.pc_at_swatt_max,
-            irq: w.irq,
-            dma_active: w.dma_active,
-        };
+    /// One clock of the atomicity FSM on one step's wires. The returned
+    /// wire is the reset request.
+    pub fn step_wires(&mut self, w: Wires) -> WireStep {
         let was = self.state.violated;
-        self.state = SwAttAtomicity::kernel(self.state, i);
+        self.state = SwAttAtomicity::kernel(self.state, w);
         WireStep {
             wire: self.state.violated,
             raised: self.state.violated && !was,
@@ -287,13 +247,7 @@ impl MonitorFsm for SwAttAtomicity {
     }
 
     fn inputs(&self) -> Vec<String> {
-        vec![
-            names::PC_IN_SWATT.into(),
-            names::PC_AT_SWATT_MIN.into(),
-            names::PC_AT_SWATT_MAX.into(),
-            names::IRQ.into(),
-            names::DMA_ACTIVE.into(),
-        ]
+        wire_names(SwAttAtomicity::INPUTS)
     }
 
     fn outputs(&self) -> Vec<String> {
@@ -301,33 +255,13 @@ impl MonitorFsm for SwAttAtomicity {
     }
 
     fn step(&self, state: &AtomicityState, inputs: &InputVal<'_>) -> AtomicityState {
-        SwAttAtomicity::kernel(
-            *state,
-            AtomicityIn {
-                pc_in_swatt: inputs.get(names::PC_IN_SWATT),
-                pc_at_min: inputs.get(names::PC_AT_SWATT_MIN),
-                pc_at_max: inputs.get(names::PC_AT_SWATT_MAX),
-                irq: inputs.get(names::IRQ),
-                dma_active: inputs.get(names::DMA_ACTIVE),
-            },
-        )
+        SwAttAtomicity::kernel(*state, SwAttAtomicity::INPUTS.deposit(inputs.bits()))
     }
 
     fn output(&self, state: &AtomicityState, inputs: &InputVal<'_>, name: &str) -> bool {
         assert_eq!(name, names::RESET);
         <SwAttAtomicity as MonitorFsm>::step(self, state, inputs).violated
     }
-}
-
-/// Converts a runtime signal step into the proposition set used for
-/// trace-level conformance checking of the VRASED suite (the generic
-/// conversion plus the monitor's `reset` output wire).
-pub fn vrased_trace_props(ctx: &PropCtx, signals: &Signals, reset: bool) -> BTreeSet<String> {
-    let mut props = ctx.props_of(signals);
-    if reset {
-        props.insert(names::RESET.to_string());
-    }
-    props
 }
 
 #[cfg(test)]
@@ -338,24 +272,23 @@ mod tests {
 
     #[test]
     fn key_guard_kernel_truth_table() {
-        let k = |v, r, d, s| {
-            KeyGuard::kernel(
-                v,
-                KeyGuardIn {
-                    ren_key: r,
-                    dma_key: d,
-                    pc_in_swatt: s,
-                },
-            )
-        };
-        assert!(!k(false, false, false, false));
-        assert!(k(false, true, false, false), "CPU key read outside SW-Att");
+        let (none, ren, dma, swatt) = (
+            Wires::default(),
+            Wires::REN_KEY,
+            Wires::DMA_KEY,
+            Wires::PC_IN_SWATT,
+        );
+        assert!(!KeyGuard::kernel(false, none));
+        assert!(KeyGuard::kernel(false, ren), "CPU key read outside SW-Att");
         assert!(
-            !k(false, true, false, true),
+            !KeyGuard::kernel(false, ren | swatt),
             "CPU key read during SW-Att is legal"
         );
-        assert!(k(false, false, true, true), "DMA key access is never legal");
-        assert!(k(true, false, false, false), "latched");
+        assert!(
+            KeyGuard::kernel(false, dma | swatt),
+            "DMA key access is never legal"
+        );
+        assert!(KeyGuard::kernel(true, none), "latched");
     }
 
     #[test]
@@ -374,35 +307,15 @@ mod tests {
     #[test]
     fn atomicity_kernel_cases() {
         let s0 = AtomicityState::default();
+        let in_swatt = Wires::PC_IN_SWATT;
         // Legal entry at the first instruction.
-        let s1 = SwAttAtomicity::kernel(
-            s0,
-            AtomicityIn {
-                pc_in_swatt: true,
-                pc_at_min: true,
-                ..Default::default()
-            },
-        );
+        let s1 = SwAttAtomicity::kernel(s0, in_swatt | Wires::PC_AT_SWATT_MIN);
         assert!(!s1.violated);
         // Interrupt mid-attestation.
-        let s2 = SwAttAtomicity::kernel(
-            s1,
-            AtomicityIn {
-                pc_in_swatt: true,
-                irq: true,
-                ..Default::default()
-            },
-        );
+        let s2 = SwAttAtomicity::kernel(s1, in_swatt | Wires::IRQ);
         assert!(s2.violated);
         // Entry in the middle.
-        let s3 = SwAttAtomicity::kernel(
-            s0,
-            AtomicityIn {
-                pc_in_swatt: true,
-                pc_at_min: false,
-                ..Default::default()
-            },
-        );
+        let s3 = SwAttAtomicity::kernel(s0, in_swatt);
         assert!(s3.violated);
         // Legal exit from the last instruction.
         let mid = AtomicityState {
@@ -410,7 +323,7 @@ mod tests {
             prev_in_swatt: true,
             prev_at_max: true,
         };
-        let s4 = SwAttAtomicity::kernel(mid, AtomicityIn::default());
+        let s4 = SwAttAtomicity::kernel(mid, Wires::default());
         assert!(!s4.violated);
         // Early exit.
         let mid = AtomicityState {
@@ -418,7 +331,7 @@ mod tests {
             prev_in_swatt: true,
             prev_at_max: false,
         };
-        let s5 = SwAttAtomicity::kernel(mid, AtomicityIn::default());
+        let s5 = SwAttAtomicity::kernel(mid, Wires::default());
         assert!(s5.violated);
     }
 

@@ -14,7 +14,8 @@
 //! * [`protocol`] — the Vrf ↔ Prv challenge/response protocol of the
 //!   paper's Fig. 1;
 //! * [`props`] — the canonical wire-proposition vocabulary shared by all
-//!   monitors.
+//!   monitors, and the one table pairing each monitor wire's bit with
+//!   its name.
 //!
 //! # Examples
 //!

@@ -4,13 +4,15 @@
 //!
 //! The paper's LTL formulas quantify over wire-level atomic propositions
 //! such as `PC ∈ ER`, `irq`, `Wen ∧ Daddr ∈ IVT`. This module fixes one
-//! name per proposition and provides the conversion from a simulation
-//! step's [`Signals`] to the set of names that hold in it.
+//! name per proposition, pairs each monitor wire's [`Wires`] bit with
+//! its name ([`WIRES`]), and converts a simulation step to the set of
+//! names that hold in it ([`PropCtx::props_of`]) and to the wires the
+//! monitors clock on ([`PropCtx::wires_of`]).
 
 use openmsp430::layout::MemLayout;
 use openmsp430::mem::MemRegion;
 use openmsp430::signals::Signals;
-use openmsp430::superblock::WireSummary;
+use openmsp430::superblock::{WireSummary, Wires};
 use std::collections::BTreeSet;
 
 /// Proposition names.
@@ -61,6 +63,39 @@ pub mod names {
     pub const EXEC: &str = "exec";
     /// Monitor reset request (monitor output).
     pub const RESET: &str = "reset";
+}
+
+/// Every [`Wires`] bit with its proposition name, in bit order: the one
+/// place a bit meets a name.
+pub const WIRES: [(Wires, &str); 17] = [
+    (Wires::IRQ, names::IRQ),
+    (Wires::FAULT, names::FAULT),
+    (Wires::DMA_ACTIVE, names::DMA_ACTIVE),
+    (Wires::REN_KEY, names::REN_KEY),
+    (Wires::DMA_KEY, names::DMA_KEY),
+    (Wires::WEN_IVT, names::WEN_IVT),
+    (Wires::DMA_IVT, names::DMA_IVT),
+    (Wires::WEN_OR, names::WEN_OR),
+    (Wires::DMA_OR, names::DMA_OR),
+    (Wires::WEN_ER, names::WEN_ER),
+    (Wires::DMA_ER, names::DMA_ER),
+    (Wires::PC_IN_SWATT, names::PC_IN_SWATT),
+    (Wires::PC_AT_SWATT_MIN, names::PC_AT_SWATT_MIN),
+    (Wires::PC_AT_SWATT_MAX, names::PC_AT_SWATT_MAX),
+    (Wires::PC_IN_ER, names::PC_IN_ER),
+    (Wires::PC_AT_ERMIN, names::PC_AT_ERMIN),
+    (Wires::PC_AT_EREXIT, names::PC_AT_EREXIT),
+];
+
+/// The names of the wires in `w`, in bit order. For a monitor's input
+/// mask this is its model-checking alphabet: bit `k` of a valuation
+/// over these names is the mask's `k`-th wire ([`Wires::deposit`]).
+pub fn wire_names(w: Wires) -> Vec<String> {
+    WIRES
+        .iter()
+        .filter(|&&(bit, _)| w.contains(bit))
+        .map(|&(_, name)| name.to_string())
+        .collect()
 }
 
 /// `ER` geometry needed to evaluate the `ER`-relative propositions.
@@ -132,101 +167,40 @@ impl PropCtx {
         }
         out
     }
-}
 
-/// One step's security-relevant wires as plain booleans, extracted in a
-/// **single pass** over the packed access log.
-///
-/// This is the allocation-free sibling of [`PropCtx::props_of`]: the
-/// proposition-set conversion allocates a `BTreeSet<String>` per step and
-/// is meant for trace capture and conformance checking; `WireImage` is
-/// what the runtime monitor stack evaluates every step. Field names
-/// mirror the [`names`] constants one for one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireImage {
-    /// Interrupt service began this step.
-    pub irq: bool,
-    /// CPU fault this step.
-    pub fault: bool,
-    /// Any DMA activity (`DMAen`).
-    pub dma_active: bool,
-    /// CPU read (or fetch) touching the key region.
-    pub ren_key: bool,
-    /// DMA touching the key region.
-    pub dma_key: bool,
-    /// CPU write into the IVT.
-    pub wen_ivt: bool,
-    /// DMA touching the IVT.
-    pub dma_ivt: bool,
-    /// CPU write into `OR`.
-    pub wen_or: bool,
-    /// DMA touching `OR`.
-    pub dma_or: bool,
-    /// CPU write into `ER`.
-    pub wen_er: bool,
-    /// DMA touching `ER`.
-    pub dma_er: bool,
-    /// `PC ∈ SW-Att`.
-    pub pc_in_swatt: bool,
-    /// `PC` at the SW-Att entry point.
-    pub pc_at_swatt_min: bool,
-    /// `PC` at the SW-Att exit point.
-    pub pc_at_swatt_max: bool,
-    /// `PC ∈ ER` (false when no `ER` is configured).
-    pub pc_in_er: bool,
-    /// `PC = ERmin`.
-    pub pc_at_ermin: bool,
-    /// `PC = ERmax`.
-    pub pc_at_erexit: bool,
-}
-
-impl WireImage {
-    /// Extracts the wires for one step: one pass of
-    /// [`WireSummary::fold`] over the access log, against `ctx.er`.
-    pub fn of(ctx: &PropCtx, s: &Signals) -> WireImage {
-        let mut wires = WireSummary {
-            step: s.step,
+    /// Extracts the wires the monitors clock on for one step: one pass
+    /// of [`WireSummary::fold`] over the access log against `self.er`,
+    /// plus `irq`, the fault and the PC wires ([`PropCtx::summary_wires`]).
+    ///
+    /// This is the allocation-free sibling of [`PropCtx::props_of`],
+    /// which allocates a `BTreeSet<String>` per step and serves trace
+    /// capture and conformance checking.
+    pub fn wires_of(&self, s: &Signals) -> Wires {
+        let mut sum = WireSummary {
             pc: s.pc,
-            fault: s.fault.is_some(),
+            wires: Wires::IRQ.when(s.irq) | Wires::FAULT.when(s.fault.is_some()),
             ..WireSummary::default()
         };
-        let er = ctx.er.map(|e| e.region);
+        let er = self.er.map(|e| e.region);
         for a in &s.accesses {
-            wires.fold(&ctx.layout, er, a);
+            sum.fold(&self.layout, er, a);
         }
-        WireImage {
-            irq: s.irq,
-            ..WireImage::of_summary(ctx, &wires)
-        }
+        self.summary_wires(&sum)
     }
 
-    /// Extracts the wires from a superblock-interior step: the access
-    /// wires come straight from the summary, the PC-comparison wires are
-    /// derived from its `pc` (the ER ones only when `ctx` has an `ER`).
-    /// Interior steps never service interrupts, so `irq` is false.
-    pub fn of_summary(ctx: &PropCtx, s: &WireSummary) -> WireImage {
-        let l = &ctx.layout;
-        let mut w = WireImage {
-            irq: false,
-            fault: s.fault,
-            dma_active: s.dma_active,
-            ren_key: s.ren_key,
-            dma_key: s.dma_key,
-            wen_ivt: s.wen_ivt,
-            dma_ivt: s.dma_ivt,
-            wen_or: s.wen_or,
-            dma_or: s.dma_or,
-            wen_er: s.wen_er,
-            dma_er: s.dma_er,
-            pc_in_swatt: l.swatt.contains(s.pc),
-            pc_at_swatt_min: s.pc == l.swatt.start(),
-            pc_at_swatt_max: s.pc == l.swatt.end() & !1,
-            ..WireImage::default()
-        };
-        if let Some(er) = &ctx.er {
-            w.pc_in_er = er.region.contains(s.pc);
-            w.pc_at_ermin = s.pc == er.min;
-            w.pc_at_erexit = s.pc == er.exit;
+    /// The wires of a superblock-interior step: the summary's fault and
+    /// access wires, with the PC-comparison wires of its `pc` ORed in
+    /// (the ER ones only when an `ER` is configured).
+    pub fn summary_wires(&self, s: &WireSummary) -> Wires {
+        let l = &self.layout;
+        let mut w = s.wires
+            | Wires::PC_IN_SWATT.when(l.swatt.contains(s.pc))
+            | Wires::PC_AT_SWATT_MIN.when(s.pc == l.swatt.start())
+            | Wires::PC_AT_SWATT_MAX.when(s.pc == l.swatt.end() & !1);
+        if let Some(er) = &self.er {
+            w |= Wires::PC_IN_ER.when(er.region.contains(s.pc))
+                | Wires::PC_AT_ERMIN.when(s.pc == er.min)
+                | Wires::PC_AT_EREXIT.when(s.pc == er.exit);
         }
         w
     }
@@ -236,6 +210,8 @@ impl WireImage {
 mod tests {
     use super::*;
     use openmsp430::bus::{Master, MemAccess};
+    use openmsp430::cpu::CpuFault;
+    use proptest::prelude::*;
 
     fn base_signals() -> Signals {
         Signals {
@@ -293,80 +269,94 @@ mod tests {
         assert!(!p.contains(names::DMA_IVT));
     }
 
-    fn assert_wires_match_props(ctx: &PropCtx, s: &Signals) {
-        let w = WireImage::of(ctx, s);
-        let p = ctx.props_of(s);
-        let pairs = [
-            (w.irq, names::IRQ),
-            (w.fault, names::FAULT),
-            (w.dma_active, names::DMA_ACTIVE),
-            (w.ren_key, names::REN_KEY),
-            (w.dma_key, names::DMA_KEY),
-            (w.wen_ivt, names::WEN_IVT),
-            (w.dma_ivt, names::DMA_IVT),
-            (w.wen_or, names::WEN_OR),
-            (w.dma_or, names::DMA_OR),
-            (w.wen_er, names::WEN_ER),
-            (w.dma_er, names::DMA_ER),
-            (w.pc_in_swatt, names::PC_IN_SWATT),
-            (w.pc_at_swatt_min, names::PC_AT_SWATT_MIN),
-            (w.pc_at_swatt_max, names::PC_AT_SWATT_MAX),
-            (w.pc_in_er, names::PC_IN_ER),
-            (w.pc_at_ermin, names::PC_AT_ERMIN),
-            (w.pc_at_erexit, names::PC_AT_EREXIT),
-        ];
-        for (wire, name) in pairs {
-            assert_eq!(wire, p.contains(name), "wire `{name}` disagrees");
+    #[test]
+    fn wire_table_is_in_bit_order() {
+        for (k, (bit, _)) in WIRES.iter().enumerate() {
+            assert_eq!(*bit, Wires(1 << k));
         }
     }
 
-    #[test]
-    fn wire_image_agrees_with_props_of() {
-        let layout = MemLayout::default();
-        let er = ErInfo {
+    /// Addresses on an edge of `region`: its first or last byte, or the
+    /// byte just outside either end (a word there straddles the edge).
+    fn edges(region: MemRegion) -> [u16; 4] {
+        let (start, end) = (region.start(), region.end());
+        [start.wrapping_sub(1), start, end, end.wrapping_add(1)]
+    }
+
+    /// The test `ER`: a window inside the default program region.
+    fn er() -> ErInfo {
+        ErInfo {
             min: 0xE000,
             exit: 0xE010,
             region: MemRegion::new(0xE000, 0xE0FF),
-        };
-        for ctx in [PropCtx::with_er(layout, er), PropCtx::new(layout)] {
-            let mut s = base_signals();
-            assert_wires_match_props(&ctx, &s);
+        }
+    }
 
-            s.accesses
-                .push(MemAccess::read(layout.key.start(), 0, true));
-            s.accesses.push(MemAccess::fetch(layout.key.start(), 0));
-            s.accesses
-                .push(MemAccess::write(layout.ivt.start(), 0xF000, false));
-            s.accesses
-                .push(MemAccess::write(layout.or.start(), 1, true));
-            s.accesses.push(MemAccess::write(0xE004, 0x4343, false));
-            assert_wires_match_props(&ctx, &s);
+    /// PCs that sit on an `ER` or SW-Att comparison, or one word off
+    /// it, most of the time; any PC otherwise.
+    fn pc() -> impl Strategy<Value = u16> {
+        let layout = MemLayout::default();
+        let mut pcs = vec![
+            er().min,
+            er().exit,
+            layout.swatt.start(),
+            layout.swatt.end() & !1,
+        ];
+        pcs.extend(edges(er().region));
+        pcs.extend(edges(layout.swatt));
+        let near: Vec<u16> = pcs
+            .iter()
+            .flat_map(|&p| [p.wrapping_sub(2), p, p.wrapping_add(2)])
+            .collect();
+        (0..near.len() + 4, any::<u16>())
+            .prop_map(move |(pick, pc)| near.get(pick).copied().unwrap_or(pc))
+    }
 
-            for dma_target in [
-                layout.key.start(),
-                layout.ivt.start(),
-                layout.or.start(),
-                0xE008,
-            ] {
-                s.accesses.push(MemAccess {
-                    addr: dma_target,
-                    value: 0,
-                    byte: false,
-                    write: true,
-                    fetch: false,
-                    master: Master::Dma,
-                });
-            }
-            s.irq = true;
-            s.pc = layout.swatt.start();
-            assert_wires_match_props(&ctx, &s);
+    /// Accesses of every kind (CPU read, fetch and write, DMA read and
+    /// write; byte and word), most of the time on an edge of the key,
+    /// IVT, `OR`, SW-Att or `ER` region.
+    fn access() -> impl Strategy<Value = MemAccess> {
+        let l = MemLayout::default();
+        let addrs: Vec<u16> = [l.key, l.ivt, l.or, l.swatt, er().region]
+            .into_iter()
+            .flat_map(edges)
+            .collect();
+        (0..addrs.len() + 4, any::<u16>(), 0u8..5, any::<bool>()).prop_map(
+            move |(pick, addr, kind, byte)| MemAccess {
+                addr: addrs.get(pick).copied().unwrap_or(addr),
+                value: 0,
+                byte,
+                write: kind == 2 || kind == 4,
+                fetch: kind == 1,
+                master: if kind >= 3 { Master::Dma } else { Master::Cpu },
+            },
+        )
+    }
 
-            s.pc = 0xE010;
-            s.fault = Some(openmsp430::cpu::CpuFault::IllegalInstruction {
-                pc: 0xE010,
-                word: 0,
-            });
-            assert_wires_match_props(&ctx, &s);
+    proptest! {
+        /// The extracted wires name exactly the wire propositions that
+        /// `props_of` derives from the same step, with and without `ER`.
+        #[test]
+        fn wires_agree_with_props_of(
+            pc in pc(),
+            irq in any::<bool>(),
+            fault in any::<bool>(),
+            accesses in proptest::collection::vec(access(), 0..6),
+            with_er in any::<bool>(),
+        ) {
+            let layout = MemLayout::default();
+            let ctx = PropCtx { layout, er: with_er.then(er) };
+            let s = Signals {
+                pc,
+                irq,
+                fault: fault.then_some(CpuFault::IllegalInstruction { pc, word: 0 }),
+                accesses,
+                ..base_signals()
+            };
+            let mut props = ctx.props_of(&s);
+            props.retain(|p| WIRES.iter().any(|&(_, name)| name == p));
+            let wires: BTreeSet<String> = wire_names(ctx.wires_of(&s)).into_iter().collect();
+            prop_assert_eq!(wires, props);
         }
     }
 

@@ -73,7 +73,7 @@ const STAGE_LEN: usize = 512;
 /// memory) and the verifier (over expected contents) call it. The MAC
 /// covers the canonical transcript `VRASED-SWATT-v1 ‖ chal ‖` then, per
 /// item, `label len (u32 LE) ‖ label ‖ start (u16 LE) ‖ len (u32 LE) ‖
-/// bytes`. A transcript of at most [`STAGE_LEN`] bytes is written into
+/// bytes`. A transcript of at most `STAGE_LEN` (512) bytes is written into
 /// one stack buffer and hashed with a single `update`, which saves the
 /// per-call buffering of a dozen small updates.
 pub fn attest(key: &HmacKey, chal: &[u8; CHAL_LEN], items: &[MeasuredItem]) -> [u8; MAC_LEN] {

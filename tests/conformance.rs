@@ -8,9 +8,10 @@
 //!    stimulus.
 
 use asap::device::{Device, PoxMode};
-use asap::monitor::{ivt_kernel, IvtIn};
+use asap::monitor::ivt_kernel;
 use asap::programs;
 use ltl_mc::formula::Ltl;
+use openmsp430::Wires;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use vrased::props::names;
@@ -393,7 +394,9 @@ fn asap_netlist_ivt_guard_matches_kernel() {
             let (_, next) = nl.simulate(&inputs, &state);
             kernel_run = ivt_kernel(
                 kernel_run,
-                IvtIn { wen_ivt, dma_ivt, pc_at_ermin: at_ermin },
+                Wires::WEN_IVT.when(wen_ivt)
+                    | Wires::DMA_IVT.when(dma_ivt)
+                    | Wires::PC_AT_ERMIN.when(at_ermin),
             );
             prop_assert_eq!(
                 next[run_idx], kernel_run,

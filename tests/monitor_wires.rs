@@ -1,94 +1,44 @@
 //! The monitor that runs is the monitor that is model-checked.
 //!
-//! The device clocks each monitor through `step_wires` with a
-//! [`WireImage`]; `asap::properties::verify_all` model-checks the same
-//! type through its [`MonitorFsm`] impl. This suite walks every FSM state
-//! reachable from `initial()` under the monitor's environment constraint,
-//! drives a runtime monitor to that state along a witness input path,
-//! and then, for every admissible valuation of the declared inputs,
-//! checks that
+//! The device clocks each monitor through `step_wires` with one step's
+//! [`Wires`]; `asap::properties::verify_all` model-checks the same type
+//! through its [`MonitorFsm`] impl, whose alphabet is the names of the
+//! monitor's `INPUTS` mask. This suite walks every FSM state reachable
+//! from `initial()` under the monitor's environment constraint, drives a
+//! runtime monitor to that state along a witness input path, and then,
+//! for every admissible valuation of the declared inputs, checks that
 //!
+//! * the valuation decodes to the wires it names,
 //! * `step_wires` yields the output wire and violation edge that
 //!   `MonitorFsm::step`/`output` define,
 //! * every path to one FSM state leaves the runtime monitor in one
 //!   state, and
-//! * flipping any wire outside the monitor's alphabet (its
-//!   `MonitorFsm::inputs()`) changes neither that result nor the
-//!   monitor's next state, so the model checker sees every wire the
-//!   runtime monitor can react to. For ASAP this covers `irq`, which
-//!   its FSM leaves out of its alphabet but `step_wires` reads.
+//! * flipping any wire outside `INPUTS` changes neither that result nor
+//!   the monitor's next state, so the model checker sees every wire the
+//!   runtime monitor can react to. For ASAP this covers `irq`, which its
+//!   `INPUTS` leaves out but `step_wires` reads.
 
 use apex_pox::monitor::ApexMonitor;
 use asap::monitor::AsapMonitor;
 use ltl_mc::fsm::{InputVal, MonitorFsm};
-use std::collections::{HashMap, HashSet, VecDeque};
+use openmsp430::Wires;
+use std::collections::{HashMap, VecDeque};
 use vrased::hw::{KeyGuard, SwAttAtomicity, WireStep};
-use vrased::props::{names, WireImage};
-
-/// Every `WireImage` field, by proposition name.
-const WIRES: [&str; 17] = [
-    names::IRQ,
-    names::FAULT,
-    names::DMA_ACTIVE,
-    names::REN_KEY,
-    names::DMA_KEY,
-    names::WEN_IVT,
-    names::DMA_IVT,
-    names::WEN_OR,
-    names::DMA_OR,
-    names::WEN_ER,
-    names::DMA_ER,
-    names::PC_IN_SWATT,
-    names::PC_AT_SWATT_MIN,
-    names::PC_AT_SWATT_MAX,
-    names::PC_IN_ER,
-    names::PC_AT_ERMIN,
-    names::PC_AT_EREXIT,
-];
-
-/// The `WireImage` field named `name`.
-fn field<'a>(w: &'a mut WireImage, name: &str) -> &'a mut bool {
-    match name {
-        names::IRQ => &mut w.irq,
-        names::FAULT => &mut w.fault,
-        names::DMA_ACTIVE => &mut w.dma_active,
-        names::REN_KEY => &mut w.ren_key,
-        names::DMA_KEY => &mut w.dma_key,
-        names::WEN_IVT => &mut w.wen_ivt,
-        names::DMA_IVT => &mut w.dma_ivt,
-        names::WEN_OR => &mut w.wen_or,
-        names::DMA_OR => &mut w.dma_or,
-        names::WEN_ER => &mut w.wen_er,
-        names::DMA_ER => &mut w.dma_er,
-        names::PC_IN_SWATT => &mut w.pc_in_swatt,
-        names::PC_AT_SWATT_MIN => &mut w.pc_at_swatt_min,
-        names::PC_AT_SWATT_MAX => &mut w.pc_at_swatt_max,
-        names::PC_IN_ER => &mut w.pc_in_er,
-        names::PC_AT_ERMIN => &mut w.pc_at_ermin,
-        names::PC_AT_EREXIT => &mut w.pc_at_erexit,
-        other => panic!("no wire named `{other}`"),
-    }
-}
-
-/// The image with exactly the valuation's true inputs set.
-fn image(v: &InputVal<'_>) -> WireImage {
-    let mut w = WireImage::default();
-    for name in v.true_names() {
-        *field(&mut w, name) = true;
-    }
-    w
-}
+use vrased::props::{wire_names, WIRES};
 
 /// A monitor as the device runs it: built by `Default`, clocked by
-/// `step_wires`.
+/// `step_wires` on the wires of its `INPUTS` alphabet.
 trait Runtime: MonitorFsm + Clone + Default + PartialEq + std::fmt::Debug {
-    fn clock(&mut self, w: &WireImage) -> WireStep;
+    const INPUTS: Wires;
+    fn clock(&mut self, w: Wires) -> WireStep;
 }
 
 macro_rules! runtime {
     ($($m:ty),*) => {$(
         impl Runtime for $m {
-            fn clock(&mut self, w: &WireImage) -> WireStep {
+            const INPUTS: Wires = <$m>::INPUTS;
+
+            fn clock(&mut self, w: Wires) -> WireStep {
                 self.step_wires(w)
             }
         }
@@ -107,7 +57,7 @@ fn check<M: Runtime>(constraint: impl Fn(&InputVal<'_>) -> bool, falling: bool) 
     let outputs = fsm.outputs();
     assert_eq!(outputs.len(), 1, "one output wire");
     let out_name = &outputs[0];
-    let alphabet: HashSet<&str> = inputs.iter().map(String::as_str).collect();
+    assert_eq!(inputs, wire_names(M::INPUTS), "the alphabet is INPUTS");
 
     let valuations: Vec<u32> = (0..1u32 << inputs.len())
         .filter(|&bits| constraint(&InputVal::new(&inputs, bits)))
@@ -129,9 +79,10 @@ fn check<M: Runtime>(constraint: impl Fn(&InputVal<'_>) -> bool, falling: bool) 
                 out && !prev_out
             };
 
-            let w = image(&v);
+            let w = M::INPUTS.deposit(bits);
+            assert_eq!(wire_names(w), v.true_names());
             let mut stepped = runtime.clone();
-            let got = stepped.clock(&w);
+            let got = stepped.clock(w);
             assert_eq!(
                 got,
                 WireStep { wire: out, raised },
@@ -139,15 +90,14 @@ fn check<M: Runtime>(constraint: impl Fn(&InputVal<'_>) -> bool, falling: bool) 
                 v.true_names()
             );
 
-            for name in WIRES {
-                if alphabet.contains(name) {
+            for (bit, name) in WIRES {
+                if M::INPUTS.contains(bit) {
                     continue;
                 }
-                let mut flipped = w;
-                *field(&mut flipped, name) ^= true;
+                let flipped = Wires(w.0 ^ bit.0);
                 let mut other = runtime.clone();
                 assert_eq!(
-                    other.clock(&flipped),
+                    other.clock(flipped),
                     got,
                     "`{name}`, outside the alphabet, changed the output after {path:?}"
                 );

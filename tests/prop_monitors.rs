@@ -7,12 +7,13 @@
 //! formulas, independent evaluation path (`ltl_mc::trace` instead of
 //! the Büchi/product machinery).
 
-use apex_pox::monitor::{exec_kernel, ApexMonitor, ExecIn, ExecState};
-use asap::monitor::{ivt_kernel, IvtGuard, IvtIn};
+use apex_pox::monitor::{exec_kernel, ApexMonitor, ExecState};
+use asap::monitor::{ivt_kernel, IvtGuard};
 use ltl_mc::formula::Ltl;
 use ltl_mc::trace::Trace;
+use openmsp430::Wires;
 use proptest::prelude::*;
-use vrased::hw::{AtomicityIn, AtomicityState, KeyGuard, KeyGuardIn, SwAttAtomicity};
+use vrased::hw::{AtomicityState, KeyGuard, SwAttAtomicity};
 use vrased::props::names;
 
 fn state_set(props: &[(&str, bool)]) -> std::collections::BTreeSet<String> {
@@ -46,7 +47,9 @@ proptest! {
         for (ren_key, dma_key, pc_in_swatt) in seq {
             violated = KeyGuard::kernel(
                 violated,
-                KeyGuardIn { ren_key, dma_key, pc_in_swatt },
+                Wires::REN_KEY.when(ren_key)
+                    | Wires::DMA_KEY.when(dma_key)
+                    | Wires::PC_IN_SWATT.when(pc_in_swatt),
             );
             trace.push_state(state_set(&[
                 (names::REN_KEY, ren_key),
@@ -82,7 +85,11 @@ proptest! {
             let pc_at_max = pos == 2 && dma; // arbitrary but env-consistent
             s = SwAttAtomicity::kernel(
                 s,
-                AtomicityIn { pc_in_swatt, pc_at_min, pc_at_max, irq, dma_active: dma },
+                Wires::PC_IN_SWATT.when(pc_in_swatt)
+                    | Wires::PC_AT_SWATT_MIN.when(pc_at_min)
+                    | Wires::PC_AT_SWATT_MAX.when(pc_at_max)
+                    | Wires::IRQ.when(irq)
+                    | Wires::DMA_ACTIVE.when(dma),
             );
             trace.push_state(state_set(&[
                 (names::PC_IN_SWATT, pc_in_swatt),
@@ -119,19 +126,17 @@ proptest! {
             let dma_er = mem_bits & 2 != 0 && dma_active;
             let wen_or = mem_bits & 4 != 0;
             let dma_or = mem_bits & 2 != 0 && dma_active; // shares the dma bit
-            let i = ExecIn {
-                pc_in_er,
-                pc_at_ermin,
-                pc_at_erexit,
-                irq,
-                wen_er,
-                dma_er,
-                wen_or,
-                dma_or,
-                dma_active,
-                fault,
-            };
-            s = exec_kernel(s, i, true);
+            let w = Wires::PC_IN_ER.when(pc_in_er)
+                | Wires::PC_AT_ERMIN.when(pc_at_ermin)
+                | Wires::PC_AT_EREXIT.when(pc_at_erexit)
+                | Wires::IRQ.when(irq)
+                | Wires::WEN_ER.when(wen_er)
+                | Wires::DMA_ER.when(dma_er)
+                | Wires::WEN_OR.when(wen_or)
+                | Wires::DMA_OR.when(dma_or)
+                | Wires::DMA_ACTIVE.when(dma_active)
+                | Wires::FAULT.when(fault);
+            s = exec_kernel(s, w, true);
             trace.push_state(state_set(&[
                 (names::PC_IN_ER, pc_in_er),
                 (names::PC_AT_ERMIN, pc_at_ermin),
@@ -163,7 +168,12 @@ proptest! {
         let mut run = false;
         let mut trace = Trace::new();
         for (wen_ivt, dma_ivt, pc_at_ermin) in seq {
-            run = ivt_kernel(run, IvtIn { wen_ivt, dma_ivt, pc_at_ermin });
+            run = ivt_kernel(
+                run,
+                Wires::WEN_IVT.when(wen_ivt)
+                    | Wires::DMA_IVT.when(dma_ivt)
+                    | Wires::PC_AT_ERMIN.when(pc_at_ermin),
+            );
             trace.push_state(state_set(&[
                 (names::WEN_IVT, wen_ivt),
                 (names::DMA_IVT, dma_ivt),
@@ -190,17 +200,14 @@ proptest! {
         let mut asap = ExecState::default();
         let mut irq_in_er_seen = false;
         for (pos, irq) in seq {
-            let i = ExecIn {
-                pc_in_er: pos != 0,
-                pc_at_ermin: pos == 1,
-                pc_at_erexit: pos == 3,
-                irq,
-                ..Default::default()
-            };
+            let w = Wires::PC_IN_ER.when(pos != 0)
+                | Wires::PC_AT_ERMIN.when(pos == 1)
+                | Wires::PC_AT_EREXIT.when(pos == 3)
+                | Wires::IRQ.when(irq);
             // Track the irq-in-window condition APEX punishes.
-            apex = exec_kernel(apex, i, true);
-            asap = exec_kernel(asap, i, false);
-            if i.pc_in_er && irq {
+            apex = exec_kernel(apex, w, true);
+            asap = exec_kernel(asap, w, false);
+            if pos != 0 && irq {
                 irq_in_er_seen = true;
             }
             if apex.exec != asap.exec {
