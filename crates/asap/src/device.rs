@@ -23,6 +23,7 @@ use openmsp430::superblock::{SbConfig, SbExit, StepCtl, Wires};
 use periph::gpio::{Gpio, PORT1_VECTOR, PORT2_VECTOR};
 use periph::{DmaController, Timer, Uart};
 use pox_crypto::hmac::HmacKey;
+use std::borrow::Cow;
 use std::fmt;
 use vrased::hw::{swatt_exit_addr, KeyGuard, SwAttAtomicity};
 use vrased::props::{names, ErInfo, PropCtx};
@@ -774,26 +775,28 @@ impl Device {
         self.swatt_step(layout.swatt.start(), &[]);
 
         // --- Step 2: the measurement body — key + region reads. The MAC
-        // borrows the measured regions straight from memory.
+        // borrows each measured region straight from memory when it lies
+        // in one page (fig4's all do), and measures a copy otherwise.
         let exec = self.exec();
         let mem = &self.mcu.mem;
+        let er_bytes = mem.slice(self.er.region);
         let or_bytes = mem.slice(layout.or);
-        let ivt = match self.mode {
-            PoxMode::Asap => Some((layout.ivt, mem.slice(layout.ivt))),
+        let ivt_bytes = match self.mode {
+            PoxMode::Asap => Some(mem.slice(layout.ivt)),
             PoxMode::Apex => None,
         };
         let items = pox_items(
             exec,
             self.er.region,
-            mem.slice(self.er.region),
+            &er_bytes,
             layout.or,
-            or_bytes,
-            ivt,
+            &or_bytes,
+            ivt_bytes.as_deref().map(|bytes| (layout.ivt, bytes)),
         );
         let mac = attest(&self.key, &chal, &items);
         let measured: usize = items.iter().map(|i| i.bytes.len()).sum();
-        let output = or_bytes.to_vec();
-        let ivt = ivt.map(|(_, bytes)| bytes.to_vec());
+        let output = or_bytes.into_owned();
+        let ivt = ivt_bytes.map(Cow::into_owned);
 
         let mut accesses = [MemAccess::read(0, 0, true); 4];
         let mut measured_regions = 3;

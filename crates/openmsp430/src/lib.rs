@@ -11,8 +11,8 @@
 //!   [`exec`]) with flag semantics and deterministic cycle counts;
 //! * a CPU core ([`cpu`]) with interrupt entry/`RETI`, low-power modes
 //!   and faults;
-//! * a flat memory plus bus abstraction ([`mem`], [`bus`]), with
-//!   per-page write generations backing the predecoded-instruction
+//! * a sparse paged memory plus bus abstraction ([`mem`], [`bus`]),
+//!   with per-page write generations backing the predecoded-instruction
 //!   cache's consistency check;
 //! * an MCU top level ([`mcu`]) integrating peripherals ([`periph`]) and
 //!   DMA, and emitting one [`signals::Signals`] bundle per executed step
@@ -57,6 +57,7 @@ pub mod isa;
 pub mod layout;
 pub mod mcu;
 pub mod mem;
+mod pctable;
 pub mod periph;
 mod predecode;
 pub mod regs;

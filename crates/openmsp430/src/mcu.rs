@@ -65,7 +65,7 @@ fn hw_cell_lookup(cells: &[HwCell], addr: u16) -> Option<usize> {
 pub struct Mcu {
     /// The CPU core.
     pub cpu: Cpu,
-    /// Flat memory (flash + RAM); MMIO ranges are intercepted by
+    /// Sparse paged memory (flash + RAM); MMIO ranges are intercepted by
     /// peripherals and hardware cells.
     pub mem: Memory,
     /// The memory map.
@@ -201,8 +201,8 @@ impl Mcu {
             dma_periphs: Vec::new(),
             tick_periphs: Vec::new(),
             hw_cells: Vec::new(),
-            decode_cache: DecodeCache::new(),
-            block_cache: BlockCache::new(),
+            decode_cache: DecodeCache::default(),
+            block_cache: BlockCache::default(),
             predecode_enabled: true,
             cycle: 0,
             step_idx: 0,
@@ -506,18 +506,13 @@ impl Mcu {
         out.fault = step_out.fault;
     }
 
-    /// Number of predecode-cache pages currently materialized.
-    pub fn predecode_pages(&self) -> usize {
-        self.decode_cache.resident_pages()
-    }
-
     /// Merged statistics of the predecode and superblock caches.
     pub fn cache_stats(&self) -> CacheStats {
         self.decode_cache.stats().merge(self.block_cache.stats())
     }
 
     /// Ends a step: drains its DMA — injected operations first, then
-    /// each DMA-mastering peripheral's, each performed on flat memory and
+    /// each DMA-mastering peripheral's, each performed on memory and
     /// reported to `rec` as its read and its write — then advances the
     /// peripherals and counters by the step's `cycles`.
     fn end_step(&mut self, cycles: u64, rec: &mut impl Recorder) {
@@ -1028,8 +1023,8 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(cached.step(), fetched.step());
         }
-        assert!(cached.predecode_pages() > 0);
-        assert_eq!(fetched.predecode_pages(), 0);
+        assert!(cached.decode_cache.resident_chunks() > 0);
+        assert_eq!(fetched.decode_cache.resident_chunks(), 0);
     }
 
     #[test]

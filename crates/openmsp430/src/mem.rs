@@ -1,7 +1,8 @@
-//! Flat 64 KiB memory with MSP430 little-endian word semantics, plus the
-//! [`MemRegion`] type used throughout the monitors to describe address
-//! ranges such as `ER`, `OR`, the key region and the IVT.
+//! Sparse 64 KiB memory with MSP430 little-endian word semantics, plus
+//! the [`MemRegion`] type used throughout the monitors to describe
+//! address ranges such as `ER`, `OR`, the key region and the IVT.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// An inclusive address range `[start, end]` within the 64 KiB space.
@@ -100,26 +101,58 @@ impl fmt::Display for MemRegion {
     }
 }
 
-/// Log2 of the write-tracking page size (512 bytes per page).
+/// Log2 of the page size (512 bytes per page).
 pub(crate) const PAGE_SHIFT: u32 = 9;
 
-/// Number of write-tracking pages covering the 64 KiB space.
+/// Bytes per page.
+const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Number of pages covering the 64 KiB space.
 pub(crate) const PAGE_COUNT: usize = 0x1_0000 >> PAGE_SHIFT;
 
-/// The write-tracking page an address belongs to.
+/// The page an address belongs to.
 pub(crate) fn page_of(addr: u16) -> usize {
     (addr >> PAGE_SHIFT) as usize
 }
 
-/// Flat byte-addressable 64 KiB memory.
+type Page = [u8; PAGE_SIZE];
+
+/// What every page reads as until its first write.
+static ZERO_PAGE: Page = [0; PAGE_SIZE];
+
+/// Splits the `len` bytes from `start` into per-page runs of
+/// `(page, offset within the page, run length)`.
+fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let end = start + len;
+    let mut at = start;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let (page, off) = (at >> PAGE_SHIFT, at & (PAGE_SIZE - 1));
+            let run = (PAGE_SIZE - off).min(end - at);
+            at += run;
+            (page, off, run)
+        })
+    })
+}
+
+/// Sparse byte-addressable 64 KiB memory.
+///
+/// The space is 128 pages of 512 bytes, each allocated on its first
+/// write: a page nobody has written reads as zeroes from one shared
+/// static zero page, so a device costs the memory its program, stack
+/// and data actually touch, not the whole address space.
 ///
 /// Word accesses are little-endian and force-aligned: bit 0 of the address
-/// is ignored, as on the real MSP430 bus.
+/// is ignored, as on the real MSP430 bus. An aligned word never straddles
+/// a page.
 ///
-/// Every write bumps a per-page generation counter (512-byte pages), which
-/// the predecoded-instruction cache uses to notice *any* mutation of code
+/// Every write bumps a per-page generation counter, which the
+/// predecoded-instruction cache uses to notice *any* mutation of code
 /// it has cached — CPU stores, DMA transfers and direct host-side
 /// `load`/`write_*` calls alike — without scanning memory.
+///
+/// [`Memory::slice`] borrows a region that lies in one page and copies
+/// only a region that spans pages; [`Memory::snapshot`] always copies.
 ///
 /// # Examples
 ///
@@ -131,10 +164,11 @@ pub(crate) fn page_of(addr: u16) -> usize {
 /// assert_eq!(mem.read_byte(0x0200), 0xEF);
 /// assert_eq!(mem.read_byte(0x0201), 0xBE);
 /// assert_eq!(mem.read_word(0x0201), 0xBEEF); // alignment forced
+/// assert_eq!(mem.read_word(0x4000), 0); // never written
 /// ```
 #[derive(Clone)]
 pub struct Memory {
-    bytes: Box<[u8; 0x1_0000]>,
+    pages: Box<[Option<Box<Page>>; PAGE_COUNT]>,
     page_gen: Box<[u64; PAGE_COUNT]>,
 }
 
@@ -147,20 +181,17 @@ impl Default for Memory {
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Memory")
-            .field("len", &self.bytes.len())
+            .field("resident_pages", &self.pages.iter().flatten().count())
             .finish()
     }
 }
 
 impl Memory {
-    /// Creates a zero-filled memory.
+    /// Creates a zero-filled memory; no page is allocated yet.
     pub fn new() -> Memory {
         Memory {
-            bytes: vec![0u8; 0x1_0000].into_boxed_slice().try_into().unwrap(),
-            page_gen: vec![0u64; PAGE_COUNT]
-                .into_boxed_slice()
-                .try_into()
-                .unwrap(),
+            pages: Box::new([const { None }; PAGE_COUNT]),
+            page_gen: Box::new([0; PAGE_COUNT]),
         }
     }
 
@@ -171,31 +202,45 @@ impl Memory {
         self.page_gen[page_of(addr)]
     }
 
+    /// The bytes of page `page`, the zero page if it was never written.
+    #[inline]
+    fn page(&self, page: usize) -> &Page {
+        self.pages[page].as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    /// The bytes of page `page` for a write, allocated on first use.
+    /// The caller bumps the page's generation.
+    #[inline]
+    fn page_mut(&mut self, page: usize) -> &mut Page {
+        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
+
     /// Reads one byte.
+    #[inline]
     pub fn read_byte(&self, addr: u16) -> u8 {
-        self.bytes[addr as usize]
+        self.page(page_of(addr))[addr as usize & (PAGE_SIZE - 1)]
     }
 
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u16, val: u8) {
-        self.bytes[addr as usize] = val;
-        self.page_gen[page_of(addr)] += 1;
+        let page = page_of(addr);
+        self.page_mut(page)[addr as usize & (PAGE_SIZE - 1)] = val;
+        self.page_gen[page] += 1;
     }
 
     /// Reads a little-endian word; the address is aligned down.
+    #[inline]
     pub fn read_word(&self, addr: u16) -> u16 {
-        let a = (addr & !1) as usize;
-        u16::from_le_bytes([self.bytes[a], self.bytes[(a + 1) & 0xFFFF]])
+        let off = addr as usize & (PAGE_SIZE - 2);
+        let page = self.page(page_of(addr));
+        u16::from_le_bytes([page[off], page[off + 1]])
     }
 
     /// Writes a little-endian word; the address is aligned down.
     pub fn write_word(&mut self, addr: u16, val: u16) {
-        let a = (addr & !1) as usize;
-        let [lo, hi] = val.to_le_bytes();
-        self.bytes[a] = lo;
-        self.bytes[(a + 1) & 0xFFFF] = hi;
-        // An aligned word never straddles a (512-byte, even-sized) page.
-        self.page_gen[page_of(a as u16)] += 1;
+        let (page, off) = (page_of(addr), addr as usize & (PAGE_SIZE - 2));
+        self.page_mut(page)[off..off + 2].copy_from_slice(&val.to_le_bytes());
+        self.page_gen[page] += 1;
     }
 
     /// Generic read used by the execution engine.
@@ -216,37 +261,52 @@ impl Memory {
         }
     }
 
-    /// Copies `data` into memory starting at `addr`.
+    /// Copies `data` into memory starting at `addr`, bumping each touched
+    /// page's generation once.
     ///
     /// # Panics
     ///
     /// Panics if the slice would run past the end of the address space.
     pub fn load(&mut self, addr: u16, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        let start = addr as usize;
-        assert!(start + data.len() <= 0x1_0000, "load overflows memory");
-        self.bytes[start..start + data.len()].copy_from_slice(data);
-        for page in page_of(addr)..=page_of((start + data.len() - 1) as u16) {
+        assert!(
+            addr as usize + data.len() <= 0x1_0000,
+            "load overflows memory"
+        );
+        let mut rest = data;
+        for (page, off, run) in page_runs(addr as usize, data.len()) {
+            let (head, tail) = rest.split_at(run);
+            self.page_mut(page)[off..off + run].copy_from_slice(head);
             self.page_gen[page] += 1;
+            rest = tail;
         }
     }
 
     /// Returns a copy of the bytes in `region`.
     pub fn snapshot(&self, region: MemRegion) -> Vec<u8> {
-        self.bytes[region.start() as usize..=region.end() as usize].to_vec()
+        let mut out = Vec::with_capacity(region.len() as usize);
+        for (page, off, run) in page_runs(region.start() as usize, region.len() as usize) {
+            out.extend_from_slice(&self.page(page)[off..off + run]);
+        }
+        out
     }
 
-    /// Borrows the bytes in `region`.
-    pub fn slice(&self, region: MemRegion) -> &[u8] {
-        &self.bytes[region.start() as usize..=region.end() as usize]
+    /// The bytes in `region`: borrowed when the region lies in one page,
+    /// copied when it spans pages.
+    pub fn slice(&self, region: MemRegion) -> Cow<'_, [u8]> {
+        let (start, end) = (region.start(), region.end());
+        if page_of(start) == page_of(end) {
+            let off = start as usize & (PAGE_SIZE - 1);
+            Cow::Borrowed(&self.page(page_of(start))[off..=off + (end - start) as usize])
+        } else {
+            Cow::Owned(self.snapshot(region))
+        }
     }
 
-    /// Fills `region` with a byte value.
+    /// Fills `region` with a byte value, bumping each touched page's
+    /// generation once.
     pub fn fill(&mut self, region: MemRegion, val: u8) {
-        self.bytes[region.start() as usize..=region.end() as usize].fill(val);
-        for page in page_of(region.start())..=page_of(region.end()) {
+        for (page, off, run) in page_runs(region.start() as usize, region.len() as usize) {
+            self.page_mut(page)[off..off + run].fill(val);
             self.page_gen[page] += 1;
         }
     }
@@ -255,6 +315,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn word_is_little_endian() {
@@ -349,5 +410,173 @@ mod tests {
         m.write_word(0x0300, 0xFFFF);
         m.write_byte(0x0300, 0x00);
         assert_eq!(m.read_word(0x0300), 0xFF00);
+    }
+
+    /// The flat reference the paged [`Memory`] is checked against: one
+    /// 64 KiB array plus a generation counter per page, bumped exactly
+    /// as documented (once per write op per page; once per touched page
+    /// for `load`/`fill`).
+    struct FlatModel {
+        bytes: Vec<u8>,
+        gen: [u64; PAGE_COUNT],
+    }
+
+    /// One operation of the differential.
+    #[derive(Debug, Clone)]
+    enum Op {
+        ReadByte(u16),
+        ReadWord(u16),
+        WriteByte(u16, u8),
+        WriteWord(u16, u16),
+        Load(u16, Vec<u8>),
+        Fill(MemRegion, u8),
+        Slice(MemRegion),
+        Snapshot(MemRegion),
+    }
+
+    /// Applies `op` to both memories, checking that reads agree.
+    fn apply(mem: &mut Memory, flat: &mut FlatModel, op: &Op) -> Result<(), String> {
+        let bytes = |r: &MemRegion| flat.bytes[r.start() as usize..=r.end() as usize].to_vec();
+        match *op {
+            Op::ReadByte(a) => {
+                let want = flat.bytes[a as usize];
+                (mem.read_byte(a) == want)
+                    .then_some(())
+                    .ok_or("read_byte")?;
+            }
+            Op::ReadWord(a) => {
+                let lo = (a & !1) as usize;
+                let want = u16::from_le_bytes([flat.bytes[lo], flat.bytes[lo + 1]]);
+                (mem.read_word(a) == want)
+                    .then_some(())
+                    .ok_or("read_word")?;
+            }
+            Op::WriteByte(a, v) => {
+                mem.write_byte(a, v);
+                flat.bytes[a as usize] = v;
+                flat.gen[page_of(a)] += 1;
+            }
+            Op::WriteWord(a, v) => {
+                mem.write_word(a, v);
+                let lo = (a & !1) as usize;
+                flat.bytes[lo..lo + 2].copy_from_slice(&v.to_le_bytes());
+                flat.gen[page_of(a)] += 1;
+            }
+            Op::Load(a, ref data) => {
+                mem.load(a, data);
+                let start = a as usize;
+                flat.bytes[start..start + data.len()].copy_from_slice(data);
+                if !data.is_empty() {
+                    for page in page_of(a)..=page_of((start + data.len() - 1) as u16) {
+                        flat.gen[page] += 1;
+                    }
+                }
+            }
+            Op::Fill(r, v) => {
+                mem.fill(r, v);
+                flat.bytes[r.start() as usize..=r.end() as usize].fill(v);
+                for page in page_of(r.start())..=page_of(r.end()) {
+                    flat.gen[page] += 1;
+                }
+            }
+            Op::Slice(r) => {
+                let got = mem.slice(r);
+                (*got == bytes(&r)[..]).then_some(()).ok_or("slice bytes")?;
+                let one_page = page_of(r.start()) == page_of(r.end());
+                let borrowed = matches!(got, Cow::Borrowed(_));
+                (borrowed == one_page)
+                    .then_some(())
+                    .ok_or("slice copies only across pages")?;
+            }
+            Op::Snapshot(r) => {
+                (mem.snapshot(r) == bytes(&r))
+                    .then_some(())
+                    .ok_or("snapshot")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Every byte, generation and page residency of `mem` against the
+    /// model: a page is allocated exactly when some write touched it.
+    fn agrees(mem: &Memory, flat: &FlatModel) -> Result<(), String> {
+        for page in 0..PAGE_COUNT {
+            let want = &flat.bytes[page << PAGE_SHIFT..(page + 1) << PAGE_SHIFT];
+            if mem.page(page)[..] != *want {
+                return Err(format!("bytes of page {page}"));
+            }
+            if mem.page_gen[page] != flat.gen[page] {
+                return Err(format!("generation of page {page}"));
+            }
+            if mem.pages[page].is_some() != (flat.gen[page] > 0) {
+                return Err(format!("residency of page {page}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Pages most operations land on, so that they meet: the first
+    /// two, two in the middle and the last two of the space.
+    const HOT_PAGES: [u16; 6] = [0, 1, 0x70, 0x71, 0x7E, 0x7F];
+
+    /// An address on a page edge most of the time: a page's first or
+    /// second byte or its last two bytes; otherwise anywhere in the page.
+    /// Three pages in four are hot; the rest are anywhere.
+    fn edge_addr() -> impl Strategy<Value = u16> {
+        (0..8usize, 0..PAGE_COUNT as u16, 0u8..6, any::<u16>()).prop_map(
+            |(hot, anywhere, kind, offset)| {
+                let page = HOT_PAGES.get(hot).copied().unwrap_or(anywhere);
+                let base = page << PAGE_SHIFT;
+                match kind {
+                    0 => base,
+                    1 => base | 1,
+                    2 => base | (PAGE_SIZE as u16 - 2),
+                    3 => base | (PAGE_SIZE as u16 - 1),
+                    _ => base | (offset & (PAGE_SIZE as u16 - 1)),
+                }
+            },
+        )
+    }
+
+    /// A region from an edge address, up to three pages long.
+    fn region() -> impl Strategy<Value = MemRegion> {
+        (edge_addr(), 1u32..1100)
+            .prop_map(|(start, len)| MemRegion::with_len(start, len.min(0x1_0000 - start as u32)))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            edge_addr().prop_map(Op::ReadByte),
+            edge_addr().prop_map(Op::ReadWord),
+            (edge_addr(), any::<u8>()).prop_map(|(a, v)| Op::WriteByte(a, v)),
+            (edge_addr(), any::<u16>()).prop_map(|(a, v)| Op::WriteWord(a, v)),
+            (edge_addr(), proptest::collection::vec(any::<u8>(), 0..1100)).prop_map(
+                |(a, mut data)| {
+                    data.truncate(0x1_0000 - a as usize);
+                    Op::Load(a, data)
+                }
+            ),
+            (region(), any::<u8>()).prop_map(|(r, v)| Op::Fill(r, v)),
+            region().prop_map(Op::Slice),
+            region().prop_map(Op::Snapshot),
+        ]
+    }
+
+    proptest! {
+        /// The paged memory against the flat model over random
+        /// operation sequences on page edges: after every operation,
+        /// every byte, every page generation and every page's residency
+        /// agree, and reads, slices and snapshots (within one page,
+        /// across pages and on never-written pages) return the model's
+        /// bytes.
+        #[test]
+        fn paged_memory_matches_flat_model(ops in proptest::collection::vec(op(), 1..24)) {
+            let mut mem = Memory::new();
+            let mut flat = FlatModel { bytes: vec![0; 0x1_0000], gen: [0; PAGE_COUNT] };
+            for op in &ops {
+                let checked = apply(&mut mem, &mut flat, op).and_then(|()| agrees(&mem, &flat));
+                prop_assert!(checked.is_ok(), "{:?} after {:?}", checked, op);
+            }
+        }
     }
 }

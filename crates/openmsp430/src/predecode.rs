@@ -3,8 +3,9 @@
 //! Re-decoding every instruction through closure-based bus reads is the
 //! single hottest cost of [`crate::mcu::Mcu::step`]. This cache stores the
 //! decoded form (plus the raw words, so fetch bus traffic can still be
-//! reported to the monitors bit-for-bit) per word-aligned PC, in 512-byte
-//! pages allocated on first fetch.
+//! reported to the monitors bit-for-bit) per word-aligned PC, in the
+//! sparse [`PcTable`]: 64-byte chunks of 32 slots, each allocated on the
+//! first fetch inside it.
 //!
 //! Consistency does not rely on callers remembering to invalidate: every
 //! entry snapshots the [`Memory`] write generations of the page(s) its
@@ -21,12 +22,9 @@
 
 use crate::decode::decode;
 use crate::isa::Instr;
-use crate::mem::{Memory, PAGE_COUNT, PAGE_SHIFT};
+use crate::mem::Memory;
+use crate::pctable::PcTable;
 use crate::superblock::CacheStats;
-
-/// Word-aligned slots per cache page (one per possible instruction start
-/// in a 512-byte memory page).
-const WORDS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 1);
 
 /// A predecoded instruction: the decoded form plus the raw words it was
 /// decoded from, so the per-step fetch accesses can be replayed into the
@@ -48,37 +46,19 @@ struct Slot {
     gen_first: u64,
     /// Generation of the page holding the last encoded word.
     gen_last: u64,
-    valid: bool,
 }
 
-const EMPTY: Slot = Slot {
-    entry: CachedInstr {
-        instr: Instr::Illegal(0),
-        size: 2,
-        words: [0; 3],
-    },
-    gen_first: 0,
-    gen_last: 0,
-    valid: false,
-};
-
-/// The PC-indexed cache. Pages materialize on first fetch, so memory cost
-/// scales with the amount of code actually executed, not the address
-/// space — a fleet of thousands of simulated devices stays cheap.
-#[derive(Debug, Clone)]
+/// The PC-indexed cache. Chunks of 32 slots (64 bytes of code)
+/// materialize on first fetch, so memory cost scales with the amount of
+/// code actually executed, not the address space — a fleet of thousands
+/// of simulated devices stays cheap.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DecodeCache {
-    pages: Vec<Option<Box<[Slot; WORDS_PER_PAGE]>>>,
+    slots: PcTable<Option<Slot>>,
     stats: CacheStats,
 }
 
 impl DecodeCache {
-    pub(crate) fn new() -> DecodeCache {
-        DecodeCache {
-            pages: vec![None; PAGE_COUNT],
-            stats: CacheStats::default(),
-        }
-    }
-
     /// Returns the predecoded instruction at `pc`, decoding and caching it
     /// on a miss or a stale generation. Returns `None` when any of the
     /// instruction's encoded bytes fall on MMIO (`is_mmio`): such fetches
@@ -89,20 +69,15 @@ impl DecodeCache {
         mem: &Memory,
         is_mmio: impl Fn(u16) -> bool,
     ) -> Option<CachedInstr> {
-        let word = (pc >> 1) as usize;
-        let (page, idx) = (word / WORDS_PER_PAGE, word % WORDS_PER_PAGE);
-        if let Some(p) = &self.pages[page] {
-            let slot = &p[idx];
-            if slot.valid {
-                let last = pc.wrapping_add(slot.entry.size - 2);
-                if slot.gen_first == mem.page_generation(pc)
-                    && slot.gen_last == mem.page_generation(last)
-                {
-                    self.stats.hits += 1;
-                    return Some(slot.entry);
-                }
-                self.stats.invalidations += 1;
+        if let Some(Some(slot)) = self.slots.get_mut(pc) {
+            let last = pc.wrapping_add(slot.entry.size - 2);
+            if slot.gen_first == mem.page_generation(pc)
+                && slot.gen_last == mem.page_generation(last)
+            {
+                self.stats.hits += 1;
+                return Some(slot.entry);
             }
+            self.stats.invalidations += 1;
         }
         self.stats.misses += 1;
 
@@ -134,28 +109,26 @@ impl DecodeCache {
             size: d.size,
             words,
         };
-        let slot = Slot {
+        *self.slots.slot(pc) = Some(Slot {
             entry,
             gen_first: mem.page_generation(pc),
             gen_last: mem.page_generation(pc.wrapping_add(d.size - 2)),
-            valid: true,
-        };
-        self.pages[page].get_or_insert_with(|| Box::new([EMPTY; WORDS_PER_PAGE]))[idx] = slot;
+        });
         Some(entry)
     }
 
-    /// Number of cache pages currently materialized (diagnostics).
-    pub(crate) fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+    /// Number of 64-byte slot chunks currently materialized
+    /// (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn resident_chunks(&self) -> usize {
+        self.slots.resident_chunks()
     }
 
     /// Drops every cached slot, preserving the counters. Used when the
     /// MMIO topology changes (new peripheral / hardware cell), which
     /// can turn previously cacheable fetches into live-bus ones.
     pub(crate) fn clear(&mut self) {
-        for page in self.pages.iter_mut() {
-            *page = None;
-        }
+        self.slots.clear();
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -179,7 +152,7 @@ mod tests {
         // mov #0x1234, r5
         mem.write_word(0xE000, 0x4035);
         mem.write_word(0xE002, 0x1234);
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::default();
         let a = cache.lookup(0xE000, &mem, never_mmio).unwrap();
         assert_eq!(a.size, 4);
         assert_eq!(a.words[..2], [0x4035, 0x1234]);
@@ -192,10 +165,10 @@ mod tests {
                 dst: Operand::Reg(Reg::r(5)),
             }
         );
-        // Second lookup is a pure hit (same entry, one resident page).
+        // Second lookup is a pure hit (same entry, one resident chunk).
         let b = cache.lookup(0xE000, &mem, never_mmio).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cache.resident_pages(), 1);
+        assert_eq!(cache.resident_chunks(), 1);
     }
 
     #[test]
@@ -203,7 +176,7 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_word(0xE000, 0x4035);
         mem.write_word(0xE002, 0x1234);
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::default();
         let _ = cache.lookup(0xE000, &mem, never_mmio).unwrap();
         // Overwrite the immediate word: same page, new generation.
         mem.write_word(0xE002, 0xBEEF);
@@ -224,7 +197,7 @@ mod tests {
     fn unrelated_page_writes_keep_entries_hot() {
         let mut mem = Memory::new();
         mem.write_word(0xE000, 0x3FFF); // jmp $
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::default();
         let a = cache.lookup(0xE000, &mem, never_mmio).unwrap();
         mem.write_word(0x0200, 0xAAAA); // data page, not the code page
         let b = cache.lookup(0xE000, &mem, never_mmio).unwrap();
@@ -235,9 +208,9 @@ mod tests {
     fn mmio_fetches_are_never_cached() {
         let mut mem = Memory::new();
         mem.write_word(0x0190, 0x4303); // would decode, but lives on MMIO
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::default();
         assert!(cache.lookup(0x0190, &mem, |a| a == 0x0190).is_none());
-        assert_eq!(cache.resident_pages(), 0);
+        assert_eq!(cache.resident_chunks(), 0, "no chunk for an uncached fetch");
     }
 
     #[test]
@@ -247,12 +220,33 @@ mod tests {
         // pages are 512 bytes, so 0xE1FE/0xE200 straddle.
         mem.write_word(0xE1FE, 0x4035);
         mem.write_word(0xE200, 0x1234);
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::default();
         let a = cache.lookup(0xE1FE, &mem, never_mmio).unwrap();
         assert_eq!(a.words[1], 0x1234);
         // A write into the *second* page alone must still invalidate.
         mem.write_word(0xE200, 0x5678);
         let b = cache.lookup(0xE1FE, &mem, never_mmio).unwrap();
         assert_eq!(b.words[1], 0x5678);
+    }
+
+    #[test]
+    fn instruction_straddling_chunk_edge_caches_hits_and_invalidates() {
+        let mut mem = Memory::new();
+        // `mov #imm, r5` at the last word of the 64-byte chunk
+        // 0xE000..=0xE03F: its extension word opens the next chunk.
+        mem.write_word(0xE03E, 0x4035);
+        mem.write_word(0xE040, 0x1234);
+        let mut cache = DecodeCache::default();
+        let a = cache.lookup(0xE03E, &mem, never_mmio).unwrap();
+        assert_eq!((a.size, a.words[1]), (4, 0x1234));
+        // Slots are keyed by the first word: one chunk holds the entry.
+        assert_eq!(cache.resident_chunks(), 1);
+        assert_eq!(cache.lookup(0xE03E, &mem, never_mmio), Some(a));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        // A write to the extension word, in the next chunk, invalidates.
+        mem.write_word(0xE040, 0x5678);
+        let b = cache.lookup(0xE03E, &mem, never_mmio).unwrap();
+        assert_eq!(b.words[1], 0x5678);
+        assert_eq!(cache.stats().invalidations, 1);
     }
 }

@@ -19,6 +19,7 @@ use crate::bus::{Master, MemAccess};
 use crate::isa::{Instr, OneOp, Operand};
 use crate::layout::MemLayout;
 use crate::mem::{MemRegion, Memory, PAGE_SHIFT};
+use crate::pctable::PcTable;
 use crate::regs::Reg;
 use std::sync::Arc;
 
@@ -131,47 +132,31 @@ impl CacheStats {
     }
 }
 
-const BLOCKS_PER_PAGE: usize = 1 << (PAGE_SHIFT - 1);
-const BLOCK_PAGES: usize = 0x1_0000 >> PAGE_SHIFT;
-
-type BlockPage = [Option<Arc<Superblock>>; BLOCKS_PER_PAGE];
-
-/// Page-indexed store of superblocks keyed by entry PC, mirroring the
-/// predecode cache's layout. Blocks are held behind `Arc` so the
-/// executor can run a trace without borrowing the cache (`Device`
-/// stays `Send` for the fleet's prover threads).
+/// PC-indexed store of superblocks keyed by entry PC, in the same
+/// sparse [`PcTable`] as the predecode cache: 64-byte chunks of 32
+/// entry slots, each allocated on the first block built inside it.
+/// Blocks are held behind `Arc` so the executor can run a trace without
+/// borrowing the cache (`Device` stays `Send` for the fleet's prover
+/// threads).
 #[derive(Debug, Default)]
 pub(crate) struct BlockCache {
-    pages: Vec<Option<Box<BlockPage>>>,
+    blocks: PcTable<Option<Arc<Superblock>>>,
     stats: CacheStats,
 }
 
 impl BlockCache {
-    pub(crate) fn new() -> BlockCache {
-        BlockCache {
-            pages: Vec::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    fn slot_of(pc: u16) -> (usize, usize) {
-        let word = (pc >> 1) as usize;
-        (word / BLOCKS_PER_PAGE, word % BLOCKS_PER_PAGE)
-    }
-
     /// Returns the still-valid block at `pc`, counting hit/miss and
     /// retiring stale entries in place.
     pub(crate) fn get(&mut self, pc: u16, mem: &Memory) -> Option<Arc<Superblock>> {
-        let (page, slot) = Self::slot_of(pc);
-        if let Some(Some(p)) = self.pages.get_mut(page) {
-            if let Some(block) = &p[slot] {
+        if let Some(slot) = self.blocks.get_mut(pc) {
+            if let Some(block) = slot {
                 if block.valid(mem) {
                     self.stats.hits += 1;
                     return Some(Arc::clone(block));
                 }
                 self.stats.invalidations += 1;
                 self.stats.blocks_retired += 1;
-                p[slot] = None;
+                *slot = None;
             }
         }
         self.stats.misses += 1;
@@ -180,13 +165,9 @@ impl BlockCache {
 
     /// Stores a freshly built block at `pc`.
     pub(crate) fn insert(&mut self, pc: u16, block: Arc<Superblock>) {
-        let (page, slot) = Self::slot_of(pc);
-        if self.pages.len() <= page {
-            self.pages.resize_with(BLOCK_PAGES, || None);
-        }
-        let p = self.pages[page].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
-        debug_assert!(p[slot].is_none());
-        p[slot] = Some(block);
+        let slot = self.blocks.slot(pc);
+        debug_assert!(slot.is_none());
+        *slot = Some(block);
         self.stats.blocks_built += 1;
     }
 
@@ -194,25 +175,18 @@ impl BlockCache {
     /// counted as retired). Used on MMIO topology changes and when
     /// predecoding is switched off.
     pub(crate) fn clear(&mut self) {
-        for page in self.pages.iter_mut().flatten() {
-            for slot in page.iter_mut() {
-                if slot.take().is_some() {
-                    self.stats.blocks_retired += 1;
-                }
-            }
-        }
-        self.pages.clear();
+        self.stats.blocks_retired += self.blocks.slots().flatten().count() as u64;
+        self.blocks.clear();
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
-    /// True when `page_of(addr)` holds no blocks (page never populated).
+    /// True when the 64-byte chunk holding `addr` was never allocated.
     #[cfg(test)]
-    pub(crate) fn page_empty(&self, addr: u16) -> bool {
-        let idx = crate::mem::page_of(addr);
-        !matches!(self.pages.get(idx), Some(Some(_)))
+    pub(crate) fn chunk_empty(&self, addr: u16) -> bool {
+        self.blocks.get(addr).is_none()
     }
 }
 
@@ -464,8 +438,9 @@ mod tests {
     #[test]
     fn block_cache_counts_and_clears() {
         let mem = Memory::new();
-        let mut cache = BlockCache::new();
+        let mut cache = BlockCache::default();
         assert!(cache.get(0xE000, &mem).is_none());
+        assert!(cache.chunk_empty(0xE000), "a miss allocates nothing");
         cache.insert(
             0xE000,
             Arc::new(Superblock {
@@ -476,9 +451,14 @@ mod tests {
         assert!(cache.get(0xE000, &mem).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.blocks_built), (1, 1, 1));
+        assert!(
+            !cache.chunk_empty(0xE03E),
+            "the insert allocated 0xE000's chunk"
+        );
+        assert!(cache.chunk_empty(0xE040), "and only that chunk");
         cache.clear();
         assert_eq!(cache.stats().blocks_retired, 1);
-        assert!(cache.page_empty(0xE000));
+        assert!(cache.chunk_empty(0xE000));
         // Stats survive the clear.
         assert_eq!(cache.stats().hits, 1);
     }
@@ -486,7 +466,7 @@ mod tests {
     #[test]
     fn stale_page_generation_retires_block() {
         let mut mem = Memory::new();
-        let mut cache = BlockCache::new();
+        let mut cache = BlockCache::default();
         let mut pages = Vec::new();
         Superblock::cover(&mut pages, &mem, 0xE000, 4);
         cache.insert(

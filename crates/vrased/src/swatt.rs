@@ -17,7 +17,7 @@
 //! number of measured bytes.
 
 use crate::props::PropCtx;
-use openmsp430::mem::{MemRegion, Memory};
+use openmsp430::mem::Memory;
 use pox_crypto::hmac::HmacKey;
 
 /// Size of the verifier challenge in bytes.
@@ -26,9 +26,9 @@ pub const CHAL_LEN: usize = 16;
 /// Size of the attestation result (HMAC-SHA256 tag).
 pub const MAC_LEN: usize = 32;
 
-/// A measured item: a label plus bytes (either a memory region or a
-/// direct value such as the `EXEC` flag), borrowed from wherever they
-/// live.
+/// A measured item: a label plus bytes (either a memory region, with its
+/// start address, or a direct value such as the `EXEC` flag), borrowed
+/// from wherever they live.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeasuredItem<'a> {
     /// Domain-separation label.
@@ -40,15 +40,6 @@ pub struct MeasuredItem<'a> {
 }
 
 impl<'a> MeasuredItem<'a> {
-    /// Measures a memory region.
-    pub fn region(label: &'a str, mem: &'a Memory, region: MemRegion) -> MeasuredItem<'a> {
-        MeasuredItem {
-            label,
-            start: region.start(),
-            bytes: mem.slice(region),
-        }
-    }
-
     /// Measures a direct value.
     pub fn value(label: &'a str, bytes: &'a [u8]) -> MeasuredItem<'a> {
         MeasuredItem {
@@ -145,6 +136,16 @@ pub fn read_key(mem: &Memory, ctx: &PropCtx) -> Vec<u8> {
 mod tests {
     use super::*;
     use openmsp430::layout::MemLayout;
+    use openmsp430::mem::MemRegion;
+
+    /// Measures `bytes`, read from `region`.
+    fn measure<'a>(label: &'a str, region: MemRegion, bytes: &'a [u8]) -> MeasuredItem<'a> {
+        MeasuredItem {
+            label,
+            start: region.start(),
+            bytes,
+        }
+    }
 
     fn chal(seed: u8) -> [u8; CHAL_LEN] {
         [seed; CHAL_LEN]
@@ -174,9 +175,11 @@ mod tests {
         let key = HmacKey::new(b"k");
         let mut mem = Memory::new();
         let region = MemRegion::new(0xE000, 0xE00F);
-        let m1 = attest(&key, &chal(1), &[MeasuredItem::region("er", &mem, region)]);
+        let before = mem.snapshot(region);
+        let m1 = attest(&key, &chal(1), &[measure("er", region, &before)]);
         mem.write_byte(0xE005, 0xFF);
-        let m2 = attest(&key, &chal(1), &[MeasuredItem::region("er", &mem, region)]);
+        let after = mem.snapshot(region);
+        let m2 = attest(&key, &chal(1), &[measure("er", region, &after)]);
         assert_ne!(m1, m2, "one flipped byte must change the MAC");
     }
 
@@ -202,8 +205,12 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_byte(0xE000, 7);
         mem.write_byte(0xF000, 7);
-        let a = MeasuredItem::region("er", &mem, MemRegion::new(0xE000, 0xE000));
-        let b = MeasuredItem::region("er", &mem, MemRegion::new(0xF000, 0xF000));
+        let (ra, rb) = (
+            MemRegion::new(0xE000, 0xE000),
+            MemRegion::new(0xF000, 0xF000),
+        );
+        let (sa, sb) = (mem.snapshot(ra), mem.snapshot(rb));
+        let (a, b) = (measure("er", ra, &sa), measure("er", rb, &sb));
         assert_ne!(
             attest(&HmacKey::new(b"k"), &chal(0), &[a]),
             attest(&HmacKey::new(b"k"), &chal(0), &[b])
