@@ -204,6 +204,9 @@ impl<'a> RoundEngine<'a> {
             .into_iter()
             .map(|(device, start, len)| TxSpan { device, start, len })
             .collect();
+        // One verdict per challenged or departed device, reserved once
+        // rather than regrown by doubling on the reactor thread.
+        let outcomes = Vec::with_capacity(challenged.len() + left.len());
         let mut engine = RoundEngine {
             fleet,
             tx_arena,
@@ -212,7 +215,7 @@ impl<'a> RoundEngine<'a> {
             challenged,
             awaited,
             deadline: config.started_at.plus(config.deadline_after),
-            outcomes: Vec::new(),
+            outcomes,
             drained: 0,
             now: config.started_at,
             seen_generation,

@@ -180,9 +180,18 @@ pub struct EpochPlan {
 }
 
 /// Everything behind the directory's one lock. Mutators touch single
-/// entries; only epoch boundaries walk the fleet.
+/// entries, and an epoch boundary touches only the devices whose
+/// deferred transition is due: `join` and `leave` list them in
+/// `joining` and `draining`. The one walk of the fleet is the rotation
+/// refill, once per rotation cycle: amortized O(1) per device drawn.
 struct DirectoryState {
     states: IdMap<DeviceId, DeviceState>,
+    /// Devices joined since the latest boundary, in call order, with
+    /// repeats. The boundary activates those still `Joining`.
+    joining: Vec<DeviceId>,
+    /// Devices that left since the latest boundary. The boundary
+    /// tombstones those still `Draining`.
+    draining: Vec<DeviceId>,
     /// Keys staged by [`rekey`](FleetDirectory::rekey), applied at the
     /// next epoch boundary.
     staged_keys: IdMap<DeviceId, Vec<u8>>,
@@ -225,6 +234,8 @@ impl FleetDirectory {
             },
             state: Mutex::new(DirectoryState {
                 states: IdMap::default(),
+                joining: Vec::new(),
+                draining: Vec::new(),
                 staged_keys: IdMap::default(),
                 fresh: VecDeque::new(),
                 queue: VecDeque::new(),
@@ -293,6 +304,7 @@ impl FleetDirectory {
         let mut state = self.state.lock().unwrap();
         self.fleet.register_shared(id, key, spec)?;
         state.states.insert(id, DeviceState::Joining);
+        state.joining.push(id);
         Ok(())
     }
 
@@ -307,6 +319,7 @@ impl FleetDirectory {
             Some(s @ (DeviceState::Joining | DeviceState::Active | DeviceState::Rekeying)) => {
                 *s = DeviceState::Draining;
                 state.staged_keys.remove(&id);
+                state.draining.push(id);
                 self.fleet.remove(id);
                 true
             }
@@ -355,12 +368,13 @@ impl FleetDirectory {
     ///    the rotation queue, reshuffled (seeded) whenever it runs dry.
     ///    Every active device is drawn exactly once per rotation cycle.
     pub fn begin_epoch(&self) -> EpochPlan {
-        self.begin_epoch_with::<IdSet<DeviceId>>()
+        self.begin_epoch_with::<IdSet<DeviceId>, Listed>()
     }
 
     /// [`begin_epoch`](FleetDirectory::begin_epoch), asking `D` whether
-    /// a rotation draw is already in the cohort.
-    fn begin_epoch_with<D: Drawn>(&self) -> EpochPlan {
+    /// a rotation draw is already in the cohort and `P` which devices
+    /// may be draining or joining.
+    fn begin_epoch_with<D: Drawn, P: Pending>(&self) -> EpochPlan {
         let mut state = self.state.lock().unwrap();
         let state = &mut *state;
         state.epoch += 1;
@@ -372,8 +386,8 @@ impl FleetDirectory {
         let recent: IdSet<DeviceId> = state.recent.iter().flatten().copied().collect();
 
         // 1. Tombstone the drained.
-        for s in state.states.values_mut() {
-            if *s == DeviceState::Draining {
+        for id in P::draining(state) {
+            if let Some(s @ DeviceState::Draining) = state.states.get_mut(&id) {
                 *s = DeviceState::Evicted;
             }
         }
@@ -399,17 +413,16 @@ impl FleetDirectory {
             }
         }
 
-        // 3. Activate joiners, owed the earliest possible cohort slot.
-        let mut activated: Vec<DeviceId> = state
-            .states
-            .iter()
-            .filter(|&(_, s)| *s == DeviceState::Joining)
-            .map(|(&id, _)| id)
-            .collect();
-        activated.sort_unstable();
-        for &id in &activated {
-            state.states.insert(id, DeviceState::Active);
-            state.fresh.push_back(id);
+        // 3. Activate joiners, in id order, owed the earliest possible
+        // cohort slot.
+        let mut joining = P::joining(state);
+        joining.sort_unstable();
+        joining.dedup();
+        for id in joining {
+            if let Some(s @ DeviceState::Joining) = state.states.get_mut(&id) {
+                *s = DeviceState::Active;
+                state.fresh.push_back(id);
+            }
         }
 
         // 4. Draw the cohort: fresh first, then the rotation, refilled
@@ -562,6 +575,31 @@ impl Drawn for IdSet<DeviceId> {
     }
 }
 
+/// Where an epoch boundary finds the devices whose deferred transition
+/// may be due. Each list may hold more ids than are due (a device that
+/// re-joined after leaving, or was purged); the boundary re-checks
+/// every id's state.
+trait Pending {
+    /// Devices that may be `Draining`, taken from `state`.
+    fn draining(state: &mut DirectoryState) -> Vec<DeviceId>;
+    /// Devices that may be `Joining`, taken from `state`.
+    fn joining(state: &mut DirectoryState) -> Vec<DeviceId>;
+}
+
+/// The lists `join` and `leave` keep: a boundary costs the churn since
+/// the last one, not the fleet size.
+struct Listed;
+
+impl Pending for Listed {
+    fn draining(state: &mut DirectoryState) -> Vec<DeviceId> {
+        std::mem::take(&mut state.draining)
+    }
+
+    fn joining(state: &mut DirectoryState) -> Vec<DeviceId> {
+        std::mem::take(&mut state.joining)
+    }
+}
+
 /// Seeded Fisher–Yates.
 fn shuffle(ids: &mut [DeviceId], rng: &mut XorShift64) {
     for i in (1..ids.len()).rev() {
@@ -584,6 +622,115 @@ mod tests {
 
         fn holds(&self, cohort: &[DeviceId], id: DeviceId) -> bool {
             cohort.contains(&id)
+        }
+    }
+
+    /// The boundary's old way of finding due transitions: a walk of
+    /// every device state. The reference the `join`/`leave` lists are
+    /// checked against; it empties the lists so they stay bounded.
+    struct Scanning;
+
+    impl Scanning {
+        fn all_in(state: &DirectoryState, wanted: DeviceState) -> Vec<DeviceId> {
+            let ids = state.states.iter().filter(|&(_, s)| *s == wanted);
+            ids.map(|(&id, _)| id).collect()
+        }
+    }
+
+    impl Pending for Scanning {
+        fn draining(state: &mut DirectoryState) -> Vec<DeviceId> {
+            state.draining.clear();
+            Scanning::all_in(state, DeviceState::Draining)
+        }
+
+        fn joining(state: &mut DirectoryState) -> Vec<DeviceId> {
+            state.joining.clear();
+            Scanning::all_in(state, DeviceState::Joining)
+        }
+    }
+
+    /// One call of a churn script.
+    #[derive(Debug, Clone)]
+    enum Churn {
+        Join(u64),
+        Leave(u64),
+        Rekey(u64, u8),
+        Purge,
+        Epoch,
+    }
+
+    /// Ids the scripts draw from: few, so joins, leaves and re-joins of
+    /// one device meet within an epoch.
+    const SCRIPT_IDS: u64 = 12;
+
+    fn churn() -> impl proptest::strategy::Strategy<Value = Churn> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (1..=SCRIPT_IDS).prop_map(Churn::Join),
+            (1..=SCRIPT_IDS).prop_map(Churn::Leave),
+            (1..=SCRIPT_IDS, any::<u8>()).prop_map(|(id, key)| Churn::Rekey(id, key)),
+            Just(Churn::Purge),
+            Just(Churn::Epoch),
+            Just(Churn::Epoch),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Over random scripts of joins (re-joins of draining and
+        /// evicted devices included), leaves, rekeys, purges and epoch
+        /// boundaries, at pipeline windows 1 to 3: the boundary that
+        /// drains the `join`/`leave` lists plans every epoch exactly as
+        /// the boundary that walks every device state, every call
+        /// returns alike, and every device's state agrees after every
+        /// call.
+        #[test]
+        fn listed_boundaries_match_the_scanning_boundary(
+            script in proptest::collection::vec(churn(), 1..48),
+            cohort in 1usize..6,
+            window in 1usize..=3,
+        ) {
+            let spec = spec();
+            let config = LifecycleConfig::new()
+                .cohort(cohort)
+                .seed(5)
+                .pipeline_window(window);
+            let (listed, scanning) = (FleetDirectory::new(config), FleetDirectory::new(config));
+            for (step, call) in script.iter().enumerate() {
+                match *call {
+                    Churn::Join(id) => {
+                        let id = DeviceId(id);
+                        proptest::prop_assert_eq!(
+                            listed.join_shared(id, b"k", Arc::clone(&spec)),
+                            scanning.join_shared(id, b"k", Arc::clone(&spec))
+                        );
+                    }
+                    Churn::Leave(id) => {
+                        let id = DeviceId(id);
+                        proptest::prop_assert_eq!(listed.leave(id), scanning.leave(id));
+                    }
+                    Churn::Rekey(id, key) => {
+                        let id = DeviceId(id);
+                        proptest::prop_assert_eq!(listed.rekey(id, &[key]), scanning.rekey(id, &[key]));
+                    }
+                    Churn::Purge => {
+                        proptest::prop_assert_eq!(listed.purge_evicted(), scanning.purge_evicted());
+                    }
+                    Churn::Epoch => {
+                        proptest::prop_assert_eq!(
+                            listed.begin_epoch_with::<IdSet<DeviceId>, Listed>(),
+                            scanning.begin_epoch_with::<IdSet<DeviceId>, Scanning>(),
+                            "step {}", step
+                        );
+                    }
+                }
+                for id in (1..=SCRIPT_IDS).map(DeviceId) {
+                    proptest::prop_assert_eq!(
+                        listed.state_of(id),
+                        scanning.state_of(id),
+                        "{} after step {} ({:?})", id, step, call
+                    );
+                }
+            }
         }
     }
 
@@ -621,8 +768,8 @@ mod tests {
                     assert_eq!(by_set.rekey(id, &key), by_scan.rekey(id, &key));
                 }
                 assert_eq!(
-                    by_set.begin_epoch_with::<IdSet<DeviceId>>(),
-                    by_scan.begin_epoch_with::<CohortScan>(),
+                    by_set.begin_epoch_with::<IdSet<DeviceId>, Listed>(),
+                    by_scan.begin_epoch_with::<CohortScan, Listed>(),
                     "window {window}, epoch {epoch}"
                 );
             }
@@ -637,8 +784,12 @@ mod tests {
     }
 
     fn spec() -> Arc<VerifierSpec> {
-        let image = asap::programs::fig4_authorized().unwrap();
-        Arc::new(VerifierSpec::from_image(&image).unwrap())
+        static SPEC: std::sync::OnceLock<Arc<VerifierSpec>> = std::sync::OnceLock::new();
+        let spec = SPEC.get_or_init(|| {
+            let image = asap::programs::fig4_authorized().unwrap();
+            Arc::new(VerifierSpec::from_image(&image).unwrap())
+        });
+        Arc::clone(spec)
     }
 
     fn directory_of(n: u64, cohort: usize) -> FleetDirectory {

@@ -57,6 +57,7 @@ pub mod isa;
 pub mod layout;
 pub mod mcu;
 pub mod mem;
+mod pages;
 mod pctable;
 pub mod periph;
 mod predecode;

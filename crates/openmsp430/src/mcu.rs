@@ -82,6 +82,9 @@ pub struct Mcu {
     hw_cells: Vec<HwCell>,
     decode_cache: DecodeCache,
     block_cache: BlockCache,
+    /// The counters of both cache tiers, which are only ever read
+    /// merged.
+    cache_stats: CacheStats,
     predecode_enabled: bool,
     cycle: u64,
     step_idx: u64,
@@ -203,6 +206,7 @@ impl Mcu {
             hw_cells: Vec::new(),
             decode_cache: DecodeCache::default(),
             block_cache: BlockCache::default(),
+            cache_stats: CacheStats::default(),
             predecode_enabled: true,
             cycle: 0,
             step_idx: 0,
@@ -240,7 +244,7 @@ impl Mcu {
         // The MMIO topology changed: entries cached before this range
         // existed may now shadow it, so start over.
         self.decode_cache.clear();
-        self.block_cache.clear();
+        self.block_cache.clear(&mut self.cache_stats);
     }
 
     /// Declares a hardware-owned MMIO word at `addr` (software read-only).
@@ -256,7 +260,7 @@ impl Mcu {
         }
         // The MMIO topology changed: drop any decode cached over it.
         self.decode_cache.clear();
-        self.block_cache.clear();
+        self.block_cache.clear(&mut self.cache_stats);
     }
 
     /// Updates a hardware-owned cell (monitor-side write).
@@ -283,7 +287,7 @@ impl Mcu {
         if !on {
             // Superblocks are built from predecoded entries; with the
             // cache off there is no trace tier either.
-            self.block_cache.clear();
+            self.block_cache.clear(&mut self.cache_stats);
         }
     }
 
@@ -310,9 +314,11 @@ impl Mcu {
     /// encoding touches MMIO (hardware cells or peripheral ranges).
     fn cached_instr(&mut self, pc: u16) -> Option<crate::predecode::CachedInstr> {
         let (hw_cells, periph_ranges) = (&self.hw_cells, &self.periph_ranges);
-        self.decode_cache.lookup(pc, &self.mem, |addr| {
+        let is_mmio = |addr| {
             hw_cell_lookup(hw_cells, addr).is_some() || periph_lookup(periph_ranges, addr).is_some()
-        })
+        };
+        self.decode_cache
+            .lookup(pc, &self.mem, is_mmio, &mut self.cache_stats)
     }
 
     /// Borrows a concrete peripheral by type.
@@ -508,7 +514,7 @@ impl Mcu {
 
     /// Merged statistics of the predecode and superblock caches.
     pub fn cache_stats(&self) -> CacheStats {
-        self.decode_cache.stats().merge(self.block_cache.stats())
+        self.cache_stats
     }
 
     /// Ends a step: drains its DMA — injected operations first, then
@@ -570,38 +576,46 @@ impl Mcu {
 
     /// The superblock entered at `pc`, built (and cached) on a miss.
     fn superblock_at(&mut self, pc: u16) -> Arc<Superblock> {
-        if let Some(block) = self.block_cache.get(pc, &self.mem) {
+        if let Some(block) = self.block_cache.get(pc, &self.mem, &mut self.cache_stats) {
             return block;
         }
         let block = Arc::new(self.build_superblock(pc));
-        self.block_cache.insert(pc, Arc::clone(&block));
+        self.block_cache
+            .insert(pc, Arc::clone(&block), &mut self.cache_stats);
         block
     }
 
     /// Chains predecoded instructions from `entry` until a terminator,
     /// an MMIO-touching fetch, or the length cap. An empty block marks
     /// an entry whose own fetch touches MMIO ("always take the per-step
-    /// path here").
+    /// path here"). The steps are chained in a stack buffer, so the
+    /// block stores them at their exact length.
     fn build_superblock(&mut self, entry: u16) -> Superblock {
-        let mut steps: Vec<TraceStep> = Vec::new();
-        let mut pages: Vec<(u16, u64)> = Vec::new();
+        let pad = TraceStep {
+            pc: entry,
+            instr: crate::isa::Instr::Illegal(0),
+            size: 2,
+            fetch_ren_key: false,
+        };
+        let mut steps = [pad; MAX_BLOCK_LEN];
+        let mut len = 0;
         let mut pc = entry;
-        while steps.len() < MAX_BLOCK_LEN {
+        while len < MAX_BLOCK_LEN {
             let Some(e) = self.cached_instr(pc) else {
                 break;
             };
-            Superblock::cover(&mut pages, &self.mem, pc, e.size);
             let mut fetch = WireFold::default();
             for i in 0..e.size / 2 {
                 let word = MemAccess::fetch(pc.wrapping_add(2 * i), e.words[i as usize]);
                 fetch.record(&self.layout, word);
             }
-            steps.push(TraceStep {
+            steps[len] = TraceStep {
                 pc,
                 instr: e.instr,
                 size: e.size,
                 fetch_ren_key: fetch.wires.wires.contains(Wires::REN_KEY),
-            });
+            };
+            len += 1;
             if terminates_block(&e.instr) {
                 break;
             }
@@ -610,10 +624,7 @@ impl Mcu {
                 break; // wrapped the whole address space
             }
         }
-        if steps.is_empty() {
-            pages.clear();
-        }
-        Superblock { steps, pages }
+        Superblock::new(&steps[..len], &self.mem)
     }
 
     /// Executes up to `cfg.budget` steps through the superblock tier,

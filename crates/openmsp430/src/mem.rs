@@ -2,6 +2,7 @@
 //! the [`MemRegion`] type used throughout the monitors to describe
 //! address ranges such as `ER`, `OR`, the key region and the IVT.
 
+use crate::pages::PageIndex;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -105,7 +106,7 @@ impl fmt::Display for MemRegion {
 pub(crate) const PAGE_SHIFT: u32 = 9;
 
 /// Bytes per page.
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
 /// Number of pages covering the 64 KiB space.
 pub(crate) const PAGE_COUNT: usize = 0x1_0000 >> PAGE_SHIFT;
@@ -115,10 +116,16 @@ pub(crate) fn page_of(addr: u16) -> usize {
     (addr >> PAGE_SHIFT) as usize
 }
 
-type Page = [u8; PAGE_SIZE];
+/// One resident page: its bytes and its write generation.
+#[derive(Clone)]
+struct Page {
+    bytes: [u8; PAGE_SIZE],
+    /// Bumped by every write into the page.
+    generation: u64,
+}
 
 /// What every page reads as until its first write.
-static ZERO_PAGE: Page = [0; PAGE_SIZE];
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
 /// Splits the `len` bytes from `start` into per-page runs of
 /// `(page, offset within the page, run length)`.
@@ -140,7 +147,10 @@ fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, us
 /// The space is 128 pages of 512 bytes, each allocated on its first
 /// write: a page nobody has written reads as zeroes from one shared
 /// static zero page, so a device costs the memory its program, stack
-/// and data actually touch, not the whole address space.
+/// and data actually touch, not the whole address space. The resident
+/// pages sit in a sparse page index (a 128-bit residency mask and an
+/// exact-size vector of the resident pages), so not even the page
+/// table is sized for the whole space.
 ///
 /// Word accesses are little-endian and force-aligned: bit 0 of the address
 /// is ignored, as on the real MSP430 bus. An aligned word never straddles
@@ -149,7 +159,9 @@ fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, us
 /// Every write bumps a per-page generation counter, which the
 /// predecoded-instruction cache uses to notice *any* mutation of code
 /// it has cached — CPU stores, DMA transfers and direct host-side
-/// `load`/`write_*` calls alike — without scanning memory.
+/// `load`/`write_*` calls alike — without scanning memory. The counter
+/// lives in its page: every write path allocates the page before
+/// bumping it, so a page that is not resident has generation 0.
 ///
 /// [`Memory::slice`] borrows a region that lies in one page and copies
 /// only a region that spans pages; [`Memory::snapshot`] always copies.
@@ -168,8 +180,7 @@ fn page_runs(start: usize, len: usize) -> impl Iterator<Item = (usize, usize, us
 /// ```
 #[derive(Clone)]
 pub struct Memory {
-    pages: Box<[Option<Box<Page>>; PAGE_COUNT]>,
-    page_gen: Box<[u64; PAGE_COUNT]>,
+    pages: PageIndex<Box<Page>>,
 }
 
 impl Default for Memory {
@@ -181,7 +192,7 @@ impl Default for Memory {
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Memory")
-            .field("resident_pages", &self.pages.iter().flatten().count())
+            .field("resident_pages", &self.pages.len())
             .finish()
     }
 }
@@ -190,29 +201,43 @@ impl Memory {
     /// Creates a zero-filled memory; no page is allocated yet.
     pub fn new() -> Memory {
         Memory {
-            pages: Box::new([const { None }; PAGE_COUNT]),
-            page_gen: Box::new([0; PAGE_COUNT]),
+            pages: PageIndex::default(),
         }
     }
 
     /// The write generation of the page containing `addr`: bumped by every
-    /// write into that 512-byte page, whatever the master. Cache
-    /// consistency checks compare snapshots of this counter.
+    /// write into that 512-byte page, whatever the master, and 0 while the
+    /// page was never written. Cache consistency checks compare snapshots
+    /// of this counter.
+    #[inline]
     pub(crate) fn page_generation(&self, addr: u16) -> u64 {
-        self.page_gen[page_of(addr)]
+        self.pages.get(page_of(addr)).map_or(0, |p| p.generation)
+    }
+
+    /// Number of pages allocated so far.
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> usize {
+        self.pages.len()
     }
 
     /// The bytes of page `page`, the zero page if it was never written.
     #[inline]
-    fn page(&self, page: usize) -> &Page {
-        self.pages[page].as_deref().unwrap_or(&ZERO_PAGE)
+    fn page(&self, page: usize) -> &[u8; PAGE_SIZE] {
+        self.pages.get(page).map_or(&ZERO_PAGE, |p| &p.bytes)
     }
 
-    /// The bytes of page `page` for a write, allocated on first use.
-    /// The caller bumps the page's generation.
+    /// The bytes of page `page` for one write operation: allocates the
+    /// page on first use, then bumps its generation.
     #[inline]
-    fn page_mut(&mut self, page: usize) -> &mut Page {
-        self.pages[page].get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    fn page_mut(&mut self, page: usize) -> &mut [u8; PAGE_SIZE] {
+        let page = self.pages.get_or_insert_with(page, || {
+            Box::new(Page {
+                bytes: [0; PAGE_SIZE],
+                generation: 0,
+            })
+        });
+        page.generation += 1;
+        &mut page.bytes
     }
 
     /// Reads one byte.
@@ -223,9 +248,7 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_byte(&mut self, addr: u16, val: u8) {
-        let page = page_of(addr);
-        self.page_mut(page)[addr as usize & (PAGE_SIZE - 1)] = val;
-        self.page_gen[page] += 1;
+        self.page_mut(page_of(addr))[addr as usize & (PAGE_SIZE - 1)] = val;
     }
 
     /// Reads a little-endian word; the address is aligned down.
@@ -240,7 +263,6 @@ impl Memory {
     pub fn write_word(&mut self, addr: u16, val: u16) {
         let (page, off) = (page_of(addr), addr as usize & (PAGE_SIZE - 2));
         self.page_mut(page)[off..off + 2].copy_from_slice(&val.to_le_bytes());
-        self.page_gen[page] += 1;
     }
 
     /// Generic read used by the execution engine.
@@ -276,7 +298,6 @@ impl Memory {
         for (page, off, run) in page_runs(addr as usize, data.len()) {
             let (head, tail) = rest.split_at(run);
             self.page_mut(page)[off..off + run].copy_from_slice(head);
-            self.page_gen[page] += 1;
             rest = tail;
         }
     }
@@ -307,7 +328,6 @@ impl Memory {
     pub fn fill(&mut self, region: MemRegion, val: u8) {
         for (page, off, run) in page_runs(region.start() as usize, region.len() as usize) {
             self.page_mut(page)[off..off + run].fill(val);
-            self.page_gen[page] += 1;
         }
     }
 }
@@ -505,10 +525,10 @@ mod tests {
             if mem.page(page)[..] != *want {
                 return Err(format!("bytes of page {page}"));
             }
-            if mem.page_gen[page] != flat.gen[page] {
+            if mem.page_generation((page << PAGE_SHIFT) as u16) != flat.gen[page] {
                 return Err(format!("generation of page {page}"));
             }
-            if mem.pages[page].is_some() != (flat.gen[page] > 0) {
+            if mem.pages.get(page).is_some() != (flat.gen[page] > 0) {
                 return Err(format!("residency of page {page}"));
             }
         }

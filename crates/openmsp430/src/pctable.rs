@@ -3,11 +3,15 @@
 //!
 //! One slot per word-aligned PC, stored in 64-byte chunks (32 slots)
 //! that are allocated on their first insert. A 512-byte memory page maps
-//! to its eight chunk pointers, and the page table itself is allocated
-//! on the first insert too, so an empty table costs one empty `Vec` and
-//! a cache costs the chunks of code actually run, not the address space.
+//! to its eight chunk pointers, and the pages are held in the same
+//! sparse [`PageIndex`] as [`Memory`](crate::mem::Memory)'s: a 128-bit
+//! residency mask plus an exact-size vector of the resident pages,
+//! reached by rank. An empty table costs the index's 32 inline bytes
+//! and no heap, and a cache costs the chunks of code actually run (plus
+//! one vector entry per page they lie in), not the address space.
 
-use crate::mem::{PAGE_COUNT, PAGE_SHIFT};
+use crate::mem::PAGE_SHIFT;
+use crate::pages::PageIndex;
 
 /// Log2 of the chunk size (64 bytes of code per chunk).
 const CHUNK_SHIFT: u32 = 6;
@@ -22,16 +26,17 @@ type Chunk<T> = [T; SLOTS_PER_CHUNK];
 
 type Page<T> = [Option<Box<Chunk<T>>>; CHUNKS_PER_PAGE];
 
-/// The table: `pages` is empty until the first insert, then holds one
-/// entry per memory page.
+/// The table: one entry per memory page that holds an allocated chunk.
 #[derive(Debug, Clone)]
 pub(crate) struct PcTable<T> {
-    pages: Vec<Option<Box<Page<T>>>>,
+    pages: PageIndex<Box<Page<T>>>,
 }
 
 impl<T> Default for PcTable<T> {
     fn default() -> PcTable<T> {
-        PcTable { pages: Vec::new() }
+        PcTable {
+            pages: PageIndex::default(),
+        }
     }
 }
 
@@ -50,7 +55,7 @@ impl<T: Default> PcTable<T> {
     #[cfg(test)]
     pub(crate) fn get(&self, pc: u16) -> Option<&T> {
         let (page, chunk, slot) = index(pc);
-        let chunk = self.pages.get(page)?.as_ref()?[chunk].as_ref()?;
+        let chunk = self.pages.get(page)?[chunk].as_ref()?;
         Some(&chunk[slot])
     }
 
@@ -58,7 +63,7 @@ impl<T: Default> PcTable<T> {
     #[inline]
     pub(crate) fn get_mut(&mut self, pc: u16) -> Option<&mut T> {
         let (page, chunk, slot) = index(pc);
-        let chunk = self.pages.get_mut(page)?.as_mut()?[chunk].as_mut()?;
+        let chunk = self.pages.get_mut(page)?[chunk].as_mut()?;
         Some(&mut chunk[slot])
     }
 
@@ -66,11 +71,9 @@ impl<T: Default> PcTable<T> {
     /// first use.
     pub(crate) fn slot(&mut self, pc: u16) -> &mut T {
         let (page, chunk, slot) = index(pc);
-        if self.pages.is_empty() {
-            self.pages.resize_with(PAGE_COUNT, || None);
-        }
-        let page =
-            self.pages[page].get_or_insert_with(|| Box::new([const { None }; CHUNKS_PER_PAGE]));
+        let page = self
+            .pages
+            .get_or_insert_with(page, || Box::new([const { None }; CHUNKS_PER_PAGE]));
         let chunk =
             page[chunk].get_or_insert_with(|| Box::new(std::array::from_fn(|_| T::default())));
         &mut chunk[slot]
@@ -79,8 +82,7 @@ impl<T: Default> PcTable<T> {
     /// Every slot of every allocated chunk.
     pub(crate) fn slots(&self) -> impl Iterator<Item = &T> {
         self.pages
-            .iter()
-            .flatten()
+            .values()
             .flat_map(|page| page.iter().flatten())
             .flat_map(|chunk| chunk.iter())
     }
@@ -89,15 +91,14 @@ impl<T: Default> PcTable<T> {
     #[cfg(test)]
     pub(crate) fn resident_chunks(&self) -> usize {
         self.pages
-            .iter()
-            .flatten()
+            .values()
             .map(|page| page.iter().flatten().count())
             .sum()
     }
 
-    /// Frees every chunk and the page table.
+    /// Frees every chunk and the page index.
     pub(crate) fn clear(&mut self) {
-        self.pages = Vec::new();
+        self.pages.clear();
     }
 }
 

@@ -22,7 +22,7 @@
 
 use crate::decode::decode;
 use crate::isa::Instr;
-use crate::mem::Memory;
+use crate::mem::{page_of, Memory};
 use crate::pctable::PcTable;
 use crate::superblock::CacheStats;
 
@@ -51,11 +51,12 @@ struct Slot {
 /// The PC-indexed cache. Chunks of 32 slots (64 bytes of code)
 /// materialize on first fetch, so memory cost scales with the amount of
 /// code actually executed, not the address space — a fleet of thousands
-/// of simulated devices stays cheap.
+/// of simulated devices stays cheap. Its counters go to the
+/// [`CacheStats`] the caller passes, which the MCU shares with the
+/// superblock tier.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DecodeCache {
     slots: PcTable<Option<Slot>>,
-    stats: CacheStats,
 }
 
 impl DecodeCache {
@@ -68,18 +69,21 @@ impl DecodeCache {
         pc: u16,
         mem: &Memory,
         is_mmio: impl Fn(u16) -> bool,
+        stats: &mut CacheStats,
     ) -> Option<CachedInstr> {
         if let Some(Some(slot)) = self.slots.get_mut(pc) {
+            // Both generations were read together: an entry within one
+            // page needs only the first compared.
             let last = pc.wrapping_add(slot.entry.size - 2);
             if slot.gen_first == mem.page_generation(pc)
-                && slot.gen_last == mem.page_generation(last)
+                && (page_of(last) == page_of(pc) || slot.gen_last == mem.page_generation(last))
             {
-                self.stats.hits += 1;
+                stats.hits += 1;
                 return Some(slot.entry);
             }
-            self.stats.invalidations += 1;
+            stats.invalidations += 1;
         }
-        self.stats.misses += 1;
+        stats.misses += 1;
 
         // Miss (or stale): decode straight from memory, recording the
         // fetched words.
@@ -124,15 +128,11 @@ impl DecodeCache {
         self.slots.resident_chunks()
     }
 
-    /// Drops every cached slot, preserving the counters. Used when the
-    /// MMIO topology changes (new peripheral / hardware cell), which
-    /// can turn previously cacheable fetches into live-bus ones.
+    /// Drops every cached slot. Used when the MMIO topology changes
+    /// (new peripheral / hardware cell), which can turn previously
+    /// cacheable fetches into live-bus ones.
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
-    }
-
-    pub(crate) fn stats(&self) -> CacheStats {
-        self.stats
     }
 }
 
@@ -152,8 +152,8 @@ mod tests {
         // mov #0x1234, r5
         mem.write_word(0xE000, 0x4035);
         mem.write_word(0xE002, 0x1234);
-        let mut cache = DecodeCache::default();
-        let a = cache.lookup(0xE000, &mem, never_mmio).unwrap();
+        let (mut cache, mut stats) = (DecodeCache::default(), CacheStats::default());
+        let a = cache.lookup(0xE000, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(a.size, 4);
         assert_eq!(a.words[..2], [0x4035, 0x1234]);
         assert_eq!(
@@ -166,7 +166,7 @@ mod tests {
             }
         );
         // Second lookup is a pure hit (same entry, one resident chunk).
-        let b = cache.lookup(0xE000, &mem, never_mmio).unwrap();
+        let b = cache.lookup(0xE000, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(a, b);
         assert_eq!(cache.resident_chunks(), 1);
     }
@@ -176,11 +176,11 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_word(0xE000, 0x4035);
         mem.write_word(0xE002, 0x1234);
-        let mut cache = DecodeCache::default();
-        let _ = cache.lookup(0xE000, &mem, never_mmio).unwrap();
+        let (mut cache, mut stats) = (DecodeCache::default(), CacheStats::default());
+        let _ = cache.lookup(0xE000, &mem, never_mmio, &mut stats).unwrap();
         // Overwrite the immediate word: same page, new generation.
         mem.write_word(0xE002, 0xBEEF);
-        let b = cache.lookup(0xE000, &mem, never_mmio).unwrap();
+        let b = cache.lookup(0xE000, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(b.words[1], 0xBEEF);
         assert_eq!(
             b.instr,
@@ -197,10 +197,10 @@ mod tests {
     fn unrelated_page_writes_keep_entries_hot() {
         let mut mem = Memory::new();
         mem.write_word(0xE000, 0x3FFF); // jmp $
-        let mut cache = DecodeCache::default();
-        let a = cache.lookup(0xE000, &mem, never_mmio).unwrap();
+        let (mut cache, mut stats) = (DecodeCache::default(), CacheStats::default());
+        let a = cache.lookup(0xE000, &mem, never_mmio, &mut stats).unwrap();
         mem.write_word(0x0200, 0xAAAA); // data page, not the code page
-        let b = cache.lookup(0xE000, &mem, never_mmio).unwrap();
+        let b = cache.lookup(0xE000, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(a, b);
     }
 
@@ -208,8 +208,10 @@ mod tests {
     fn mmio_fetches_are_never_cached() {
         let mut mem = Memory::new();
         mem.write_word(0x0190, 0x4303); // would decode, but lives on MMIO
-        let mut cache = DecodeCache::default();
-        assert!(cache.lookup(0x0190, &mem, |a| a == 0x0190).is_none());
+        let (mut cache, mut stats) = (DecodeCache::default(), CacheStats::default());
+        assert!(cache
+            .lookup(0x0190, &mem, |a| a == 0x0190, &mut stats)
+            .is_none());
         assert_eq!(cache.resident_chunks(), 0, "no chunk for an uncached fetch");
     }
 
@@ -220,12 +222,12 @@ mod tests {
         // pages are 512 bytes, so 0xE1FE/0xE200 straddle.
         mem.write_word(0xE1FE, 0x4035);
         mem.write_word(0xE200, 0x1234);
-        let mut cache = DecodeCache::default();
-        let a = cache.lookup(0xE1FE, &mem, never_mmio).unwrap();
+        let (mut cache, mut stats) = (DecodeCache::default(), CacheStats::default());
+        let a = cache.lookup(0xE1FE, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(a.words[1], 0x1234);
         // A write into the *second* page alone must still invalidate.
         mem.write_word(0xE200, 0x5678);
-        let b = cache.lookup(0xE1FE, &mem, never_mmio).unwrap();
+        let b = cache.lookup(0xE1FE, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(b.words[1], 0x5678);
     }
 
@@ -236,17 +238,17 @@ mod tests {
         // 0xE000..=0xE03F: its extension word opens the next chunk.
         mem.write_word(0xE03E, 0x4035);
         mem.write_word(0xE040, 0x1234);
-        let mut cache = DecodeCache::default();
-        let a = cache.lookup(0xE03E, &mem, never_mmio).unwrap();
+        let (mut cache, mut stats) = (DecodeCache::default(), CacheStats::default());
+        let a = cache.lookup(0xE03E, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!((a.size, a.words[1]), (4, 0x1234));
         // Slots are keyed by the first word: one chunk holds the entry.
         assert_eq!(cache.resident_chunks(), 1);
-        assert_eq!(cache.lookup(0xE03E, &mem, never_mmio), Some(a));
-        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        assert_eq!(cache.lookup(0xE03E, &mem, never_mmio, &mut stats), Some(a));
+        assert_eq!((stats.hits, stats.misses), (1, 1));
         // A write to the extension word, in the next chunk, invalidates.
         mem.write_word(0xE040, 0x5678);
-        let b = cache.lookup(0xE03E, &mem, never_mmio).unwrap();
+        let b = cache.lookup(0xE03E, &mem, never_mmio, &mut stats).unwrap();
         assert_eq!(b.words[1], 0x5678);
-        assert_eq!(cache.stats().invalidations, 1);
+        assert_eq!(stats.invalidations, 1);
     }
 }

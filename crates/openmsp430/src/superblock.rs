@@ -14,6 +14,12 @@
 //! not baked into the trace; the executor polls interrupt lines at
 //! every step boundary and bails out to the per-step path whenever a
 //! serviceable vector appears.
+//!
+//! A block is one exact-size object. It holds at most
+//! [`MAX_BLOCK_LEN`] contiguous steps of at most 6 bytes, so its bytes
+//! lie in at most two pages, and it stores both `(page, generation)`
+//! pairs inline. Its steps are chained in a stack buffer and stored at
+//! their exact length, so a block costs its `Arc` and one step slice.
 
 use crate::bus::{Master, MemAccess};
 use crate::isa::{Instr, OneOp, Operand};
@@ -27,6 +33,11 @@ use std::sync::Arc;
 /// unrolled straight-line attestation code, short enough that a build
 /// wasted by early invalidation stays cheap.
 pub const MAX_BLOCK_LEN: usize = 64;
+
+const _: () = assert!(
+    MAX_BLOCK_LEN * 6 <= 1 << PAGE_SHIFT,
+    "a block's bytes must fit in two pages"
+);
 
 /// One predecoded instruction inside a superblock, with everything the
 /// executor needs precomputed: the expected PC, the decoded form, and
@@ -52,29 +63,42 @@ pub struct TraceStep {
 #[derive(Debug)]
 pub struct Superblock {
     /// The chained steps, entry first.
-    pub steps: Vec<TraceStep>,
-    /// Deduplicated `(page base address, generation)` pairs covering
-    /// every byte the steps were decoded from.
-    pub pages: Vec<(u16, u64)>,
+    pub steps: Box<[TraceStep]>,
+    /// The `(page base address, generation)` pairs of the first and the
+    /// last byte the steps were decoded from: one page twice unless the
+    /// steps straddle a page edge. `None` for an empty block.
+    pub pages: Option<[(u16, u64); 2]>,
 }
 
 impl Superblock {
-    /// True while every covered page still has the generation the
-    /// block was built under.
-    pub(crate) fn valid(&self, mem: &Memory) -> bool {
-        self.pages
-            .iter()
-            .all(|&(addr, gen)| mem.page_generation(addr) == gen)
+    /// A block of `steps`, contiguous from the entry as the builder
+    /// chains them, stamped with the generations of the pages they lie
+    /// in.
+    pub(crate) fn new(steps: &[TraceStep], mem: &Memory) -> Superblock {
+        let stamp = |addr: u16| {
+            (
+                addr & !((1u16 << PAGE_SHIFT) - 1),
+                mem.page_generation(addr),
+            )
+        };
+        let pages = steps.first().zip(steps.last()).map(|(first, last)| {
+            let end = last.pc.wrapping_add(last.size - 1);
+            [stamp(first.pc), stamp(end)]
+        });
+        Superblock {
+            steps: steps.into(),
+            pages,
+        }
     }
 
-    /// Records the page(s) covering `[addr, addr + len)` in `pages`.
-    pub(crate) fn cover(pages: &mut Vec<(u16, u64)>, mem: &Memory, addr: u16, len: u16) {
-        let last = addr.wrapping_add(len.wrapping_sub(1));
-        for a in [addr, last] {
-            let base = a & !((1u16 << PAGE_SHIFT) - 1);
-            if !pages.iter().any(|&(b, _)| b == base) {
-                pages.push((base, mem.page_generation(a)));
-            }
+    /// True while every covered page still has the generation the
+    /// block was built under.
+    #[inline]
+    pub(crate) fn valid(&self, mem: &Memory) -> bool {
+        let fresh = |(addr, gen): (u16, u64)| mem.page_generation(addr) == gen;
+        match self.pages {
+            None => true,
+            Some([first, last]) => fresh(first) && (last.0 == first.0 || fresh(last)),
         }
     }
 }
@@ -120,7 +144,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Field-wise sum, for merging the predecode and superblock tiers.
+    /// Field-wise sum, for totalling the counters of several devices.
     pub fn merge(self, other: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits + other.hits,
@@ -137,50 +161,50 @@ impl CacheStats {
 /// entry slots, each allocated on the first block built inside it.
 /// Blocks are held behind `Arc` so the executor can run a trace without
 /// borrowing the cache (`Device` stays `Send` for the fleet's prover
-/// threads).
+/// threads). Its counters go to the [`CacheStats`] the caller passes,
+/// which the MCU shares with the predecode tier.
 #[derive(Debug, Default)]
 pub(crate) struct BlockCache {
     blocks: PcTable<Option<Arc<Superblock>>>,
-    stats: CacheStats,
 }
 
 impl BlockCache {
     /// Returns the still-valid block at `pc`, counting hit/miss and
     /// retiring stale entries in place.
-    pub(crate) fn get(&mut self, pc: u16, mem: &Memory) -> Option<Arc<Superblock>> {
+    pub(crate) fn get(
+        &mut self,
+        pc: u16,
+        mem: &Memory,
+        stats: &mut CacheStats,
+    ) -> Option<Arc<Superblock>> {
         if let Some(slot) = self.blocks.get_mut(pc) {
             if let Some(block) = slot {
                 if block.valid(mem) {
-                    self.stats.hits += 1;
+                    stats.hits += 1;
                     return Some(Arc::clone(block));
                 }
-                self.stats.invalidations += 1;
-                self.stats.blocks_retired += 1;
+                stats.invalidations += 1;
+                stats.blocks_retired += 1;
                 *slot = None;
             }
         }
-        self.stats.misses += 1;
+        stats.misses += 1;
         None
     }
 
     /// Stores a freshly built block at `pc`.
-    pub(crate) fn insert(&mut self, pc: u16, block: Arc<Superblock>) {
+    pub(crate) fn insert(&mut self, pc: u16, block: Arc<Superblock>, stats: &mut CacheStats) {
         let slot = self.blocks.slot(pc);
         debug_assert!(slot.is_none());
         *slot = Some(block);
-        self.stats.blocks_built += 1;
+        stats.blocks_built += 1;
     }
 
-    /// Drops every block, preserving counters (each resident block is
-    /// counted as retired). Used on MMIO topology changes and when
-    /// predecoding is switched off.
-    pub(crate) fn clear(&mut self) {
-        self.stats.blocks_retired += self.blocks.slots().flatten().count() as u64;
+    /// Drops every block, counting each resident one as retired. Used
+    /// on MMIO topology changes and when predecoding is switched off.
+    pub(crate) fn clear(&mut self, stats: &mut CacheStats) {
+        stats.blocks_retired += self.blocks.slots().flatten().count() as u64;
         self.blocks.clear();
-    }
-
-    pub(crate) fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     /// True when the 64-byte chunk holding `addr` was never allocated.
@@ -435,52 +459,91 @@ mod tests {
         assert_eq!(mask.deposit(!0), mask);
     }
 
+    /// A straight-line step of `size` bytes at `pc`.
+    fn step(pc: u16, size: u16) -> TraceStep {
+        TraceStep {
+            pc,
+            instr: Instr::Illegal(0),
+            size,
+            fetch_ren_key: false,
+        }
+    }
+
+    /// The contiguous steps of `sizes` from `entry`.
+    fn chain(entry: u16, sizes: &[u16]) -> Vec<TraceStep> {
+        let mut pc = entry;
+        sizes
+            .iter()
+            .map(|&size| {
+                let s = step(pc, size);
+                pc = pc.wrapping_add(size);
+                s
+            })
+            .collect()
+    }
+
     #[test]
     fn block_cache_counts_and_clears() {
         let mem = Memory::new();
-        let mut cache = BlockCache::default();
-        assert!(cache.get(0xE000, &mem).is_none());
+        let (mut cache, mut stats) = (BlockCache::default(), CacheStats::default());
+        assert!(cache.get(0xE000, &mem, &mut stats).is_none());
         assert!(cache.chunk_empty(0xE000), "a miss allocates nothing");
-        cache.insert(
-            0xE000,
-            Arc::new(Superblock {
-                steps: Vec::new(),
-                pages: Vec::new(),
-            }),
-        );
-        assert!(cache.get(0xE000, &mem).is_some());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.blocks_built), (1, 1, 1));
+        let empty = Superblock::new(&[], &mem);
+        assert!(empty.pages.is_none() && empty.steps.is_empty());
+        cache.insert(0xE000, Arc::new(empty), &mut stats);
+        assert!(cache.get(0xE000, &mem, &mut stats).is_some());
+        assert_eq!((stats.hits, stats.misses, stats.blocks_built), (1, 1, 1));
         assert!(
             !cache.chunk_empty(0xE03E),
             "the insert allocated 0xE000's chunk"
         );
         assert!(cache.chunk_empty(0xE040), "and only that chunk");
-        cache.clear();
-        assert_eq!(cache.stats().blocks_retired, 1);
+        cache.clear(&mut stats);
+        assert_eq!(stats.blocks_retired, 1);
         assert!(cache.chunk_empty(0xE000));
         // Stats survive the clear.
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(stats.hits, 1);
     }
 
     #[test]
     fn stale_page_generation_retires_block() {
         let mut mem = Memory::new();
-        let mut cache = BlockCache::default();
-        let mut pages = Vec::new();
-        Superblock::cover(&mut pages, &mem, 0xE000, 4);
-        cache.insert(
-            0xE000,
-            Arc::new(Superblock {
-                steps: Vec::new(),
-                pages,
-            }),
-        );
-        assert!(cache.get(0xE000, &mem).is_some());
+        let (mut cache, mut stats) = (BlockCache::default(), CacheStats::default());
+        let block = Superblock::new(&chain(0xE000, &[4]), &mem);
+        assert_eq!(block.pages, Some([(0xE000, 0); 2]));
+        cache.insert(0xE000, Arc::new(block), &mut stats);
+        assert!(cache.get(0xE000, &mem, &mut stats).is_some());
         mem.write(0xE002, 0xBEEF, false);
-        assert!(cache.get(0xE000, &mem).is_none());
-        let s = cache.stats();
-        assert_eq!(s.invalidations, 1);
-        assert_eq!(s.blocks_retired, 1);
+        assert!(cache.get(0xE000, &mem, &mut stats).is_none());
+        assert_eq!(stats.invalidations, 1);
+        assert_eq!(stats.blocks_retired, 1);
+    }
+
+    #[test]
+    fn a_block_straddling_a_page_edge_is_retired_by_either_page() {
+        // Three steps from 0xE1F8: the last, 0xE1FE..=0xE203, opens the
+        // page at 0xE200. The edge between 0xFFFE and 0x0000 wraps the
+        // address space the same way.
+        for (entry, second) in [(0xE1F8u16, 0xE200u16), (0xFFF8, 0x0000)] {
+            let first = entry & !0x1FF;
+            for written in [first, second] {
+                let mut mem = Memory::new();
+                mem.write_word(first, 1);
+                let (mut cache, mut stats) = (BlockCache::default(), CacheStats::default());
+                let block = Superblock::new(&chain(entry, &[2, 4, 6]), &mem);
+                assert_eq!(block.steps.len(), 3);
+                assert_eq!(block.pages, Some([(first, 1), (second, 0)]));
+                cache.insert(entry, Arc::new(block), &mut stats);
+                // A write to a third page leaves the block valid.
+                mem.write_word(first.wrapping_sub(0x200), 1);
+                assert!(cache.get(entry, &mem, &mut stats).is_some());
+                mem.write_word(written, 2);
+                assert!(
+                    cache.get(entry, &mem, &mut stats).is_none(),
+                    "a write at {written:#06x} retires the block at {entry:#06x}"
+                );
+                assert_eq!((stats.invalidations, stats.blocks_retired), (1, 1));
+            }
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! its program touches (a few 512-byte memory pages and 64-byte cache
 //! chunks), not the 64 KiB address space, and attesting must not grow it.
 //!
-//! A counting global allocator tracks the live heap and the allocations
-//! of each thread, so the two tests here do not see each other's.
+//! A counting global allocator tracks the live heap, the live
+//! allocations and the allocations made of each thread, so the two
+//! tests here do not see each other's.
 
 use asap::device::{Device, PoxMode};
 use asap::{programs, AsapVerifier, VerifierSpec};
@@ -13,11 +14,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Forwards to the system allocator, counting the calling thread's live
-/// heap bytes and allocations.
+/// heap bytes, live allocations and allocations made.
 struct Counting;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static LIVE_ALLOCS: Cell<isize> = const { Cell::new(0) };
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -25,8 +27,20 @@ fn count(delta: isize) {
     LIVE.with(|live| live.set(live.get() + delta));
 }
 
+/// Counts one allocation made (`delta` 1) or freed (`delta` -1).
+fn count_alloc(delta: isize) {
+    LIVE_ALLOCS.with(|n| n.set(n.get() + delta));
+    if delta > 0 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
+
 fn live() -> isize {
     LIVE.with(Cell::get)
+}
+
+fn live_allocs() -> isize {
+    LIVE_ALLOCS.with(Cell::get)
 }
 
 fn allocs() -> usize {
@@ -38,7 +52,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             count(layout.size() as isize);
-            ALLOCS.with(|n| n.set(n.get() + 1));
+            count_alloc(1);
         }
         ptr
     }
@@ -47,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             count(layout.size() as isize);
-            ALLOCS.with(|n| n.set(n.get() + 1));
+            count_alloc(1);
         }
         ptr
     }
@@ -63,6 +77,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
         count(-(layout.size() as isize));
+        count_alloc(-1);
     }
 }
 
@@ -72,8 +87,14 @@ static GLOBAL: Counting = Counting;
 const DEVICES: usize = 64;
 
 /// Live heap allowed per booted fig4 device, the `Device` value itself
-/// included. A flat 64 KiB memory alone would be four times this.
-const MAX_BYTES_PER_DEVICE: isize = 16 * 1024;
+/// included: about 8.2 KiB measured. A flat 64 KiB memory alone would be
+/// seven times this.
+const MAX_BYTES_PER_DEVICE: isize = 9 * 1024;
+
+/// Live allocations allowed per booted fig4 device, the count measured.
+/// Eleven superblocks hold two each (the `Arc` and the step slice); a new
+/// per-device table or a per-block vector raises the count.
+const MAX_ALLOCS_PER_DEVICE: isize = 52;
 
 const KEY: &[u8] = b"footprint-key";
 
@@ -104,11 +125,17 @@ fn a_booted_device_costs_what_it_touches() {
     let mut devices = Vec::new();
     let before = live();
     devices.reserve_exact(DEVICES);
+    let allocs_before = live_allocs();
     devices.extend((0..DEVICES).map(|_| boot_fig4(&image)));
     let per_device = (live() - before) / DEVICES as isize;
     assert!(
         per_device <= MAX_BYTES_PER_DEVICE,
         "a booted fig4 device holds {per_device} B of heap (at most {MAX_BYTES_PER_DEVICE})"
+    );
+    let allocs = (live_allocs() - allocs_before) as f64 / DEVICES as f64;
+    assert!(
+        allocs <= MAX_ALLOCS_PER_DEVICE as f64,
+        "a booted fig4 device holds {allocs} live allocations (at most {MAX_ALLOCS_PER_DEVICE})"
     );
 }
 
