@@ -5,10 +5,11 @@
 //! that are allocated on their first insert. A 512-byte memory page maps
 //! to its eight chunk pointers, and the pages are held in the same
 //! sparse [`PageIndex`] as [`Memory`](crate::mem::Memory)'s: a 128-bit
-//! residency mask plus an exact-size vector of the resident pages,
-//! reached by rank. An empty table costs the index's 32 inline bytes
-//! and no heap, and a cache costs the chunks of code actually run (plus
-//! one vector entry per page they lie in), not the address space.
+//! residency mask plus an exact-size slice of the resident pages' chunk
+//! pointers, reached by rank. An empty table costs the index's 32 inline
+//! bytes and no heap, and a cache costs the chunks of code actually run
+//! (plus one 64-byte slice entry per page they lie in), not the address
+//! space.
 
 use crate::mem::PAGE_SHIFT;
 use crate::pages::PageIndex;
@@ -29,7 +30,7 @@ type Page<T> = [Option<Box<Chunk<T>>>; CHUNKS_PER_PAGE];
 /// The table: one entry per memory page that holds an allocated chunk.
 #[derive(Debug, Clone)]
 pub(crate) struct PcTable<T> {
-    pages: PageIndex<Box<Page<T>>>,
+    pages: PageIndex<Page<T>>,
 }
 
 impl<T> Default for PcTable<T> {
@@ -73,7 +74,7 @@ impl<T: Default> PcTable<T> {
         let (page, chunk, slot) = index(pc);
         let page = self
             .pages
-            .get_or_insert_with(page, || Box::new([const { None }; CHUNKS_PER_PAGE]));
+            .get_or_insert_with(page, || [const { None }; CHUNKS_PER_PAGE]);
         let chunk =
             page[chunk].get_or_insert_with(|| Box::new(std::array::from_fn(|_| T::default())));
         &mut chunk[slot]

@@ -92,9 +92,11 @@ const DEVICES: usize = 64;
 const MAX_BYTES_PER_DEVICE: isize = 9 * 1024;
 
 /// Live allocations allowed per booted fig4 device, the count measured.
-/// Eleven superblocks hold two each (the `Arc` and the step slice); a new
-/// per-device table or a per-block vector raises the count.
-const MAX_ALLOCS_PER_DEVICE: isize = 52;
+/// Each memory page is one allocation, eleven superblocks hold two each
+/// (the `Arc` and the step slice), and the cache tables' pages sit inline
+/// in their index's one slice; a new per-device table, a boxed table page
+/// or a per-block vector raises the count.
+const MAX_ALLOCS_PER_DEVICE: isize = 48;
 
 const KEY: &[u8] = b"footprint-key";
 
